@@ -12,8 +12,7 @@ from .core import (Atom, DiscreteMeasure, Domain, Grid, GrowthFunction,
 from .elliptic import (NodalMeasure, ScalarField, bilinear_interpolate,
                        growth_bound_lambda, harvest, laplacian_matrix,
                        lump_measure, perturbation_derivative, phi_field,
-                       quadrature_weights, solve_adjoint, solve_linear,
-                       solve_state)
+                       quadrature_weights, solve_adjoint, solve_state)
 from .irrigation import (ROOT, STEINER, TERMINAL, ArcChordReport, FluxMap,
                          HolderReport, IrrigationTree, LandscapeValues,
                          brute_force_plan, check_arc_chord,
@@ -52,7 +51,6 @@ __all__ = [
     "phi_field",
     "quadrature_weights",
     "solve_adjoint",
-    "solve_linear",
     "solve_state",
     "ROOT",
     "STEINER",

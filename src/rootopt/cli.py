@@ -13,8 +13,8 @@ Subcommands:
   the first violated invariant
 * ``report``    support-density table from stored or configured measure
 
-Flags: --config PATH, --out DIR, --set K=V (repeatable), --seed N,
---threads N.  Exit status: 0 success, 1 validation failure, 2 solver failure.
+Flags: --config PATH, --out DIR, --set K=V (repeatable), --seed N.
+Exit status: 0 success, 1 validation failure, 2 solver failure.
 
 Configs are flat ``key = value`` text; every subcommand writes the resolved
 config and measure into the output directory, so a run directory is
@@ -24,7 +24,6 @@ self-describing and `verify` can consume it without extra flags.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -50,13 +49,6 @@ from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
 __all__ = ["main"]
 
 
-def _apply_threads(n: int) -> None:
-    # best-effort hint to BLAS/OpenMP pools
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootopt",
@@ -77,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=int, default=None, help="override the seed key")
-        p.add_argument("--threads", type=int, default=None, help="thread-count hint")
     return parser
 
 
@@ -364,11 +355,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be at least 1", file=sys.stderr)
-            return 1
-        _apply_threads(args.threads)
     try:
         out = Path(args.out)
         if args.command == "verify":

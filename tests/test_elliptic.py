@@ -14,6 +14,15 @@ def grid17():
     return ro.Grid(ro.Domain(), 17, 17)
 
 
+def uniform_measure(grid, m0):
+    """One atom per node with mass m0 times its cell area: density m0 everywhere."""
+    coords = grid.node_coordinates()
+    tau = ro.quadrature_weights(grid)
+    return ro.DiscreteMeasure(tuple(
+        ro.Atom((float(x), float(y)), m0 * float(t) * grid.h ** 2)
+        for (x, y), t in zip(coords, tau)))
+
+
 class TestOperators:
     def test_laplacian_annihilates_constants(self, grid17):
         lap = ro.laplacian_matrix(grid17)
@@ -67,6 +76,15 @@ class TestLumping:
         assert lumped.density()[corner] == pytest.approx(2.0 / grid17.h ** 2, rel=1e-15)
 
 
+class TestLinearSolver:
+    def test_singular_system_raises(self, grid17):
+        """Zero absorption leaves the pure-Neumann Laplacian, which has no
+        solution for a right-hand side of non-zero mean."""
+        with pytest.raises(ro.SolverError):
+            ell._linear_solver(grid17, np.zeros(grid17.n_nodes), 1e-10)(
+                np.ones(grid17.n_nodes))
+
+
 class TestStateSolve:
     def test_empty_measure_gives_carrying_capacity(self, grid17):
         f = ro.GrowthFunction()
@@ -78,14 +96,35 @@ class TestStateSolve:
         f(u) = m0 u, so u = u_max (1 - m0 / rate)."""
         f = ro.GrowthFunction(u_max=1.0, rate=4.0)
         m0 = 1.0
-        coords = grid17.node_coordinates()
-        tau = ro.quadrature_weights(grid17)
-        mu = ro.DiscreteMeasure(tuple(
-            ro.Atom((float(x), float(y)), m0 * float(t) * grid17.h ** 2)
-            for (x, y), t in zip(coords, tau)))
+        mu = uniform_measure(grid17, m0)
         u = ro.solve_state(grid17, mu, f, tol=1e-12)
         expected = f.u_max * (1.0 - m0 / f.rate)
         assert np.max(np.abs(u.values - expected)) < 1e-8
+
+    def test_newton_finish_near_extinction(self, grid17, monkeypatch):
+        """Uniform density m0 just below the rate leaves u = u_max (1 - m0 / rate)
+        close to zero, where a sweep contracts the error only by about
+        2 m0 / (m0 + rate) > 0.99; the sweeps stall and Newton finishes."""
+        f = ro.GrowthFunction(u_max=1.0, rate=4.0)
+        m0 = 3.96
+        mu = uniform_measure(grid17, m0)
+        factorizations = []
+        real = ell._linear_solver
+
+        def counting(grid, absorption, tol_linear):
+            factorizations.append(absorption)
+            return real(grid, absorption, tol_linear)
+
+        monkeypatch.setattr(ell, "_linear_solver", counting)
+        tol = 1e-12
+        u = ro.solve_state(grid17, mu, f, tol=tol).values
+        # one sweep matrix, then one Jacobian per Newton step
+        assert len(factorizations) > 1
+        a = ro.lump_measure(mu, grid17).density()
+        res = ro.laplacian_matrix(grid17) @ u + f(u) - a * u
+        scale = np.maximum(1.0, np.maximum(np.abs(a * u), np.abs(f(u))))
+        assert np.max(np.abs(res) / scale) <= tol
+        assert np.max(np.abs(u - f.u_max * (1.0 - m0 / f.rate))) < 1e-10
 
     def test_box_bounds(self, grid17):
         rng = np.random.default_rng(8)
@@ -141,11 +180,7 @@ class TestHarvestAndAdjoint:
     def test_uniform_absorption_constant_adjoint(self, grid17):
         f = ro.GrowthFunction(u_max=1.0, rate=4.0)
         m0 = 1.0
-        coords = grid17.node_coordinates()
-        tau = ro.quadrature_weights(grid17)
-        mu = ro.DiscreteMeasure(tuple(
-            ro.Atom((float(x), float(y)), m0 * float(t) * grid17.h ** 2)
-            for (x, y), t in zip(coords, tau)))
+        mu = uniform_measure(grid17, m0)
         u = ro.solve_state(grid17, mu, f, tol=1e-12)
         psi = ro.solve_adjoint(grid17, mu, u, f, tol=1e-12)
         # constant state u_hat has f'(u_hat) = 2 m0 - rate, so psi = m0 / (rate - m0)
