@@ -18,8 +18,7 @@ from .irrigation import (ROOT, STEINER, TERMINAL, ArcChordReport, FluxMap,
                          brute_force_plan, check_arc_chord,
                          check_landscape_holder, compute_fluxes,
                          cost_lower_bound, irrigation_cost, landscape,
-                         marginal_cost_at_node, optimize_plan,
-                         scaled_mass_cost, star_tree)
+                         optimize_plan, scaled_mass_cost, star_tree)
 from .optimality import (AtomRecord, OptimalityReport, OptimizationTrace,
                          PathCheckReport, SupportDensityReport, TraceStep,
                          ascend_measure, optimality_residual,
@@ -67,7 +66,6 @@ __all__ = [
     "cost_lower_bound",
     "irrigation_cost",
     "landscape",
-    "marginal_cost_at_node",
     "optimize_plan",
     "scaled_mass_cost",
     "star_tree",

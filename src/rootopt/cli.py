@@ -13,7 +13,7 @@ Subcommands:
   the first violated invariant
 * ``report``    support-density table from stored or configured measure
 
-Flags: --config PATH, --out DIR, --set K=V (repeatable), --seed N.
+Flags: --config PATH, --out DIR, --set K=V (repeatable).
 Exit status: 0 success, 1 validation failure, 2 solver failure.
 
 Configs are flat ``key = value`` text; every subcommand writes the resolved
@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True, help="artifact directory")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override a config key (repeatable)")
-        p.add_argument("--seed", type=int, default=None, help="override the seed key")
     return parser
 
 
@@ -83,8 +82,6 @@ def _load_setup(args) -> ParsedConfig:
         key, raw = item.split("=", 1)
         key, value = parse_config_entry(key, raw)
         values[key] = value
-    if args.seed is not None:
-        values["seed"] = args.seed
     return config_from_mapping(values)
 
 
@@ -133,7 +130,7 @@ def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     mu = _resolve_measure(args, parsed)
     _write_common(out, parsed, mu)
-    tree = optimize_plan(mu, cfg.alpha, budget=cfg.max_plan_moves, seed=cfg.seed)
+    tree = optimize_plan(mu, cfg.alpha, budget=cfg.max_plan_moves)
     cost = irrigation_cost(tree, mu, cfg.alpha)
     lb = cost_lower_bound(mu, cfg.alpha, cfg.domain.origin)
     z = landscape(tree, mu, cfg.alpha)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import DiscreteMeasure, ValidationError
 
@@ -45,7 +44,6 @@ __all__ = [
     "scaled_mass_cost",
     "landscape",
     "cost_lower_bound",
-    "marginal_cost_at_node",
     "optimize_plan",
     "brute_force_plan",
     "check_landscape_holder",
@@ -55,6 +53,10 @@ __all__ = [
 ROOT = "root"
 STEINER = "steiner"
 TERMINAL = "terminal"
+
+_SCAN_WEISZFELD_STEPS = 20  # per candidate branch point in the move scan
+_MAX_GEOMETRY_SWEEPS = 400
+_MAX_NEWTON_STEPS = 100  # per exact Fermat point
 
 
 def _children_lists(parents):
@@ -323,16 +325,6 @@ def cost_lower_bound(mu: DiscreteMeasure, alpha: float, origin=(0.0, 0.0)) -> fl
     return float(np.sum((r_sorted - prev) * suffix ** alpha))
 
 
-def marginal_cost_at_node(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
-                          node: int) -> float:
-    """Derivative of the plan cost with respect to extra mass routed to `node`
-    along the existing root path; equals alpha * Z(node)."""
-    if not 0 <= node < tree.n_nodes:
-        raise ValidationError(f"node {node} outside tree")
-    z = landscape(tree, mu, alpha)
-    return alpha * z.at_node(node)
-
-
 # ---------------------------------------------------------------------------
 # optimality diagnostics
 
@@ -442,35 +434,42 @@ def _tree_cost(pos, parents, order, node_mass, alpha):
     return float(np.sum(flux[1:] ** alpha * lengths))
 
 
-def _weighted_fermat(pts, w, iters=60):
-    """Minimizer of sum w_i |s - pts_i| for a few anchor points.
+def _degenerate_anchor(pts, w):
+    """Index of an anchor that minimizes sum w_i |s - pts_i| outright, or None.
+
+    Anchor i wins when the pull of the anchors elsewhere, |sum_j w_j (pts_i -
+    pts_j) / |pts_i - pts_j||, is at most the weight resting on pts_i."""
+    for i, (xi, yi) in enumerate(pts):
+        gx = gy = held = 0.0
+        for (xj, yj), wj in zip(pts, w):
+            nd = math.hypot(xi - xj, yi - yj)
+            if nd == 0.0:
+                held += wj
+            else:
+                gx += wj * (xi - xj) / nd
+                gy += wj * (yi - yj) / nd
+        if math.hypot(gx, gy) <= held * (1.0 + 1e-12):
+            return i
+    return None
+
+
+def _weighted_fermat(pts, w):
+    """Approximate minimizer of sum w_i |s - pts_i| for a few anchor points.
 
     Scalar arithmetic on purpose: this sits in the innermost candidate scan
-    of the topology search, where array overhead dominates."""
+    of the topology search, where array overhead dominates.  A fixed number
+    of Weiszfeld steps from the weighted centroid is enough to rank moves;
+    the geometry pass that follows an applied move solves exactly."""
     pts = [(float(p[0]), float(p[1])) for p in pts]
     w = [float(v) for v in w]
-    n = len(pts)
+    k = _degenerate_anchor(pts, w)
+    if k is not None:
+        return np.array(pts[k])
     span = max(max(abs(px), abs(py)) for px, py in pts) + 1.0
-    for i in range(n):
-        gx = gy = 0.0
-        coincident = False
-        for j in range(n):
-            if j == i:
-                continue
-            dx = pts[i][0] - pts[j][0]
-            dy = pts[i][1] - pts[j][1]
-            nd = math.hypot(dx, dy)
-            if nd == 0.0:
-                coincident = True
-                break
-            gx += w[j] * dx / nd
-            gy += w[j] * dy / nd
-        if coincident or math.hypot(gx, gy) <= w[i] * (1.0 + 1e-12):
-            return np.array(pts[i])
     wsum = sum(w)
     sx = sum(wi * px for wi, (px, py) in zip(w, pts)) / wsum
     sy = sum(wi * py for wi, (px, py) in zip(w, pts)) / wsum
-    for _ in range(iters):
+    for _ in range(_SCAN_WEISZFELD_STEPS):
         num_x = num_y = den = 0.0
         for (px, py), wi in zip(pts, w):
             nd = math.hypot(sx - px, sy - py)
@@ -488,100 +487,111 @@ def _weighted_fermat(pts, w, iters=60):
     return np.array((sx, sy))
 
 
-def _optimize_positions(pos, parents, kinds, weights, scale, polish_tol=1e-10,
-                        light=False):
+def _fermat_point(pts, w, start):
+    """Exact minimizer of sum w_i |s - pts_i| over (x, y) anchors, as (x, y).
+
+    A winner of the degenerate test is returned as is.  Otherwise the
+    minimizer lies off every anchor, where the objective is smooth and
+    strictly convex; damped Newton steps reach it from `start`, or from the
+    weighted centroid when `start` sits on an anchor.  A step is halved
+    while it lands above the Weiszfeld point of the same iterate, which is
+    taken once the step vanishes: near an anchor the Newton model can draw
+    iterates into the kink, and the Weiszfeld point steps out of it."""
+    k = _degenerate_anchor(pts, w)
+    if k is not None:
+        return pts[k]
+
+    def cost(x, y):
+        return sum(wi * math.hypot(x - px, y - py) for (px, py), wi in zip(pts, w))
+
+    if start in pts:
+        wsum = sum(w)
+        start = (sum(wi * px for wi, (px, _) in zip(w, pts)) / wsum,
+                 sum(wi * py for wi, (_, py) in zip(w, pts)) / wsum)
+    sx, sy = start
+    tiny = 1e-15 * (max(max(abs(px), abs(py)) for px, py in pts) + 1.0)
+    f = cost(sx, sy)
+    for _ in range(_MAX_NEWTON_STEPS):
+        gx = gy = hxx = hxy = hyy = num_x = num_y = den = 0.0
+        for (px, py), wi in zip(pts, w):
+            nd = math.hypot(sx - px, sy - py)
+            if nd == 0.0:
+                return sx, sy  # an iterate hit an anchor exactly
+            ux, uy, c = (sx - px) / nd, (sy - py) / nd, wi / nd
+            gx += wi * ux
+            gy += wi * uy
+            hxx += c * uy * uy
+            hxy -= c * ux * uy
+            hyy += c * ux * ux
+            num_x += c * px
+            num_y += c * py
+            den += c
+        det = hxx * hyy - hxy * hxy
+        stx = sty = 0.0
+        if det > 0.0:
+            stx = (hxy * gy - hyy * gx) / det
+            sty = (hxy * gx - hxx * gy) / det
+        step = math.hypot(stx, sty)
+        if det > 0.0 and step <= tiny:
+            break
+        wx, wy = num_x / den, num_y / den
+        fw = cost(wx, wy)
+        t = 1.0
+        while t * step > tiny:
+            nx, ny = sx + t * stx, sy + t * sty
+            fn = cost(nx, ny)
+            if fn <= fw:
+                break
+            t *= 0.5
+        else:
+            nx, ny, fn = wx, wy, fw
+        if fn >= f:
+            break
+        sx, sy, f = nx, ny, fn
+    return sx, sy
+
+
+def _optimize_positions(pos, parents, kinds, weights, scale):
     """Minimize sum(weights * edge_length) over steiner positions.
 
-    For a fixed topology the objective is convex in the coordinates.  A few
-    rounds of L-BFGS on a smoothed surrogate get close; a shrinking-step
-    coordinate sweep on the true objective finishes the job (plain coordinate
-    descent alone can stall on the kinks where nodes collide).
-
-    `light` trades accuracy for speed: fewer smoothing stages and a shallower
-    polish.  Used between topology moves, where geometry only has to be good
-    enough to rank candidate moves; the final tree always gets a full pass.
+    The objective is convex in the coordinates.  Each Gauss-Seidel sweep
+    moves every steiner node, in node order, to the exact weighted Fermat
+    point of its neighbours.  Single moves stall on the kink where steiner
+    nodes coincide, so a node that lands on a steiner neighbour then moves
+    on with all steiner nodes joined to it by zero-length edges, as one
+    block, to the Fermat point of the block's outside neighbours.  Sweeps
+    stop once no node moves more than 1e-12 * max(1, scale).
     """
-    free = np.array([k == STEINER for k in kinds], dtype=bool)
-    if not free.any():
+    free_idx = [i for i, k in enumerate(kinds) if k == STEINER]
+    if not free_idx:
         return pos
-    pos = np.array(pos, dtype=float)
-    child = np.arange(1, len(parents))
-    par = np.asarray(parents, dtype=np.int64)[1:]
-    w = np.asarray(weights, dtype=float)[1:]
-    free_idx = np.flatnonzero(free)
+    xy = [tuple(p) for p in np.asarray(pos, dtype=float).tolist()]
+    nbrs = [[] for _ in kinds]  # (neighbour, weight of the edge to it)
+    for i in range(1, len(kinds)):
+        nbrs[i].append((int(parents[i]), float(weights[i])))
+        nbrs[int(parents[i])].append((i, float(weights[i])))
 
-    def fg(x, eps):
-        p = pos.copy()
-        p[free_idx] = x.reshape(-1, 2)
-        d = p[child] - p[par]
-        ln = np.sqrt((d * d).sum(-1) + eps * eps)
-        grad_edge = w[:, None] * d / ln[:, None]
-        g = np.zeros_like(p)
-        np.add.at(g, child, grad_edge)
-        np.add.at(g, par, -grad_edge)
-        return float(np.sum(w * ln)), g[free_idx].ravel()
+    def move(nodes, anchors):
+        old = xy[nodes[0]]
+        q = _fermat_point([xy[j] for j, _ in anchors], [wj for _, wj in anchors], old)
+        for i in nodes:
+            xy[i] = q
+        return math.hypot(q[0] - old[0], q[1] - old[1])
 
-    # Gauss-Seidel pre-pass: each branch point alone minimizes a weighted
-    # Fermat problem over its neighbors, so a few sweeps land close to the
-    # joint optimum; the smoothed stages then start nearly converged.  In
-    # light mode the pre-pass plus polish is accurate enough on its own.
-    ch = _children_lists(parents)
-    for _ in range(6 if light else 10):
+    for _ in range(_MAX_GEOMETRY_SWEEPS):
         moved = 0.0
         for i in free_idx:
-            anchors = [pos[parents[i]]]
-            aw = [weights[i]]
-            for k in ch[i]:
-                anchors.append(pos[k])
-                aw.append(weights[k])
-            q = _weighted_fermat(anchors, aw, iters=25)
-            moved = max(moved, math.hypot(q[0] - pos[i, 0], q[1] - pos[i, 1]))
-            pos[i] = q
-        if moved < 1e-10 * max(1.0, scale):
+            moved = max(moved, move([i], nbrs[i]))
+            block = [i]
+            for b in block:  # grows while it is read
+                block.extend(j for j, _ in nbrs[b] if kinds[j] == STEINER
+                             and j not in block and xy[j] == xy[i])
+            if len(block) > 1:
+                outside = [(j, wj) for b in block for j, wj in nbrs[b] if j not in block]
+                moved = max(moved, move(block, outside))
+        if moved <= 1e-12 * max(1.0, scale):
             break
-
-    if not light:
-        x = pos[free_idx].ravel().copy()
-        for eps in (1e-4 * scale, 1e-7 * scale, 1e-9 * scale):
-            res = minimize(fg, x, args=(eps,), jac=True, method="L-BFGS-B",
-                           options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-13})
-            x = res.x
-        pos[free_idx] = x.reshape(-1, 2)
-
-    # coordinate polish on the unsmoothed objective
-    def local_cost(i, q):
-        c = 0.0
-        p = parents[i]
-        if p >= 0:
-            c += weights[i] * math.hypot(q[0] - pos[p, 0], q[1] - pos[p, 1])
-        for k in ch[i]:
-            c += weights[k] * math.hypot(pos[k, 0] - q[0], pos[k, 1] - q[1])
-        return c
-
-    if light:
-        step = 1e-2 * scale
-        floor = max(polish_tol, 1e-6) * max(1.0, scale)
-    else:
-        step = max(scale / 16.0, 4.0 * polish_tol)
-        floor = polish_tol * max(1.0, scale)
-    while step >= floor:
-        improved = False
-        for i in free_idx:
-            base = local_cost(i, pos[i])
-            best = base
-            best_q = None
-            for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                q = (pos[i, 0] + dx, pos[i, 1] + dy)
-                c = local_cost(i, q)
-                if c < best:
-                    best = c
-                    best_q = q
-            if best_q is not None and best < base:
-                pos[i] = best_q
-                improved = True
-        if not improved:
-            step *= 0.5
-    return pos
+    return np.array(xy, dtype=float)
 
 
 def _contract(pos, parents, kinds, atom_index, tol):
@@ -674,27 +684,27 @@ def _verify_gain(best, pos, parents, nm, alpha, base_cost, n):
             f"incremental {kind} gain {gain!r} disagrees with recompute {exact!r}")
 
 
-def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
-                  seed: int = 0) -> IrrigationTree:
+def optimize_plan(mu: DiscreteMeasure, alpha: float,
+                  budget: int | None = None) -> IrrigationTree:
     """Heuristic search for a cheap plan.
 
-    Starts from the star of direct segments and alternates steiner-position
-    descent with three kinds of topology moves, accepting only strict cost
-    decreases:
+    Starts from the star of direct segments and applies three kinds of
+    topology moves, accepting only strict cost decreases:
 
     - merge: reroute two children of a shared parent through a new branch point
     - reparent: hang a subtree off a different node
     - attach: hang a subtree off a new branch point inserted on an edge
 
-    Candidates are scanned in node order and the best gain is applied first,
-    so the search is deterministic; `seed` is reserved for randomized
-    restarts and does not affect the default sweep.
+    Candidates are scanned in node order, each new branch point placed by a
+    fixed number of Weiszfeld steps, and the best gain is applied first, so
+    the search is deterministic.  After every applied move the steiner
+    positions are solved exactly by Gauss-Seidel sweeps of weighted Fermat
+    points, and collapsed branch points are contracted away.
 
     For alpha = 1 the star is returned immediately: with a linear cost in the
     flux there is no reward for shared trunks and straight segments are
     optimal.
     """
-    del seed  # deterministic sweep; kept in the signature for reproducible callers
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
     base = star_tree(mu)
@@ -712,13 +722,6 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
 
     def node_mass_vec():
         return np.array([masses[a] if a >= 0 else 0.0 for a in atom_index])
-
-    def geometry(p_arr, par_list, light):
-        order = _depth_order(par_list)
-        flux = _subtree_sums(np.array(par_list), order, node_mass_vec())
-        weights = flux ** alpha
-        return _optimize_positions(p_arr, par_list, kinds, weights, scale,
-                                   polish_tol=1e-9, light=light)
 
     moves = 0
     while moves < budget:
@@ -778,7 +781,7 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
             for a, b in itertools.combinations(kids, 2):
                 w_par = (flux_l[a] + flux_l[b]) ** alpha
                 s = _weighted_fermat([pos[p], pos[a], pos[b]],
-                                     [w_par, falpha[a], falpha[b]], iters=20)
+                                     [w_par, falpha[a], falpha[b]])
                 old = falpha[a] * elen[a] + falpha[b] * elen[b]
                 new = (w_par * math.hypot(s[0] - pos[p, 0], s[1] - pos[p, 1])
                        + falpha[a] * math.hypot(pos[a, 0] - s[0], pos[a, 1] - s[1])
@@ -812,7 +815,7 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
                 w_edge = (f0_q + phi) ** alpha
                 w_q = f0_q ** alpha
                 s = _weighted_fermat([pos[p], pos[q], pos[u]],
-                                     [w_edge, w_q, falpha[u]], iters=20)
+                                     [w_edge, w_q, falpha[u]])
                 local = (w_edge * math.hypot(s[0] - pos[p, 0], s[1] - pos[p, 1])
                          + w_q * math.hypot(pos[q, 0] - s[0], pos[q, 1] - s[1])
                          + falpha[u] * math.hypot(pos[u, 0] - s[0], pos[u, 1] - s[1])
@@ -849,7 +852,8 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
             parents[q] = len(parents) - 1
             parents[u] = len(parents) - 1
 
-        pos = geometry(pos, parents, light=True)
+        flux = _subtree_sums(np.array(parents), _depth_order(parents), node_mass_vec())
+        pos = _optimize_positions(pos, parents, kinds, flux ** alpha, scale)
         pos, par2, kinds2, ai2 = _contract(pos, parents, kinds, atom_index,
                                            tol=1e-12 * max(1.0, scale))
         parents = list(int(x) for x in par2)
@@ -857,7 +861,6 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
         atom_index = list(int(x) for x in ai2)
         moves += 1
 
-    pos = geometry(pos, parents, light=False)
     return _build_tree(pos, parents, kinds, atom_index, scale)
 
 
@@ -887,8 +890,10 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
 
     Every degree-3 topology over {source} + atoms is enumerated; for each one
     the steiner coordinates solve a convex weighted-length problem, so the
-    per-topology optimum is global and the best topology wins.  Degenerate
-    optima (a branch point collapsing onto a neighbor) are recovered by edge
+    per-topology optimum is global and the best topology wins.  Gauss-Seidel
+    sweeps of exact weighted Fermat points, with coincident branch points
+    moved as blocks, solve it.  Degenerate optima (a branch point collapsing
+    onto a neighbor) land exactly on that neighbor and are recovered by edge
     contraction, which is how star-like plans emerge from the enumeration.
     """
     if not 0.0 < alpha <= 1.0:
@@ -953,7 +958,7 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
         flux = _subtree_sums(par_arr, dorder, node_mass)
         weights = flux ** alpha
         kinds = [ROOT] + [TERMINAL] * n + [STEINER] * n_internal
-        pos = _optimize_positions(pos, parents, kinds, weights, scale, polish_tol=1e-10)
+        pos = _optimize_positions(pos, parents, kinds, weights, scale)
         cost = _tree_cost(pos, par_arr, dorder, node_mass, alpha)
         if best is None or cost < best[0]:
             atom_index = np.array([-1] + list(kept) + [-1] * n_internal, dtype=np.int64)

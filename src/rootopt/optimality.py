@@ -225,7 +225,7 @@ class _Bundle:
 def _evaluate(config: RunConfig, mu: DiscreteMeasure, iteration: int) -> _Bundle:
     if not any(a.mass > 0.0 for a in mu.atoms):
         return _Bundle(DiscreteMeasure(), None, None, None, None, None, 0.0, 0.0)
-    tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves, seed=config.seed)
+    tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves)
     u = solve_state(config.grid, mu, config.growth,
                     tol=config.tol_nonlinear, tol_linear=config.tol_linear)
     psi = solve_adjoint(config.grid, mu, u, config.growth, tol=config.tol_linear)

@@ -126,6 +126,15 @@ class TestStateSolve:
         assert np.max(np.abs(res) / scale) <= tol
         assert np.max(np.abs(u - f.u_max * (1.0 - m0 / f.rate))) < 1e-10
 
+    def test_exhausted_sweeps_hand_over_to_newton(self, grid17):
+        """Density 3.9 with rate 4: a sweep contracts the residual by about
+        2 m0 / (m0 + rate) = 0.987, too fast to count as a stall and too
+        slow to converge within the sweep cap; Newton must finish."""
+        f = ro.GrowthFunction(u_max=1.0, rate=4.0)
+        m0 = 3.9
+        u = ro.solve_state(grid17, uniform_measure(grid17, m0), f, tol=1e-12)
+        assert np.max(np.abs(u.values - f.u_max * (1.0 - m0 / f.rate))) < 1e-8
+
     def test_box_bounds(self, grid17):
         rng = np.random.default_rng(8)
         f = ro.GrowthFunction()
