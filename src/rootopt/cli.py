@@ -257,6 +257,16 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if gap <= tol else
                f"stored edge fluxes disagree with the measure by {gap!r}")
 
+        nodes = np.flatnonzero(tree.atom_index >= 0)
+        atom_pos = mu.positions()
+        off = np.hypot(*(tree.positions[nodes] - atom_pos[tree.atom_index[nodes]]).T)
+        worst = int(np.argmax(off))
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(atom_pos))))
+        yield ("terminals on atoms",
+               None if off[worst] <= tol else
+               f"terminal node {int(nodes[worst])} sits {float(off[worst])!r} "
+               f"away from atom {int(tree.atom_index[nodes[worst]])}")
+
         cost = irrigation_cost(tree, mu, cfg.alpha)
         z = landscape(tree, mu, cfg.alpha)
         paid = sum(a.mass * z.at_atom(i) for i, a in enumerate(mu.atoms) if a.mass > 0.0)

@@ -24,7 +24,6 @@ alpha * Z(node) is the marginal cost of routing extra mass to that node.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +53,6 @@ ROOT = "root"
 STEINER = "steiner"
 TERMINAL = "terminal"
 
-_SCAN_WEISZFELD_STEPS = 20  # per candidate branch point in the move scan
 _MAX_GEOMETRY_SWEEPS = 400
 _MAX_NEWTON_STEPS = 100  # per exact Fermat point
 
@@ -453,38 +451,48 @@ def _degenerate_anchor(pts, w):
     return None
 
 
-def _weighted_fermat(pts, w):
-    """Approximate minimizer of sum w_i |s - pts_i| for a few anchor points.
+def _y_junctions(pts, w):
+    """Exact minimizers of sum_i w_i |s - pts_i| for a batch of anchor triples.
 
-    Scalar arithmetic on purpose: this sits in the innermost candidate scan
-    of the topology search, where array overhead dominates.  A fixed number
-    of Weiszfeld steps from the weighted centroid is enough to rank moves;
-    the geometry pass that follows an applied move solves exactly."""
-    pts = [(float(p[0]), float(p[1])) for p in pts]
-    w = [float(v) for v in w]
-    k = _degenerate_anchor(pts, w)
-    if k is not None:
-        return np.array(pts[k])
-    span = max(max(abs(px), abs(py)) for px, py in pts) + 1.0
-    wsum = sum(w)
-    sx = sum(wi * px for wi, (px, py) in zip(w, pts)) / wsum
-    sy = sum(wi * py for wi, (px, py) in zip(w, pts)) / wsum
-    for _ in range(_SCAN_WEISZFELD_STEPS):
-        num_x = num_y = den = 0.0
-        for (px, py), wi in zip(pts, w):
-            nd = math.hypot(sx - px, sy - py)
-            if nd < 1e-15 * span:
-                return np.array((sx, sy))
-            coef = wi / nd
-            num_x += coef * px
-            num_y += coef * py
-            den += coef
-        nx, ny = num_x / den, num_y / den
-        move = math.hypot(nx - sx, ny - sy)
-        sx, sy = nx, ny
-        if move < 1e-13 * span:
-            break
-    return np.array((sx, sy))
+    pts is (m, 3, 2) and w is (m, 3); returns the (m, 2) points.  The first
+    anchor that wins the degenerate test of `_degenerate_anchor` is the
+    answer.  Otherwise the minimizer is the weighted Y-junction: it sees the
+    side opposite anchor i under the angle theta_i with
+
+        cos theta_i = (w_i^2 - w_j^2 - w_k^2) / (2 w_j w_k),
+
+    so theta_i is pi minus the angle W_i opposite w_i in the triangle with
+    side lengths w, and its barycentric coordinates are
+
+        1 / (cot A_i - cot theta_i) = 1 / (cot A_i + cot W_i),
+
+    A_i the angle of the anchor triangle at anchor i.  Both cotangents share
+    a denominator per triple (twice the anchor area, four times the weight
+    area), which is multiplied out.  No anchor wins only when every A_i <
+    theta_i, so the coordinates are positive and finite there, near-collinear
+    and near-coincident anchors included: exactly collinear or coincident
+    anchors always have a winner."""
+    # sides from anchor i to anchors j = i + 1 and k = i + 2 (mod 3)
+    e_j = pts[:, [1, 2, 0]] - pts
+    e_k = pts[:, [2, 0, 1]] - pts
+    w_j, w_k = w[:, [1, 2, 0]], w[:, [2, 0, 1]]
+    len_j = np.sqrt((e_j * e_j).sum(-1))
+    len_k = np.sqrt((e_k * e_k).sum(-1))
+    pull = (e_j * (w_j / np.where(len_j > 0.0, len_j, np.inf))[..., None]
+            + e_k * (w_k / np.where(len_k > 0.0, len_k, np.inf))[..., None])
+    held = w + np.where(len_j > 0.0, 0.0, w_j) + np.where(len_k > 0.0, 0.0, w_k)
+    wins = np.sqrt((pull * pull).sum(-1)) <= held * (1.0 + 1e-12)
+
+    dot = (e_j * e_k).sum(-1)
+    area2 = np.abs(e_j[:, 0, 0] * e_k[:, 0, 1] - e_j[:, 0, 1] * e_k[:, 0, 0])
+    wsum = w.sum(1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where an anchor wins
+        area4_w = np.sqrt(wsum * (wsum - 2.0 * w[:, 0]) * (wsum - 2.0 * w[:, 1])
+                          * (wsum - 2.0 * w[:, 2]))
+        lam = 1.0 / (dot * area4_w[:, None] + (w_j * w_j + w_k * w_k - w * w) * area2[:, None])
+        s = (lam[..., None] * pts).sum(1) / lam.sum(1)[:, None]
+    first = wins.argmax(1)
+    return np.where(wins.any(1)[:, None], pts[np.arange(len(w)), first], s)
 
 
 def _fermat_point(pts, w, start):
@@ -654,34 +662,121 @@ def _build_tree(pos, parents, kinds, atom_index, scale):
 _SELF_CHECK_GAINS = False
 
 
-def _verify_gain(best, pos, parents, nm, alpha, base_cost, n):
-    gain, kind, payload = best
-    if kind == "merge":
-        p, a, b, s = payload
-        trial_pos = np.vstack([pos, np.array(s)[None, :]])
-        trial_par = list(parents) + [p]
-        trial_par[a] = n
-        trial_par[b] = n
-        nm_t = np.concatenate([nm, [0.0]])
-    elif kind == "reparent":
+def _move_costs(kind, payload, pos, parents, nm, alpha):
+    """Plan cost before and after one topology move, each from a full recompute."""
+    n = len(parents)
+    trial_par = list(parents)
+    trial_pos, nm_t = pos, nm
+    if kind == "reparent":
         u, v = payload
-        trial_pos = pos
-        trial_par = list(parents)
         trial_par[u] = v
-        nm_t = nm
-    else:
-        u, q, p, s = payload
+    else:  # both hang two nodes x and y off a new branch point s below p
+        if kind == "merge":
+            p, x, y, s = payload
+        else:
+            x, y, p, s = payload
         trial_pos = np.vstack([pos, np.array(s)[None, :]])
-        trial_par = list(parents) + [p]
-        trial_par[q] = n
-        trial_par[u] = n
+        trial_par = trial_par + [p]
+        trial_par[x] = trial_par[y] = n
         nm_t = np.concatenate([nm, [0.0]])
-    order_t = _depth_order(trial_par)
-    exact = base_cost - _tree_cost(trial_pos, np.array(trial_par, dtype=np.int64),
-                                   order_t, nm_t, alpha)
-    if abs(exact - gain) > 1e-9 * max(1.0, base_cost):
-        raise AssertionError(
-            f"incremental {kind} gain {gain!r} disagrees with recompute {exact!r}")
+    return (_tree_cost(pos, np.asarray(parents), _depth_order(parents), nm, alpha),
+            _tree_cost(trial_pos, np.array(trial_par), _depth_order(trial_par), nm_t, alpha))
+
+
+def _candidate_moves(pos, parents, flux, alpha):
+    """Every topology move of the plan with its exact cost decrease.
+
+    Returns (gains, move_at): one gain per candidate in tie-break order, and
+    a function from a candidate's index to its (kind, payload).  Merges
+    (p, a, b, s) come first, by parent p and then child pair a < b; then
+    reparents (u, v), by subtree root u and then new parent v; then
+    attaches (u, q, p, s), by u and then the edge from p into q.  s is the
+    new branch point.  Excluded candidates have gain -inf: a reparent onto
+    the subtree itself or onto the current parent, an attach onto an edge
+    inside the subtree or out of the current parent (that is a merge).
+
+    Moving the flux phi_u of subtree u off the root path of its parent and
+    onto the root path of v changes the cost of the edges on exactly one
+    of the two paths.  With P[v, e] = 1 when edge e lies on the root path
+    of v, Add[u, e] and Sub[u, e] the cost changes of edge e when phi_u is
+    added to or taken off its flux, and op the parent of each u,
+
+        R = (Add * (1 - P[op]) - Sub * P[op]) @ P.T + rowsum(Sub * P[op])
+
+    holds every such change.  An attach also takes off the term of the
+    edge into q, whose new flux its own Y-junction prices.  Every merge and
+    attach branch point is one batch of `_y_junctions`."""
+    n = len(parents)
+    par = np.asarray(parents, dtype=np.int64)
+    up = np.maximum(par, 0)  # the root points at itself
+    fa = flux ** alpha
+    gap = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((gap * gap).sum(-1))
+    elen = dist[np.arange(n), up]
+    P = np.zeros((n, n))
+    rows = anc = np.arange(1, n)
+    while len(rows):  # one pass per tree level
+        P[rows, anc] = 1.0
+        keep = par[anc] > 0
+        rows, anc = rows[keep], par[anc[keep]]
+    P_op = P[up]  # P[0] is all zero: the root's path holds no edge
+    phi = flux[:, None]
+    add = ((flux + phi) ** alpha - fa) * elen
+    sub = (np.maximum(flux - phi, 0.0) ** alpha - fa) * elen
+    sub_old = sub * P_op
+    R = (add * (1.0 - P_op) - sub_old) @ P.T + sub_old.sum(1)[:, None]
+    outside = P.T == 0.0  # outside[u, v]: v is not in the subtree of u
+
+    rep_ok = outside & (np.arange(n)[None, :] != par[:, None])
+    g_rep = np.where(rep_ok, -R - fa[:, None] * (dist - elen[:, None]), -np.inf)[1:]
+
+    a, b = np.nonzero(np.triu(par[:, None] == par[None, :], 1))
+    by_parent = np.argsort(par[a], kind="stable")
+    a, b = a[by_parent], b[by_parent]
+    att_ok = outside[1:, 1:] & (par[None, 1:] != par[1:, None])
+    u, q = np.nonzero(att_ok)
+    u, q = u + 1, q + 1
+    f0_q = flux[q] - flux[u] * P_op[u, q]  # flux into q once u is detached
+    corners = np.concatenate([np.stack([par[a], a, b], 1),
+                              np.stack([par[q], q, u], 1)])
+    weights = np.concatenate([
+        np.stack([(flux[a] + flux[b]) ** alpha, fa[a], fa[b]], 1),
+        np.stack([(f0_q + flux[u]) ** alpha, f0_q ** alpha, fa[u]], 1)])
+    anchors = pos[corners]
+    s = _y_junctions(anchors, weights)
+    d = s[:, None, :] - anchors
+    y_cost = (weights * np.sqrt((d * d).sum(-1))).sum(1)
+    n_merge = len(a)
+    g_merge = fa[a] * elen[a] + fa[b] * elen[b] - y_cost[:n_merge]
+    g_att = np.full((n - 1, n - 1), -np.inf)
+    g_att[att_ok] = (fa[q] * elen[q] + fa[u] * elen[u] - y_cost[n_merge:]
+                     - R[u, par[q]] + P_op[u, q] * sub[u, q])
+    s_att = np.full((n - 1, n - 1, 2), np.nan)
+    s_att[att_ok] = s[n_merge:]
+    gains = np.concatenate([g_merge, g_rep.ravel(), g_att.ravel()])
+
+    def move_at(k):
+        if k < n_merge:
+            return "merge", (int(par[a[k]]), int(a[k]), int(b[k]), tuple(s[k]))
+        uk, vk = divmod(k - n_merge, n)
+        if uk < n - 1:
+            return "reparent", (uk + 1, vk)
+        uk, qk = divmod(k - n_merge - (n - 1) * n, n - 1)
+        return "attach", (uk + 1, qk + 1, int(par[qk + 1]), tuple(s_att[uk, qk]))
+
+    return gains, move_at
+
+
+def _scan_moves(pos, parents, flux, alpha):
+    """The best topology move as (gain, kind, payload), or None when no move
+    lowers the cost by more than 1e-12 * max(1, cost).  Of equal gains the
+    first in `_candidate_moves` order wins, so the search is deterministic."""
+    gains, move_at = _candidate_moves(pos, parents, flux, alpha)
+    k = int(np.argmax(gains))
+    cost = np.sum(flux[1:] ** alpha * np.hypot(*(pos[1:] - pos[parents[1:]]).T))
+    if not gains[k] > 1e-12 * max(1.0, cost):
+        return None
+    return (float(gains[k]),) + move_at(k)
 
 
 def optimize_plan(mu: DiscreteMeasure, alpha: float,
@@ -695,9 +790,13 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float,
     - reparent: hang a subtree off a different node
     - attach: hang a subtree off a new branch point inserted on an edge
 
-    Candidates are scanned in node order, each new branch point placed by a
-    fixed number of Weiszfeld steps, and the best gain is applied first, so
-    the search is deterministic.  After every applied move the steiner
+    Every candidate of every kind is scored at once in numpy
+    (`_scan_moves`): each new branch point is the exact weighted Fermat
+    point of its three neighbours, in closed form (`_y_junctions`), and
+    the flux rerouted along root paths is priced by one matrix product, so
+    every gain is an exact cost difference.  The best gain is applied; ties
+    go to merge before reparent before attach, each in node order, so the
+    search is deterministic.  After every applied move the steiner
     positions are solved exactly by Gauss-Seidel sweeps of weighted Fermat
     points, and collapsed branch points are contracted away.
 
@@ -725,111 +824,17 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float,
 
     moves = 0
     while moves < budget:
-        order = _depth_order(parents)
-        par_arr = np.array(parents, dtype=np.int64)
         nm = node_mass_vec()
-        flux = _subtree_sums(par_arr, order, nm)
-        base_cost = _tree_cost(pos, par_arr, order, nm, alpha)
-        tol_gain = 1e-12 * max(1.0, base_cost)
-        ch = _children_lists(parents)
-        n = len(parents)
-
-        # per-sweep tables; gains below are exact cost differences computed
-        # over the symmetric difference of root paths, not full recomputes
-        flux_l = flux.tolist()
-        falpha = (flux ** alpha).tolist()
-        elen = [0.0] * n
-        for k in range(1, n):
-            p = parents[k]
-            elen[k] = math.hypot(pos[k, 0] - pos[p, 0], pos[k, 1] - pos[p, 1])
-        path_edges = [None] * n
-        path_edges[0] = ()
-        for v in order[1:]:
-            path_edges[v] = path_edges[parents[v]] + (v,)
-        path_sets = [frozenset(p) for p in path_edges]
-        desc = [None] * n
-        for u in range(n):
-            seen = {u}
-            stack = [u]
-            while stack:
-                for k in ch[stack.pop()]:
-                    seen.add(k)
-                    stack.append(k)
-            desc[u] = seen
-
-        def reroute_delta(u, new_parent, skip=-1):
-            """Cost change from moving the flux of subtree u off its current
-            root path and onto the path through new_parent; the moved edge
-            itself (and `skip`) are handled by the caller."""
-            phi = flux_l[u]
-            old_p = parents[u]
-            po, pn = path_sets[old_p], path_sets[new_parent]
-            delta = 0.0
-            for e in path_edges[new_parent]:
-                if e not in po and e != skip:
-                    delta += ((flux_l[e] + phi) ** alpha - falpha[e]) * elen[e]
-            for e in path_edges[old_p]:
-                if e not in pn and e != skip:
-                    delta += (max(flux_l[e] - phi, 0.0) ** alpha - falpha[e]) * elen[e]
-            return delta
-
-        best = None  # (gain, kind, payload)
-
-        # merge two children of a common parent through a new branch point
-        for p in range(n):
-            kids = ch[p]
-            for a, b in itertools.combinations(kids, 2):
-                w_par = (flux_l[a] + flux_l[b]) ** alpha
-                s = _weighted_fermat([pos[p], pos[a], pos[b]],
-                                     [w_par, falpha[a], falpha[b]])
-                old = falpha[a] * elen[a] + falpha[b] * elen[b]
-                new = (w_par * math.hypot(s[0] - pos[p, 0], s[1] - pos[p, 1])
-                       + falpha[a] * math.hypot(pos[a, 0] - s[0], pos[a, 1] - s[1])
-                       + falpha[b] * math.hypot(pos[b, 0] - s[0], pos[b, 1] - s[1]))
-                gain = old - new
-                if gain > tol_gain and (best is None or gain > best[0]):
-                    best = (gain, "merge", (p, a, b, tuple(s)))
-
-        # reparent a subtree onto another node
-        for u in range(1, n):
-            sub = desc[u]
-            for v in range(n):
-                if v in sub or v == parents[u]:
-                    continue
-                d_uv = math.hypot(pos[u, 0] - pos[v, 0], pos[u, 1] - pos[v, 1])
-                delta = reroute_delta(u, v) + falpha[u] * (d_uv - elen[u])
-                gain = -delta
-                if gain > tol_gain and (best is None or gain > best[0]):
-                    best = (gain, "reparent", (u, v))
-
-        # attach a subtree to a new branch point on the edge above q
-        for u in range(1, n):
-            sub = desc[u]
-            phi = flux_l[u]
-            for q in range(1, n):
-                p = parents[q]
-                if q in sub or p in sub or q == u or p == parents[u]:
-                    continue
-                # flux of edge q once u's subtree is detached
-                f0_q = flux_l[q] - phi if q in path_sets[parents[u]] else flux_l[q]
-                w_edge = (f0_q + phi) ** alpha
-                w_q = f0_q ** alpha
-                s = _weighted_fermat([pos[p], pos[q], pos[u]],
-                                     [w_edge, w_q, falpha[u]])
-                local = (w_edge * math.hypot(s[0] - pos[p, 0], s[1] - pos[p, 1])
-                         + w_q * math.hypot(pos[q, 0] - s[0], pos[q, 1] - s[1])
-                         + falpha[u] * math.hypot(pos[u, 0] - s[0], pos[u, 1] - s[1])
-                         - falpha[q] * elen[q] - falpha[u] * elen[u])
-                delta = local + reroute_delta(u, p, skip=q)
-                gain = -delta
-                if gain > tol_gain and (best is None or gain > best[0]):
-                    best = (gain, "attach", (u, q, p, tuple(s)))
-
+        flux = _subtree_sums(parents, _depth_order(parents), nm)
+        best = _scan_moves(pos, parents, flux, alpha)
         if best is None:
             break
 
         if _SELF_CHECK_GAINS:
-            _verify_gain(best, pos, parents, nm, alpha, base_cost, n)
+            before, after = _move_costs(*best[1:], pos, parents, nm, alpha)
+            if abs(before - after - best[0]) > 1e-9 * max(1.0, before):
+                raise AssertionError(f"incremental {best[1]} gain {best[0]!r} "
+                                     f"disagrees with recompute {before - after!r}")
 
         _, kind, payload = best
         if kind == "merge":

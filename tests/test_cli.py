@@ -137,6 +137,17 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         assert "flux conservation" in capsys.readouterr().out
 
+    def test_moved_terminal_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path, subcommand="irrigate")
+        tree = json.loads((out / "tree.json").read_text())
+        node = next(rec for rec in tree["nodes"] if rec["kind"] == "terminal")
+        node["y"] += 0.2
+        (out / "tree.json").write_text(json.dumps(tree))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "invariant violated: terminals on atoms" in stdout
+        assert f"terminal node {node['id']} sits" in stdout
+
     def test_tampered_payoff_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
         report = json.loads((out / "report.json").read_text())

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -255,6 +256,161 @@ class TestPlanners:
             cost = ro.irrigation_cost(ro.optimize_plan(mu, alpha), mu, alpha)
             assert ro.mass_bound_check(mu, cost, domain, alpha)
 
+
+
+def move_key(kind, payload):
+    """A move without its branch point: (kind, nodes...)."""
+    if kind == "merge":
+        return (kind, *payload[:3])
+    return (kind, *payload[:2])
+
+
+class TestMoveScan:
+    @staticmethod
+    def search_states(rng):
+        """(mu, alpha, tree) before, during and after the search on random
+        7-12-atom measures."""
+        for _ in range(4):
+            mu = random_measure(rng, int(rng.integers(7, 13)))
+            alpha = float(rng.uniform(0.3, 0.9))
+            for budget in (0, 2, 6, None):
+                yield mu, alpha, ro.optimize_plan(mu, alpha, budget=budget)
+
+    def test_every_candidate_gain_matches_full_recompute(self):
+        rng = np.random.default_rng(314)
+        for mu, alpha, tree in self.search_states(rng):
+            pos, parents, n = tree.positions, tree.parents, tree.n_nodes
+            flux = ro.compute_fluxes(tree, mu).values
+            nm = irr._node_masses(tree, mu)
+            cost = ro.irrigation_cost(tree, mu, alpha)
+            gains, move_at = irr._candidate_moves(pos, parents, flux, alpha)
+            assert np.all(np.isfinite(gains) | (gains == -np.inf))
+
+            # the candidates the search may apply, in tie-break order
+            below = [{v for v in range(n) if u in tree.path_to_root(v)} for u in range(n)]
+            ch = tree.children()
+            expected = (
+                [("merge", p, a, b) for p in range(n)
+                 for a, b in itertools.combinations(ch[p], 2)]
+                + [("reparent", u, v) for u in range(1, n) for v in range(n)
+                   if v not in below[u] and v != parents[u]]
+                + [("attach", u, q) for u in range(1, n) for q in range(1, n)
+                   if q not in below[u] and parents[q] != parents[u]])
+            finite = np.flatnonzero(np.isfinite(gains))
+            moves = [move_at(int(k)) for k in finite]
+            assert [move_key(*m) for m in moves] == expected
+
+            for k, (kind, payload) in zip(finite, moves):
+                before, after = irr._move_costs(kind, payload, pos, parents, nm, alpha)
+                assert abs(before - after - gains[k]) <= 1e-9 * max(1.0, cost), (kind, payload)
+
+            best = irr._scan_moves(pos, parents, flux, alpha)
+            top = int(np.argmax(gains))
+            if gains[top] > 1e-12 * max(1.0, cost):
+                assert best == (gains[top],) + move_at(top)
+            else:
+                assert best is None
+
+
+def y_cost(s, pts, w):
+    return sum(wi * math.hypot(s[0] - x, s[1] - y) for (x, y), wi in zip(pts, w))
+
+
+class TestYJunction:
+    @staticmethod
+    def assert_no_worse_than_fermat_point(pts, w):
+        """Every closed-form point costs at most the Newton-solved exact
+        Fermat point's cost times (1 + 1e-12); returns the points."""
+        pts, w = np.asarray(pts, dtype=float), np.asarray(w, dtype=float)
+        got = irr._y_junctions(pts, w)
+        for p, wt, s in zip(pts.tolist(), w.tolist(), got):
+            anchors = [tuple(a) for a in p]
+            ref = irr._fermat_point(anchors, wt, anchors[0])
+            assert y_cost(s, anchors, wt) <= y_cost(ref, anchors, wt) * (1.0 + 1e-12), (p, wt)
+        return got
+
+    @staticmethod
+    def tree_weights(rng, m, alpha):
+        """Weights of a merge: the trunk carries both branch fluxes."""
+        f = rng.uniform(0.01, 1.0, (m, 2))
+        return np.stack([f.sum(1) ** alpha, f[:, 0] ** alpha, f[:, 1] ** alpha], 1)
+
+    def test_equilateral_fermat_point_is_the_centroid(self):
+        pts = [[(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)]]
+        s = self.assert_no_worse_than_fermat_point(pts, [(1.0, 1.0, 1.0)])
+        np.testing.assert_allclose(s[0], (0.5, math.sqrt(3.0) / 6.0), atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99])
+    def test_random_triples_with_alpha_weights(self, alpha):
+        rng = np.random.default_rng(int(alpha * 100))
+        self.assert_no_worse_than_fermat_point(rng.uniform(-1.0, 1.0, (400, 3, 2)),
+                                               self.tree_weights(rng, 400, alpha))
+
+    def test_random_triples_with_free_weights_and_scales(self):
+        rng = np.random.default_rng(8)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0, (400, 1, 1))
+        self.assert_no_worse_than_fermat_point(
+            rng.uniform(-1.0, 1.0, (400, 3, 2)) * scale,
+            rng.uniform(0.05, 1.0, (400, 3)) * scale[:, :, 0])
+
+    def test_winning_anchor_is_returned_exactly(self):
+        pts = [[(0.3, 0.1), (1.0, 0.0), (0.0, 1.0)]] * 3
+        w = [(2.0, 1.0, 1.0), (1.0, 2.5, 1.0), (1.0, 1.0, 3.0)]
+        s = self.assert_no_worse_than_fermat_point(pts, w)
+        assert [tuple(x) for x in s] == [pts[0][0], pts[0][1], pts[0][2]]
+
+    def test_anchor_within_the_degenerate_tolerance_wins(self):
+        """An anchor whose weight falls short of the pull of the other two
+        by less than the 1e-12 tolerance of `_degenerate_anchor` is the
+        answer, exactly as `_fermat_point` decides."""
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(-1.0, 1.0, (60, 3, 2))
+        w = rng.uniform(0.1, 1.0, (60, 3))
+        for m in range(60):
+            diff = pts[m, 0] - pts[m, 1:]
+            pull = np.hypot(*((w[m, 1:] / np.hypot(*diff.T))[:, None] * diff).sum(0))
+            w[m, 0] = pull / (1.0 + 10.0 ** rng.uniform(-14.0, -12.5))
+        s = self.assert_no_worse_than_fermat_point(pts, w)
+        for p, wt, sm in zip(pts.tolist(), w.tolist(), s):
+            anchors = [tuple(a) for a in p]
+            assert irr._degenerate_anchor(anchors, wt) == 0
+            assert tuple(sm) == anchors[0] == irr._fermat_point(anchors, wt, anchors[1])
+
+    def test_collinear_anchors_give_the_weighted_median(self):
+        pts = [[(0.0, 0.0), (1.0, 0.5), (3.0, 1.5)]] * 3
+        w = [(1.2, 0.5, 0.6), (0.4, 1.0, 0.5), (0.3, 0.5, 0.9)]
+        s = self.assert_no_worse_than_fermat_point(pts, w)
+        assert [tuple(x) for x in s] == [(0.0, 0.0), (1.0, 0.5), (3.0, 1.5)]
+
+    def test_nearly_collinear_anchors(self):
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-1.0, 1.0, (300, 3, 2))
+        t = rng.uniform(-2.0, 2.0, (300, 1))
+        pts[:, 2] = pts[:, 0] + t * (pts[:, 1] - pts[:, 0]) + rng.normal(0.0, 1e-9, (300, 2))
+        self.assert_no_worse_than_fermat_point(pts, self.tree_weights(rng, 300, 0.5))
+
+    def test_coincident_anchors(self):
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(-1.0, 1.0, (200, 3, 2))
+        pts[:100, 1] = pts[:100, 0]
+        pts[100:, 2] = pts[100:, 1] + rng.normal(0.0, 1e-12, (100, 2))
+        s = self.assert_no_worse_than_fermat_point(pts, rng.uniform(0.1, 1.0, (200, 3)))
+        assert np.all(np.isfinite(s))
+
+    def test_near_ties_where_an_anchor_barely_loses(self):
+        """Anchor i gets just less weight than the pull of the other two, so
+        the optimum sits off it by a relative margin down to 1e-15."""
+        rng = np.random.default_rng(14)
+        pts = rng.uniform(-1.0, 1.0, (300, 3, 2))
+        w = rng.uniform(0.1, 1.0, (300, 3))
+        for m in range(300):
+            i = m % 3
+            diff = pts[m, i] - pts[m]
+            dist = np.hypot(diff[:, 0], diff[:, 1])
+            dist[i] = 1.0
+            pull = np.hypot(*((w[m] / dist)[:, None] * diff).sum(0))
+            w[m, i] = pull * (1.0 - 10.0 ** rng.uniform(-15.0, -2.0))
+        self.assert_no_worse_than_fermat_point(pts, w)
 
 class TestBruteForce:
     def test_topology_counts(self):
