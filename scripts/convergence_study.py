@@ -19,6 +19,13 @@ import rootopt as ro
 
 
 def manufactured(grid, f, amplitude):
+    """Measure whose exact continuum state is a cosine bump around u_max / 2.
+
+    u_ex = u_max * (1/2 + A cos(pi xh) cos(pi yh)) satisfies the Neumann
+    condition exactly; the matching absorption a = (lap u_ex + f(u_ex)) / u_ex
+    is positive for small A and is lumped as one atom of mass a tau h^2 per
+    node (tau h^2 the node's cell area).  Returns (measure, exact nodal values).
+    """
     d = grid.domain
     xs = (grid.xs - d.rect_min[0]) / d.width
     ys = (grid.ys - d.rect_min[1]) / d.height

@@ -42,7 +42,7 @@ def main():
         print(f"it {s.iteration:4d}  payoff {s.payoff:+.6f}  "
               f"sup res {s.sup_residual:.3e}  atoms {len(s.measure)}{tag}")
     print(f"converged: {trace.converged}, final payoff {trace.final_payoff:.6f}, "
-          f"total mass {ro.total_mass(trace.measure):.4f}")
+          f"total mass {trace.measure.total_mass:.4f}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     save_trace(args.out / "trace.jsonl", trace)

@@ -8,7 +8,7 @@ masses toward measures satisfying first-order optimality.
 
 from .core import (Atom, DiscreteMeasure, Domain, Grid, GrowthFunction,
                    RunConfig, SolverError, ValidationError, mass_bound_check,
-                   mass_outside, total_mass)
+                   mass_outside)
 from .elliptic import (NodalMeasure, ScalarField, bilinear_interpolate,
                        growth_bound_lambda, harvest, laplacian_matrix,
                        lump_measure, perturbation_derivative, phi_field,
@@ -38,7 +38,6 @@ __all__ = [
     "ValidationError",
     "mass_bound_check",
     "mass_outside",
-    "total_mass",
     "NodalMeasure",
     "ScalarField",
     "bilinear_interpolate",

@@ -29,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Atom, DiscreteMeasure, SolverError, ValidationError,
-                   total_mass)
+from .core import Atom, DiscreteMeasure, SolverError, ValidationError
 from .elliptic import (growth_bound_lambda, harvest, phi_field, solve_adjoint,
                        solve_state)
 from .irrigation import (check_landscape_holder, compute_fluxes,
@@ -142,24 +141,18 @@ def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
         "cost": cost,
         "lower_bound": lb,
         "n_atoms": len(mu.atoms),
-        "total_mass": total_mass(mu),
+        "total_mass": mu.total_mass,
     })
     print(f"cost {cost!r} (lower bound {lb!r}) over {len(mu.atoms)} atoms")
     return 0
-
-
-def _solve_fields(parsed: ParsedConfig, mu: DiscreteMeasure):
-    cfg = parsed.run
-    u = solve_state(cfg.grid, mu, cfg.growth,
-                    tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
-    return u
 
 
 def _cmd_solve(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     mu = _resolve_measure(args, parsed)
     _write_common(out, parsed, mu)
-    u = _solve_fields(parsed, mu)
+    u = solve_state(cfg.grid, mu, cfg.growth,
+                    tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     h = harvest(u, mu)
     save_field_csv(out / "state.csv", u)
     save_field_binary(out / "state.bin", u)
@@ -172,10 +165,11 @@ def _cmd_adjoint(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     mu = _resolve_measure(args, parsed)
     _write_common(out, parsed, mu)
-    u = _solve_fields(parsed, mu)
+    u = solve_state(cfg.grid, mu, cfg.growth,
+                    tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     psi = solve_adjoint(cfg.grid, mu, u, cfg.growth, tol=cfg.tol_linear)
     phi = phi_field(u, psi)
-    lam = growth_bound_lambda(cfg.growth, max(u.min(), 1e-12 * cfg.growth.u_max))
+    lam = growth_bound_lambda(cfg.growth, u.min())
     for name, field in (("state", u), ("psi", psi), ("phi", phi)):
         save_field_csv(out / f"{name}.csv", field)
         save_field_binary(out / f"{name}.bin", field)
@@ -252,7 +246,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
     if tree is not None:
         flux = compute_fluxes(tree, mu)
         gap = float(np.max(np.abs(flux.values[1:] - stored_flux[1:]))) if tree.n_nodes > 1 else 0.0
-        tol = 1e-9 * max(1.0, total_mass(mu))
+        tol = 1e-9 * max(1.0, mu.total_mass)
         yield ("flux conservation",
                None if gap <= tol else
                f"stored edge fluxes disagree with the measure by {gap!r}")
@@ -295,7 +289,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if ok else f"state range [{lo!r}, {hi!r}] leaves [0, u_max]")
     if (out / "psi.bin").exists() and u is not None:
         psi = load_field_binary(out / "psi.bin", cfg.domain)
-        lam = growth_bound_lambda(cfg.growth, max(u.min(), 1e-12 * cfg.growth.u_max))
+        lam = growth_bound_lambda(cfg.growth, u.min())
         cap = lam * cfg.growth.u_max + 1.0
         ok = psi.min() >= -1e-9 and psi.max() <= cap + 1e-9
         yield ("adjoint bounds",

@@ -22,7 +22,6 @@ __all__ = [
     "DiscreteMeasure",
     "GrowthFunction",
     "RunConfig",
-    "total_mass",
     "mass_outside",
     "mass_bound_check",
 ]
@@ -236,11 +235,6 @@ class DiscreteMeasure:
             raise ValidationError("positions and masses must have equal length")
         return cls(tuple(Atom((float(p[0]), float(p[1])), float(m))
                          for p, m in zip(positions, masses)))
-
-
-def total_mass(mu: DiscreteMeasure) -> float:
-    """Total mass of the measure (0 for the empty measure)."""
-    return mu.total_mass
 
 
 def mass_outside(mu: DiscreteMeasure, r: float, origin=(0.0, 0.0)) -> float:

@@ -268,35 +268,16 @@ def harvest(u: ScalarField, mu: DiscreteMeasure) -> float:
     return float(np.dot(mu.masses(), u.values[idx]))
 
 
-def growth_bound_lambda(f: GrowthFunction, delta0: float, n_samples: int = 4001) -> float:
-    """Smallest lam with f'(u) (lam u + 1) < lam f(u) on [delta0, u_max].
+def growth_bound_lambda(f: GrowthFunction, delta0: float) -> float:
+    """Infimum of the lam with f'(u) (lam u + 1) < lam f(u) on [delta0, u_max].
 
-    Found by bisection; the left side minus the right is affine in lam with
-    strictly negative slope for u > 0, so the condition is monotone in lam.
+    For the logistic law the condition reads lam > (u_max - 2u) / u^2,
+    whose right side decreases in u on (0, u_max], so u = delta0 binds and
+    the bound is max(0, (u_max - 2 delta0) / delta0^2).  delta0 is clamped
+    to [1e-12 u_max, u_max].
     """
-    lo_u = min(max(delta0, 1e-12 * f.u_max), f.u_max)
-    us = np.linspace(lo_u, f.u_max, n_samples)
-    fp = f.derivative(us)
-    fv = f(us)
-
-    def gap(lam):
-        return float(np.max(fp * (lam * us + 1.0) - lam * fv))
-
-    hi = 1.0
-    for _ in range(200):
-        if gap(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("no admissible lambda found for the adjoint bound")
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    delta = min(max(delta0, 1e-12 * f.u_max), f.u_max)
+    return max(0.0, (f.u_max - 2.0 * delta) / delta ** 2)
 
 
 def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
@@ -306,8 +287,7 @@ def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
     Uses the same cell-area lumping as the state solve, which makes
     (1 - psi) u* the exact derivative of the discrete crop with respect to
     each nodal mass.  Post-checks: psi >= -1e-9 and
-    psi <= lam * u_max + 1 + 1e-9, with lam the bisection bound evaluated at
-    delta0 = min(u*).
+    psi <= lam * u_max + 1 + 1e-9, with lam = growth_bound_lambda(f, min(u*)).
     """
     if u_star.grid != grid:
         raise ValidationError("state field lives on a different grid")

@@ -205,9 +205,6 @@ class LandscapeValues:
     values: np.ndarray
     alpha: float
 
-    def at_node(self, node: int) -> float:
-        return float(self.values[node])
-
     def at_atom(self, atom: int) -> float:
         node = self.tree.terminal_of_atom().get(int(atom))
         if node is None:
@@ -272,17 +269,10 @@ def scaled_mass_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
                      g, eps: float) -> float:
     """Cost of rerouting the reweighted measure (1 + eps * g) mu along the
     same tree (same topology and geometry, fluxes recomputed)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
-    g = np.asarray(g, dtype=float)
-    factors = 1.0 + eps * g
+    factors = 1.0 + eps * np.asarray(g, dtype=float)
     if np.any(factors < -1e-12):
         raise ValidationError("scaled masses must stay nonnegative")
-    scaled = mu.with_masses(np.maximum(mu.masses() * factors, 0.0))
-    node_mass = _node_masses(tree, scaled)
-    flux = _subtree_sums(tree.parents, tree.depth_order(), node_mass)
-    lengths = tree.edge_lengths()
-    return float(np.sum(flux[1:] ** alpha * lengths[1:]))
+    return irrigation_cost(tree, mu.with_masses(np.maximum(mu.masses() * factors, 0.0)), alpha)
 
 
 def landscape(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> LandscapeValues:
@@ -651,34 +641,27 @@ def _contract(pos, parents, kinds, atom_index, tol):
             tuple(kinds), np.array(atom_index, dtype=np.int64))
 
 
-def _build_tree(pos, parents, kinds, atom_index, scale):
-    pos2, par2, kinds2, ai2 = _contract(pos, parents, kinds, atom_index,
-                                        tol=1e-12 * max(1.0, scale))
-    return IrrigationTree(pos2, par2, kinds2, ai2)
-
-
-# when set, every applied topology move re-derives its gain from a full tree
-# recompute and asserts agreement with the incremental formula
-_SELF_CHECK_GAINS = False
+def _apply_move(kind, payload, pos, parents):
+    """(pos, parents) after one topology move.  A merge (p, x, y, s) or an
+    attach (x, y, p, s) hangs x and y off a new branch point s below p,
+    appended as the last node; a reparent (u, v) hangs u off v."""
+    parents = list(parents)
+    if kind == "reparent":
+        u, v = payload
+        parents[u] = v
+        return pos, parents
+    if kind == "merge":
+        p, x, y, s = payload
+    else:
+        x, y, p, s = payload
+    parents[x] = parents[y] = len(parents)
+    return np.vstack([pos, np.array(s)[None, :]]), parents + [p]
 
 
 def _move_costs(kind, payload, pos, parents, nm, alpha):
     """Plan cost before and after one topology move, each from a full recompute."""
-    n = len(parents)
-    trial_par = list(parents)
-    trial_pos, nm_t = pos, nm
-    if kind == "reparent":
-        u, v = payload
-        trial_par[u] = v
-    else:  # both hang two nodes x and y off a new branch point s below p
-        if kind == "merge":
-            p, x, y, s = payload
-        else:
-            x, y, p, s = payload
-        trial_pos = np.vstack([pos, np.array(s)[None, :]])
-        trial_par = trial_par + [p]
-        trial_par[x] = trial_par[y] = n
-        nm_t = np.concatenate([nm, [0.0]])
+    trial_pos, trial_par = _apply_move(kind, payload, pos, parents)
+    nm_t = np.concatenate([nm, np.zeros(len(trial_par) - len(parents))])
     return (_tree_cost(pos, np.asarray(parents), _depth_order(parents), nm, alpha),
             _tree_cost(trial_pos, np.array(trial_par), _depth_order(trial_par), nm_t, alpha))
 
@@ -822,41 +805,14 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float,
     def node_mass_vec():
         return np.array([masses[a] if a >= 0 else 0.0 for a in atom_index])
 
-    moves = 0
-    while moves < budget:
-        nm = node_mass_vec()
-        flux = _subtree_sums(parents, _depth_order(parents), nm)
+    for _ in range(budget):
+        flux = _subtree_sums(parents, _depth_order(parents), node_mass_vec())
         best = _scan_moves(pos, parents, flux, alpha)
         if best is None:
             break
-
-        if _SELF_CHECK_GAINS:
-            before, after = _move_costs(*best[1:], pos, parents, nm, alpha)
-            if abs(before - after - best[0]) > 1e-9 * max(1.0, before):
-                raise AssertionError(f"incremental {best[1]} gain {best[0]!r} "
-                                     f"disagrees with recompute {before - after!r}")
-
-        _, kind, payload = best
-        if kind == "merge":
-            p, a, b, s = payload
-            pos = np.vstack([pos, np.array(s)[None, :]])
-            parents.append(p)
-            kinds.append(STEINER)
-            atom_index.append(-1)
-            parents[a] = len(parents) - 1
-            parents[b] = len(parents) - 1
-        elif kind == "reparent":
-            u, v = payload
-            parents[u] = v
-        else:
-            u, q, p, s = payload
-            pos = np.vstack([pos, np.array(s)[None, :]])
-            parents.append(p)
-            kinds.append(STEINER)
-            atom_index.append(-1)
-            parents[q] = len(parents) - 1
-            parents[u] = len(parents) - 1
-
+        pos, parents = _apply_move(*best[1:], pos, parents)
+        kinds += [STEINER] * (len(parents) - len(kinds))
+        atom_index += [-1] * (len(parents) - len(atom_index))
         flux = _subtree_sums(np.array(parents), _depth_order(parents), node_mass_vec())
         pos = _optimize_positions(pos, parents, kinds, flux ** alpha, scale)
         pos, par2, kinds2, ai2 = _contract(pos, parents, kinds, atom_index,
@@ -864,9 +820,8 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float,
         parents = list(int(x) for x in par2)
         kinds = list(kinds2)
         atom_index = list(int(x) for x in ai2)
-        moves += 1
 
-    return _build_tree(pos, parents, kinds, atom_index, scale)
+    return IrrigationTree(pos, parents, kinds, atom_index)
 
 
 def _full_topologies(n_leaves):
@@ -895,11 +850,15 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
 
     Every degree-3 topology over {source} + atoms is enumerated; for each one
     the steiner coordinates solve a convex weighted-length problem, so the
-    per-topology optimum is global and the best topology wins.  Gauss-Seidel
-    sweeps of exact weighted Fermat points, with coincident branch points
-    moved as blocks, solve it.  Degenerate optima (a branch point collapsing
-    onto a neighbor) land exactly on that neighbor and are recovered by edge
-    contraction, which is how star-like plans emerge from the enumeration.
+    per-topology optimum is global and the best topology wins.  Every branch
+    point starts on the centroid of the source and the atoms, and
+    `_optimize_positions` solves the problem from there with no seeding
+    pass: Gauss-Seidel sweeps of exact weighted Fermat points, with
+    coincident branch points moved as blocks, which also lets the branch
+    points that start on one point pull apart.  Degenerate optima (a branch
+    point collapsing onto a neighbor) land exactly on that neighbor and are
+    recovered by edge contraction, which is how star-like plans emerge from
+    the enumeration.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
@@ -916,58 +875,41 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
     if n == 1:
         return star_tree(mu)
 
+    # node order: 0 root, 1..n terminals, then the internals n + 1 .. 2n - 1,
+    # numbered as `_full_topologies` labels them
     n_leaves = n + 1
+    n_nodes = 2 * n_leaves - 2
+    kinds = (ROOT,) + (TERMINAL,) * n + (STEINER,) * (n_nodes - n_leaves)
+    start = np.zeros((n_nodes, 2))
+    start[1:n_leaves] = term_pos
+    start[n_leaves:] = start[:n_leaves].mean(0)
+    node_mass = np.zeros(n_nodes)
+    node_mass[1:n_leaves] = term_mass
     best = None
     for edges in _full_topologies(n_leaves):
-        labels = sorted({v for e in edges for v in e})
-        n_internal = len(labels) - n_leaves
-        n_nodes = n_leaves + n_internal
-        # node order: 0 root, 1..n terminals, then internals
-        relabel = {lab: lab for lab in range(n_leaves)}
-        nxt = n_leaves
-        for lab in labels:
-            if lab >= n_leaves:
-                relabel[lab] = nxt
-                nxt += 1
         adj = [[] for _ in range(n_nodes)]
         for a, b in edges:
-            adj[relabel[a]].append(relabel[b])
-            adj[relabel[b]].append(relabel[a])
+            adj[a].append(b)
+            adj[b].append(a)
         parents = [-2] * n_nodes
         parents[0] = -1
         stack = [0]
-        order = []
         while stack:
             v = stack.pop()
-            order.append(v)
             for w_ in adj[v]:
                 if parents[w_] == -2:
                     parents[w_] = v
                     stack.append(w_)
-        if len(order) != n_nodes:
-            raise ValidationError("topology enumeration produced a disconnected graph")
 
-        pos = np.zeros((n_nodes, 2))
-        pos[1:n_leaves] = term_pos
-        # seed internals by averaging their neighbors, leaves held fixed
-        anchor = np.vstack([np.zeros(2), term_pos]).mean(0)
-        pos[n_leaves:] = anchor
-        for _ in range(60):
-            for v in range(n_leaves, n_nodes):
-                pos[v] = np.mean([pos[w_] for w_ in adj[v]], axis=0)
-
-        node_mass = np.zeros(n_nodes)
-        node_mass[1:n_leaves] = term_mass
         par_arr = np.array(parents, dtype=np.int64)
         dorder = _depth_order(parents)
         flux = _subtree_sums(par_arr, dorder, node_mass)
-        weights = flux ** alpha
-        kinds = [ROOT] + [TERMINAL] * n + [STEINER] * n_internal
-        pos = _optimize_positions(pos, parents, kinds, weights, scale)
+        pos = _optimize_positions(start, parents, kinds, flux ** alpha, scale)
         cost = _tree_cost(pos, par_arr, dorder, node_mass, alpha)
         if best is None or cost < best[0]:
-            atom_index = np.array([-1] + list(kept) + [-1] * n_internal, dtype=np.int64)
-            best = (cost, pos.copy(), list(parents), tuple(kinds), atom_index)
+            best = (cost, pos, parents)
 
-    _, pos, parents, kinds, atom_index = best
-    return _build_tree(pos, parents, kinds, atom_index, scale)
+    _, pos, parents = best
+    atom_index = [-1] + list(kept) + [-1] * (n_nodes - n_leaves)
+    return IrrigationTree(*_contract(pos, parents, kinds, atom_index,
+                                     tol=1e-12 * max(1.0, scale)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rootopt as ro
+from convergence_study import manufactured
 from rootopt.irrigation import ROOT, STEINER, TERMINAL, _contract
 
 
@@ -50,30 +51,9 @@ def random_tree(rng, mu) -> ro.IrrigationTree:
 
 
 def manufactured_problem(grid, f, amplitude=0.04):
-    """Measure whose exact continuum state is a cosine bump around u_max / 2.
-
-    u_ex = u_max * (1/2 + A cos(pi xh) cos(pi yh)) satisfies the Neumann
-    condition exactly; the matching absorption a = (lap u_ex + f(u_ex)) / u_ex
-    is positive for small A and is lumped as one atom of mass a tau h^2 per
-    node (tau h^2 the node's cell area).  Returns (measure, exact nodal values).
-    """
-    d = grid.domain
-    xs = (grid.xs - d.rect_min[0]) / d.width
-    ys = (grid.ys - d.rect_min[1]) / d.height
-    cx = np.cos(np.pi * xs)[None, :]
-    cy = np.cos(np.pi * ys)[:, None]
-    bump = (cx * cy).ravel()
-    u_ex = f.u_max * (0.5 + amplitude * bump)
-    lap_u = -f.u_max * amplitude * np.pi ** 2 * (
-        1.0 / d.width ** 2 + 1.0 / d.height ** 2) * bump
-    a = (lap_u + f(u_ex)) / u_ex
-    assert a.min() > 0.0
-    coords = grid.node_coordinates()
-    tau = ro.quadrature_weights(grid)
-    atoms = tuple(ro.Atom((float(coords[k, 0]), float(coords[k, 1])),
-                          float(a[k] * tau[k] * grid.h ** 2))
-                  for k in range(grid.n_nodes))
-    return ro.DiscreteMeasure(atoms), u_ex
+    """(measure, exact nodal state) of the manufactured cosine bump in
+    `scripts/convergence_study.py`."""
+    return manufactured(grid, f, amplitude)
 
 
 @pytest.fixture(scope="session")

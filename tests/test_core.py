@@ -94,13 +94,13 @@ class TestMeasure:
 
     def test_total_mass_and_arrays(self):
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.5), ro.Atom((1.0, 0.25), 0.25)))
-        assert ro.total_mass(mu) == 0.75
+        assert mu.total_mass == 0.75
         assert mu.positions().shape == (2, 2)
         assert list(mu.masses()) == [0.5, 0.25]
 
     def test_empty_measure(self):
         mu = ro.DiscreteMeasure()
-        assert ro.total_mass(mu) == 0.0
+        assert mu.total_mass == 0.0
         assert mu.positions().shape == (0, 2)
 
     def test_with_masses_and_filter(self):

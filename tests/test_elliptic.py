@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestLumping:
         rng = np.random.default_rng(2)
         mu = random_grid_measure(rng, grid17, 5)
         lumped = ro.lump_measure(mu, grid17)
-        assert lumped.total == pytest.approx(ro.total_mass(mu), rel=1e-15)
+        assert lumped.total == pytest.approx(mu.total_mass, rel=1e-15)
         idx = [grid17.index_of(*a.position) for a in mu.atoms]
         assert all(lumped.weights[i] > 0 for i in idx)
         assert np.count_nonzero(lumped.weights) == 5
@@ -246,6 +247,26 @@ class TestGrowthBound:
     def test_large_delta0_needs_no_bound(self):
         f = ro.GrowthFunction()
         assert ro.growth_bound_lambda(f, delta0=0.6) < 1e-20
+
+    def test_bound_is_the_threshold(self):
+        """Just above the returned lam, f'(u) (lam u + 1) < lam f(u) holds on
+        a dense sample of [delta0, u_max]; just below it, it fails at u =
+        delta0.  Both sides are evaluated in exact rational arithmetic,
+        because at delta0 = 1e-12 u_max they agree to about 1e-21."""
+        def gap(rate, u_max, lam, u):  # f'(u) (lam u + 1) - lam f(u)
+            rate, u_max, lam, u = map(Fraction, (rate, u_max, lam, u))
+            return rate * (1 - 2 * u / u_max) * (lam * u + 1) - lam * rate * u * (1 - u / u_max)
+
+        for u_max in (0.5, 1.0, 3.0):
+            for rate in (0.5, 4.0, 20.0):
+                f = ro.GrowthFunction(u_max=u_max, rate=rate)
+                for delta0 in (1e-12 * u_max, 1e-6 * u_max, 0.1 * u_max, 0.49 * u_max):
+                    lam = ro.growth_bound_lambda(f, delta0)
+                    above = lam * (1.0 + 1e-9)
+                    us = np.concatenate([np.linspace(delta0, u_max, 1001),
+                                         np.geomspace(delta0, u_max, 200)])
+                    assert all(gap(rate, u_max, above, u) < 0 for u in us), (u_max, rate, delta0)
+                    assert gap(rate, u_max, lam * (1.0 - 1e-9), delta0) >= 0, (u_max, rate, delta0)
 
 
 class TestInterpolation:

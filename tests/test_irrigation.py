@@ -239,13 +239,25 @@ class TestPlanners:
         with pytest.raises(ro.ValidationError):
             ro.optimize_plan(mu, 0.5)
 
-    def test_incremental_gains_match_full_recompute(self, monkeypatch):
-        # every accepted move's predicted gain is re-derived from scratch
-        monkeypatch.setattr(irr, "_SELF_CHECK_GAINS", True)
+    def test_incremental_gains_match_full_recompute(self):
+        """Replays the search one move at a time: the plan after k moves is
+        optimize_plan with budget k, and the gain of the move it applies
+        next matches a full recompute of the cost before and after it."""
         rng = np.random.default_rng(99)
         for _ in range(6):
             mu = random_measure(rng, 7)
-            ro.optimize_plan(mu, float(rng.uniform(0.3, 0.9)))
+            alpha = float(rng.uniform(0.3, 0.9))
+            for budget in itertools.count():
+                tree = ro.optimize_plan(mu, alpha, budget=budget)
+                flux = ro.compute_fluxes(tree, mu).values
+                best = irr._scan_moves(tree.positions, tree.parents, flux, alpha)
+                if best is None:
+                    break
+                gain, kind, payload = best
+                before, after = irr._move_costs(kind, payload, tree.positions, tree.parents,
+                                                irr._node_masses(tree, mu), alpha)
+                assert abs(before - after - gain) <= 1e-9 * max(1.0, before), (budget, kind)
+            assert budget > 0
 
     def test_mass_bound_holds_on_optimized_plans(self):
         rng = np.random.default_rng(41)
@@ -441,6 +453,25 @@ class TestBruteForce:
             exact = ro.irrigation_cost(tree, mu, alpha)
             heur = ro.irrigation_cost(ro.optimize_plan(mu, alpha), mu, alpha)
             assert exact <= heur * (1.0 + 1e-12)
+
+    def test_five_atoms(self):
+        """Five atoms: 105 topologies whose four branch points all start on
+        one point, the centroid, and must be pulled apart by the sweeps.
+        The optimum is no worse than the local search and passes the
+        Hoelder and arc-chord checks."""
+        rng = np.random.default_rng(505)
+        for _ in range(8):
+            mu = random_measure(rng, 5, mass_range=(0.1, 1.0))
+            alpha = float(rng.uniform(0.2, 0.95))
+            tree = ro.brute_force_plan(mu, alpha)
+            exact = ro.irrigation_cost(tree, mu, alpha)
+            heur = ro.irrigation_cost(ro.optimize_plan(mu, alpha), mu, alpha)
+            assert exact <= heur * (1.0 + 1e-12)
+            holder = ro.check_landscape_holder(tree, mu, alpha)
+            assert holder.ok, holder.violations
+            flux = ro.compute_fluxes(tree, mu).values
+            arc = ro.check_arc_chord(tree, mu, alpha, 0.999 * float(flux[1:].min()))
+            assert arc.ok, arc.violations
 
     def test_collinear_atoms_need_no_steiner_node(self):
         """Atoms on a ray from the source are served by the chain through
