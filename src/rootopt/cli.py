@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import Atom, DiscreteMeasure, SolverError, ValidationError
-from .elliptic import (growth_bound_lambda, harvest, phi_field, solve_adjoint,
-                       solve_state)
+from .elliptic import (adjoint_residual, growth_bound_lambda, harvest,
+                       phi_field, solve_adjoint, solve_state, state_residual)
 from .irrigation import (check_landscape_holder, compute_fluxes,
                          cost_lower_bound, irrigation_cost, landscape,
                          optimize_plan)
@@ -244,6 +244,15 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         tree, stored_flux = load_tree(out / "tree.json")
 
     if tree is not None:
+        carried = set(int(a) for a in tree.atom_index if a >= 0)
+        missing = [i for i, a in enumerate(mu.atoms) if a.mass > 0.0 and i not in carried]
+        yield ("atoms have terminals",
+               None if not missing else
+               f"{len(missing)} positive-mass atoms have no terminal, first atom {missing[0]}")
+        if missing:
+            tree = None  # every later tree check needs a terminal per atom
+
+    if tree is not None:
         flux = compute_fluxes(tree, mu)
         gap = float(np.max(np.abs(flux.values[1:] - stored_flux[1:]))) if tree.n_nodes > 1 else 0.0
         tol = 1e-9 * max(1.0, mu.total_mass)
@@ -287,6 +296,12 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         ok = lo >= -1e-9 and hi <= cfg.growth.u_max + 1e-9
         yield ("state box bounds",
                None if ok else f"state range [{lo!r}, {hi!r}] leaves [0, u_max]")
+        if mu is not None:
+            worst = state_residual(u, mu, cfg.growth)
+            yield ("state residual",
+                   None if worst <= cfg.tol_nonlinear else
+                   f"scaled residual of lap u + f(u) - a u reaches {worst!r}, "
+                   f"above tol_nonlinear {cfg.tol_nonlinear!r}")
     if (out / "psi.bin").exists() and u is not None:
         psi = load_field_binary(out / "psi.bin", cfg.domain)
         lam = growth_bound_lambda(cfg.growth, u.min())
@@ -294,6 +309,12 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         ok = psi.min() >= -1e-9 and psi.max() <= cap + 1e-9
         yield ("adjoint bounds",
                None if ok else f"adjoint range [{psi.min()!r}, {psi.max()!r}] leaves [0, {cap!r}]")
+        if mu is not None:
+            worst = adjoint_residual(psi, u, mu, cfg.growth)
+            yield ("adjoint residual",
+                   None if worst <= cfg.tol_linear else
+                   f"scaled residual of the adjoint system reaches {worst!r}, "
+                   f"above tol_linear {cfg.tol_linear!r}")
 
     if (out / "report.json").exists():
         rep = load_report(out / "report.json")

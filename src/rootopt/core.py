@@ -227,15 +227,6 @@ class DiscreteMeasure:
         kept = [i for i, a in enumerate(self.atoms) if a.mass > 0.0]
         return DiscreteMeasure(tuple(self.atoms[i] for i in kept)), kept
 
-    @classmethod
-    def from_arrays(cls, positions, masses) -> "DiscreteMeasure":
-        positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-        masses = np.asarray(masses, dtype=float).ravel()
-        if len(positions) != len(masses):
-            raise ValidationError("positions and masses must have equal length")
-        return cls(tuple(Atom((float(p[0]), float(p[1])), float(m))
-                         for p, m in zip(positions, masses)))
-
 
 def mass_outside(mu: DiscreteMeasure, r: float, origin=(0.0, 0.0)) -> float:
     """Mass carried by atoms at distance >= r from the origin.

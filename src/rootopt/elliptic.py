@@ -37,7 +37,10 @@ u_max would jump straight to the trivial zero branch, since f(u_max) = 0.
 The shifted matrix is the same for every sweep of a given measure, so it is
 factorized once and each sweep is one back-substitution.  If the sweeps
 stall or run out, damped Newton steps finish the solve; each step factorizes
-the negated Jacobian -lap + diag(a - f'(u)) at the current iterate.
+the negated Jacobian -lap + diag(a - f'(u)) at the current iterate.  Given
+the state of a nearby measure, the same Newton steps start from it instead
+and the sweep runs only when they stall, touch 0 or end on an unstable
+state.
 """
 
 from __future__ import annotations
@@ -62,9 +65,11 @@ __all__ = [
     "quadrature_weights",
     "lump_measure",
     "solve_state",
+    "state_residual",
     "harvest",
     "growth_bound_lambda",
     "solve_adjoint",
+    "adjoint_residual",
     "phi_field",
     "perturbation_derivative",
     "bilinear_interpolate",
@@ -137,17 +142,20 @@ def _operators(grid: Grid):
     dxx = _second_difference(grid.nx, grid.h)
     dyy = _second_difference(grid.ny, grid.h)
     lap = (sp.kron(sp.identity(grid.ny, format="csr"), dxx)
-           + sp.kron(dyy, sp.identity(grid.nx, format="csr"))).tocsr()
+           + sp.kron(dyy, sp.identity(grid.nx, format="csr"))).tocsc()
+    lap.sort_indices()
     tx = np.ones(grid.nx)
     tx[0] = tx[-1] = 0.5
     ty = np.ones(grid.ny)
     ty[0] = ty[-1] = 0.5
     tau = np.kron(ty, tx)
     tau.setflags(write=False)
-    return lap, tau
+    cols = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
+    diagonal = np.flatnonzero(lap.indices == cols)  # positions in lap.data
+    return lap, tau, diagonal
 
 
-def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
+def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
     """Reflected five-point Laplacian; every row sums to zero."""
     return _operators(grid)[0]
 
@@ -157,26 +165,51 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     return _operators(grid)[1]
 
 
+def _node_indices(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
+    """Flat node index of every atom, in atom order; atoms must sit exactly
+    on nodes.  One rounding pass gives each atom's nearest node, which must
+    reproduce the atom's coordinates exactly."""
+    pos = mu.positions()
+    ix = np.clip(np.rint((pos[:, 0] - grid.domain.rect_min[0]) / grid.h), 0, grid.nx - 1)
+    iy = np.clip(np.rint((pos[:, 1] - grid.domain.rect_min[1]) / grid.h), 0, grid.ny - 1)
+    ix, iy = ix.astype(np.int64), iy.astype(np.int64)
+    off = np.flatnonzero((grid.xs[ix] != pos[:, 0]) | (grid.ys[iy] != pos[:, 1]))
+    if len(off):
+        i = int(off[0])
+        x, y = mu.atoms[i].position
+        raise ValidationError(
+            f"atom {i} is not on a grid node: position ({x!r}, {y!r}) is not a grid node")
+    return iy * grid.nx + ix
+
+
 def lump_measure(mu: DiscreteMeasure, grid: Grid) -> NodalMeasure:
     """Place each atom's mass on its grid node; atoms must sit exactly on nodes."""
     w = np.zeros(grid.n_nodes)
-    for i, a in enumerate(mu.atoms):
-        try:
-            idx = grid.index_of(*a.position)
-        except ValidationError as e:
-            raise ValidationError(f"atom {i} is not on a grid node: {e}") from None
-        w[idx] += a.mass
+    np.add.at(w, _node_indices(mu, grid), mu.masses())
     return NodalMeasure(grid, w)
 
 
-def _atom_node_indices(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
-    return np.array([grid.index_of(*a.position) for a in mu.atoms], dtype=np.int64)
+def _system(grid: Grid, absorption: np.ndarray) -> sp.csc_matrix:
+    """-lap + diag(absorption): a negated copy of the cached CSC Laplacian
+    with absorption added to its diagonal entries, so no format conversion
+    runs per factorization."""
+    lap, _, diagonal = _operators(grid)
+    mat = -lap
+    mat.data[diagonal] += absorption
+    return mat
+
+
+def _linear_misfit(mat, absorption, x, rhs):
+    """Nodewise |A x - b| and the worst of it over max(1, |absorption x|, |b|)."""
+    res = np.abs(mat @ x - rhs)
+    scale = np.maximum(1.0, np.maximum(np.abs(absorption * x), np.abs(rhs)))
+    return res, float(np.max(res / scale))
 
 
 def _linear_solver(grid: Grid, absorption: np.ndarray, tol_linear: float):
     """Factorize -lap + diag(absorption) once; return a function solving it for
     one right-hand side to the nodewise residual tol_linear * max(1, |a x|, |b|)."""
-    mat = (sp.diags(absorption) - laplacian_matrix(grid)).tocsc()
+    mat = _system(grid, absorption)
     try:
         # the stencil's pattern is symmetric: ordering on A^T + A roughly
         # halves the fill of the default column ordering
@@ -189,9 +222,8 @@ def _linear_solver(grid: Grid, absorption: np.ndarray, tol_linear: float):
         # one step of iterative refinement: without it, solves on a 17x17
         # grid left residuals up to 1.1e-12 against tol_linear = 1e-12
         x += lu.solve(rhs - mat @ x)
-        res = np.abs(mat @ x - rhs)
-        scale = np.maximum(1.0, np.maximum(np.abs(absorption * x), np.abs(rhs)))
-        if not np.all(res <= tol_linear * scale):
+        res, worst = _linear_misfit(mat, absorption, x, rhs)
+        if not worst <= tol_linear:
             raise SolverError(
                 f"linear solve missed tolerance {tol_linear:g}; worst residual "
                 f"{float(np.max(res)):.3e}")
@@ -200,8 +232,43 @@ def _linear_solver(grid: Grid, absorption: np.ndarray, tol_linear: float):
     return solve
 
 
+def _state_misfit(lap, a, f, u):
+    """Nodewise residual lap u + f(u) - a u, and its worst value scaled by
+    max(1, |f(u)|, |a u|) at each node."""
+    fu = f(u)
+    res = lap @ u + fu - a * u
+    scale = np.maximum(1.0, np.maximum(np.abs(a * u), np.abs(fu)))
+    return res, float(np.max(np.abs(res) / scale))
+
+
+def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: float,
+            tol_linear: float, positive: bool = False) -> np.ndarray | None:
+    """Damped Newton steps on lap u + f(u) - a u = 0 from u, each on the
+    factorized Jacobian; returns the first iterate within tol.  With
+    `positive`, returns None as soon as an iterate has a node at 0."""
+    lap = laplacian_matrix(grid)
+    for _ in range(80):
+        if positive and not u.min() > 0.0:
+            return None
+        res, rmax = _state_misfit(lap, a, f, u)
+        if rmax <= tol:
+            return u
+        delta = _linear_solver(grid, a - f.derivative(u), tol_linear)(res)
+        step = 1.0
+        while step >= 1.0 / 4096.0:
+            u_try = np.clip(u + step * delta, 0.0, f.u_max)
+            if _state_misfit(lap, a, f, u_try)[1] < rmax:
+                u = u_try
+                break
+            step *= 0.5
+        else:
+            raise SolverError(f"state solve stalled, residual {rmax:.3e}")
+    raise SolverError(f"state solve did not converge, residual {rmax:.3e}")
+
+
 def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
-                tol: float = 1e-8, tol_linear: float = 1e-10) -> ScalarField:
+                tol: float = 1e-8, tol_linear: float = 1e-10,
+                init: ScalarField | None = None) -> ScalarField:
     """Maximal solution of lap(u) + f(u) - u mu = 0 with Neumann walls.
 
     Returns the limit of the monotone sweep from u = u_max.  Each atom is
@@ -214,57 +281,79 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     lap_h(u) + f(u) - a u is driven below tol * max(1, |f(u)|, |a u|) at
     every node; failure to converge raises SolverError carrying the last
     residual.
+
+    With `init` (a state on the same grid, say the solution for a nearby
+    measure) the damped Newton steps start from init instead, clipped to
+    [0, u_max].  Every nonnegative solution is either 0 or positive at
+    every node, and since f(u) / u strictly decreases, the positive solution
+    is unique (Brezis and Oswald, Nonlinear Anal. 10, 1986).  A Newton limit
+    u is kept when it is positive and stable: J u > 0 at every node for the
+    Jacobian J = -lap + diag(a - f'(u)).  The positive solution always
+    passes, since there J u = f(u) - f'(u) u = rate u^2 / u_max up to the
+    residual, while a near-zero state that meets tol only by being tiny
+    fails wherever a positive solution exists.  When an iterate (init
+    included) has a node at 0, when Newton stalls or fails, or when the
+    limit is not stable, the cold sweep from u_max runs instead and its
+    answer is returned unchanged.
     """
     a = lump_measure(mu, grid).density()
     u_max = f.u_max
     if not np.any(a):
         return ScalarField(grid, np.full(grid.n_nodes, u_max))
     lap = laplacian_matrix(grid)
+    if init is not None:
+        if init.grid != grid:
+            raise ValidationError("initial state lives on a different grid")
+        try:
+            u = _newton(grid, a, f, np.clip(init.values, 0.0, u_max), tol, tol_linear,
+                        positive=True)
+        except SolverError:
+            u = None
+        # J = -lap + diag(a - f'(u)) has nonpositive off-diagonals, so J u > 0
+        # at every node makes it a nonsingular M-matrix: u is then a stable
+        # solution, not a near-zero state that meets tol only by being tiny
+        # while the zero solution is unstable and a positive one exists
+        if u is not None and np.all((a - f.derivative(u)) * u - lap @ u > 0.0):
+            return ScalarField(grid, u)
     sigma = f.monotone_shift
     sweep = _linear_solver(grid, a + sigma, tol_linear)
-
-    def residual(u):
-        res = lap @ u + f(u) - a * u
-        scale = np.maximum(1.0, np.maximum(np.abs(a * u), np.abs(f(u))))
-        return res, float(np.max(np.abs(res) / scale))
 
     u = np.full(grid.n_nodes, u_max)
     rmax_prev = math.inf
     for _ in range(_MAX_SWEEPS):
         u = np.clip(sweep(f(u) + sigma * u), 0.0, u_max)
-        _, rmax = residual(u)
+        rmax = _state_misfit(lap, a, f, u)[1]
         if rmax <= tol:
             return ScalarField(grid, u)
         if rmax > 0.99 * rmax_prev:
             break  # stalled
         rmax_prev = rmax
-
     # damped Newton finishes what the sweeps started
-    for _ in range(80):
-        res, rmax = residual(u)
-        if rmax <= tol:
-            return ScalarField(grid, u)
-        delta = _linear_solver(grid, a - f.derivative(u), tol_linear)(res)
-        step = 1.0
-        accepted = False
-        while step >= 1.0 / 4096.0:
-            u_try = np.clip(u + step * delta, 0.0, u_max)
-            _, r_try = residual(u_try)
-            if r_try < rmax:
-                u = u_try
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            raise SolverError(f"state solve stalled, residual {rmax:.3e}")
-    raise SolverError(f"state solve did not converge, residual {rmax:.3e}")
+    return ScalarField(grid, _newton(grid, a, f, u, tol, tol_linear))
+
+
+def state_residual(u: ScalarField, mu: DiscreteMeasure, f: GrowthFunction) -> float:
+    """Worst nodewise |lap u + f(u) - a u| / max(1, |f(u)|, |a u|): the
+    quantity solve_state drives below its tol."""
+    a = lump_measure(mu, u.grid).density()
+    return _state_misfit(laplacian_matrix(u.grid), a, f, u.values)[1]
+
+
+def adjoint_residual(psi: ScalarField, u_star: ScalarField, mu: DiscreteMeasure,
+                     f: GrowthFunction) -> float:
+    """Worst nodewise |A psi - a| / max(1, |(a - f'(u*)) psi|, |a|) with
+    A = -lap + diag(a - f'(u*)): the quantity solve_adjoint keeps within
+    its tol."""
+    a = lump_measure(mu, psi.grid).density()
+    coeff = a - f.derivative(u_star.values)
+    return _linear_misfit(_system(psi.grid, coeff), coeff, psi.values, a)[1]
 
 
 def harvest(u: ScalarField, mu: DiscreteMeasure) -> float:
     """Total crop sum(mass_a * u(node_a)); zero for the empty measure."""
     if not mu.atoms:
         return 0.0
-    idx = _atom_node_indices(mu, u.grid)
+    idx = _node_indices(mu, u.grid)
     return float(np.dot(mu.masses(), u.values[idx]))
 
 
@@ -323,7 +412,7 @@ def perturbation_derivative(u_star: ScalarField, psi: ScalarField, g,
     if not mu.atoms:
         return 0.0
     phi = phi_field(u_star, psi)
-    idx = _atom_node_indices(mu, u_star.grid)
+    idx = _node_indices(mu, u_star.grid)
     return float(np.sum(mu.masses() * g * phi.values[idx]))
 
 

@@ -762,45 +762,13 @@ def _scan_moves(pos, parents, flux, alpha):
     return (float(gains[k]),) + move_at(k)
 
 
-def optimize_plan(mu: DiscreteMeasure, alpha: float,
-                  budget: int | None = None) -> IrrigationTree:
-    """Heuristic search for a cheap plan.
-
-    Starts from the star of direct segments and applies three kinds of
-    topology moves, accepting only strict cost decreases:
-
-    - merge: reroute two children of a shared parent through a new branch point
-    - reparent: hang a subtree off a different node
-    - attach: hang a subtree off a new branch point inserted on an edge
-
-    Every candidate of every kind is scored at once in numpy
-    (`_scan_moves`): each new branch point is the exact weighted Fermat
-    point of its three neighbours, in closed form (`_y_junctions`), and
-    the flux rerouted along root paths is priced by one matrix product, so
-    every gain is an exact cost difference.  The best gain is applied; ties
-    go to merge before reparent before attach, each in node order, so the
-    search is deterministic.  After every applied move the steiner
-    positions are solved exactly by Gauss-Seidel sweeps of weighted Fermat
-    points, and collapsed branch points are contracted away.
-
-    For alpha = 1 the star is returned immediately: with a linear cost in the
-    flux there is no reward for shared trunks and straight segments are
-    optimal.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
-    base = star_tree(mu)
-    if alpha == 1.0:
-        return base
-    masses = mu.masses()
-    scale = float(np.max(np.linalg.norm(base.positions, axis=1))) or 1.0
-    if budget is None:
-        budget = 40 + 12 * (base.n_nodes - 1)
-
-    pos = np.array(base.positions, dtype=float)
-    parents = list(int(p) for p in base.parents)
-    kinds = list(base.kinds)
-    atom_index = list(int(a) for a in base.atom_index)
+def _improve(pos, parents, kinds, atom_index, masses, alpha, budget, scale):
+    """Apply at most `budget` best-gain topology moves to a contracted plan,
+    each followed by the exact steiner geometry and a contraction; stops
+    once no move gains.  Returns the plan as an IrrigationTree."""
+    parents = [int(p) for p in parents]
+    kinds = list(kinds)
+    atom_index = [int(a) for a in atom_index]
 
     def node_mass_vec():
         return np.array([masses[a] if a >= 0 else 0.0 for a in atom_index])
@@ -822,6 +790,99 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float,
         atom_index = list(int(x) for x in ai2)
 
     return IrrigationTree(pos, parents, kinds, atom_index)
+
+
+def _warm_plan(init: IrrigationTree, mu: DiscreteMeasure, kept, alpha, scale):
+    """The plan `init` carried over to the positive atoms `kept` of mu.
+
+    Terminals and atoms are matched one to one by exact position, in atom
+    order, each atom taking the first free terminal in node order.  A
+    terminal left without an atom becomes a steiner node, atoms left
+    without a terminal hang off the root, and one contraction, one exact
+    refit of the steiner geometry to the new fluxes and a second
+    contraction follow.  Neither step raises the cost of rerouting mu
+    along the carried-over tree."""
+    free = {}
+    for i in range(1, init.n_nodes):
+        if init.kinds[i] == TERMINAL:
+            free.setdefault(tuple(init.positions[i].tolist()), []).append(i)
+    kinds = [STEINER] * init.n_nodes
+    kinds[0] = ROOT
+    atom_index = [-1] * init.n_nodes
+    pos = [tuple(p) for p in init.positions.tolist()]
+    parents = [int(p) for p in init.parents]
+    for j in kept:
+        p = mu.atoms[j].position
+        if free.get(p):
+            node = free[p].pop(0)
+            kinds[node], atom_index[node] = TERMINAL, int(j)
+        else:
+            pos.append(p)
+            parents.append(0)
+            kinds.append(TERMINAL)
+            atom_index.append(int(j))
+    tol = 1e-12 * max(1.0, scale)
+    pos, parents, kinds, atom_index = _contract(np.array(pos, dtype=float), parents,
+                                                kinds, atom_index, tol)
+    masses = mu.masses()
+    node_mass = np.array([masses[a] if a >= 0 else 0.0 for a in atom_index])
+    flux = _subtree_sums(parents, _depth_order(parents), node_mass)
+    pos = _optimize_positions(pos, parents, kinds, flux ** alpha, scale)
+    return _contract(pos, parents, kinds, atom_index, tol)
+
+
+def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
+                  init: IrrigationTree | None = None) -> IrrigationTree:
+    """Heuristic search for a cheap plan.
+
+    Starts from the star of direct segments, or from the plan `init` when
+    one is given, and applies three kinds of topology moves, accepting only
+    strict cost decreases:
+
+    - merge: reroute two children of a shared parent through a new branch point
+    - reparent: hang a subtree off a different node
+    - attach: hang a subtree off a new branch point inserted on an edge
+
+    Every candidate of every kind is scored at once in numpy
+    (`_scan_moves`): each new branch point is the exact weighted Fermat
+    point of its three neighbours, in closed form (`_y_junctions`), and
+    the flux rerouted along root paths is priced by one matrix product, so
+    every gain is an exact cost difference.  The best gain is applied; ties
+    go to merge before reparent before attach, each in node order, so the
+    search is deterministic.  After every applied move the steiner
+    positions are solved exactly by Gauss-Seidel sweeps of weighted Fermat
+    points, and collapsed branch points are contracted away.
+
+    `init` is typically the plan of a measure with the same atoms under
+    other masses, some pruned and a few added (a step of the mass ascent).
+    Its terminals are matched to the positive atoms of mu by exact
+    position; a terminal whose atom is gone turns into a branch point and
+    is contracted away where it no longer branches, and a new atom hangs
+    straight off the root.  One exact refit of the branch points to the
+    new fluxes precedes the move loop.  If init was planned for a measure
+    nu with masses m_a and landscape Z_a, and mu gives the same atoms the
+    masses m'_a (0 for a pruned atom), then since t ** alpha is concave
+    the carried-over tree already costs at most
+    cost(init, nu) + alpha * sum((m'_a - m_a) Z_a), and every later step
+    only lowers the cost, so the warm plan keeps that bound.
+
+    For alpha = 1 the star is returned immediately: with a linear cost in the
+    flux there is no reward for shared trunks and straight segments are
+    optimal.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+    base = star_tree(mu)
+    if alpha == 1.0:
+        return base
+    scale = float(np.max(np.linalg.norm(base.positions, axis=1))) or 1.0
+    if budget is None:
+        budget = 40 + 12 * (base.n_nodes - 1)
+    if init is None:
+        plan = (base.positions, base.parents, base.kinds, base.atom_index)
+    else:
+        plan = _warm_plan(init, mu, base.atom_index[1:], alpha, scale)
+    return _improve(*plan, mu.masses(), alpha, budget, scale)
 
 
 def _full_topologies(n_leaves):

@@ -16,13 +16,15 @@ along tree edges.
 
 `ascend_measure` runs projected gradient ascent on the atom masses with
 backtracking on the true payoff, optional spawning of trial atoms at the most
-promising grid node, and pruning of atoms whose mass underflows.
+promising grid node, and pruning of atoms whose mass underflows.  Its trials
+start the planner and the state solve from the accepted evaluation, and only
+the trial that is kept gets an adjoint.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,6 +182,9 @@ def path_inequality_check(u_star: ScalarField, psi: ScalarField, tree: Irrigatio
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One outer iteration; solver_errors holds the message of every trial
+    of the iteration that a SolverError rejected."""
+
     iteration: int
     measure: DiscreteMeasure
     payoff: float
@@ -187,6 +192,7 @@ class TraceStep:
     accepted: bool
     spawned: bool
     eta: float
+    solver_errors: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,26 +218,43 @@ class OptimizationTrace:
 
 @dataclass(frozen=True, eq=False)
 class _Bundle:
+    """One evaluated measure.  A trial carries the plan, the state and the
+    payoff; `_complete` adds the adjoint, the landscape and the report."""
+
     mu: DiscreteMeasure
     tree: IrrigationTree | None
     u: ScalarField | None
-    psi: ScalarField | None
-    z: LandscapeValues | None
-    report: OptimalityReport | None
     payoff: float
-    sup_residual: float
+    psi: ScalarField | None = None
+    z: LandscapeValues | None = None
+    report: OptimalityReport | None = None
+
+    @property
+    def sup_residual(self) -> float:
+        return 0.0 if self.report is None else self.report.sup_residual
 
 
-def _evaluate(config: RunConfig, mu: DiscreteMeasure, iteration: int) -> _Bundle:
+def _trial(config: RunConfig, mu: DiscreteMeasure, base: _Bundle | None) -> _Bundle:
+    """Plan, state and payoff of mu.  Given the accepted bundle `base`, the
+    planner starts from its tree and the state solve from its state."""
     if not any(a.mass > 0.0 for a in mu.atoms):
-        return _Bundle(DiscreteMeasure(), None, None, None, None, None, 0.0, 0.0)
-    tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves)
-    u = solve_state(config.grid, mu, config.growth,
-                    tol=config.tol_nonlinear, tol_linear=config.tol_linear)
-    psi = solve_adjoint(config.grid, mu, u, config.growth, tol=config.tol_linear)
-    z = landscape(tree, mu, config.alpha)
-    report = optimality_residual(u, psi, z, mu, config.c, config.alpha, iteration)
-    return _Bundle(mu, tree, u, psi, z, report, report.payoff, report.sup_residual)
+        return _Bundle(DiscreteMeasure(), None, None, 0.0)
+    init_tree, init_u = (None, None) if base is None else (base.tree, base.u)
+    tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves, init=init_tree)
+    u = solve_state(config.grid, mu, config.growth, tol=config.tol_nonlinear,
+                    tol_linear=config.tol_linear, init=init_u)
+    cost = irrigation_cost(tree, mu, config.alpha)
+    return _Bundle(mu, tree, u, harvest(u, mu) - float(config.c) * cost)
+
+
+def _complete(config: RunConfig, trial: _Bundle, iteration: int) -> _Bundle:
+    """The trial with its adjoint, landscape and first-order report."""
+    if trial.tree is None:
+        return trial
+    psi = solve_adjoint(config.grid, trial.mu, trial.u, config.growth, tol=config.tol_linear)
+    z = landscape(trial.tree, trial.mu, config.alpha)
+    report = optimality_residual(trial.u, psi, z, trial.mu, config.c, config.alpha, iteration)
+    return replace(trial, psi=psi, z=z, report=report)
 
 
 def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | None:
@@ -277,8 +300,8 @@ def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | No
 def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace:
     """Projected gradient ascent on atom masses.
 
-    Each outer iteration replans the tree, re-solves the state and adjoint
-    problems, then updates
+    Each outer iteration takes the residuals of the accepted measure and
+    tries
 
         mass_a <- max(0, mass_a * (1 + eta * residual_a)),
 
@@ -290,6 +313,17 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     tol_residual * u_max and no spawn helps, when no representable step makes
     progress, or when the iteration budget runs out.  Accepted steps never
     decrease the payoff.
+
+    Iteration 0 plans from the star and solves the state cold.  Every later
+    trial starts from the accepted evaluation: the planner from its tree
+    (`optimize_plan(..., init=tree)`) and the state solve from its state
+    (`solve_state(..., init=u)`, which falls back to the cold sweep when
+    its Newton steps stall, touch 0 or end on an unstable state).  A backtrack restarts from the
+    accepted evaluation, never from the rejected trial, so runs stay
+    deterministic.  A trial needs only its plan, state and payoff; the
+    adjoint, landscape and report are built for the trial that is kept.  A
+    SolverError in any of these rejects the trial, as a lower payoff would,
+    and its message goes into the step's `solver_errors`.
     """
     mu, _ = mu0.without_zero_mass()
     if not mu.atoms:
@@ -297,7 +331,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     tol_eff = config.tol_residual * config.growth.u_max
     prune_rel = 1e-12
 
-    cur = _evaluate(config, mu, iteration=0)
+    cur = _complete(config, _trial(config, mu, None), iteration=0)
     steps = [TraceStep(0, mu, cur.payoff, cur.sup_residual, True, False, 0.0)]
     converged = False
 
@@ -306,6 +340,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
         accepted = False
         spawned = False
         eta_used = 0.0
+        errors = []
 
         if cur.sup_residual >= tol_eff and cur.mu.atoms:
             residuals = np.array([r.residual for r in cur.report.records])
@@ -317,8 +352,11 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
                 cand_m[cand_m < prune_rel * max(total, 1e-300)] = 0.0
                 cand_mu, _ = cur.mu.with_masses(cand_m).without_zero_mass()
                 try:
-                    cand = _evaluate(config, cand_mu, iteration=it)
-                except SolverError:
+                    cand = _trial(config, cand_mu, cur)
+                    if cand.payoff >= cur.payoff:
+                        cand = _complete(config, cand, iteration=it)
+                except SolverError as exc:
+                    errors.append(f"mass step (eta {eta!r}): {exc}")
                     eta *= 0.5
                     continue
                 if cand.payoff >= cur.payoff:
@@ -337,17 +375,17 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
             cand_mu = _spawn_candidate(config, cur)
             if cand_mu is not None:
                 try:
-                    cand = _evaluate(config, cand_mu, iteration=it)
+                    cand = _trial(config, cand_mu, cur)
                     if cand.payoff > cur.payoff:
-                        cur = cand
+                        cur = _complete(config, cand, iteration=it)
                         spawn_helped = True
                         spawned = True
                         progressed = True
-                except SolverError:
-                    pass
+                except SolverError as exc:
+                    errors.append(f"spawn: {exc}")
 
         steps.append(TraceStep(it, cur.mu, cur.payoff, cur.sup_residual,
-                               accepted or spawned, spawned, eta_used))
+                               accepted or spawned, spawned, eta_used, tuple(errors)))
 
         if not cur.mu.atoms:
             converged = True

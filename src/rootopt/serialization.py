@@ -269,6 +269,7 @@ def trace_step_dict(step) -> dict:
         "spawned": step.spawned,
         "eta": step.eta,
         "atoms": measure_to_dict(step.measure)["atoms"],
+        "solver_errors": list(step.solver_errors),
     }
 
 

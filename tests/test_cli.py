@@ -4,7 +4,9 @@ import pytest
 
 import rootopt as ro
 from rootopt.cli import main
-from rootopt.serialization import load_measure, load_trace
+from rootopt.elliptic import ScalarField
+from rootopt.serialization import (load_field_binary, load_measure, load_trace,
+                                   save_field_binary)
 
 
 def write_setup(dirpath, config_lines, atoms):
@@ -147,6 +149,40 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "invariant violated: terminals on atoms" in stdout
         assert f"terminal node {node['id']} sits" in stdout
+
+    def test_atom_without_terminal_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path, subcommand="irrigate")
+        measure = json.loads((out / "measure.json").read_text())
+        measure["atoms"].append({"x": 1.5, "y": 0.5, "mass": 0.1})
+        (out / "measure.json").write_text(json.dumps(measure))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "invariant violated: atoms have terminals" in stdout
+        assert "first atom 2" in stdout
+
+    def tamper_field(self, out, name, change):
+        grid_field = load_field_binary(out / name, ro.Domain())
+        save_field_binary(out / name, ScalarField(grid_field.grid, change(grid_field.values)))
+
+    def test_halved_state_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path, subcommand="solve")
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: state residual" in capsys.readouterr().out
+        self.tamper_field(out, "state.bin", lambda u: 0.5 * u)
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: state box bounds" in stdout
+        assert "invariant violated: state residual" in stdout
+
+    def test_perturbed_adjoint_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path, subcommand="adjoint")
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: adjoint residual" in capsys.readouterr().out
+        self.tamper_field(out, "psi.bin", lambda psi: psi * (1.0 + 1e-6))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: adjoint bounds" in stdout and "ok: state residual" in stdout
+        assert "invariant violated: adjoint residual" in stdout
 
     def test_tampered_payoff_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)

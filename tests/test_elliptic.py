@@ -66,6 +66,19 @@ class TestLumping:
         assert all(lumped.weights[i] > 0 for i in idx)
         assert np.count_nonzero(lumped.weights) == 5
 
+    def test_matches_the_per_atom_loop_bit_for_bit(self):
+        """The vectorized lumping against a plain loop over grid.index_of,
+        walls and corners included."""
+        rng = np.random.default_rng(12)
+        for n in (9, 17, 65):
+            grid = ro.Grid(ro.Domain(), n, n)
+            for k in (1, 7, grid.n_nodes // 3, grid.n_nodes):
+                mu = random_grid_measure(rng, grid, k, mass_range=(1e-6, 50.0))
+                expected = np.zeros(grid.n_nodes)
+                for a in mu.atoms:
+                    expected[grid.index_of(*a.position)] += a.mass
+                assert np.array_equal(ro.lump_measure(mu, grid).weights, expected)
+
     def test_density_scaling(self, grid17):
         # interior cells have area h^2, corner cells a quarter of that
         mu = ro.DiscreteMeasure((ro.Atom(grid17.node_position(8, 8), 0.5),
@@ -165,6 +178,81 @@ class TestStateSolve:
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 > 1.7 and order2 > 1.7
+
+
+class TestWarmStart:
+    """solve_state(..., init=prev) against the cold solve from u_max."""
+
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_warm_matches_cold_after_mass_change(self, n):
+        """Random measures, masses changed by up to 5%, 20% or 50% per atom;
+        every fourth measure has heavy atoms (mass 2 to 8), which drives
+        most of them near extinction.  Warm and cold agree within
+        10 * tol_nonlinear * u_max (the worst of 240 such pairs measured
+        6.3 tol)."""
+        f = ro.GrowthFunction()
+        grid = ro.Grid(ro.Domain(), n, n)
+        rng = np.random.default_rng(400 + n)
+        near_extinct = 0
+        for k in range(24):
+            heavy = k % 4 == 3
+            mu = random_grid_measure(rng, grid, int(rng.integers(1, 30)),
+                                     mass_range=(2.0, 8.0) if heavy else (0.05, 1.0))
+            prev = ro.solve_state(grid, mu, f, tol=self.TOL)
+            change = (0.05, 0.2, 0.5)[k % 3]
+            nu = mu.with_masses(mu.masses() * (1.0 + change * rng.uniform(-1.0, 1.0, len(mu))))
+            cold = ro.solve_state(grid, nu, f, tol=self.TOL)
+            warm = ro.solve_state(grid, nu, f, tol=self.TOL, init=prev)
+            assert np.max(np.abs(warm.values - cold.values)) <= 10 * self.TOL * f.u_max
+            near_extinct += cold.max() < 1e-3 * f.u_max
+        assert near_extinct >= 3
+
+    def test_across_the_extinction_threshold(self, grid17):
+        """Uniform density 3.96 against rate 4 leaves u = 0.01; 5% more mass
+        makes 0 the maximal solution, and halving it again gives 0.505."""
+        f = ro.GrowthFunction(u_max=1.0, rate=4.0)
+        prev = ro.solve_state(grid17, uniform_measure(grid17, 3.96), f, tol=self.TOL)
+        for m0 in (3.96 * 1.05, 3.96 * 0.5):
+            mu = uniform_measure(grid17, m0)
+            cold = ro.solve_state(grid17, mu, f, tol=self.TOL)
+            warm = ro.solve_state(grid17, mu, f, tol=self.TOL, init=prev)
+            assert np.max(np.abs(warm.values - cold.values)) <= 10 * self.TOL * f.u_max
+            assert np.max(np.abs(cold.values - max(0.0, 1.0 - m0 / f.rate))) < 1e-6
+
+    def test_tiny_state_does_not_hide_a_positive_solution(self, grid17):
+        """An init of 1e-10 everywhere (an extinct state) already meets tol
+        for density 2.2, whose maximal solution is u = 0.45; only the
+        stability test sends the solve to the sweep."""
+        f = ro.GrowthFunction(u_max=1.0, rate=4.0)
+        mu = uniform_measure(grid17, 2.2)
+        tiny = ell.ScalarField(grid17, np.full(grid17.n_nodes, 1e-10))
+        assert ell.state_residual(tiny, mu, f) <= self.TOL
+        warm = ro.solve_state(grid17, mu, f, tol=self.TOL, init=tiny)
+        assert np.array_equal(warm.values, ro.solve_state(grid17, mu, f, tol=self.TOL).values)
+        assert np.max(np.abs(warm.values - 0.45)) < 1e-6
+
+    def test_zero_node_falls_back_to_the_cold_answer(self, grid17):
+        f = ro.GrowthFunction()
+        rng = np.random.default_rng(5)
+        mu = random_grid_measure(rng, grid17, 6, mass_range=(0.1, 0.6))
+        prev = ro.solve_state(grid17, mu, f, tol=self.TOL).values.copy()
+        nu = mu.with_masses(mu.masses() * 1.1)
+        cold = ro.solve_state(grid17, nu, f, tol=self.TOL)
+        positive = ro.solve_state(grid17, nu, f, tol=self.TOL,
+                                  init=ell.ScalarField(grid17, prev))
+        assert not np.array_equal(positive.values, cold.values)  # Newton answered
+        prev[40] = 0.0
+        warm = ro.solve_state(grid17, nu, f, tol=self.TOL, init=ell.ScalarField(grid17, prev))
+        assert np.array_equal(warm.values, cold.values)
+
+    def test_init_on_another_grid_is_rejected(self, grid17):
+        f = ro.GrowthFunction()
+        mu = ro.DiscreteMeasure((ro.Atom(grid17.node_position(8, 8), 0.3),))
+        other = ro.Grid(ro.Domain(), 9, 9)
+        with pytest.raises(ro.ValidationError, match="different grid"):
+            ro.solve_state(grid17, mu, f, init=ell.ScalarField(other, np.ones(81)))
 
 
 class TestHarvestAndAdjoint:

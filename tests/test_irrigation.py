@@ -270,6 +270,94 @@ class TestPlanners:
 
 
 
+def check_terminals(tree, mu):
+    """Every positive-mass atom of mu has exactly one terminal, sitting on
+    it, and every terminal carries a positive-mass atom."""
+    carried = [int(a) for a in tree.atom_index if a >= 0]
+    assert len(carried) == len(set(carried))
+    assert sorted(carried) == [i for i, a in enumerate(mu.atoms) if a.mass > 0.0]
+    for node, a in enumerate(tree.atom_index):
+        assert (tree.kinds[node] == "terminal") == (a >= 0)
+        if a >= 0:
+            assert tuple(tree.positions[node]) == mu.atoms[a].position
+
+
+class TestWarmPlanner:
+    """optimize_plan(nu, alpha, init=tree) for reweighted measures nu."""
+
+    def test_reweighting_bound_and_terminals(self):
+        """Each case reweights the atoms of mu by (1 + g), g in [-1, 1] with
+        about one atom in four pruned (g = -1); every third case drops the
+        pruned atoms from the measure, renumbering the rest, and every
+        other one adds two atoms, one of them on the position of a pruned
+        atom.  An atom on an old terminal's position counts as a
+        reweighting of that atom, so the warm plan costs at most
+
+            cost(tree, mu) + alpha * sum((m'_a - m_a) Z_a) + sum over the
+            other new atoms of m^alpha |x|,
+
+        the reweighting bound of criterion 8 plus the star edges of the
+        atoms that hang off the root.  The carried-over plan meets it
+        before any move (budget 0)."""
+        rng = np.random.default_rng(6060)
+        for k in range(30):
+            n = int(rng.integers(3, 13))
+            mu = random_measure(rng, n, mass_range=(0.05, 1.0))
+            alpha = float(rng.uniform(0.3, 0.9))
+            tree = ro.optimize_plan(mu, alpha)
+            z = ro.landscape(tree, mu, alpha).at_atoms(range(n))
+            g = rng.uniform(-1.0, 1.0, n)
+            g[rng.uniform(size=n) < 0.25] = -1.0
+            if k % 3 == 0:
+                g[0] = -1.0
+            nu = mu.with_masses(mu.masses() * (1.0 + g))
+            if k % 3 == 0:
+                nu, _ = nu.without_zero_mass()
+            fresh = []
+            if k % 2 == 0 and k % 3 == 0:
+                extra = random_measure(rng, 1, mass_range=(0.05, 1.0)).atoms[0]
+                reborn = ro.Atom(mu.atoms[0].position, float(rng.uniform(0.05, 1.0)))
+                nu = ro.DiscreteMeasure(nu.atoms + (extra, reborn))
+                fresh = [extra]
+            new_mass = {a.position: a.mass for a in nu.atoms}
+            dm = np.array([new_mass.get(a.position, 0.0) for a in mu.atoms]) - mu.masses()
+            bound = (ro.irrigation_cost(tree, mu, alpha) + alpha * float(np.sum(dm * z))
+                     + sum(a.mass ** alpha * math.hypot(*a.position) for a in fresh) + 1e-8)
+            if not any(a.mass > 0.0 for a in nu.atoms):
+                continue
+            for budget in (0, None):  # the carried-over plan alone, then the search
+                warm = ro.optimize_plan(nu, alpha, budget=budget, init=tree)
+                assert ro.irrigation_cost(warm, nu, alpha) <= bound, (k, budget)
+                check_terminals(warm, nu)
+
+    def test_two_terminals_on_one_position(self):
+        """A plan with a second terminal on an atom's position: the atom
+        takes the first in node order, and the other one, left without an
+        atom, is contracted away."""
+        rng = np.random.default_rng(17)
+        mu = random_measure(rng, 5)
+        tree = ro.optimize_plan(mu, 0.6)
+        twin = ro.IrrigationTree(
+            np.vstack([tree.positions, tree.positions[tree.terminal_of_atom()[2]]]),
+            np.append(tree.parents, 0), tree.kinds + ("terminal",),
+            np.append(tree.atom_index, 5))
+        nu = mu.with_masses(mu.masses() * 1.3)
+        warm = ro.optimize_plan(nu, 0.6, init=twin)
+        check_terminals(warm, nu)
+        assert ro.irrigation_cost(warm, nu, 0.6) <= ro.irrigation_cost(tree, nu, 0.6) + 1e-12
+
+    def test_same_masses_keep_an_optimized_plan(self):
+        """Started from its own converged plan, the search finds no move."""
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            mu = random_measure(rng, 8)
+            tree = ro.optimize_plan(mu, 0.7)
+            warm = ro.optimize_plan(mu, 0.7, init=tree)
+            assert ro.irrigation_cost(warm, mu, 0.7) <= ro.irrigation_cost(tree, mu, 0.7) * (
+                1.0 + 1e-12)
+            check_terminals(warm, mu)
+
+
 def move_key(kind, payload):
     """A move without its branch point: (kind, nodes...)."""
     if kind == "merge":

@@ -165,6 +165,36 @@ class TestAscent:
         assert len(trace.measure) > 1
         assert trace.final_payoff > trace.steps[0].payoff
 
+    def test_solver_error_is_recorded_in_the_trace(self, tmp_path, monkeypatch):
+        """The first trial of iteration 1 fails its state solve: the step
+        halves eta as before and the message lands in trace.jsonl."""
+        from rootopt import optimality
+        from rootopt.serialization import load_trace, save_trace
+
+        grid = ro.Grid(ro.Domain(), 9, 9)
+        cfg = ro.RunConfig(grid=grid, c=0.1, max_outer_iters=2)
+        mu0 = ro.DiscreteMeasure((ro.Atom(grid.node_position(6, 4), 0.3),))
+        calls = []
+        real = optimality.solve_state
+
+        def failing_once(*args, **kwargs):
+            calls.append(kwargs.get("init"))
+            if len(calls) == 2:
+                raise ro.SolverError("injected state failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimality, "solve_state", failing_once)
+        trace = ro.ascend_measure(cfg, mu0)
+        assert calls[0] is None and calls[1] is not None  # cold start, then warm
+        assert trace.steps[0].solver_errors == ()
+        assert trace.steps[1].solver_errors == (
+            f"mass step (eta {cfg.step_size!r}): injected state failure",)
+        assert trace.steps[1].accepted and trace.steps[1].eta == 0.5 * cfg.step_size
+        save_trace(tmp_path / "trace.jsonl", trace)
+        records = load_trace(tmp_path / "trace.jsonl")
+        assert records[1]["solver_errors"] == list(trace.steps[1].solver_errors)
+        assert all(r["solver_errors"] == [] for r in records[2:])
+
 
 class TestSupportDensity:
     def test_single_atom_occupies_one_cell(self, small_grid):

@@ -154,7 +154,7 @@ class TestTraceAndReport:
         assert records == [ser.trace_step_dict(s) for s in trace.steps]
         assert records[0]["iteration"] == 0
         assert all(set(r) == {"iteration", "payoff", "sup_residual", "accepted",
-                              "spawned", "eta", "atoms"} for r in records)
+                              "spawned", "eta", "atoms", "solver_errors"} for r in records)
 
     def test_report_round_trip(self, tmp_path, trace):
         p = tmp_path / "report.json"
