@@ -39,11 +39,12 @@ from .optimality import (ascend_measure, optimality_residual,
                          path_inequality_check, support_density_report)
 from .render import render_tree_svg, save_svg
 from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
-                            load_field_binary, load_measure, load_report,
-                            load_trace, load_tree, parse_config_entry,
-                            parse_config_text, save_field_binary,
-                            save_field_csv, save_json, save_landscape_csv,
-                            save_measure, save_report, save_trace, save_tree)
+                            load_field_binary, load_field_shape, load_measure,
+                            load_report, load_trace, load_tree,
+                            parse_config_entry, parse_config_text,
+                            save_field_binary, save_field_csv, save_json,
+                            save_landscape_csv, save_measure, save_report,
+                            save_trace, save_tree)
 
 __all__ = ["main"]
 
@@ -289,8 +290,17 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if rep.ok else
                f"{len(rep.violations)} node pairs exceed the bound, worst {worst!r}")
 
+    shapes = {p.name: load_field_shape(p) for p in sorted(out.glob("*.bin"))}
+    wrong = [(name, s) for name, s in shapes.items() if s != (cfg.grid.nx, cfg.grid.ny)]
+    if shapes:
+        yield ("field resolution",
+               None if not wrong else
+               f"{wrong[0][0]} holds a {wrong[0][1][0]}x{wrong[0][1][1]} grid, "
+               f"the config asks for {cfg.grid.nx}x{cfg.grid.ny}")
+
+    # a field on another grid would sample the wrong nodes: skip its checks
     u = psi = None
-    if (out / "state.bin").exists():
+    if not wrong and (out / "state.bin").exists():
         u = load_field_binary(out / "state.bin", cfg.domain)
         lo, hi = u.min(), u.max()
         ok = lo >= -1e-9 and hi <= cfg.growth.u_max + 1e-9
@@ -338,6 +348,11 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
 
     if (out / "trace.jsonl").exists():
         records = load_trace(out / "trace.jsonl")
+        iters = [r["iteration"] for r in records]
+        gap = next((k for k, it in enumerate(iters) if it != k), None)
+        yield ("trace iterations contiguous",
+               None if gap is None else
+               f"record {gap} has iteration {iters[gap]!r}, expected {gap}")
         accepted = [r["payoff"] for r in records if r["accepted"]]
         bad = next((i for i in range(1, len(accepted))
                     if accepted[i] < accepted[i - 1]), None)

@@ -189,13 +189,6 @@ class FluxMap:
     tree: IrrigationTree
     values: np.ndarray
 
-    def at(self, node: int) -> float:
-        return float(self.values[node])
-
-    @property
-    def total(self) -> float:
-        return float(self.values[0])
-
 
 @dataclass(frozen=True, eq=False)
 class LandscapeValues:

@@ -44,6 +44,7 @@ __all__ = [
     "save_field_csv",
     "load_field_csv",
     "save_field_binary",
+    "load_field_shape",
     "load_field_binary",
     "trace_step_dict",
     "save_trace",
@@ -107,8 +108,23 @@ def measure_from_dict(d) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(atoms))
 
 
+# one atom of dumps_json(measure_to_dict(mu)): indent 2, sorted keys, and
+# floats through repr, which is json's float form for the finite Python
+# floats an Atom holds
+_ATOM_JSON = '    {\n      "mass": %r,\n      "x": %r,\n      "y": %r\n    }'
+
+
 def save_measure(path, mu: DiscreteMeasure) -> None:
-    save_json(path, measure_to_dict(mu))
+    """Write exactly the bytes of dumps_json(measure_to_dict(mu)), through one
+    %-template per atom instead of json's pure-Python indenting encoder."""
+    if not mu.atoms:
+        text = dumps_json({"atoms": []})
+    else:
+        atoms = ",\n".join([_ATOM_JSON % (a.mass, a.position[0], a.position[1])
+                            for a in mu.atoms])
+        text = '{\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_measure(path) -> DiscreteMeasure:
@@ -201,15 +217,13 @@ def save_landscape_csv(path, z) -> None:
 
 
 def save_field_csv(path, field: ScalarField) -> None:
+    """One ``x,y,value`` row per node in node order, every float through repr."""
     g = field.grid
-    lines = ["x,y,value"]
-    vals = field.values
-    for iy in range(g.ny):
-        y = float(g.ys[iy])
-        for ix in range(g.nx):
-            lines.append(f"{float(g.xs[ix])!r},{y!r},{float(vals[iy * g.nx + ix])!r}")
+    xs = [repr(x) for x in g.xs.tolist()]
+    prefixes = [f"{x},{y}," for y in map(repr, g.ys.tolist()) for x in xs]
+    rows = map(str.__add__, prefixes, map(repr, field.values.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,value\n" + "\n".join(rows) + "\n")
 
 
 def load_field_csv(path, domain: Domain) -> ScalarField:
@@ -238,6 +252,16 @@ def save_field_binary(path, field: ScalarField) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+
+
+def load_field_shape(path) -> tuple[int, int]:
+    """(nx, ny) from a binary field's header, without reading its values."""
+    with open(path, "rb") as fh:
+        head = fh.read(_FIELD_HEADER.size)
+    if len(head) < _FIELD_HEADER.size:
+        raise ValidationError(f"{path}: truncated field header")
+    nx, ny = _FIELD_HEADER.unpack(head)[:2]
+    return nx, ny
 
 
 def load_field_binary(path, domain: Domain) -> ScalarField:

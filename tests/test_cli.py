@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import rootopt as ro
@@ -183,6 +184,34 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "ok: adjoint bounds" in stdout and "ok: state residual" in stdout
         assert "invariant violated: adjoint residual" in stdout
+
+    @pytest.mark.parametrize("name, n", [("state.bin", 11), ("phi.bin", 17)])
+    def test_field_on_another_grid_is_caught(self, tmp_path, capsys, name, n):
+        """A 9x9 run whose field is swapped for one on an n x n grid: on 11x11
+        the atoms are off-node, on 17x17 phi.bin is read by no other check."""
+        out = self.run_pipeline(tmp_path, subcommand="adjoint")
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: field resolution" in capsys.readouterr().out
+        grid = ro.Grid(ro.Domain(), n, n)
+        save_field_binary(out / name, ScalarField(grid, np.full(grid.n_nodes, 0.5)))
+        assert main(["verify", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (f"invariant violated: field resolution: {name} holds a {n}x{n} grid, "
+                f"the config asks for 9x9") in captured.out
+        assert captured.err == ""  # the field checks were skipped, not aborted
+
+    def test_missing_trace_line_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path)
+        lines = (out / "trace.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) >= 3
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: trace iterations contiguous" in capsys.readouterr().out
+        (out / "trace.jsonl").write_text("".join(lines[:1] + lines[2:]))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: trace monotonicity" in stdout
+        assert ("invariant violated: trace iterations contiguous: "
+                "record 1 has iteration 2, expected 1") in stdout
 
     def test_tampered_payoff_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)

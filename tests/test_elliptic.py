@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,6 +98,63 @@ class TestLinearSolver:
         with pytest.raises(ro.SolverError):
             ell._linear_solver(grid17, np.zeros(grid17.n_nodes), 1e-10)(
                 np.ones(grid17.n_nodes))
+
+    @pytest.fixture()
+    def back_substitutions(self, monkeypatch):
+        """Counts every back-substitution through the factors splu returns."""
+        calls = []
+        real = ell.spla.splu
+
+        class CountingFactors:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                calls.append(rhs)
+                return self.lu.solve(rhs)
+
+        monkeypatch.setattr(ell, "spla", SimpleNamespace(
+            splu=lambda mat, **kw: CountingFactors(real(mat, **kw))))
+        return calls
+
+    @staticmethod
+    def adjoint_system(grid, m0):
+        """The adjoint system at uniform density m0 (see test_newton_finish_near_extinction):
+        its absorption a - f'(u) and right-hand side a."""
+        f = ro.GrowthFunction(u_max=1.0, rate=4.0)
+        mu = uniform_measure(grid, m0)
+        u = ro.solve_state(grid, mu, f, tol=1e-12)
+        a = ro.lump_measure(mu, grid).density()
+        return a - f.derivative(u.values), a
+
+    def test_solve_within_tolerance_is_not_refined(self, grid17, back_substitutions):
+        coeff, rhs = self.adjoint_system(grid17, 1.0)
+        back_substitutions.clear()
+        x = ell._linear_solver(grid17, coeff, 1e-12)(rhs)
+        assert len(back_substitutions) == 1
+        assert ell._linear_misfit(ell._system(grid17, coeff), coeff, x, rhs)[1] <= 1e-12
+
+    def test_missed_tolerance_is_refined_and_passes(self, grid17, back_substitutions):
+        """Near extinction (density 3.6, rate 4) the first back-substitution
+        leaves a scaled residual of about 1.3e-12; one refinement step with
+        the same factors brings it under tol_linear = 1e-12."""
+        coeff, rhs = self.adjoint_system(grid17, 3.6)
+        mat = ell._system(grid17, coeff)
+        first = ell.spla.splu(mat, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        assert ell._linear_misfit(mat, coeff, first, rhs)[1] > 1e-12
+        back_substitutions.clear()
+        x = ell._linear_solver(grid17, coeff, 1e-12)(rhs)
+        assert len(back_substitutions) == 2
+        assert ell._linear_misfit(mat, coeff, x, rhs)[1] <= 1e-12
+
+    def test_unreachable_tolerance_names_the_worst_residual(self, grid17,
+                                                             back_substitutions):
+        coeff, rhs = self.adjoint_system(grid17, 1.0)
+        back_substitutions.clear()
+        with pytest.raises(ro.SolverError,
+                           match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
+            ell._linear_solver(grid17, coeff, 1e-20)(rhs)
+        assert len(back_substitutions) == 2
 
 
 class TestStateSolve:

@@ -7,7 +7,7 @@ import rootopt as ro
 from rootopt import serialization as ser
 from rootopt.elliptic import ScalarField
 
-from conftest import random_measure, random_tree
+from conftest import manufactured_problem, random_measure, random_tree
 
 
 @pytest.fixture()
@@ -34,6 +34,26 @@ class TestMeasureFiles:
         back = ser.load_measure(p)
         assert back.positions().tolist() == measure.positions().tolist()
         assert back.masses().tolist() == measure.masses().tolist()
+
+    @pytest.mark.parametrize("atoms", [
+        (),
+        ((1.0, 0.0, 0.5),),
+        ((-0.0, 1e-300, -0.0), (1e-300, -0.0, 1e-300), (0.5, -0.5, 2.5e300)),
+    ], ids=["empty", "one-atom", "signed-zero-and-tiny"])
+    def test_bytes_match_the_json_encoder(self, tmp_path, atoms):
+        mu = ro.DiscreteMeasure(tuple(ro.Atom((x, y), m) for x, y, m in atoms))
+        p = tmp_path / "measure.json"
+        ser.save_measure(p, mu)
+        assert p.read_text(encoding="utf-8") == ser.dumps_json(ser.measure_to_dict(mu))
+
+    def test_manufactured_measure_bytes_match_the_json_encoder(self, tmp_path):
+        grid = ro.Grid(ro.Domain(), 65, 65)
+        mu, _ = manufactured_problem(grid, ro.GrowthFunction())
+        p = tmp_path / "measure.json"
+        ser.save_measure(p, mu)
+        assert p.read_text(encoding="utf-8") == ser.dumps_json(ser.measure_to_dict(mu))
+        back = ser.load_measure(p)
+        assert back.masses().tolist() == mu.masses().tolist()
 
     def test_malformed_atom_is_named(self):
         with pytest.raises(ro.ValidationError, match="atom 1"):
@@ -101,6 +121,20 @@ class TestFieldFiles:
         back = ser.load_field_csv(p, field.grid.domain)
         assert np.array_equal(back.values, field.values)
         assert back.grid == field.grid
+
+    @pytest.mark.parametrize("nx, ny, rect_max", [
+        (3, 3, (1.5, 0.5)), (33, 33, (1.5, 0.5)), (9, 5, (2.5, 0.5))])
+    def test_csv_bytes_match_a_per_node_formatter(self, tmp_path, nx, ny, rect_max):
+        g = ro.Grid(ro.Domain(rect_max=rect_max), nx, ny)
+        field = ScalarField(g, np.random.default_rng(73).uniform(-1.0, 2.0, g.n_nodes))
+        rows = ["x,y,value"]
+        for (x, y), v in zip(g.node_coordinates().tolist(), field.values.tolist()):
+            rows.append(f"{x!r},{y!r},{v!r}")
+        p = tmp_path / "field.csv"
+        ser.save_field_csv(p, field)
+        assert p.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+        back = ser.load_field_csv(p, g.domain)
+        assert np.array_equal(back.values, field.values)
 
     def test_csv_wrong_domain_rejected(self, tmp_path):
         field = self.make_field()
