@@ -9,19 +9,15 @@ masses toward measures satisfying first-order optimality.
 from .core import (Atom, DiscreteMeasure, Domain, Grid, GrowthFunction,
                    RunConfig, SolverError, ValidationError, mass_bound_check,
                    mass_outside)
-from .elliptic import (NodalMeasure, ScalarField, bilinear_interpolate,
-                       growth_bound_lambda, harvest, laplacian_matrix,
-                       lump_measure, perturbation_derivative, phi_field,
-                       quadrature_weights, solve_adjoint, solve_state)
-from .irrigation import (ROOT, STEINER, TERMINAL, ArcChordReport, FluxMap,
-                         HolderReport, IrrigationTree, LandscapeValues,
-                         brute_force_plan, check_arc_chord,
+from .elliptic import (bilinear_interpolate, growth_bound_lambda, harvest,
+                       laplacian_matrix, lump_measure, perturbation_derivative,
+                       phi_field, quadrature_weights, solve_adjoint,
+                       solve_state)
+from .irrigation import (IrrigationTree, brute_force_plan, check_arc_chord,
                          check_landscape_holder, compute_fluxes,
                          cost_lower_bound, irrigation_cost, landscape,
                          optimize_plan, scaled_mass_cost, star_tree)
-from .optimality import (AtomRecord, OptimalityReport, OptimizationTrace,
-                         PathCheckReport, SupportDensityReport, TraceStep,
-                         ascend_measure, optimality_residual,
+from .optimality import (ascend_measure, optimality_residual,
                          path_inequality_check, payoff,
                          support_density_report)
 
@@ -38,8 +34,6 @@ __all__ = [
     "ValidationError",
     "mass_bound_check",
     "mass_outside",
-    "NodalMeasure",
-    "ScalarField",
     "bilinear_interpolate",
     "growth_bound_lambda",
     "harvest",
@@ -50,14 +44,7 @@ __all__ = [
     "quadrature_weights",
     "solve_adjoint",
     "solve_state",
-    "ROOT",
-    "STEINER",
-    "TERMINAL",
-    "ArcChordReport",
-    "FluxMap",
-    "HolderReport",
     "IrrigationTree",
-    "LandscapeValues",
     "brute_force_plan",
     "check_arc_chord",
     "check_landscape_holder",
@@ -68,12 +55,6 @@ __all__ = [
     "optimize_plan",
     "scaled_mass_cost",
     "star_tree",
-    "AtomRecord",
-    "OptimalityReport",
-    "OptimizationTrace",
-    "PathCheckReport",
-    "SupportDensityReport",
-    "TraceStep",
     "ascend_measure",
     "optimality_residual",
     "path_inequality_check",

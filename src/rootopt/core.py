@@ -178,10 +178,6 @@ class Atom:
             raise ValidationError(f"atom mass must be finite and >= 0, got {self.mass!r}")
         object.__setattr__(self, "mass", m)
 
-    @classmethod
-    def snapped(cls, grid: Grid, x: float, y: float, mass: float) -> "Atom":
-        return cls(grid.snap(x, y), mass)
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:

@@ -120,10 +120,6 @@ class NodalMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
     def density(self) -> np.ndarray:
         # mass per covered cell area; boundary cells are half size, corners quarter
         return self.weights / (quadrature_weights(self.grid) * self.grid.h ** 2)

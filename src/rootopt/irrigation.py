@@ -24,6 +24,7 @@ alpha * Z(node) is the marginal cost of routing extra mass to that node.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,51 +86,44 @@ class IrrigationTree:
 
     positions  : (n, 2) node coordinates, node 0 at the origin
     parents    : (n,) parent index per node, -1 for the root
-    kinds      : per-node tag, one of "root", "steiner", "terminal"
     atom_index : (n,) index of the carried atom for terminals, -1 otherwise
+
+    The node kinds are read off these arrays (`kinds`): node 0 is the root,
+    a node that carries an atom is a terminal, and every other node is a
+    steiner node.
     """
 
     positions: np.ndarray
     parents: np.ndarray
-    kinds: tuple
     atom_index: np.ndarray
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
         par = np.array(self.parents, dtype=np.int64)
         ai = np.array(self.atom_index, dtype=np.int64)
-        kinds = tuple(self.kinds)
         n = len(par)
-        if pos.shape != (n, 2) or ai.shape != (n,) or len(kinds) != n or n < 2:
+        if pos.shape != (n, 2) or ai.shape != (n,) or n < 2:
             raise ValidationError("tree arrays must agree in length and hold >= 2 nodes")
         if not np.all(np.isfinite(pos)):
             raise ValidationError("node positions must be finite")
-        if par[0] != -1 or kinds[0] != ROOT:
-            raise ValidationError("node 0 must be the root with parent -1")
+        if par[0] != -1 or ai[0] != -1:
+            raise ValidationError("node 0 must be the root, with parent -1 and no atom")
         if not (pos[0, 0] == 0.0 and pos[0, 1] == 0.0):
             raise ValidationError("the root must sit at the origin (0, 0)")
         if np.any(par[1:] < 0) or np.any(par[1:] >= n):
             raise ValidationError("every non-root node needs a parent inside the tree")
+        if np.any(ai < -1):
+            raise ValidationError(f"node {int(np.argmax(ai < -1))} has atom index below -1")
         order = _depth_order(par)
-        ch = _children_lists(par)
-        seen_atoms = set()
-        for i, kind in enumerate(kinds):
-            if kind == ROOT:
-                if i != 0:
-                    raise ValidationError("only node 0 may be the root")
-            elif kind == TERMINAL:
-                if ai[i] < 0:
-                    raise ValidationError(f"terminal node {i} carries no atom index")
-                if int(ai[i]) in seen_atoms:
-                    raise ValidationError(f"atom {int(ai[i])} has more than one terminal")
-                seen_atoms.add(int(ai[i]))
-            elif kind == STEINER:
-                if ai[i] != -1:
-                    raise ValidationError(f"steiner node {i} must not carry an atom")
-                if len(ch[i]) < 2:
-                    raise ValidationError(f"steiner node {i} has fewer than two children")
-            else:
-                raise ValidationError(f"unknown node kind {kind!r}")
+        atoms, count = np.unique(ai[ai >= 0], return_counts=True)
+        if np.any(count > 1):
+            twice = int(atoms[np.argmax(count > 1)])
+            raise ValidationError(f"atom {twice} has more than one terminal")
+        lonely = (ai < 0) & (np.bincount(par[1:], minlength=n) < 2)
+        lonely[0] = False
+        if np.any(lonely):
+            bad = int(np.argmax(lonely))
+            raise ValidationError(f"steiner node {bad} has fewer than two children")
         lengths = np.linalg.norm(pos[1:] - pos[par[1:]], axis=1)
         if np.any(lengths <= 0.0):
             bad = int(np.argmin(lengths)) + 1
@@ -139,9 +133,14 @@ class IrrigationTree:
         ai.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "parents", par)
-        object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "atom_index", ai)
         object.__setattr__(self, "_order", tuple(order))
+
+    @functools.cached_property
+    def kinds(self) -> tuple:
+        """Per-node tag, one of "root", "steiner", "terminal"."""
+        return (ROOT,) + tuple(TERMINAL if a >= 0 else STEINER
+                               for a in self.atom_index[1:].tolist())
 
     @property
     def n_nodes(self) -> int:
@@ -209,29 +208,37 @@ class LandscapeValues:
 
 
 def _node_masses(tree: IrrigationTree, mu: DiscreteMeasure) -> np.ndarray:
+    """Mass of the atom each node carries, once every terminal's atom is
+    found in mu and every positive-mass atom of mu has a terminal."""
     masses = mu.masses()
-    n_atoms = len(mu)
-    out = np.zeros(tree.n_nodes)
-    covered = set()
-    for i, a in enumerate(tree.atom_index):
-        if a >= 0:
-            if a >= n_atoms:
-                raise ValidationError(f"terminal node {i} refers to missing atom {int(a)}")
-            out[i] = masses[a]
-            covered.add(int(a))
-    for j in range(n_atoms):
-        if masses[j] > 0.0 and j not in covered:
-            raise ValidationError(f"atom {j} has positive mass but no terminal in the tree")
-    return out
+    ai = tree.atom_index
+    missing = ai >= len(masses)
+    if np.any(missing):
+        i = int(np.argmax(missing))
+        raise ValidationError(f"terminal node {i} refers to missing atom {int(ai[i])}")
+    uncovered = masses > 0.0
+    uncovered[ai[ai >= 0]] = False
+    if np.any(uncovered):
+        raise ValidationError(f"atom {int(np.argmax(uncovered))} has positive mass "
+                              "but no terminal in the tree")
+    return np.where(ai >= 0, masses[ai], 0.0)
 
 
-def _subtree_sums(parents, order, node_values):
-    flux = np.array(node_values, dtype=float)
-    for i in reversed(order):
-        p = parents[i]
-        if p >= 0:
-            flux[p] += flux[i]
+def _fluxes(parents, atom_index, masses):
+    """Flux into every node, the mass of the atoms in its subtree, with the
+    total inflow at the root; masses is indexed by atom."""
+    ai = np.asarray(atom_index)
+    flux = np.where(ai >= 0, masses[ai], 0.0)
+    for i in reversed(_depth_order(parents)):
+        if parents[i] >= 0:
+            flux[parents[i]] += flux[i]
     return flux
+
+
+def _plan_cost(pos, parents, flux, alpha):
+    """Transport cost sum(flux ** alpha * length) over the edges of a plan."""
+    d = pos[1:] - pos[parents[1:]]
+    return float(np.sum(flux[1:] ** alpha * np.sqrt((d * d).sum(-1))))
 
 
 def compute_fluxes(tree: IrrigationTree, mu: DiscreteMeasure) -> FluxMap:
@@ -240,9 +247,8 @@ def compute_fluxes(tree: IrrigationTree, mu: DiscreteMeasure) -> FluxMap:
     Conservation holds at every node by construction: the flux into a node
     equals its own terminal mass plus the flux into its children.
     """
-    node_mass = _node_masses(tree, mu)
-    flux = _subtree_sums(tree.parents, tree.depth_order(), node_mass)
-    total = float(node_mass.sum())
+    total = float(_node_masses(tree, mu).sum())
+    flux = _fluxes(tree.parents, tree.atom_index, mu.masses())
     if abs(flux[0] - total) > 1e-12 * max(1.0, total):
         raise ValidationError("flux accumulation lost mass beyond tolerance")
     flux.setflags(write=False)
@@ -253,9 +259,7 @@ def irrigation_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> 
     """Transport cost sum(flux ** alpha * length) of the plan."""
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
-    flux = compute_fluxes(tree, mu).values
-    lengths = tree.edge_lengths()
-    return float(np.sum(flux[1:] ** alpha * lengths[1:]))
+    return _plan_cost(tree.positions, tree.parents, compute_fluxes(tree, mu).values, alpha)
 
 
 def scaled_mass_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
@@ -403,16 +407,8 @@ def star_tree(mu: DiscreteMeasure) -> IrrigationTree:
     n = len(kept)
     pos = np.vstack([np.zeros((1, 2)), filtered.positions()])
     parents = np.concatenate([[-1], np.zeros(n, dtype=np.int64)])
-    kinds = (ROOT,) + (TERMINAL,) * n
     atom_index = np.concatenate([[-1], np.array(kept, dtype=np.int64)])
-    return IrrigationTree(pos, parents, kinds, atom_index)
-
-
-def _tree_cost(pos, parents, order, node_mass, alpha):
-    flux = _subtree_sums(parents, order, node_mass)
-    d = pos[1:] - pos[np.asarray(parents[1:], dtype=np.int64)]
-    lengths = np.sqrt((d * d).sum(-1))
-    return float(np.sum(flux[1:] ** alpha * lengths))
+    return IrrigationTree(pos, parents, atom_index)
 
 
 def _degenerate_anchor(pts, w):
@@ -542,23 +538,26 @@ def _fermat_point(pts, w, start):
     return sx, sy
 
 
-def _optimize_positions(pos, parents, kinds, weights, scale):
+def _optimize_positions(pos, parents, atom_index, weights, scale):
     """Minimize sum(weights * edge_length) over steiner positions.
 
-    The objective is convex in the coordinates.  Each Gauss-Seidel sweep
+    The steiner nodes are the non-root nodes without an atom.  The
+    objective is convex in the coordinates.  Each Gauss-Seidel sweep
     moves every steiner node, in node order, to the exact weighted Fermat
     point of its neighbours.  Single moves stall on the kink where steiner
     nodes coincide, so a node that lands on a steiner neighbour then moves
     on with all steiner nodes joined to it by zero-length edges, as one
     block, to the Fermat point of the block's outside neighbours.  Sweeps
-    stop once no node moves more than 1e-12 * max(1, scale).
+    stop once no node moves more than 1e-12 * max(1, scale).  Returns the
+    new positions.
     """
-    free_idx = [i for i, k in enumerate(kinds) if k == STEINER]
+    steiner = [i > 0 and a < 0 for i, a in enumerate(np.asarray(atom_index).tolist())]
+    free_idx = [i for i, free in enumerate(steiner) if free]
     if not free_idx:
         return pos
     xy = [tuple(p) for p in np.asarray(pos, dtype=float).tolist()]
-    nbrs = [[] for _ in kinds]  # (neighbour, weight of the edge to it)
-    for i in range(1, len(kinds)):
+    nbrs = [[] for _ in steiner]  # (neighbour, weight of the edge to it)
+    for i in range(1, len(steiner)):
         nbrs[i].append((int(parents[i]), float(weights[i])))
         nbrs[int(parents[i])].append((i, float(weights[i])))
 
@@ -575,7 +574,7 @@ def _optimize_positions(pos, parents, kinds, weights, scale):
             moved = max(moved, move([i], nbrs[i]))
             block = [i]
             for b in block:  # grows while it is read
-                block.extend(j for j, _ in nbrs[b] if kinds[j] == STEINER
+                block.extend(j for j, _ in nbrs[b] if steiner[j]
                              and j not in block and xy[j] == xy[i])
             if len(block) > 1:
                 outside = [(j, wj) for b in block for j, wj in nbrs[b] if j not in block]
@@ -585,16 +584,18 @@ def _optimize_positions(pos, parents, kinds, weights, scale):
     return np.array(xy, dtype=float)
 
 
-def _contract(pos, parents, kinds, atom_index, tol):
-    """Remove childless/single-child steiner nodes and zero-length edges."""
+def _contract(pos, parents, atom_index, tol):
+    """Remove childless/single-child steiner nodes and zero-length edges.
+
+    Takes and returns the plan as (positions, parents, atom_index); a
+    non-root node without an atom is a steiner node."""
     pos = [(float(p[0]), float(p[1])) for p in pos]
     parents = [int(p) for p in parents]
-    kinds = list(kinds)
     atom_index = [int(a) for a in atom_index]
 
     def delete(i):
         # caller guarantees nothing references node i anymore
-        del pos[i], parents[i], kinds[i], atom_index[i]
+        del pos[i], parents[i], atom_index[i]
         for k in range(len(parents)):
             if parents[k] > i:
                 parents[k] -= 1
@@ -602,24 +603,21 @@ def _contract(pos, parents, kinds, atom_index, tol):
     changed = True
     while changed:
         changed = False
-        ch = [[] for _ in parents]
-        for k, p in enumerate(parents):
-            if p >= 0:
-                ch[p].append(k)
+        ch = _children_lists(parents)
         for i in range(1, len(parents)):
             p = parents[i]
-            if kinds[i] == STEINER and len(ch[i]) <= 1:
+            if atom_index[i] < 0 and len(ch[i]) <= 1:
                 for k in ch[i]:
                     parents[k] = p
                 delete(i)
                 changed = True
                 break
             if math.hypot(pos[i][0] - pos[p][0], pos[i][1] - pos[p][1]) <= tol:
-                if kinds[i] == STEINER:
+                if atom_index[i] < 0:
                     for k in ch[i]:
                         parents[k] = p
                     delete(i)
-                elif kinds[i] == TERMINAL and kinds[p] == STEINER:
+                elif p > 0 and atom_index[p] < 0:
                     # the terminal absorbs the branch point
                     for k in ch[p]:
                         if k != i:
@@ -631,32 +629,34 @@ def _contract(pos, parents, kinds, atom_index, tol):
                 changed = True
                 break
     return (np.array(pos, dtype=float), np.array(parents, dtype=np.int64),
-            tuple(kinds), np.array(atom_index, dtype=np.int64))
+            np.array(atom_index, dtype=np.int64))
 
 
-def _apply_move(kind, payload, pos, parents):
-    """(pos, parents) after one topology move.  A merge (p, x, y, s) or an
-    attach (x, y, p, s) hangs x and y off a new branch point s below p,
-    appended as the last node; a reparent (u, v) hangs u off v."""
-    parents = list(parents)
+def _apply_move(kind, payload, pos, parents, atom_index):
+    """The plan (pos, parents, atom_index) after one topology move.  A merge
+    (p, x, y, s) or an attach (x, y, p, s) hangs x and y off a new branch
+    point s below p, appended as the last node; a reparent (u, v) hangs u
+    off v."""
+    parents = np.array(parents, dtype=np.int64)
     if kind == "reparent":
         u, v = payload
         parents[u] = v
-        return pos, parents
+        return pos, parents, atom_index
     if kind == "merge":
         p, x, y, s = payload
     else:
         x, y, p, s = payload
     parents[x] = parents[y] = len(parents)
-    return np.vstack([pos, np.array(s)[None, :]]), parents + [p]
+    return (np.vstack([pos, np.array(s)[None, :]]), np.append(parents, p),
+            np.append(atom_index, -1))
 
 
 def _move_costs(kind, payload, pos, parents, nm, alpha):
-    """Plan cost before and after one topology move, each from a full recompute."""
-    trial_pos, trial_par = _apply_move(kind, payload, pos, parents)
-    nm_t = np.concatenate([nm, np.zeros(len(trial_par) - len(parents))])
-    return (_tree_cost(pos, np.asarray(parents), _depth_order(parents), nm, alpha),
-            _tree_cost(trial_pos, np.array(trial_par), _depth_order(trial_par), nm_t, alpha))
+    """Plan cost before and after one topology move, each from a full
+    recompute; nm is the mass per node, so node i carries "atom" i."""
+    plan = (pos, parents, np.arange(len(parents)))
+    return tuple(_plan_cost(p, par, _fluxes(par, ai, nm), alpha)
+                 for p, par, ai in (plan, _apply_move(kind, payload, *plan)))
 
 
 def _candidate_moves(pos, parents, flux, alpha):
@@ -749,44 +749,30 @@ def _scan_moves(pos, parents, flux, alpha):
     first in `_candidate_moves` order wins, so the search is deterministic."""
     gains, move_at = _candidate_moves(pos, parents, flux, alpha)
     k = int(np.argmax(gains))
-    cost = np.sum(flux[1:] ** alpha * np.hypot(*(pos[1:] - pos[parents[1:]]).T))
-    if not gains[k] > 1e-12 * max(1.0, cost):
+    if not gains[k] > 1e-12 * max(1.0, _plan_cost(pos, parents, flux, alpha)):
         return None
     return (float(gains[k]),) + move_at(k)
 
 
-def _improve(pos, parents, kinds, atom_index, masses, alpha, budget, scale):
+def _improve(pos, parents, atom_index, masses, alpha, budget, scale):
     """Apply at most `budget` best-gain topology moves to a contracted plan,
     each followed by the exact steiner geometry and a contraction; stops
-    once no move gains.  Returns the plan as an IrrigationTree."""
-    parents = [int(p) for p in parents]
-    kinds = list(kinds)
-    atom_index = [int(a) for a in atom_index]
-
-    def node_mass_vec():
-        return np.array([masses[a] if a >= 0 else 0.0 for a in atom_index])
-
+    once no move gains.  Takes and returns (pos, parents, atom_index)."""
+    tol = 1e-12 * max(1.0, scale)
     for _ in range(budget):
-        flux = _subtree_sums(parents, _depth_order(parents), node_mass_vec())
-        best = _scan_moves(pos, parents, flux, alpha)
+        best = _scan_moves(pos, parents, _fluxes(parents, atom_index, masses), alpha)
         if best is None:
             break
-        pos, parents = _apply_move(*best[1:], pos, parents)
-        kinds += [STEINER] * (len(parents) - len(kinds))
-        atom_index += [-1] * (len(parents) - len(atom_index))
-        flux = _subtree_sums(np.array(parents), _depth_order(parents), node_mass_vec())
-        pos = _optimize_positions(pos, parents, kinds, flux ** alpha, scale)
-        pos, par2, kinds2, ai2 = _contract(pos, parents, kinds, atom_index,
-                                           tol=1e-12 * max(1.0, scale))
-        parents = list(int(x) for x in par2)
-        kinds = list(kinds2)
-        atom_index = list(int(x) for x in ai2)
-
-    return IrrigationTree(pos, parents, kinds, atom_index)
+        pos, parents, atom_index = _apply_move(*best[1:], pos, parents, atom_index)
+        weights = _fluxes(parents, atom_index, masses) ** alpha
+        pos = _optimize_positions(pos, parents, atom_index, weights, scale)
+        pos, parents, atom_index = _contract(pos, parents, atom_index, tol)
+    return pos, parents, atom_index
 
 
-def _warm_plan(init: IrrigationTree, mu: DiscreteMeasure, kept, alpha, scale):
-    """The plan `init` carried over to the positive atoms `kept` of mu.
+def _warm_plan(pos, parents, atom_index, mu: DiscreteMeasure, kept, alpha, scale):
+    """The plan (pos, parents, atom_index) carried over to the positive atoms
+    `kept` of mu, in the same form.
 
     Terminals and atoms are matched one to one by exact position, in atom
     order, each atom taking the first free terminal in node order.  A
@@ -795,33 +781,25 @@ def _warm_plan(init: IrrigationTree, mu: DiscreteMeasure, kept, alpha, scale):
     refit of the steiner geometry to the new fluxes and a second
     contraction follow.  Neither step raises the cost of rerouting mu
     along the carried-over tree."""
+    pos = [tuple(p) for p in pos.tolist()]
     free = {}
-    for i in range(1, init.n_nodes):
-        if init.kinds[i] == TERMINAL:
-            free.setdefault(tuple(init.positions[i].tolist()), []).append(i)
-    kinds = [STEINER] * init.n_nodes
-    kinds[0] = ROOT
-    atom_index = [-1] * init.n_nodes
-    pos = [tuple(p) for p in init.positions.tolist()]
-    parents = [int(p) for p in init.parents]
+    for i in np.flatnonzero(np.asarray(atom_index) >= 0).tolist():
+        free.setdefault(pos[i], []).append(i)
+    parents = [int(p) for p in parents]
+    atom_index = [-1] * len(parents)
     for j in kept:
         p = mu.atoms[j].position
         if free.get(p):
-            node = free[p].pop(0)
-            kinds[node], atom_index[node] = TERMINAL, int(j)
+            atom_index[free[p].pop(0)] = int(j)
         else:
             pos.append(p)
             parents.append(0)
-            kinds.append(TERMINAL)
             atom_index.append(int(j))
     tol = 1e-12 * max(1.0, scale)
-    pos, parents, kinds, atom_index = _contract(np.array(pos, dtype=float), parents,
-                                                kinds, atom_index, tol)
-    masses = mu.masses()
-    node_mass = np.array([masses[a] if a >= 0 else 0.0 for a in atom_index])
-    flux = _subtree_sums(parents, _depth_order(parents), node_mass)
-    pos = _optimize_positions(pos, parents, kinds, flux ** alpha, scale)
-    return _contract(pos, parents, kinds, atom_index, tol)
+    pos, parents, atom_index = _contract(pos, parents, atom_index, tol)
+    weights = _fluxes(parents, atom_index, mu.masses()) ** alpha
+    pos = _optimize_positions(pos, parents, atom_index, weights, scale)
+    return _contract(pos, parents, atom_index, tol)
 
 
 def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
@@ -844,8 +822,12 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
     go to merge before reparent before attach, each in node order, so the
     search is deterministic.  After every applied move the steiner
     positions are solved exactly by Gauss-Seidel sweeps of weighted Fermat
-    points, and collapsed branch points are contracted away.
+    points, and collapsed branch points are contracted away.  The search
+    works on the plan as (positions, parents, atom_index) alone: a node
+    that gains or loses an atom changes kind with it, as `IrrigationTree`
+    derives kinds from `atom_index`.
 
+    The start, the star or `init`, is carried over to mu in one way.
     `init` is typically the plan of a measure with the same atoms under
     other masses, some pruned and a few added (a step of the mass ascent).
     Its terminals are matched to the positive atoms of mu by exact
@@ -871,30 +853,35 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
     scale = float(np.max(np.linalg.norm(base.positions, axis=1))) or 1.0
     if budget is None:
         budget = 40 + 12 * (base.n_nodes - 1)
-    if init is None:
-        plan = (base.positions, base.parents, base.kinds, base.atom_index)
-    else:
-        plan = _warm_plan(init, mu, base.atom_index[1:], alpha, scale)
-    return _improve(*plan, mu.masses(), alpha, budget, scale)
+    start = base if init is None else init
+    plan = _warm_plan(start.positions, start.parents, start.atom_index, mu,
+                      base.atom_index[1:], alpha, scale)
+    return IrrigationTree(*_improve(*plan, mu.masses(), alpha, budget, scale))
 
 
 def _full_topologies(n_leaves):
-    """Edge lists of every unrooted tree whose leaves are 0..n_leaves-1 and
-    whose internal nodes (labels >= n_leaves) all have degree 3."""
+    """Parent arrays of every tree rooted at node 0 whose other leaves are
+    1..n_leaves-1 and whose internal nodes (labels >= n_leaves) all have
+    degree 3.  Leaf k >= 3 goes, as internal node n_leaves + k - 2, onto
+    every edge of every tree over the leaves before it; an edge is named
+    by its child node."""
     if n_leaves < 2:
         raise ValidationError("need at least two leaves")
     if n_leaves == 2:
-        yield [(0, 1)]
+        yield [-1, 0]
         return
-    topos = [[(0, n_leaves), (1, n_leaves), (2, n_leaves)]]
+    first = [-1] * (2 * n_leaves - 2)
+    first[1] = first[2] = n_leaves
+    first[n_leaves] = 0
+    topos = [first]
     for leaf in range(3, n_leaves):
+        s = n_leaves + leaf - 2
         grown = []
-        for edges in topos:
-            new_internal = n_leaves + (len(edges) - 1) // 2
-            for k, (a, b) in enumerate(edges):
-                e2 = edges[:k] + edges[k + 1:]
-                e2 = e2 + [(a, new_internal), (b, new_internal), (leaf, new_internal)]
-                grown.append(e2)
+        for parents in topos:
+            for c in [*range(1, leaf), *range(n_leaves, s)]:
+                par = list(parents)
+                par[s], par[c], par[leaf] = parents[c], s, s
+                grown.append(par)
         topos = grown
     yield from topos
 
@@ -923,7 +910,6 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
     if n > 5:
         raise ValidationError(f"exhaustive search supports at most 5 atoms, got {n}")
     term_pos = filtered.positions()
-    term_mass = filtered.masses()
     scale = float(np.max(np.hypot(term_pos[:, 0], term_pos[:, 1])))
 
     if n == 1:
@@ -933,37 +919,18 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
     # numbered as `_full_topologies` labels them
     n_leaves = n + 1
     n_nodes = 2 * n_leaves - 2
-    kinds = (ROOT,) + (TERMINAL,) * n + (STEINER,) * (n_nodes - n_leaves)
+    atom_index = np.array([-1] + list(kept) + [-1] * (n_nodes - n_leaves), dtype=np.int64)
     start = np.zeros((n_nodes, 2))
     start[1:n_leaves] = term_pos
     start[n_leaves:] = start[:n_leaves].mean(0)
-    node_mass = np.zeros(n_nodes)
-    node_mass[1:n_leaves] = term_mass
+    masses = mu.masses()
     best = None
-    for edges in _full_topologies(n_leaves):
-        adj = [[] for _ in range(n_nodes)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        parents = [-2] * n_nodes
-        parents[0] = -1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w_ in adj[v]:
-                if parents[w_] == -2:
-                    parents[w_] = v
-                    stack.append(w_)
-
-        par_arr = np.array(parents, dtype=np.int64)
-        dorder = _depth_order(parents)
-        flux = _subtree_sums(par_arr, dorder, node_mass)
-        pos = _optimize_positions(start, parents, kinds, flux ** alpha, scale)
-        cost = _tree_cost(pos, par_arr, dorder, node_mass, alpha)
+    for parents in _full_topologies(n_leaves):
+        flux = _fluxes(parents, atom_index, masses)
+        pos = _optimize_positions(start, parents, atom_index, flux ** alpha, scale)
+        cost = _plan_cost(pos, parents, flux, alpha)
         if best is None or cost < best[0]:
             best = (cost, pos, parents)
 
     _, pos, parents = best
-    atom_index = [-1] + list(kept) + [-1] * (n_nodes - n_leaves)
-    return IrrigationTree(*_contract(pos, parents, kinds, atom_index,
-                                     tol=1e-12 * max(1.0, scale)))
+    return IrrigationTree(*_contract(pos, parents, atom_index, tol=1e-12 * max(1.0, scale)))

@@ -57,7 +57,6 @@ __all__ = [
     "parse_config_text",
     "parse_config_entry",
     "config_from_mapping",
-    "load_config",
     "config_to_text",
 ]
 
@@ -156,42 +155,60 @@ def tree_to_dict(tree: IrrigationTree, mu: DiscreteMeasure) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
+def _kind_mismatch(i, kind, atom):
+    """Why a stored node kind disagrees with the node's place and atom, or
+    None when it agrees: node 0 is the root and carries no atom, a terminal
+    carries an atom and a steiner node does not."""
+    if (kind == ROOT) != (i == 0):
+        return f"node {i} is stored as {kind!r}, but node 0 and only node 0 is the root"
+    if kind == ROOT and atom >= 0:
+        return f"root node 0 carries atom {atom}"
+    if kind == TERMINAL and atom < 0:
+        return f"terminal node {i} carries no atom"
+    if kind == STEINER and atom >= 0:
+        return f"steiner node {i} carries atom {atom}"
+    return None
+
+
 def tree_from_dict(d):
     """Rebuild the tree; returns (tree, stored_flux) with stored_flux indexed
-    by child node so conservation can be checked against a measure."""
+    by child node so conservation can be checked against a measure.  Every
+    stored kind must agree with what `IrrigationTree` derives from the
+    node's place and atom."""
     if not isinstance(d, dict) or "nodes" not in d or "edges" not in d:
         raise ValidationError("tree JSON must be an object with 'nodes' and 'edges'")
     nodes = d["nodes"]
     n = len(nodes)
     positions = np.zeros((n, 2))
-    kinds = [None] * n
     atom_index = [-1] * n
     seen = set()
     for rec in nodes:
         try:
-            i = int(rec["id"])
-            if i in seen or not 0 <= i < n:
-                raise ValidationError(f"tree JSON: bad or duplicate node id {rec['id']!r}")
-            seen.add(i)
-            positions[i] = (float(rec["x"]), float(rec["y"]))
-            if rec["kind"] not in _KINDS:
-                raise ValidationError(f"tree JSON: unknown node kind {rec['kind']!r}")
-            kinds[i] = rec["kind"]
-            atom_index[i] = -1 if rec.get("atom") is None else int(rec["atom"])
+            i, kind = int(rec["id"]), rec["kind"]
+            xy = (float(rec["x"]), float(rec["y"]))
+            atom = -1 if rec.get("atom") is None else int(rec["atom"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"tree JSON: malformed node record {rec!r}") from exc
+        if i in seen or not 0 <= i < n:
+            raise ValidationError(f"tree JSON: bad or duplicate node id {rec['id']!r}")
+        seen.add(i)
+        if kind not in _KINDS:
+            raise ValidationError(f"tree JSON: unknown node kind {kind!r}")
+        mismatch = _kind_mismatch(i, kind, atom)
+        if mismatch is not None:
+            raise ValidationError(f"tree JSON: {mismatch}")
+        positions[i], atom_index[i] = xy, atom
     parents = [-1] * n
     stored = np.zeros(n)
     for rec in d["edges"]:
         try:
-            p, q = int(rec["parent"]), int(rec["child"])
-            if not (0 <= p < n and 0 < q < n):
-                raise ValidationError(f"tree JSON: edge endpoints out of range: {rec!r}")
-            parents[q] = p
-            stored[q] = float(rec["flux"])
+            p, q, flux = int(rec["parent"]), int(rec["child"]), float(rec["flux"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"tree JSON: malformed edge record {rec!r}") from exc
-    tree = IrrigationTree(positions, tuple(parents), tuple(kinds), tuple(atom_index))
+        if not (0 <= p < n and 0 < q < n):
+            raise ValidationError(f"tree JSON: edge endpoints out of range: {rec!r}")
+        parents[q], stored[q] = p, flux
+    tree = IrrigationTree(positions, tuple(parents), tuple(atom_index))
     return tree, stored
 
 
@@ -462,11 +479,6 @@ def config_from_mapping(values: dict) -> ParsedConfig:
     snap_measure = v.pop("snap_measure", False)
     run = RunConfig(grid=grid, growth=growth, **v)
     return ParsedConfig(run, measure_path, snap_measure)
-
-
-def load_config(path) -> ParsedConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_mapping(parse_config_text(fh.read()))
 
 
 def config_to_text(parsed: ParsedConfig) -> str:

@@ -3,7 +3,7 @@ import pytest
 
 import rootopt as ro
 from convergence_study import manufactured
-from rootopt.irrigation import ROOT, STEINER, TERMINAL, _contract
+from rootopt.irrigation import _contract
 
 
 def random_measure(rng, n, mass_range=(0.05, 1.0)) -> ro.DiscreteMeasure:
@@ -33,21 +33,17 @@ def random_tree(rng, mu) -> ro.IrrigationTree:
     branch points are contracted away."""
     pos = [(0.0, 0.0)]
     parents = [-1]
-    kinds = [ROOT]
     atom_index = [-1]
     for _ in range(int(rng.integers(0, len(mu.atoms) + 1))):
         parents.append(int(rng.integers(0, len(parents))))
         pos.append((float(rng.uniform(0.1, 1.4)), float(rng.uniform(-0.6, 0.6))))
-        kinds.append(STEINER)
         atom_index.append(-1)
     for i, a in enumerate(mu.atoms):
         parents.append(int(rng.integers(0, len(parents))))
         pos.append(a.position)
-        kinds.append(TERMINAL)
         atom_index.append(i)
-    pos2, par2, kinds2, ai2 = _contract(np.array(pos, dtype=float), parents,
-                                        kinds, atom_index, tol=0.0)
-    return ro.IrrigationTree(pos2, par2, kinds2, ai2)
+    return ro.IrrigationTree(*_contract(np.array(pos, dtype=float), parents,
+                                        atom_index, tol=0.0))
 
 
 def manufactured_problem(grid, f, amplitude=0.04):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,8 @@ import pytest
 import rootopt as ro
 from rootopt.cli import main
 from rootopt.elliptic import ScalarField
-from rootopt.serialization import (load_field_binary, load_measure, load_trace,
-                                   save_field_binary)
+from rootopt.serialization import (load_field_binary, load_measure, load_report,
+                                   load_trace, load_tree, save_field_binary)
 
 
 def write_setup(dirpath, config_lines, atoms):
@@ -151,6 +154,16 @@ class TestVerify:
         assert "invariant violated: terminals on atoms" in stdout
         assert f"terminal node {node['id']} sits" in stdout
 
+    def test_root_claiming_an_atom_is_named(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path, subcommand="irrigate")
+        tree = json.loads((out / "tree.json").read_text())
+        tree["nodes"][0]["atom"] = 0
+        (out / "tree.json").write_text(json.dumps(tree))
+        assert main(["verify", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "root node 0 carries atom 0" in captured.err
+        assert "terminal node 0" not in captured.out
+
     def test_atom_without_terminal_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path, subcommand="irrigate")
         measure = json.loads((out / "measure.json").read_text())
@@ -256,3 +269,21 @@ class TestDeterminism:
             assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
+
+
+class TestAscentDemoScript:
+    def test_small_spawn_run_writes_readable_artifacts(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_ascent_demo.py"
+        out = tmp_path / "demo"
+        proc = subprocess.run([sys.executable, str(script), "--nx", "9", "--iters", "3",
+                               "--spawn", "--out", str(out)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "converged:" in proc.stdout
+        records = load_trace(out / "trace.jsonl")
+        assert [r["iteration"] for r in records] == list(range(len(records)))
+        mu = load_measure(out / "measure.json")
+        tree, stored = load_tree(out / "tree.json")
+        assert np.allclose(stored[1:], ro.compute_fluxes(tree, mu).values[1:], rtol=1e-12)
+        report = load_report(out / "report.json")
+        assert len(report["records"]) == sum(1 for a in mu.atoms if a.mass > 0.0)

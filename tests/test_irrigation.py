@@ -24,26 +24,32 @@ class TestTreeValidation:
     def test_root_must_sit_at_origin(self):
         with pytest.raises(ro.ValidationError, match="origin"):
             ro.IrrigationTree(np.array([[0.1, 0.0], [1.0, 0.0]]),
-                              np.array([-1, 0]), ("root", "terminal"),
-                              np.array([-1, 0]))
+                              np.array([-1, 0]), np.array([-1, 0]))
 
     def test_steiner_needs_two_children(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         with pytest.raises(ro.ValidationError, match="fewer than two children"):
-            ro.IrrigationTree(pos, np.array([-1, 0, 1]),
-                              ("root", "steiner", "terminal"), np.array([-1, -1, 0]))
+            ro.IrrigationTree(pos, np.array([-1, 0, 1]), np.array([-1, -1, 0]))
 
     def test_zero_length_edge_rejected(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ro.ValidationError, match="zero length"):
-            ro.IrrigationTree(pos, np.array([-1, 0, 1]),
-                              ("root", "terminal", "terminal"), np.array([-1, 0, 1]))
+            ro.IrrigationTree(pos, np.array([-1, 0, 1]), np.array([-1, 0, 1]))
 
     def test_duplicate_terminal_for_atom(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]])
         with pytest.raises(ro.ValidationError, match="more than one terminal"):
-            ro.IrrigationTree(pos, np.array([-1, 0, 0]),
-                              ("root", "terminal", "terminal"), np.array([-1, 0, 0]))
+            ro.IrrigationTree(pos, np.array([-1, 0, 0]), np.array([-1, 0, 0]))
+
+    def test_root_carries_no_atom(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ro.ValidationError, match="no atom"):
+            ro.IrrigationTree(pos, np.array([-1, 0]), np.array([0, 1]))
+
+    def test_kinds_are_read_off_the_atoms(self):
+        pos = np.array([[0.0, 0.0], [0.8, 0.0], [1.0, 0.2], [1.0, -0.2]])
+        tree = ro.IrrigationTree(pos, np.array([-1, 0, 1, 1]), np.array([-1, -1, 3, 0]))
+        assert tree.kinds == ("root", "steiner", "terminal", "terminal")
 
     def test_positions_read_only(self):
         tree = ro.star_tree(two_atom_measure())
@@ -104,8 +110,7 @@ class TestCostAndLandscape:
     def test_landscape_rejects_zero_flux_edge(self):
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.5), ro.Atom((1.0, 0.5), 0.0)))
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]])
-        tree = ro.IrrigationTree(pos, np.array([-1, 0, 0]),
-                                 ("root", "terminal", "terminal"), np.array([-1, 0, 1]))
+        tree = ro.IrrigationTree(pos, np.array([-1, 0, 0]), np.array([-1, 0, 1]))
         with pytest.raises(ro.ValidationError, match="zero-flux"):
             ro.landscape(tree, mu, 0.5)
 
@@ -161,8 +166,7 @@ class TestOptimalityDiagnostics:
     def test_holder_flags_detour(self):
         mu = ro.DiscreteMeasure((ro.Atom((2.0, 0.0), 0.5), ro.Atom((0.1, 0.0), 0.5)))
         pos = np.array([[0.0, 0.0], [2.0, 0.0], [0.1, 0.0]])
-        detour = ro.IrrigationTree(pos, np.array([-1, 0, 1]),
-                                   ("root", "terminal", "terminal"), np.array([-1, 0, 1]))
+        detour = ro.IrrigationTree(pos, np.array([-1, 0, 1]), np.array([-1, 0, 1]))
         report = ro.check_landscape_holder(detour, mu, 0.5)
         assert not report.ok
         assert report.pairs_checked == 6
@@ -174,8 +178,7 @@ class TestOptimalityDiagnostics:
     def test_arc_chord_flags_zigzag(self):
         mu = ro.DiscreteMeasure((ro.Atom((0.5, 0.45), 0.5), ro.Atom((1.0, 0.0), 0.5)))
         pos = np.array([[0.0, 0.0], [0.5, 0.45], [1.0, 0.0]])
-        zigzag = ro.IrrigationTree(pos, np.array([-1, 0, 1]),
-                                   ("root", "terminal", "terminal"), np.array([-1, 0, 1]))
+        zigzag = ro.IrrigationTree(pos, np.array([-1, 0, 1]), np.array([-1, 0, 1]))
         report = ro.check_arc_chord(zigzag, mu, 0.95, delta0=0.4)
         assert not report.ok
         assert report.violations[0][2] > report.constant * report.violations[0][3]
@@ -183,8 +186,7 @@ class TestOptimalityDiagnostics:
     def test_arc_chord_ok_on_straight_chain(self):
         mu = ro.DiscreteMeasure((ro.Atom((0.5, 0.0), 0.5), ro.Atom((1.0, 0.0), 0.5)))
         pos = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-        chain = ro.IrrigationTree(pos, np.array([-1, 0, 1]),
-                                  ("root", "terminal", "terminal"), np.array([-1, 0, 1]))
+        chain = ro.IrrigationTree(pos, np.array([-1, 0, 1]), np.array([-1, 0, 1]))
         assert ro.check_arc_chord(chain, mu, 0.6, delta0=0.25).ok
 
     def test_delta0_must_be_positive(self):
@@ -338,8 +340,7 @@ class TestWarmPlanner:
         tree = ro.optimize_plan(mu, 0.6)
         twin = ro.IrrigationTree(
             np.vstack([tree.positions, tree.positions[tree.terminal_of_atom()[2]]]),
-            np.append(tree.parents, 0), tree.kinds + ("terminal",),
-            np.append(tree.atom_index, 5))
+            np.append(tree.parents, 0), np.append(tree.atom_index, 5))
         nu = mu.with_masses(mu.masses() * 1.3)
         warm = ro.optimize_plan(nu, 0.6, init=twin)
         check_terminals(warm, nu)

@@ -85,6 +85,38 @@ class TestTreeFiles:
         with pytest.raises(ro.ValidationError, match="kind"):
             ser.tree_from_dict(d)
 
+    @staticmethod
+    def branched_dict():
+        """tree.json of a plan whose node 1 is a branch point over two terminals."""
+        mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.2), 0.5), ro.Atom((1.0, -0.2), 0.5)))
+        tree = ro.IrrigationTree(np.array([[0.0, 0.0], [0.8, 0.0], [1.0, 0.2], [1.0, -0.2]]),
+                                 np.array([-1, 0, 1, 1]), np.array([-1, -1, 0, 1]))
+        assert tree.kinds == ("root", "steiner", "terminal", "terminal")
+        return ser.tree_to_dict(tree, mu)
+
+    @pytest.mark.parametrize("node, kind, atom, message", [
+        (2, "terminal", None, "terminal node 2 carries no atom"),
+        (1, "steiner", 1, "steiner node 1 carries atom 1"),
+        (0, "root", 0, "root node 0 carries atom 0"),
+        (1, "root", None, "node 1 is stored as 'root'"),
+        (0, "steiner", None, "node 0 is stored as 'steiner'"),
+        (1, "steiner", -3, "node 1 has atom index below -1"),
+    ])
+    def test_kind_that_disagrees_with_place_and_atom_is_named(self, tmp_path, node, kind,
+                                                              atom, message):
+        d = self.branched_dict()
+        ser.tree_from_dict(d)
+        d["nodes"][node].update(kind=kind, atom=atom)
+        ser.save_json(tmp_path / "tree.json", d)
+        with pytest.raises(ro.ValidationError, match=message):
+            ser.load_tree(tmp_path / "tree.json")
+
+    def test_edge_out_of_range_is_named(self):
+        d = self.branched_dict()
+        d["edges"][0]["parent"] = 9
+        with pytest.raises(ro.ValidationError, match="edge endpoints out of range"):
+            ser.tree_from_dict(d)
+
     def test_duplicate_id_rejected(self):
         d = {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "kind": "root", "atom": None},
                        {"id": 0, "x": 1.0, "y": 0.0, "kind": "terminal", "atom": 0}],
