@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -142,11 +144,6 @@ class Grid:
         iy = min(max(iy, 0), self.ny - 1)
         return ix, iy
 
-    def snap(self, x: float, y: float) -> tuple:
-        """Exact coordinates of the grid node nearest to (x, y)."""
-        ix, iy = self.nearest_node(x, y)
-        return self.node_position(ix, iy)
-
     def index_of(self, x: float, y: float) -> int:
         """Flat index of the node at exactly (x, y); error if (x, y) is off-node."""
         ix, iy = self.nearest_node(x, y)
@@ -179,49 +176,138 @@ class Atom:
         object.__setattr__(self, "mass", m)
 
 
-@dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite nonnegative atomic measure with pairwise distinct atom positions."""
+    """Finite nonnegative atomic measure with pairwise distinct atom positions.
 
-    atoms: tuple = ()
+    The measure is two read-only, C-contiguous float arrays: `positions()`
+    (n x 2) and `masses()` (n), validated once in numpy when the measure is
+    built.  Every position is finite, every mass finite and >= 0, and no two
+    atoms share a position; an error names the offending atom.  Build one
+    with `DiscreteMeasure(atoms)` from `Atom`s or with
+    `DiscreteMeasure.from_arrays(positions, masses)`.  `atoms` is the tuple
+    of `Atom`s, built on first access only.  Measures with equal arrays are
+    equal.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        seen = {}
-        for i, a in enumerate(self.atoms):
-            if not isinstance(a, Atom):
-                raise ValidationError("atoms must be Atom instances")
-            if a.position in seen:
-                raise ValidationError(
-                    f"atoms {seen[a.position]} and {i} share position {a.position}")
-            seen[a.position] = i
+    __slots__ = ("_positions", "_masses", "_atoms")
+
+    def __init__(self, atoms=()):
+        atoms = tuple(atoms)
+        if not all(isinstance(a, Atom) for a in atoms):
+            raise ValidationError("atoms must be Atom instances")
+        n = len(atoms)
+        pos = np.fromiter(chain.from_iterable(map(attrgetter("position"), atoms)),
+                          float, 2 * n).reshape(n, 2)
+        _check_distinct(pos)
+        self._hold(pos, np.fromiter(map(attrgetter("mass"), atoms), float, n), atoms)
+
+    @classmethod
+    def from_arrays(cls, positions, masses) -> "DiscreteMeasure":
+        """Measure of the atoms (positions[i], masses[i]), copied and validated."""
+        pos = np.array(positions, dtype=float, order="C")
+        m = np.array(masses, dtype=float, order="C")
+        if pos.size == 0:
+            pos = pos.reshape(0, 2)
+        if m.ndim != 1 or pos.shape != (len(m), 2):
+            raise ValidationError(
+                f"a measure needs an (n, 2) position array and n masses, "
+                f"got shapes {pos.shape} and {m.shape}")
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if len(bad):
+            i = int(bad[0])
+            raise ValidationError(f"measure atom {i} position must be finite, "
+                                  f"got {tuple(pos[i].tolist())}")
+        _check_masses(m)
+        _check_distinct(pos)
+        return cls._trusted(pos, m)
+
+    @classmethod
+    def _trusted(cls, pos, masses) -> "DiscreteMeasure":
+        """Measure holding C-contiguous arrays that already passed validation."""
+        mu = cls.__new__(cls)
+        mu._hold(pos, masses, None)
+        return mu
+
+    def _hold(self, pos, masses, atoms):
+        pos.setflags(write=False)
+        masses.setflags(write=False)
+        object.__setattr__(self, "_positions", pos)
+        object.__setattr__(self, "_masses", masses)
+        object.__setattr__(self, "_atoms", atoms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DiscreteMeasure is immutable")
+
+    def __reduce__(self):
+        return DiscreteMeasure.from_arrays, (self._positions, self._masses)
+
+    @property
+    def atoms(self) -> tuple:
+        if self._atoms is None:
+            object.__setattr__(self, "_atoms", tuple(
+                Atom((x, y), m) for (x, y), m in zip(self._positions.tolist(),
+                                                     self._masses.tolist())))
+        return self._atoms
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self._masses)
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return (np.array_equal(self._positions, other._positions)
+                and np.array_equal(self._masses, other._masses))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash(((self._positions + 0.0).tobytes(), (self._masses + 0.0).tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"DiscreteMeasure.from_arrays({self._positions.tolist()!r}, "
+                f"{self._masses.tolist()!r})")
 
     @property
     def total_mass(self) -> float:
-        return float(sum(a.mass for a in self.atoms))
+        # summed left to right like the atoms always were; np.sum pairs them
+        return float(sum(self._masses.tolist()))
 
     def positions(self) -> np.ndarray:
-        if not self.atoms:
-            return np.zeros((0, 2))
-        return np.array([a.position for a in self.atoms], dtype=float)
+        return self._positions
 
     def masses(self) -> np.ndarray:
-        return np.array([a.mass for a in self.atoms], dtype=float)
+        return self._masses
 
     def with_masses(self, masses) -> "DiscreteMeasure":
-        masses = np.asarray(masses, dtype=float)
-        if masses.shape != (len(self.atoms),):
+        m = np.array(masses, dtype=float, order="C")
+        if m.shape != (len(self),):
             raise ValidationError("mass vector length must match atom count")
-        return DiscreteMeasure(tuple(Atom(a.position, float(m))
-                                     for a, m in zip(self.atoms, masses)))
+        _check_masses(m)
+        return DiscreteMeasure._trusted(self._positions, m)
 
     def without_zero_mass(self) -> tuple:
         """(filtered measure, original indices kept)."""
-        kept = [i for i, a in enumerate(self.atoms) if a.mass > 0.0]
-        return DiscreteMeasure(tuple(self.atoms[i] for i in kept)), kept
+        keep = self._masses > 0.0
+        return (DiscreteMeasure._trusted(self._positions[keep], self._masses[keep]),
+                np.flatnonzero(keep).tolist())
+
+
+def _check_masses(m: np.ndarray) -> None:
+    bad = np.flatnonzero(~(np.isfinite(m) & (m >= 0.0)))
+    if len(bad):
+        i = int(bad[0])
+        raise ValidationError(
+            f"measure atom {i} mass must be finite and >= 0, got {float(m[i])!r}")
+
+
+def _check_distinct(pos: np.ndarray) -> None:
+    """Name the first atom whose position an earlier atom already holds."""
+    order = np.lexsort((pos[:, 1], pos[:, 0]))
+    s = pos[order]
+    twin = (s[1:] == s[:-1]).all(axis=1)
+    if twin.any():
+        j = int(order[1:][twin].min())
+        i = int(np.flatnonzero((pos == pos[j]).all(axis=1))[0])
+        raise ValidationError(f"atoms {i} and {j} share position {tuple(pos[j].tolist())}")
 
 
 def mass_outside(mu: DiscreteMeasure, r: float, origin=(0.0, 0.0)) -> float:
@@ -232,8 +318,8 @@ def mass_outside(mu: DiscreteMeasure, r: float, origin=(0.0, 0.0)) -> float:
     if r < 0.0:
         raise ValidationError("radius must be >= 0")
     ox, oy = origin
-    return float(sum(a.mass for a in mu.atoms
-                     if math.hypot(a.position[0] - ox, a.position[1] - oy) >= r))
+    return float(sum(m for (x, y), m in zip(mu.positions().tolist(), mu.masses().tolist())
+                     if math.hypot(x - ox, y - oy) >= r))
 
 
 def mass_bound_check(mu: DiscreteMeasure, irrigation_cost: float, domain: Domain,

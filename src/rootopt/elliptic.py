@@ -173,7 +173,7 @@ def _node_indices(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
     off = np.flatnonzero((grid.xs[ix] != pos[:, 0]) | (grid.ys[iy] != pos[:, 1]))
     if len(off):
         i = int(off[0])
-        x, y = mu.atoms[i].position
+        x, y = pos[i].tolist()
         raise ValidationError(
             f"atom {i} is not on a grid node: position ({x!r}, {y!r}) is not a grid node")
     return iy * grid.nx + ix
@@ -350,7 +350,7 @@ def adjoint_residual(psi: ScalarField, u_star: ScalarField, mu: DiscreteMeasure,
 
 def harvest(u: ScalarField, mu: DiscreteMeasure) -> float:
     """Total crop sum(mass_a * u(node_a)); zero for the empty measure."""
-    if not mu.atoms:
+    if not len(mu):
         return 0.0
     idx = _node_indices(mu, u.grid)
     return float(np.dot(mu.masses(), u.values[idx]))
@@ -404,11 +404,11 @@ def perturbation_derivative(u_star: ScalarField, psi: ScalarField, g,
     """Derivative of the harvest under mass reweighting (1 + eps g) mu at eps = 0,
     which is sum(mass_a * g_a * phi(node_a))."""
     g = np.asarray(g, dtype=float).ravel()
-    if g.shape != (len(mu.atoms),):
+    if g.shape != (len(mu),):
         raise ValidationError("g must assign one value per atom")
     if np.any(np.abs(g) > 1.0 + 1e-12):
         raise ValidationError("|g| <= 1 is required")
-    if not mu.atoms:
+    if not len(mu):
         return 0.0
     phi = phi_field(u_star, psi)
     idx = _node_indices(mu, u_star.grid)

@@ -297,7 +297,7 @@ def cost_lower_bound(mu: DiscreteMeasure, alpha: float, origin=(0.0, 0.0)) -> fl
     sum over the sorted atom radii; no plan can beat it because the flux
     crossing the circle of radius r is at least the mass beyond it.
     """
-    if not mu.atoms:
+    if not len(mu):
         return 0.0
     pos = mu.positions()
     radii = np.hypot(pos[:, 0] - origin[0], pos[:, 1] - origin[1])
@@ -402,7 +402,7 @@ def check_arc_chord(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
 def star_tree(mu: DiscreteMeasure) -> IrrigationTree:
     """Direct root-to-atom segments; atoms with zero mass are dropped."""
     filtered, kept = mu.without_zero_mass()
-    if not filtered.atoms:
+    if not len(filtered):
         raise ValidationError("cannot plan for a measure with no positive mass")
     n = len(kept)
     pos = np.vstack([np.zeros((1, 2)), filtered.positions()])
@@ -787,8 +787,9 @@ def _warm_plan(pos, parents, atom_index, mu: DiscreteMeasure, kept, alpha, scale
         free.setdefault(pos[i], []).append(i)
     parents = [int(p) for p in parents]
     atom_index = [-1] * len(parents)
+    atom_pos = mu.positions().tolist()
     for j in kept:
-        p = mu.atoms[j].position
+        p = tuple(atom_pos[j])
         if free.get(p):
             atom_index[free[p].pop(0)] = int(j)
         else:

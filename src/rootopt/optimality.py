@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Atom, DiscreteMeasure, Grid, RunConfig, SolverError,
+from .core import (DiscreteMeasure, Grid, RunConfig, SolverError,
                    ValidationError)
 from .elliptic import (ScalarField, bilinear_interpolate, harvest, phi_field,
                        solve_adjoint, solve_state)
@@ -82,7 +82,7 @@ def payoff(u: ScalarField | None, mu: DiscreteMeasure, tree: IrrigationTree | No
     """harvest - c * plan cost; zero for a measure without positive mass."""
     if not c > 0.0:
         raise ValidationError(f"c must be positive, got {c!r}")
-    if not any(a.mass > 0.0 for a in mu.atoms):
+    if not (mu.masses() > 0.0).any():
         return 0.0
     if u is None or tree is None:
         raise ValidationError("a state field and a plan are required when mass is present")
@@ -98,13 +98,12 @@ def optimality_residual(u_star: ScalarField, psi: ScalarField, z: LandscapeValue
     phi = phi_field(u_star, psi)
     grid = u_star.grid
     records = []
-    for i, a in enumerate(mu.atoms):
-        if a.mass <= 0.0:
+    for i, ((x, y), m) in enumerate(zip(mu.positions().tolist(), mu.masses().tolist())):
+        if m <= 0.0:
             continue
-        phi_a = float(phi.values[grid.index_of(*a.position)])
+        phi_a = float(phi.values[grid.index_of(x, y)])
         z_a = z.at_atom(i)
-        records.append(AtomRecord(i, a.position, a.mass, phi_a, z_a,
-                                  phi_a - c * alpha * z_a))
+        records.append(AtomRecord(i, (x, y), m, phi_a, z_a, phi_a - c * alpha * z_a))
     sup = max((abs(r.residual) for r in records), default=0.0)
     return OptimalityReport(
         records=tuple(records),
@@ -237,7 +236,7 @@ class _Bundle:
 def _trial(config: RunConfig, mu: DiscreteMeasure, base: _Bundle | None) -> _Bundle:
     """Plan, state and payoff of mu.  Given the accepted bundle `base`, the
     planner starts from its tree and the state solve from its state."""
-    if not any(a.mass > 0.0 for a in mu.atoms):
+    if not (mu.masses() > 0.0).any():
         return _Bundle(DiscreteMeasure(), None, None, 0.0)
     init_tree, init_u = (None, None) if base is None else (base.tree, base.u)
     tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves, init=init_tree)
@@ -288,13 +287,14 @@ def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | No
         z_line = z_vals[p] + t * (z_vals[q] - z_vals[p])
         np.minimum(z_ext, z_line + spur * dist, out=z_ext)
     score = phi - config.c * config.alpha * z_ext
-    taken = np.array([grid.index_of(*a.position) for a in mu.atoms], dtype=np.int64)
+    taken = np.array([grid.index_of(x, y) for x, y in mu.positions().tolist()],
+                     dtype=np.int64)
     score[taken] = -np.inf
     best = int(np.argmax(score))
     if not np.isfinite(score[best]):
         return None
-    x, y = coords[best]
-    return DiscreteMeasure(mu.atoms + (Atom((float(x), float(y)), trial_mass),))
+    return DiscreteMeasure.from_arrays(np.vstack([mu.positions(), coords[best]]),
+                                       np.append(masses, trial_mass))
 
 
 def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace:
@@ -326,7 +326,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     and its message goes into the step's `solver_errors`.
     """
     mu, _ = mu0.without_zero_mass()
-    if not mu.atoms:
+    if not len(mu):
         raise ValidationError("initial measure needs positive mass somewhere")
     tol_eff = config.tol_residual * config.growth.u_max
     prune_rel = 1e-12
@@ -342,7 +342,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
         eta_used = 0.0
         errors = []
 
-        if cur.sup_residual >= tol_eff and cur.mu.atoms:
+        if cur.sup_residual >= tol_eff and len(cur.mu):
             residuals = np.array([r.residual for r in cur.report.records])
             masses = cur.mu.masses()
             eta = config.step_size
@@ -362,7 +362,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
                 if cand.payoff >= cur.payoff:
                     accepted = True
                     eta_used = eta
-                    changed = (len(cand.mu.atoms) != len(cur.mu.atoms)
+                    changed = (len(cand.mu) != len(cur.mu)
                                or not np.array_equal(cand.mu.masses(), cur.mu.masses()))
                     if changed:
                         progressed = True
@@ -371,7 +371,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
                 eta *= 0.5
 
         spawn_helped = False
-        if config.spawn and cur.mu.atoms:
+        if config.spawn and len(cur.mu):
             cand_mu = _spawn_candidate(config, cur)
             if cand_mu is not None:
                 try:
@@ -387,7 +387,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
         steps.append(TraceStep(it, cur.mu, cur.payoff, cur.sup_residual,
                                accepted or spawned, spawned, eta_used, tuple(errors)))
 
-        if not cur.mu.atoms:
+        if not len(cur.mu):
             converged = True
             break
         if cur.sup_residual < tol_eff and not spawn_helped:

@@ -81,7 +81,7 @@ def render_tree_svg(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
                 f'width="8" height="8" fill="{_ROOT_COLOR}"/>'
             )
         elif tree.kinds[i] == TERMINAL:
-            m = mu.atoms[tree.atom_index[i]].mass
+            m = masses[tree.atom_index[i]]
             r = 1.5 + 3.0 * np.sqrt(m / top_mass) if top_mass > 0 else 1.5
             parts.append(
                 f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{_fmt(r)}" '

@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from .core import (Atom, DiscreteMeasure, Domain, Grid, GrowthFunction,
+from .core import (DiscreteMeasure, Domain, Grid, GrowthFunction,
                    RunConfig, ValidationError)
 from .elliptic import ScalarField
 from .irrigation import ROOT, STEINER, TERMINAL, IrrigationTree, compute_fluxes
@@ -89,38 +91,61 @@ def load_json(path):
 def measure_to_dict(mu: DiscreteMeasure) -> dict:
     return {
         "atoms": [
-            {"x": float(a.position[0]), "y": float(a.position[1]), "mass": float(a.mass)}
-            for a in mu.atoms
+            {"x": x, "y": y, "mass": m}
+            for (x, y), m in zip(mu.positions().tolist(), mu.masses().tolist())
         ]
     }
 
 
+_ATOM_FIELDS = itemgetter("x", "y", "mass")
+
+
+def _atom_values(i, rec) -> tuple:
+    """(x, y, mass) of atom record i: JSON numbers only, never strings,
+    booleans or null."""
+    try:
+        vals = _ATOM_FIELDS(rec)
+        if not all(type(v) in (int, float) for v in vals):
+            raise TypeError
+        return tuple(float(v) for v in vals)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"measure atom {i} needs numeric x, y, mass") from exc
+
+
 def measure_from_dict(d) -> DiscreteMeasure:
-    if not isinstance(d, dict) or "atoms" not in d:
+    """The measure of a measure JSON object, parsed straight into arrays.
+
+    Every atom record needs numeric x, y and mass; positions must be finite
+    and distinct, masses finite and >= 0.  Errors name the atom."""
+    if not isinstance(d, dict) or not isinstance(d.get("atoms"), list):
         raise ValidationError("measure JSON must be an object with an 'atoms' list")
-    atoms = []
-    for i, rec in enumerate(d["atoms"]):
-        try:
-            atoms.append(Atom((float(rec["x"]), float(rec["y"])), float(rec["mass"])))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"measure atom {i} needs numeric x, y, mass") from exc
-    return DiscreteMeasure(tuple(atoms))
+    recs = d["atoms"]
+    try:
+        flat = list(chain.from_iterable(map(_ATOM_FIELDS, recs)))
+        if not set(map(type, flat)) <= {float, int}:
+            raise TypeError
+        arr = np.array(flat, dtype=float).reshape(len(recs), 3)
+    except (KeyError, TypeError, OverflowError):
+        # find and name the first bad record
+        arr = np.array([_atom_values(i, r) for i, r in enumerate(recs)]).reshape(len(recs), 3)
+    return DiscreteMeasure.from_arrays(arr[:, :2], arr[:, 2])
 
 
 # one atom of dumps_json(measure_to_dict(mu)): indent 2, sorted keys, and
 # floats through repr, which is json's float form for the finite Python
-# floats an Atom holds
+# floats a measure holds
 _ATOM_JSON = '    {\n      "mass": %r,\n      "x": %r,\n      "y": %r\n    }'
 
 
 def save_measure(path, mu: DiscreteMeasure) -> None:
     """Write exactly the bytes of dumps_json(measure_to_dict(mu)), through one
-    %-template per atom instead of json's pure-Python indenting encoder."""
-    if not mu.atoms:
+    %-template per atom instead of json's pure-Python indenting encoder; all
+    templates are filled in one pass from a flat (mass, x, y) list."""
+    if not len(mu):
         text = dumps_json({"atoms": []})
     else:
-        atoms = ",\n".join([_ATOM_JSON % (a.mass, a.position[0], a.position[1])
-                            for a in mu.atoms])
+        flat = np.column_stack([mu.masses(), mu.positions()]).ravel().tolist()
+        atoms = ",\n".join([_ATOM_JSON] * len(mu)) % tuple(flat)
         text = '{\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -10,7 +10,8 @@ import rootopt as ro
 from rootopt.cli import main
 from rootopt.elliptic import ScalarField
 from rootopt.serialization import (load_field_binary, load_measure, load_report,
-                                   load_trace, load_tree, save_field_binary)
+                                   load_trace, load_tree, save_field_binary,
+                                   save_measure)
 
 
 def write_setup(dirpath, config_lines, atoms):
@@ -78,6 +79,65 @@ class TestIrrigate:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         mu = load_measure(out / "measure.json")
         assert mu.atoms[0].position == (1.0, 0.0)
+
+
+class TestBadMeasureFiles:
+    GOOD = '{"x": 1.0, "y": 0.0, "mass": 0.5}'
+
+    @pytest.mark.parametrize("atoms, message", [
+        (f'[{GOOD}, {{"x": "abc", "y": 0.25, "mass": 0.5}}]',
+         "measure atom 1 needs numeric x, y, mass"),
+        ("null", "measure JSON must be an object with an 'atoms' list"),
+        ('[{"x": true, "y": 0.0, "mass": 0.5}]', "measure atom 0 needs numeric x, y, mass"),
+        (f'[{GOOD}, {GOOD.replace("1.0", "0.5")}, {{"x": 0.75, "y": NaN, "mass": 0.5}}]',
+         "measure atom 2 position must be finite, got (0.75, nan)"),
+        (f'[{GOOD}, {{"x": 0.75, "y": 0.0, "mass": 0.5}}, {GOOD}]',
+         "atoms 0 and 2 share position (1.0, 0.0)"),
+    ], ids=["string-x", "null-atoms", "boolean-x", "nan-y", "duplicate"])
+    def test_named_error_and_no_traceback(self, tmp_path, capsys, atoms, message):
+        (tmp_path / "measure.json").write_text('{"atoms": %s}\n' % atoms)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("measure_path = measure.json\nnx = 17\nny = 17\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+
+class TestFieldsPathBuildsNoAtoms:
+    def test_adjoint_and_verify_on_65_squared(self, tmp_path, monkeypatch, capsys):
+        from conftest import manufactured_problem
+        mu, _ = manufactured_problem(ro.Grid(ro.Domain(), 65, 65), ro.GrowthFunction())
+        save_measure(tmp_path / "measure.json", mu)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("measure_path = measure.json\nnx = 65\nny = 65\n")
+        built = []
+        post_init = ro.Atom.__post_init__
+
+        def counting(atom):
+            built.append(atom)
+            post_init(atom)
+
+        monkeypatch.setattr(ro.Atom, "__post_init__", counting)
+        out = tmp_path / "run"
+        assert main(["adjoint", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "all 5 checks passed" in capsys.readouterr().out
+        assert built == []
+        ro.Atom((1.0, 0.0), 1.0)
+        assert len(built) == 1  # the counter counts
+
+
+class TestParser:
+    def test_built_once_and_left_unchanged_by_parsing(self, single_atom_setup):
+        from rootopt.cli import _parser
+        cfg, tmp = single_atom_setup
+        assert _parser() is _parser()
+        assert main(["irrigate", "--config", str(cfg), "--out", str(tmp / "a"),
+                     "--set", "alpha=0.9"]) == 0
+        assert main(["irrigate", "--config", str(cfg), "--out", str(tmp / "b")]) == 0
+        assert "alpha = 0.9" in (tmp / "a" / "config.txt").read_text()
+        assert "alpha = 0.5" in (tmp / "b" / "config.txt").read_text()
+        assert _parser().parse_args(["verify", "--out", "x"]).set == []
 
 
 class TestSolveAndAdjoint:

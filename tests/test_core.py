@@ -61,8 +61,7 @@ class TestGrid:
 
     def test_snap_and_nearest(self):
         g = ro.Grid(ro.Domain(), 17, 17)
-        x, y = g.snap(0.51, -0.49)
-        assert (x, y) == g.node_position(0, 0)
+        assert g.nearest_node(0.51, -0.49) == (0, 0)
         assert g.nearest_node(99.0, 99.0) == (g.nx - 1, g.ny - 1)
 
     def test_node_coordinates_order(self):
@@ -111,6 +110,98 @@ class TestMeasure:
         assert kept_mu.atoms[0].position == (1.0, 0.25)
         with pytest.raises(ro.ValidationError):
             mu.with_masses([1.0])
+
+    def test_duplicate_names_both_atoms(self):
+        atoms = [ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.5, 0.5), 0.1),
+                 ro.Atom((0.75, 0.0), 0.2), ro.Atom((0.5, 0.5), 0.3), ro.Atom((1.0, 0.0), 0.4)]
+        with pytest.raises(ro.ValidationError, match=r"atoms 1 and 3 share position \(0.5, 0.5\)"):
+            ro.DiscreteMeasure(atoms)
+        # -0.0 and 0.0 are one position, as they were for position tuples
+        with pytest.raises(ro.ValidationError, match="atoms 0 and 1 share position"):
+            ro.DiscreteMeasure.from_arrays([(1.0, 0.0), (1.0, -0.0)], [0.5, 0.5])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.5, -0.0, 0.0, 1.5]),
+                              st.sampled_from([0.25, 0.0, -0.0])), max_size=8))
+    def test_duplicate_check_matches_the_atom_loop(self, points):
+        seen, expected = {}, None
+        for j, p in enumerate(points):  # the per-atom loop the check replaced
+            if p in seen:
+                expected = f"atoms {seen[p]} and {j} share position"
+                break
+            seen[p] = j
+        try:
+            ro.DiscreteMeasure.from_arrays(np.array(points).reshape(-1, 2), [1.0] * len(points))
+            got = None
+        except ro.ValidationError as exc:
+            got = str(exc).split(" (")[0]
+        assert got == expected
+
+    def test_from_arrays_matches_atoms(self):
+        atoms = (ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.75, -0.25), 0.0), ro.Atom((0.6, 0.3), 2.0))
+        mu = ro.DiscreteMeasure.from_arrays([a.position for a in atoms], [a.mass for a in atoms])
+        assert mu == ro.DiscreteMeasure(atoms)
+        assert hash(mu) == hash(ro.DiscreteMeasure(atoms))
+        assert mu.atoms == atoms
+        assert len(ro.DiscreteMeasure.from_arrays(np.zeros((0, 2)), [])) == 0
+        assert len(ro.DiscreteMeasure.from_arrays([], [])) == 0
+
+    @pytest.mark.parametrize("positions, masses, message", [
+        ([(1.0, 0.0), (math.nan, 0.5)], [0.5, 0.5], r"measure atom 1 position must be finite"),
+        ([(1.0, 0.0), (0.5, -math.inf)], [0.5, 0.5], r"measure atom 1 position must be finite"),
+        ([(1.0, 0.0), (0.5, 0.5)], [0.5, -1e-300], r"measure atom 1 mass must be finite and >= 0"),
+        ([(1.0, 0.0), (0.5, 0.5)], [math.inf, 0.5], r"measure atom 0 mass must be finite and >= 0"),
+        ([(1.0, 0.0), (0.5, 0.5)], [0.5], r"\(n, 2\) position array and n masses"),
+        ([1.0, 0.0, 0.5], [0.5, 0.5, 0.5], r"\(n, 2\) position array and n masses"),
+    ])
+    def test_from_arrays_errors_name_the_atom(self, positions, masses, message):
+        with pytest.raises(ro.ValidationError, match=message):
+            ro.DiscreteMeasure.from_arrays(positions, masses)
+
+    def test_arrays_are_read_only_and_contiguous(self, tmp_path):
+        from rootopt.serialization import load_measure, save_measure
+        raw = np.array([[1.0, 0.0, 0.5], [0.75, 0.25, 0.0], [0.5, -0.5, 0.25]])
+        mu = ro.DiscreteMeasure.from_arrays(np.asfortranarray(raw[:, :2]), raw[:, 2])
+        save_measure(tmp_path / "m.json", mu)
+        measures = [
+            mu,
+            ro.DiscreteMeasure(mu.atoms),
+            ro.DiscreteMeasure(),
+            mu.with_masses(raw[::-1, 0]),  # a strided view
+            mu.without_zero_mass()[0],
+            load_measure(tmp_path / "m.json"),
+        ]
+        for m in measures:
+            for arr in (m.positions(), m.masses()):
+                assert arr.flags.c_contiguous
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+        assert measures[0].positions().shape == (3, 2)
+        assert measures[2].positions().shape == (0, 2)
+        assert measures[3].masses().tolist() == [0.5, 0.75, 1.0]
+        assert measures[4].positions().tolist() == [[1.0, 0.0], [0.5, -0.5]]
+        with pytest.raises(AttributeError):
+            mu.atoms = ()
+        with pytest.raises(ro.ValidationError, match="measure atom 2 mass"):
+            mu.with_masses([0.5, 0.5, -0.5])
+
+    def test_atoms_are_built_on_first_access_only(self, monkeypatch):
+        built = []
+        post_init = ro.Atom.__post_init__
+
+        def counting(atom):
+            built.append(atom)
+            post_init(atom)
+
+        monkeypatch.setattr(ro.Atom, "__post_init__", counting)
+        mu = ro.DiscreteMeasure.from_arrays([(1.0, 0.0), (0.75, 0.25)], [0.5, 0.25])
+        kept, _ = mu.with_masses([0.0, 1.0]).without_zero_mass()
+        assert (len(mu), mu.total_mass, len(kept)) == (2, 0.75, 1)
+        assert built == []
+        assert mu.atoms == (ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.75, 0.25), 0.25))
+        assert mu.atoms is mu.atoms
+        assert len(built) == 4  # the two atoms of mu and the two they were compared with
 
     def test_mass_outside(self):
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.6, 0.0), 0.25)))

@@ -64,6 +64,51 @@ class TestMeasureFiles:
         with pytest.raises(ro.ValidationError):
             ser.measure_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("n_atoms", [0, 1, 4225])
+    def test_load_then_save_reproduces_the_encoder_bytes(self, tmp_path, n_atoms):
+        grid = ro.Grid(ro.Domain(), 65, 65)
+        rng = np.random.default_rng(n_atoms)
+        pos = grid.node_coordinates()[rng.permutation(grid.n_nodes)[:n_atoms]]
+        pos[pos == 0.0] = -0.0  # the middle row and no other coordinate
+        masses = rng.uniform(0.0, 2.0, n_atoms)
+        mu = ro.DiscreteMeasure.from_arrays(pos, masses)
+        p, q = tmp_path / "a.json", tmp_path / "b.json"
+        ser.save_measure(p, mu)
+        ser.save_measure(q, ser.load_measure(p))
+        expected = ser.dumps_json(ser.measure_to_dict(mu))
+        assert q.read_text(encoding="utf-8") == expected
+        assert p.read_text(encoding="utf-8") == expected
+        assert expected.count('"y": -0.0\n') == sum(pos[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"x": "abc"}, "measure atom 1 needs numeric x, y, mass"),
+        ({"x": "1.0"}, "measure atom 1 needs numeric x, y, mass"),
+        ({"mass": True}, "measure atom 1 needs numeric x, y, mass"),
+        ({"y": None}, "measure atom 1 needs numeric x, y, mass"),
+        ({"x": 10 ** 400}, "measure atom 1 needs numeric x, y, mass"),
+        ({"y": float("nan")}, "measure atom 1 position must be finite"),
+        ({"mass": float("inf")}, "measure atom 1 mass must be finite and >= 0"),
+        ({"mass": -0.5}, "measure atom 1 mass must be finite and >= 0"),
+        ({"x": 1.0, "y": 0.0}, r"atoms 0 and 1 share position \(1.0, 0.0\)"),
+    ])
+    def test_bad_atom_record_is_named(self, bad, message):
+        recs = [{"x": 1.0, "y": 0.0, "mass": 1.0}, {"x": 0.5, "y": 0.25, "mass": 1.0},
+                {"x": 0.75, "y": 0.0, "mass": 1.0}]
+        recs[1].update(bad)
+        with pytest.raises(ro.ValidationError, match=message):
+            ser.measure_from_dict({"atoms": recs})
+
+    @pytest.mark.parametrize("d", [{"atoms": None}, {"atoms": {"x": 1.0}}, {"atom": []}],
+                             ids=["null", "object", "missing"])
+    def test_atoms_must_be_a_list(self, d):
+        with pytest.raises(ro.ValidationError, match="an 'atoms' list"):
+            ser.measure_from_dict(d)
+
+    def test_integer_coordinates_read_as_floats(self):
+        mu = ser.measure_from_dict({"atoms": [{"x": 1, "y": 0, "mass": 2}]})
+        assert mu.positions().tolist() == [[1.0, 0.0]]
+        assert mu.masses().tolist() == [2.0]
+
 
 class TestTreeFiles:
     def test_round_trip_preserves_structure_and_flux(self, tmp_path, measure):
