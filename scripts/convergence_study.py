@@ -36,11 +36,8 @@ def manufactured(grid, f, amplitude):
     a = (lap_u + f(u_ex)) / u_ex
     if a.min() <= 0.0:
         raise SystemExit("amplitude too large: absorption went negative")
-    coords = grid.node_coordinates()
     tau = ro.quadrature_weights(grid)
-    atoms = tuple(ro.Atom((float(x), float(y)), float(ai * t * grid.h ** 2))
-                  for (x, y), ai, t in zip(coords, a, tau))
-    return ro.DiscreteMeasure(atoms), u_ex
+    return ro.DiscreteMeasure.from_arrays(grid.node_coordinates(), a * tau * grid.h ** 2), u_ex
 
 
 def main():

@@ -247,7 +247,8 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
 
     if tree is not None:
         positive = np.flatnonzero(mu.masses() > 0.0)
-        missing = positive[~np.isin(positive, tree.atom_index)].tolist()
+        terminals = tree.atom_terminals(len(mu))
+        missing = positive[terminals[positive] < 0].tolist()
         yield ("atoms have terminals",
                None if not missing else
                f"{len(missing)} positive-mass atoms have no terminal, first atom {missing[0]}")
@@ -274,7 +275,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
 
         cost = irrigation_cost(tree, mu, cfg.alpha)
         z = landscape(tree, mu, cfg.alpha)
-        paid = sum(m * z.at_atom(i) for i, m in enumerate(mu.masses().tolist()) if m > 0.0)
+        paid = sum((mu.masses()[positive] * z.values[terminals[positive]]).tolist())
         gap = abs(paid - cost)
         yield ("landscape identity",
                None if gap <= 1e-10 * max(1.0, cost) else

@@ -175,9 +175,14 @@ class IrrigationTree:
         ch = self.children()
         return [i for i in range(self.n_nodes) if not ch[i]]
 
-    def terminal_of_atom(self):
-        """Mapping atom index -> terminal node index."""
-        return {int(a): i for i, a in enumerate(self.atom_index) if a >= 0}
+    def atom_terminals(self, n_atoms: int) -> np.ndarray:
+        """Terminal node of each atom 0 .. n_atoms - 1, or -1 for an atom
+        without one: the inverse of atom_index, built in one pass."""
+        ai = self.atom_index
+        nodes = np.flatnonzero((ai >= 0) & (ai < n_atoms))
+        out = np.full(n_atoms, -1, dtype=np.int64)
+        out[ai[nodes]] = nodes
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +203,19 @@ class LandscapeValues:
     alpha: float
 
     def at_atom(self, atom: int) -> float:
-        node = self.tree.terminal_of_atom().get(int(atom))
-        if node is None:
-            raise ValidationError(f"atom {atom} has no terminal in this tree")
-        return float(self.values[node])
+        return float(self.at_atoms((atom,))[0])
 
     def at_atoms(self, atoms) -> np.ndarray:
-        return np.array([self.at_atom(a) for a in atoms], dtype=float)
+        """Values at the terminals of the given atoms, in their order."""
+        idx = np.fromiter(map(int, atoms), np.int64)
+        terminals = self.tree.atom_terminals(int(self.tree.atom_index.max()) + 1)
+        known = (idx >= 0) & (idx < len(terminals))
+        nodes = np.full(len(idx), -1, dtype=np.int64)
+        nodes[known] = terminals[idx[known]]
+        missing = np.flatnonzero(nodes < 0)
+        if len(missing):
+            raise ValidationError(f"atom {int(idx[missing[0]])} has no terminal in this tree")
+        return self.values[nodes]
 
 
 def _node_masses(tree: IrrigationTree, mu: DiscreteMeasure) -> np.ndarray:
@@ -216,8 +227,7 @@ def _node_masses(tree: IrrigationTree, mu: DiscreteMeasure) -> np.ndarray:
     if np.any(missing):
         i = int(np.argmax(missing))
         raise ValidationError(f"terminal node {i} refers to missing atom {int(ai[i])}")
-    uncovered = masses > 0.0
-    uncovered[ai[ai >= 0]] = False
+    uncovered = (masses > 0.0) & (tree.atom_terminals(len(masses)) < 0)
     if np.any(uncovered):
         raise ValidationError(f"atom {int(np.argmax(uncovered))} has positive mass "
                               "but no terminal in the tree")

@@ -30,8 +30,8 @@ import numpy as np
 
 from .core import (DiscreteMeasure, Grid, RunConfig, SolverError,
                    ValidationError)
-from .elliptic import (ScalarField, bilinear_interpolate, harvest, phi_field,
-                       solve_adjoint, solve_state)
+from .elliptic import (ScalarField, _node_indices, bilinear_interpolate, harvest,
+                       phi_field, solve_adjoint, solve_state)
 from .irrigation import (IrrigationTree, LandscapeValues, irrigation_cost,
                          landscape, optimize_plan)
 
@@ -95,15 +95,12 @@ def optimality_residual(u_star: ScalarField, psi: ScalarField, z: LandscapeValue
     """Residuals phi - c * alpha * Z at every atom with positive mass."""
     if not c > 0.0:
         raise ValidationError(f"c must be positive, got {c!r}")
-    phi = phi_field(u_star, psi)
-    grid = u_star.grid
-    records = []
-    for i, ((x, y), m) in enumerate(zip(mu.positions().tolist(), mu.masses().tolist())):
-        if m <= 0.0:
-            continue
-        phi_a = float(phi.values[grid.index_of(x, y)])
-        z_a = z.at_atom(i)
-        records.append(AtomRecord(i, (x, y), m, phi_a, z_a, phi_a - c * alpha * z_a))
+    atoms = np.flatnonzero(mu.masses() > 0.0)
+    phi_a = phi_field(u_star, psi).values[_node_indices(mu, u_star.grid)[atoms]]
+    z_a = z.at_atoms(atoms)
+    records = [AtomRecord(i, tuple(xy), m, p, za, r) for i, xy, m, p, za, r in zip(
+        atoms.tolist(), mu.positions()[atoms].tolist(), mu.masses()[atoms].tolist(),
+        phi_a.tolist(), z_a.tolist(), (phi_a - c * alpha * z_a).tolist())]
     sup = max((abs(r.residual) for r in records), default=0.0)
     return OptimalityReport(
         records=tuple(records),
@@ -287,9 +284,7 @@ def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | No
         z_line = z_vals[p] + t * (z_vals[q] - z_vals[p])
         np.minimum(z_ext, z_line + spur * dist, out=z_ext)
     score = phi - config.c * config.alpha * z_ext
-    taken = np.array([grid.index_of(x, y) for x, y in mu.positions().tolist()],
-                     dtype=np.int64)
-    score[taken] = -np.inf
+    score[_node_indices(mu, grid)] = -np.inf
     best = int(np.argmax(score))
     if not np.isfinite(score[best]):
         return None

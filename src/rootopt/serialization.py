@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import itemgetter
 
@@ -408,8 +408,36 @@ def load_report(path) -> dict:
 # flat key = value configuration
 
 
+@dataclass(frozen=True)
+class ParsedConfig:
+    run: RunConfig
+    measure_path: str | None = None
+    snap_measure: bool = False
+
+
+def _config_values(parsed: ParsedConfig) -> dict:
+    """Every config key with its value in `parsed`, the one place the keys are
+    written down.  A key is the name of the dataclass field it sets, with _x
+    and _y on the coordinates of a `Domain` point; `config_from_mapping`
+    builds the dataclasses back through those names."""
+    cfg, grid, d = parsed.run, parsed.run.grid, parsed.run.domain
+    return {
+        "alpha": cfg.alpha, "c": cfg.c, "nx": grid.nx, "ny": grid.ny,
+        "rect_min_x": d.rect_min[0], "rect_min_y": d.rect_min[1],
+        "rect_max_x": d.rect_max[0], "rect_max_y": d.rect_max[1],
+        "origin_x": d.origin[0], "origin_y": d.origin[1],
+        "u_max": cfg.growth.u_max, "rate": cfg.growth.rate,
+        "tol_nonlinear": cfg.tol_nonlinear, "tol_linear": cfg.tol_linear,
+        "tol_residual": cfg.tol_residual, "max_outer_iters": cfg.max_outer_iters,
+        "max_plan_moves": cfg.max_plan_moves, "step_size": cfg.step_size,
+        "seed": cfg.seed, "spawn": cfg.spawn, "spawn_mass": cfg.spawn_mass,
+        "path_tol": cfg.path_tol, "measure_path": parsed.measure_path,
+        "snap_measure": parsed.snap_measure,
+    }
+
+
 def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
+    v = s.lower()
     if v in ("true", "1", "yes"):
         return True
     if v in ("false", "0", "no"):
@@ -417,52 +445,23 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_int(s: str) -> int:
-    return int(s.strip())
+# defaults are those of the core dataclasses; a key's parser follows the type
+# of its default, and measure_path, whose default is None, is kept as text
+_DEFAULTS = _config_values(ParsedConfig(RunConfig()))
+_PARSERS = {bool: _parse_bool, int: int, float: float, type(None): str}
+CONFIG_KEYS = {key: _PARSERS[type(value)] for key, value in _DEFAULTS.items()}
 
 
-def _parse_float(s: str) -> float:
-    return float(s.strip())
-
-
-def _parse_str(s: str) -> str:
-    return s.strip()
-
-
-CONFIG_KEYS = {
-    "alpha": _parse_float,
-    "c": _parse_float,
-    "nx": _parse_int,
-    "ny": _parse_int,
-    "rect_min_x": _parse_float,
-    "rect_min_y": _parse_float,
-    "rect_max_x": _parse_float,
-    "rect_max_y": _parse_float,
-    "origin_x": _parse_float,
-    "origin_y": _parse_float,
-    "u_max": _parse_float,
-    "rate": _parse_float,
-    "tol_nonlinear": _parse_float,
-    "tol_linear": _parse_float,
-    "tol_residual": _parse_float,
-    "max_outer_iters": _parse_int,
-    "max_plan_moves": _parse_int,
-    "step_size": _parse_float,
-    "seed": _parse_int,
-    "spawn": _parse_bool,
-    "spawn_mass": _parse_float,
-    "path_tol": _parse_float,
-    "measure_path": _parse_str,
-    "snap_measure": _parse_bool,
-}
+def _known_key(key: str) -> str:
+    if key not in CONFIG_KEYS:
+        raise ValidationError(f"unknown config key: {key!r}")
+    return key
 
 
 def parse_config_entry(key: str, raw: str):
-    key = key.strip()
-    if key not in CONFIG_KEYS:
-        raise ValidationError(f"unknown config key: {key!r}")
+    key = _known_key(key.strip())
     try:
-        return key, CONFIG_KEYS[key](raw)
+        return key, CONFIG_KEYS[key](raw.strip())
     except ValueError as exc:
         raise ValidationError(f"config key {key!r}: {exc}") from exc
 
@@ -481,69 +480,30 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
-    run: RunConfig
-    measure_path: str | None = None
-    snap_measure: bool = False
+def _build(cls, values: dict, **parts):
+    """cls with each field taken from parts, or else from the key of its name."""
+    return cls(**{f.name: parts[f.name] if f.name in parts else values[f.name]
+                  for f in fields(cls)})
 
 
 def config_from_mapping(values: dict) -> ParsedConfig:
-    for key in values:
-        if key not in CONFIG_KEYS:
-            raise ValidationError(f"unknown config key: {key!r}")
-    v = dict(values)
-    domain = Domain(
-        rect_min=(v.pop("rect_min_x", 0.5), v.pop("rect_min_y", -0.5)),
-        rect_max=(v.pop("rect_max_x", 1.5), v.pop("rect_max_y", 0.5)),
-        origin=(v.pop("origin_x", 0.0), v.pop("origin_y", 0.0)),
-    )
-    grid = Grid(domain, v.pop("nx", 33), v.pop("ny", 33))
-    growth = GrowthFunction(u_max=v.pop("u_max", 1.0), rate=v.pop("rate", 4.0))
-    measure_path = v.pop("measure_path", None)
-    snap_measure = v.pop("snap_measure", False)
-    run = RunConfig(grid=grid, growth=growth, **v)
-    return ParsedConfig(run, measure_path, snap_measure)
+    """The config of `values` (key -> parsed value), defaults for the rest."""
+    v = {**_DEFAULTS, **{_known_key(key): value for key, value in values.items()}}
+    domain = Domain(**{f.name: (v[f.name + "_x"], v[f.name + "_y"]) for f in fields(Domain)})
+    grid = _build(Grid, v, domain=domain)
+    run = _build(RunConfig, v, grid=grid, growth=_build(GrowthFunction, v))
+    return _build(ParsedConfig, v, run=run)
+
+
+def _value_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def config_to_text(parsed: ParsedConfig) -> str:
-    cfg = parsed.run
-    d = cfg.grid.domain
-    values = {
-        "alpha": cfg.alpha,
-        "c": cfg.c,
-        "nx": cfg.grid.nx,
-        "ny": cfg.grid.ny,
-        "rect_min_x": d.rect_min[0],
-        "rect_min_y": d.rect_min[1],
-        "rect_max_x": d.rect_max[0],
-        "rect_max_y": d.rect_max[1],
-        "origin_x": d.origin[0],
-        "origin_y": d.origin[1],
-        "u_max": cfg.growth.u_max,
-        "rate": cfg.growth.rate,
-        "tol_nonlinear": cfg.tol_nonlinear,
-        "tol_linear": cfg.tol_linear,
-        "tol_residual": cfg.tol_residual,
-        "max_outer_iters": cfg.max_outer_iters,
-        "max_plan_moves": cfg.max_plan_moves,
-        "step_size": cfg.step_size,
-        "seed": cfg.seed,
-        "spawn": cfg.spawn,
-        "spawn_mass": cfg.spawn_mass,
-        "path_tol": cfg.path_tol,
-        "snap_measure": parsed.snap_measure,
-    }
-    if parsed.measure_path is not None:
-        values["measure_path"] = parsed.measure_path
-    lines = []
-    for key in sorted(values):
-        val = values[key]
-        if isinstance(val, bool):
-            text = "true" if val else "false"
-        elif isinstance(val, float):
-            text = repr(val)
-        else:
-            text = str(val)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    """One `key = value` line per key in sorted order; floats through repr,
+    and no measure_path line when there is none."""
+    return "".join(f"{key} = {_value_text(value)}\n"
+                   for key, value in sorted(_config_values(parsed).items())
+                   if value is not None)

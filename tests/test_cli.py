@@ -294,6 +294,48 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         assert "payoff" in capsys.readouterr().out
 
+    def tamper_report(self, out, change):
+        report = json.loads((out / "report.json").read_text())
+        change(report)
+        (out / "report.json").write_text(json.dumps(report))
+
+    def test_drifted_residual_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path)
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: optimality residuals" in capsys.readouterr().out
+        self.tamper_report(out, lambda r: r["records"][0].update(
+            residual=r["records"][0]["residual"] + 1e-6))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: payoff identity" in stdout
+        prefix = ("invariant violated: optimality residuals: "
+                  "stored residuals drift from recomputation by ")
+        line = next(ln for ln in stdout.splitlines() if ln.startswith(prefix))
+        assert float(line[len(prefix):]) == pytest.approx(1e-6, rel=1e-6)
+
+    def test_extra_residual_record_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path)
+        self.tamper_report(out, lambda r: r["records"].append(
+            dict(r["records"][0], atom=len(r["records"]) + 5)))
+        assert main(["verify", "--out", str(out)]) == 1
+        assert ("invariant violated: optimality residuals: "
+                "stored atom set differs from the measure") in capsys.readouterr().out
+
+    def test_lowered_accepted_payoff_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path)
+        records = [json.loads(line) for line in
+                   (out / "trace.jsonl").read_text().splitlines()]
+        accepted = [r for r in records if r["accepted"]]
+        assert len(accepted) >= 2
+        low = accepted[0]["payoff"] - 1e-3
+        accepted[1]["payoff"] = low
+        (out / "trace.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: trace iterations contiguous" in stdout
+        assert (f"invariant violated: trace monotonicity: accepted payoff decreases "
+                f"at step 1: {accepted[0]['payoff']!r} -> {low!r}") in stdout
+
     def test_empty_dir_is_an_error(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path), "--config", "/dev/null"])
         assert rc == 1
@@ -347,3 +389,16 @@ class TestAscentDemoScript:
         assert np.allclose(stored[1:], ro.compute_fluxes(tree, mu).values[1:], rtol=1e-12)
         report = load_report(out / "report.json")
         assert len(report["records"]) == sum(1 for a in mu.atoms if a.mass > 0.0)
+
+
+class TestConvergenceStudyScript:
+    def test_two_levels_print_second_order(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+        proc = subprocess.run([sys.executable, str(script), "--levels", "17", "33"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header.split() == ["nodes", "h", "max", "error", "order"]
+        assert [row.split()[0] for row in rows] == ["17", "33"]
+        assert rows[0].split()[3] == "nan"
+        assert 1.9 <= float(rows[1].split()[3]) <= 2.1

@@ -137,6 +137,62 @@ class TestCostAndLandscape:
             tree, mu, 0.5)
 
 
+class TestAtomTerminals:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 8))
+    def test_inverse_of_atom_index(self, seed, n):
+        """atom_terminals against a loop over the nodes, with atom counts
+        above and below the tree's, and at_atoms against the values at the
+        terminals it names, in any atom order."""
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng, n)
+        tree = random_tree(rng, mu)
+        want = [-1] * (n + 2)
+        for node, a in enumerate(tree.atom_index.tolist()):
+            if a >= 0:
+                want[a] = node
+        assert tree.atom_terminals(n + 2).tolist() == want
+        assert tree.atom_terminals(n - 1).tolist() == want[:n - 1]
+        z = ro.landscape(tree, mu, 0.6)
+        order = rng.permutation(n).tolist()
+        assert z.at_atoms(order).tolist() == [z.values[want[a]] for a in order]
+        assert [z.at_atom(a) for a in order] == z.at_atoms(order).tolist()
+
+    @pytest.mark.parametrize("atoms, bad", [([0, 2], 2), ([1, -1], -1), ([7, 5], 7),
+                                            ([10 ** 12], 10 ** 12)])
+    def test_missing_atom_is_named(self, atoms, bad):
+        mu = two_atom_measure()
+        z = ro.landscape(ro.star_tree(mu), mu, 0.5)
+        with pytest.raises(ro.ValidationError,
+                           match=f"^atom {bad} has no terminal in this tree$"):
+            z.at_atoms(atoms)
+        with pytest.raises(ro.ValidationError, match=f"^atom {bad} has no terminal"):
+            z.at_atom(bad)
+
+    def test_no_atoms(self):
+        mu = two_atom_measure()
+        z = ro.landscape(ro.star_tree(mu), mu, 0.5)
+        assert z.at_atoms([]).shape == (0,)
+        assert ro.star_tree(mu).atom_terminals(0).shape == (0,)
+
+    def test_one_inverse_per_call(self, monkeypatch):
+        """at_atoms on 2,000 atoms builds the atom -> terminal inverse once,
+        not once per atom."""
+        coords = ro.Grid(ro.Domain(), 65, 65).node_coordinates()[:2000]
+        mu = ro.DiscreteMeasure.from_arrays(coords, np.full(2000, 1.0 / 2000))
+        z = ro.landscape(ro.star_tree(mu), mu, 0.75)
+        calls = []
+        inverse = ro.IrrigationTree.atom_terminals
+
+        def counting(tree, n_atoms):
+            calls.append(n_atoms)
+            return inverse(tree, n_atoms)
+
+        monkeypatch.setattr(ro.IrrigationTree, "atom_terminals", counting)
+        assert z.at_atoms(range(2000)).tolist() == z.values[1:].tolist()
+        assert calls == [2000]
+
+
 class TestLowerBound:
     def test_empty_measure(self):
         assert ro.cost_lower_bound(ro.DiscreteMeasure(), 0.5) == 0.0
@@ -233,7 +289,7 @@ class TestPlanners:
     def test_zero_mass_atoms_dropped(self):
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.5), ro.Atom((1.2, 0.3), 0.0)))
         tree = ro.optimize_plan(mu, 0.5)
-        assert tree.terminal_of_atom() == {0: 1}
+        assert tree.atom_terminals(len(mu)).tolist() == [1, -1]
 
     def test_all_zero_mass_rejected(self):
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.0),))
@@ -339,7 +395,7 @@ class TestWarmPlanner:
         mu = random_measure(rng, 5)
         tree = ro.optimize_plan(mu, 0.6)
         twin = ro.IrrigationTree(
-            np.vstack([tree.positions, tree.positions[tree.terminal_of_atom()[2]]]),
+            np.vstack([tree.positions, tree.positions[tree.atom_terminals(len(mu))[2]]]),
             np.append(tree.parents, 0), np.append(tree.atom_index, 5))
         nu = mu.with_masses(mu.masses() * 1.3)
         warm = ro.optimize_plan(nu, 0.6, init=twin)

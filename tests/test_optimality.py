@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import rootopt as ro
-from rootopt.elliptic import ScalarField
+from rootopt.elliptic import ScalarField, phi_field
+from rootopt.optimality import AtomRecord
 
 from conftest import random_grid_measure
 
@@ -61,6 +62,33 @@ class TestOptimalityResidual:
         assert report.sup_residual == max(abs(r.residual) for r in report.records)
         assert report.payoff == pytest.approx(
             report.harvest - cfg.c * report.irrigation_cost, rel=1e-14)
+
+    def test_records_equal_a_per_atom_loop(self, evaluated_instance):
+        """The records, gathered in one pass, equal a loop that looks every
+        atom's node up with grid.index_of and its Z up with at_atom, down to
+        the last bit, with one atom at zero mass left out."""
+        cfg, mu, tree, u, psi, z = evaluated_instance
+        mu = mu.with_masses(np.append(mu.masses()[:-1], 0.0))
+        phi = phi_field(u, psi).values
+        for c in (0.1, 0.3, 0.7, 1.3, 2.9):
+            want = []
+            for i, ((x, y), m) in enumerate(zip(mu.positions().tolist(), mu.masses().tolist())):
+                if m > 0.0:
+                    phi_a = float(phi[cfg.grid.index_of(x, y)])
+                    z_a = z.at_atom(i)
+                    want.append(AtomRecord(i, (x, y), m, phi_a, z_a,
+                                           phi_a - c * cfg.alpha * z_a))
+            report = ro.optimality_residual(u, psi, z, mu, c, cfg.alpha)
+            assert report.records == tuple(want)
+            assert len(want) == len(mu) - 1
+
+    def test_off_node_atom_is_named(self, evaluated_instance):
+        cfg, mu, tree, u, psi, z = evaluated_instance
+        x, y = mu.positions()[1].tolist()
+        moved = ro.DiscreteMeasure.from_arrays(
+            np.vstack([mu.positions()[:1], [[x + 0.01, y]], mu.positions()[2:]]), mu.masses())
+        with pytest.raises(ro.ValidationError, match="atom 1 is not on a grid node"):
+            ro.optimality_residual(u, psi, z, moved, cfg.c, cfg.alpha)
 
     def test_zero_mass_atoms_skipped(self, evaluated_instance):
         cfg, mu, tree, u, psi, z = evaluated_instance

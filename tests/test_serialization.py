@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +329,50 @@ class TestConfigText:
             assert ser.parse_config_entry("spawn", raw) == ("spawn", want)
         with pytest.raises(ro.ValidationError):
             ser.parse_config_entry("spawn", "maybe")
+
+
+class TestConfigSchema:
+    def test_every_key_round_trips_a_non_default_value(self):
+        """A config that sets every key away from its default comes back
+        whole through config_to_text, parse_config_text and
+        config_from_mapping."""
+        domain = ro.Domain(rect_min=(0.25, -0.75), rect_max=(2.25, 0.25), origin=(-0.5, 0.5))
+        run = ro.RunConfig(
+            grid=ro.Grid(domain, 17, 9), alpha=0.6, c=0.3,
+            growth=ro.GrowthFunction(u_max=2.5, rate=3.0), tol_nonlinear=1e-9,
+            tol_linear=1e-11, tol_residual=1e-5, max_outer_iters=7, max_plan_moves=50,
+            step_size=0.5, seed=11, spawn=True, spawn_mass=0.02, path_tol=1e-4)
+        parsed = ser.ParsedConfig(run, measure_path="data/mu.json", snap_measure=True)
+        values = ser.parse_config_text(ser.config_to_text(parsed))
+        assert sorted(values) == sorted(ser.CONFIG_KEYS)
+        defaults = ser.parse_config_text(ser.config_to_text(ser.ParsedConfig(ro.RunConfig())))
+        assert "measure_path" not in defaults
+        assert [k for k in values if values[k] == defaults.get(k)] == []
+        assert ser.config_from_mapping(values) == parsed
+
+    def test_parsers_follow_the_default_types(self):
+        want = {"nx": 17, "seed": 4, "alpha": 0.5, "u_max": 2.0,
+                "spawn": True, "measure_path": "a b.json"}
+        for key, value in want.items():
+            got = ser.parse_config_entry(key, f"  {value} ")[1]
+            assert got == value and type(got) is type(value)
+
+    def test_bad_boolean_names_the_stripped_value(self):
+        with pytest.raises(ro.ValidationError,
+                           match=r"^config key 'spawn': expected a boolean, got 'maybe'$"):
+            ser.parse_config_text("spawn =  maybe \n")
+
+    def test_config_errors_stay_named(self):
+        with pytest.raises(ro.ValidationError, match="unknown config key: 'gamma'"):
+            ser.config_from_mapping({"gamma": 1.0})
+        with pytest.raises(ro.ValidationError, match="grid spacing must be uniform"):
+            ser.config_from_mapping({"nx": 17})
+        with pytest.raises(ro.ValidationError, match="alpha must be in"):
+            ser.config_from_mapping({"alpha": 1.5})
+        with pytest.raises(ro.ValidationError, match="origin must lie strictly outside"):
+            ser.config_from_mapping({"origin_x": 1.0})
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Config keys:", 1)[1].split(".", 1)[0]
+        assert re.findall(r"`([a-z_]+)`", block) == list(ser.CONFIG_KEYS)
