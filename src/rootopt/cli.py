@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteMeasure, SolverError, ValidationError
+from .core import DiscreteMeasure, SolverError, ValidationError, mass_bound_check
 from .elliptic import (adjoint_residual, growth_bound_lambda, harvest,
                        phi_field, solve_adjoint, solve_state, state_residual)
-from .irrigation import (check_landscape_holder, compute_fluxes,
+from .irrigation import (_plan_cost, check_landscape_holder, compute_fluxes,
                          cost_lower_bound, irrigation_cost, landscape,
                          optimize_plan)
 from .optimality import (ascend_measure, optimality_residual,
@@ -285,6 +285,15 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         yield ("cost lower bound",
                None if cost >= lb - 1e-9 * max(1.0, cost) else
                f"cost {cost!r} sits below the lower bound {lb!r}")
+
+        # the cost recomputed from the measure meets this bound for every
+        # measure inside the rectangle, so the measure is held to the cost
+        # that the stored edge fluxes record
+        recorded = _plan_cost(tree.positions, tree.parents, stored_flux, cfg.alpha)
+        yield ("mass bound",
+               None if mass_bound_check(mu, recorded, cfg.domain, cfg.alpha) else
+               f"total mass {mu.total_mass!r} exceeds (cost / r0)^(1/alpha) for the "
+               f"recorded cost {recorded!r}")
 
         rep = check_landscape_holder(tree, mu, cfg.alpha, rel_tol=1e-6)
         worst = max((v[2] for v in rep.violations), default=0.0)

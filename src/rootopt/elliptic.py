@@ -13,13 +13,16 @@ so the scheme is self-adjoint in the tau-weighted inner product.  With this
 pairing the adjoint of the scheme is the scheme itself, so the sensitivity
 field from solve_adjoint differentiates the discrete crop exactly.
 
-Every linear solve factorizes its matrix -lap + diag(absorption) once with a
-sparse LU decomposition and back-substitutes for each right-hand side.  The
-nodewise residual |A x - b| must lie within
-tol_linear * max(1, |absorption * x|, |b|) at every node.  A solution that
-misses is refined once with the same factors and checked again; if it
-still misses, SolverError reports the worst residual, so a singular or
-ill-conditioned system fails by name instead of returning garbage.
+Linear solves use sparse LU factors of -lap + diag(absorption) and
+back-substitute for each right-hand side.  The nodewise residual
+|A x - b| against the true matrix A must lie within
+tol_linear * max(1, |absorption * x|, |b|) at every node.  Factors of a
+nearby matrix (an earlier Newton Jacobian) are reused by refining against
+A, up to 12 steps that each at least halve the worst scaled residual; when
+they miss, A itself is factorized.  A solution from A's own factors that
+misses is refined once and checked again; if it still misses, SolverError
+reports the worst residual, so a singular or ill-conditioned system fails
+by name instead of returning garbage.
 
 State equation
 --------------
@@ -37,17 +40,21 @@ sub/supersolution construction).  Without the shift the sweep started at
 u_max would jump straight to the trivial zero branch, since f(u_max) = 0.
 The shifted matrix is the same for every sweep of a given measure, so it is
 factorized once and each sweep is one back-substitution.  If the sweeps
-stall or run out, damped Newton steps finish the solve; each step factorizes
-the negated Jacobian -lap + diag(a - f'(u)) at the current iterate.  Given
-the state of a nearby measure, the same Newton steps start from it instead
-and the sweep runs only when they stall, touch 0 or end on an unstable
-state.
+stall or run out, damped Newton steps finish the solve.  Each step solves
+the negated Jacobian -lap + diag(a - f'(u)) at its iterate to tol_linear:
+the first step factorizes it, and later steps refine with those factors,
+refactorizing only when refinement misses.  Given the state of a nearby
+measure, the same Newton steps start from it instead and the sweep runs
+only when they stall, touch 0 or end on an unstable state.  The adjoint
+matrix is the Jacobian at the converged state, so a state that Newton
+finished carries Newton's last factors to solve_adjoint; a state that the
+sweeps finished carries none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +65,8 @@ from .core import DiscreteMeasure, Grid, GrowthFunction, SolverError, Validation
 
 # sweeps allowed before the state solve gives up without stalling
 _MAX_SWEEPS = 400
+# refinement steps allowed with another matrix's factors before refactorizing
+_MAX_REFINE = 12
 
 __all__ = [
     "ScalarField",
@@ -83,6 +92,9 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
+    # LU factors of the Jacobian at a Newton iterate near these values, which
+    # solve_state hands on to solve_adjoint; not part of the field's data
+    _factors: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float).ravel()
@@ -203,32 +215,67 @@ def _linear_misfit(mat, absorption, x, rhs):
     return res, float(np.max(np.abs(res) / scale))
 
 
+def _factorize(mat: sp.csc_matrix):
+    try:
+        # the stencil's pattern is symmetric: ordering on A^T + A roughly
+        # halves the fill of the default column ordering
+        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as e:  # exactly singular
+        raise SolverError(f"sparse factorization failed: {e}") from None
+
+
+def _refine(mat, absorption, lu, rhs, tol_linear, max_steps):
+    """Back-substitute rhs with `lu`, then refine against the true matrix
+    `mat` while the worst scaled residual misses tol_linear, for at most
+    max_steps steps that each at least halve it; returns x, A x - b and the
+    worst scaled residual."""
+    x = lu.solve(rhs)
+    res, worst = _linear_misfit(mat, absorption, x, rhs)
+    for _ in range(max_steps):
+        if worst <= tol_linear:
+            break
+        prev = worst
+        x = x - lu.solve(res)
+        res, worst = _linear_misfit(mat, absorption, x, rhs)
+        if not worst <= 0.5 * prev:
+            break
+    return x, res, worst
+
+
+def _checked(mat, absorption, lu, rhs, tol_linear):
+    """Solve with the factors of `mat` itself: one refinement step only on a
+    miss (some solves on a 17x17 grid leave residuals just above
+    tol_linear = 1e-12), then SolverError naming the worst residual."""
+    x, res, worst = _refine(mat, absorption, lu, rhs, tol_linear, 1)
+    if not worst <= tol_linear:
+        raise SolverError(
+            f"linear solve missed tolerance {tol_linear:g}; worst residual "
+            f"{float(np.max(np.abs(res))):.3e}")
+    return x
+
+
 def _linear_solver(grid: Grid, absorption: np.ndarray, tol_linear: float):
     """Factorize -lap + diag(absorption) once; return a function solving it for
     one right-hand side to the nodewise residual tol_linear * max(1, |a x|, |b|)."""
     mat = _system(grid, absorption)
-    try:
-        # the stencil's pattern is symmetric: ordering on A^T + A roughly
-        # halves the fill of the default column ordering
-        lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as e:  # exactly singular
-        raise SolverError(f"sparse factorization failed: {e}") from None
+    lu = _factorize(mat)
+    return lambda rhs: _checked(mat, absorption, lu, rhs, tol_linear)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x = lu.solve(rhs)
-        res, worst = _linear_misfit(mat, absorption, x, rhs)
-        if not worst <= tol_linear:
-            # one step of iterative refinement, only on a miss: some solves
-            # on a 17x17 grid leave residuals just above tol_linear = 1e-12
-            x -= lu.solve(res)
-            res, worst = _linear_misfit(mat, absorption, x, rhs)
-            if not worst <= tol_linear:
-                raise SolverError(
-                    f"linear solve missed tolerance {tol_linear:g}; worst residual "
-                    f"{float(np.max(np.abs(res))):.3e}")
-        return x
 
-    return solve
+def _solve(grid: Grid, absorption: np.ndarray, rhs: np.ndarray, tol_linear: float, lu=None):
+    """Solve -lap + diag(absorption) x = rhs to tol_linear; returns x and the
+    factors that solved it.  Given factors `lu` of a nearby matrix (the
+    Jacobian at an earlier Newton iterate), the solve refines against the
+    true matrix with them, up to _MAX_REFINE steps; when that misses, or
+    without `lu`, the true matrix is factorized and solved as by
+    _linear_solver."""
+    mat = _system(grid, absorption)
+    if lu is not None:
+        x, _, worst = _refine(mat, absorption, lu, rhs, tol_linear, _MAX_REFINE)
+        if worst <= tol_linear:
+            return x, lu
+    lu = _factorize(mat)
+    return _checked(mat, absorption, lu, rhs, tol_linear), lu
 
 
 def _state_misfit(lap, a, f, u):
@@ -241,18 +288,21 @@ def _state_misfit(lap, a, f, u):
 
 
 def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: float,
-            tol_linear: float, positive: bool = False) -> np.ndarray | None:
-    """Damped Newton steps on lap u + f(u) - a u = 0 from u, each on the
-    factorized Jacobian; returns the first iterate within tol.  With
-    `positive`, returns None as soon as an iterate has a node at 0."""
+            tol_linear: float, positive: bool = False):
+    """Damped Newton steps on lap u + f(u) - a u = 0 from u; returns the first
+    iterate within tol and the last factors used, or None with `positive` as
+    soon as an iterate has a node at 0.  Each step solves the Jacobian at its
+    iterate to tol_linear, refining with the previous step's factors and
+    factorizing only when they miss."""
     lap = laplacian_matrix(grid)
+    lu = None
     for _ in range(80):
         if positive and not u.min() > 0.0:
             return None
         res, rmax = _state_misfit(lap, a, f, u)
         if rmax <= tol:
-            return u
-        delta = _linear_solver(grid, a - f.derivative(u), tol_linear)(res)
+            return u, lu
+        delta, lu = _solve(grid, a - f.derivative(u), res, tol_linear, lu)
         step = 1.0
         while step >= 1.0 / 4096.0:
             u_try = np.clip(u + step * delta, 0.0, f.u_max)
@@ -265,6 +315,13 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
     raise SolverError(f"state solve did not converge, residual {rmax:.3e}")
 
 
+def _carrying(grid: Grid, u: np.ndarray, lu) -> ScalarField:
+    """The state u as a field that hands the factors lu on to solve_adjoint."""
+    state = ScalarField(grid, u)
+    object.__setattr__(state, "_factors", lu)
+    return state
+
+
 def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
                 tol: float = 1e-8, tol_linear: float = 1e-10,
                 init: ScalarField | None = None) -> ScalarField:
@@ -275,9 +332,11 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     the half cells along the walls feel their full mass.  The shifted sweep
     matrix -lap + a + sigma is factorized once per call and every sweep is a
     back-substitution; when the sweeps stall or run out, damped Newton steps
-    on the factorized Jacobian finish.  Every linear solve must meet the
-    nodewise residual tol_linear, and the discrete residual
-    lap_h(u) + f(u) - a u is driven below tol * max(1, |f(u)|, |a u|) at
+    finish.  Newton factorizes the Jacobian of its first step and refines
+    later steps against their own Jacobians with those factors, factorizing
+    afresh only when refinement misses.  Every linear solve must meet the
+    nodewise residual tol_linear against its true matrix, and the discrete
+    residual lap_h(u) + f(u) - a u is driven below tol * max(1, |f(u)|, |a u|) at
     every node; failure to converge raises SolverError carrying the last
     residual.
 
@@ -294,6 +353,10 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     included) has a node at 0, when Newton stalls or fails, or when the
     limit is not stable, the cold sweep from u_max runs instead and its
     answer is returned unchanged.
+
+    A state that Newton finished privately carries Newton's last factors,
+    which solve_adjoint refines with; a state that the sweeps finished
+    carries none.
     """
     a = lump_measure(mu, grid).density()
     u_max = f.u_max
@@ -304,16 +367,18 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
         if init.grid != grid:
             raise ValidationError("initial state lives on a different grid")
         try:
-            u = _newton(grid, a, f, np.clip(init.values, 0.0, u_max), tol, tol_linear,
-                        positive=True)
+            found = _newton(grid, a, f, np.clip(init.values, 0.0, u_max), tol, tol_linear,
+                            positive=True)
         except SolverError:
-            u = None
-        # J = -lap + diag(a - f'(u)) has nonpositive off-diagonals, so J u > 0
-        # at every node makes it a nonsingular M-matrix: u is then a stable
-        # solution, not a near-zero state that meets tol only by being tiny
-        # while the zero solution is unstable and a positive one exists
-        if u is not None and np.all((a - f.derivative(u)) * u - lap @ u > 0.0):
-            return ScalarField(grid, u)
+            found = None
+        if found is not None:
+            u, lu = found
+            # J = -lap + diag(a - f'(u)) has nonpositive off-diagonals, so J u > 0
+            # at every node makes it a nonsingular M-matrix: u is then a stable
+            # solution, not a near-zero state that meets tol only by being tiny
+            # while the zero solution is unstable and a positive one exists
+            if np.all((a - f.derivative(u)) * u - lap @ u > 0.0):
+                return _carrying(grid, u, lu)
     sigma = f.monotone_shift
     sweep = _linear_solver(grid, a + sigma, tol_linear)
 
@@ -328,7 +393,7 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
             break  # stalled
         rmax_prev = rmax
     # damped Newton finishes what the sweeps started
-    return ScalarField(grid, _newton(grid, a, f, u, tol, tol_linear))
+    return _carrying(grid, *_newton(grid, a, f, u, tol, tol_linear))
 
 
 def state_residual(u: ScalarField, mu: DiscreteMeasure, f: GrowthFunction) -> float:
@@ -374,14 +439,19 @@ def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
 
     Uses the same cell-area lumping as the state solve, which makes
     (1 - psi) u* the exact derivative of the discrete crop with respect to
-    each nodal mass.  Post-checks: psi >= -1e-9 and
-    psi <= lam * u_max + 1 + 1e-9, with lam = growth_bound_lambda(f, min(u*)).
+    each nodal mass.  The system -lap + diag(a - f'(u*)) is Newton's Jacobian
+    at u*: when u_star comes from solve_state with Newton's factors, the
+    solve refines against the true matrix with them and factorizes the
+    matrix only when that misses tol; otherwise it factorizes.  Either way
+    the solve meets the nodewise residual tol against its true matrix.
+    Post-checks: psi >= -1e-9 and psi <= lam * u_max + 1 + 1e-9, with
+    lam = growth_bound_lambda(f, min(u*)).
     """
     if u_star.grid != grid:
         raise ValidationError("state field lives on a different grid")
     a = lump_measure(mu, grid).density()
     coeff = a - f.derivative(u_star.values)
-    psi = _linear_solver(grid, coeff, tol)(a)
+    psi = _solve(grid, coeff, a, tol, u_star._factors)[0]
     if np.min(psi) < -1e-9:
         raise SolverError(f"adjoint went negative: min psi = {float(np.min(psi)):.3e}")
     lam = growth_bound_lambda(f, delta0=u_star.min())

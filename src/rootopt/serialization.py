@@ -17,6 +17,7 @@ matching parser so artifacts round-trip.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -452,10 +453,26 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, type(None): str}
 CONFIG_KEYS = {key: _PARSERS[type(value)] for key, value in _DEFAULTS.items()}
 
 
+# what a parsed value of each parser is: an int passes as a float, and a bool,
+# though an int, only as a boolean
+_PARSED_TYPES = {_parse_bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
+                 float: (numbers.Real, "a number"), str: ((str, type(None)), "text")}
+
+
 def _known_key(key: str) -> str:
     if key not in CONFIG_KEYS:
         raise ValidationError(f"unknown config key: {key!r}")
     return key
+
+
+def _checked_value(key: str, value):
+    """value, if it has the type that key's parser returns, as that type: a
+    float key's int becomes a float."""
+    parser = CONFIG_KEYS[_known_key(key)]
+    types, name = _PARSED_TYPES[parser]
+    if not isinstance(value, types) or (isinstance(value, bool) and parser is not _parse_bool):
+        raise ValidationError(f"config key {key!r}: expected {name}, got {value!r}")
+    return parser(value) if parser in (int, float) else value
 
 
 def parse_config_entry(key: str, raw: str):
@@ -487,8 +504,9 @@ def _build(cls, values: dict, **parts):
 
 
 def config_from_mapping(values: dict) -> ParsedConfig:
-    """The config of `values` (key -> parsed value), defaults for the rest."""
-    v = {**_DEFAULTS, **{_known_key(key): value for key, value in values.items()}}
+    """The config of `values` (key -> parsed value), defaults for the rest;
+    a value of the wrong type raises ValidationError naming its key."""
+    v = {**_DEFAULTS, **{key: _checked_value(key, value) for key, value in values.items()}}
     domain = Domain(**{f.name: (v[f.name + "_x"], v[f.name + "_y"]) for f in fields(Domain)})
     grid = _build(Grid, v, domain=domain)
     run = _build(RunConfig, v, grid=grid, growth=_build(GrowthFunction, v))

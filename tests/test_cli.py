@@ -160,6 +160,28 @@ class TestSolveAndAdjoint:
         for name in ("psi.csv", "psi.bin", "phi.csv", "phi.bin"):
             assert (out / name).exists()
 
+    def test_adjoint_of_a_swept_state_factorizes_its_own_matrix(self, tmp_path):
+        """A state that the sweeps finish carries no Newton factors, so the
+        adjoint is solved from freshly computed factors of its own matrix,
+        one back-substitution and a refinement step only on a miss, and its
+        artifacts hold exactly those bytes."""
+        from rootopt import elliptic as ell
+        cfg = write_setup(tmp_path, ["nx = 33", "ny = 33"],
+                          [(0.5, -0.25, 0.4), (1.0, 0.0, 0.7), (1.5, 0.5, 0.2)])
+        out = tmp_path / "run"
+        assert main(["adjoint", "--config", str(cfg), "--out", str(out)]) == 0
+        run = ro.RunConfig(grid=ro.Grid(ro.Domain(), 33, 33))
+        mu = load_measure(tmp_path / "measure.json")
+        u = ro.solve_state(run.grid, mu, run.growth, tol=run.tol_nonlinear,
+                           tol_linear=run.tol_linear)
+        assert u._factors is None
+        a = ro.lump_measure(mu, run.grid).density()
+        psi = ScalarField(run.grid, ell._linear_solver(
+            run.grid, a - run.growth.derivative(u.values), run.tol_linear)(a))
+        for name, field in (("state", u), ("psi", psi), ("phi", ro.phi_field(u, psi))):
+            save_field_binary(tmp_path / f"{name}.bin", field)
+            assert (out / f"{name}.bin").read_bytes() == (tmp_path / f"{name}.bin").read_bytes()
+
 
 class TestOptimize:
     def test_full_pipeline_artifacts(self, tmp_path):
@@ -335,6 +357,23 @@ class TestVerify:
         assert "ok: trace iterations contiguous" in stdout
         assert (f"invariant violated: trace monotonicity: accepted payoff decreases "
                 f"at step 1: {accepted[0]['payoff']!r} -> {low!r}") in stdout
+
+    def test_measure_heavier_than_its_cost_allows_is_caught(self, tmp_path, capsys):
+        """Masses scaled past (cost / r0)^(1/alpha) for the cost that the
+        stored edge fluxes record fail the a priori mass bound."""
+        out = self.run_pipeline(tmp_path)
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: mass bound" in capsys.readouterr().out
+        report = load_report(out / "report.json")
+        r0 = ro.Domain().source_distance()
+        bound = (report["irrigation_cost"] / r0) ** (1.0 / report["alpha"])
+        measure = json.loads((out / "measure.json").read_text())
+        total = sum(atom["mass"] for atom in measure["atoms"])
+        for atom in measure["atoms"]:
+            atom["mass"] *= 1.5 * bound / total
+        (out / "measure.json").write_text(json.dumps(measure))
+        assert main(["verify", "--out", str(out)]) == 1
+        assert "invariant violated: mass bound: total mass" in capsys.readouterr().out
 
     def test_empty_dir_is_an_error(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path), "--config", "/dev/null"])

@@ -372,6 +372,28 @@ class TestConfigSchema:
         with pytest.raises(ro.ValidationError, match="origin must lie strictly outside"):
             ser.config_from_mapping({"origin_x": 1.0})
 
+    @pytest.mark.parametrize("values, key, expected", [
+        ({"spawn": "no"}, "spawn", "a boolean"),
+        ({"alpha": "0.5"}, "alpha", "a number"),
+        ({"nx": "17", "ny": "17"}, "nx", "an integer"),
+    ])
+    def test_unparsed_values_are_named(self, values, key, expected):
+        """A mapping of text values is rejected by key, not run with a truthy
+        string or failed with a bare TypeError."""
+        with pytest.raises(ro.ValidationError,
+                           match=rf"^config key '{key}': expected {expected}, got '"):
+            ser.config_from_mapping(values)
+
+    def test_mapping_types_follow_the_parsers(self):
+        """A bool is not an integer or a number, a float is not an integer,
+        and an integer passes as a float key's value."""
+        for values in ({"nx": True}, {"c": False}, {"nx": 17.0}, {"spawn": 1},
+                       {"measure_path": 3}):
+            with pytest.raises(ro.ValidationError, match="config key"):
+                ser.config_from_mapping(values)
+        parsed = ser.config_from_mapping({"c": 1, "measure_path": None})
+        assert parsed.run.c == 1.0 and type(parsed.run.c) is float
+
     def test_readme_lists_the_config_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Config keys:", 1)[1].split(".", 1)[0]
