@@ -7,8 +7,7 @@ masses toward measures satisfying first-order optimality.
 """
 
 from .core import (Atom, DiscreteMeasure, Domain, Grid, GrowthFunction,
-                   RunConfig, SolverError, ValidationError, mass_bound_check,
-                   mass_outside)
+                   RunConfig, SolverError, ValidationError, mass_bound_check)
 from .elliptic import (bilinear_interpolate, growth_bound_lambda, harvest,
                        laplacian_matrix, lump_measure, perturbation_derivative,
                        phi_field, quadrature_weights, solve_adjoint,
@@ -16,7 +15,7 @@ from .elliptic import (bilinear_interpolate, growth_bound_lambda, harvest,
 from .irrigation import (IrrigationTree, brute_force_plan, check_arc_chord,
                          check_landscape_holder, compute_fluxes,
                          cost_lower_bound, irrigation_cost, landscape,
-                         optimize_plan, scaled_mass_cost, star_tree)
+                         optimize_plan, star_tree)
 from .optimality import (ascend_measure, optimality_residual,
                          path_inequality_check, payoff,
                          support_density_report)
@@ -33,7 +32,6 @@ __all__ = [
     "SolverError",
     "ValidationError",
     "mass_bound_check",
-    "mass_outside",
     "bilinear_interpolate",
     "growth_bound_lambda",
     "harvest",
@@ -53,7 +51,6 @@ __all__ = [
     "irrigation_cost",
     "landscape",
     "optimize_plan",
-    "scaled_mass_cost",
     "star_tree",
     "ascend_measure",
     "optimality_residual",

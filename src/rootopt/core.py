@@ -24,7 +24,6 @@ __all__ = [
     "DiscreteMeasure",
     "GrowthFunction",
     "RunConfig",
-    "mass_outside",
     "mass_bound_check",
 ]
 
@@ -310,18 +309,6 @@ def _check_distinct(pos: np.ndarray) -> None:
         raise ValidationError(f"atoms {i} and {j} share position {tuple(pos[j].tolist())}")
 
 
-def mass_outside(mu: DiscreteMeasure, r: float, origin=(0.0, 0.0)) -> float:
-    """Mass carried by atoms at distance >= r from the origin.
-
-    Nonincreasing and right-continuous in r; equals the total mass at r = 0.
-    """
-    if r < 0.0:
-        raise ValidationError("radius must be >= 0")
-    ox, oy = origin
-    return float(sum(m for (x, y), m in zip(mu.positions().tolist(), mu.masses().tolist())
-                     if math.hypot(x - ox, y - oy) >= r))
-
-
 def mass_bound_check(mu: DiscreteMeasure, irrigation_cost: float, domain: Domain,
                      alpha: float) -> bool:
     """Whether total mass respects the transport budget (cost / r0) ** (1 / alpha).
@@ -365,11 +352,6 @@ class GrowthFunction:
         u = np.asarray(u, dtype=float)
         out = self.rate * (1.0 - 2.0 * u / self.u_max)
         return out if out.ndim else float(out)
-
-    @property
-    def peak(self) -> float:
-        """Maximum of f on [0, u_max], attained at u_max / 2."""
-        return self.rate * self.u_max / 4.0
 
     @property
     def monotone_shift(self) -> float:

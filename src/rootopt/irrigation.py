@@ -41,7 +41,6 @@ __all__ = [
     "star_tree",
     "compute_fluxes",
     "irrigation_cost",
-    "scaled_mass_cost",
     "landscape",
     "cost_lower_bound",
     "optimize_plan",
@@ -56,6 +55,7 @@ TERMINAL = "terminal"
 
 _MAX_GEOMETRY_SWEEPS = 400
 _MAX_NEWTON_STEPS = 100  # per exact Fermat point
+_MAX_HALVINGS = 40  # per joint Newton step
 
 
 def _children_lists(parents):
@@ -128,12 +128,9 @@ class IrrigationTree:
         if np.any(lengths <= 0.0):
             bad = int(np.argmin(lengths)) + 1
             raise ValidationError(f"edge into node {bad} has zero length")
-        pos.setflags(write=False)
-        par.setflags(write=False)
-        ai.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "parents", par)
-        object.__setattr__(self, "atom_index", ai)
+        for name, arr in (("positions", pos), ("parents", par), ("atom_index", ai)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "_order", tuple(order))
 
     @functools.cached_property
@@ -162,18 +159,8 @@ class IrrigationTree:
         out[1:] = np.linalg.norm(self.positions[1:] - self.positions[self.parents[1:]], axis=1)
         return out
 
-    def path_to_root(self, node: int):
-        """Nodes from `node` up to and including the root."""
-        if not 0 <= node < self.n_nodes:
-            raise ValidationError(f"node {node} outside tree")
-        path = [node]
-        while self.parents[path[-1]] >= 0:
-            path.append(int(self.parents[path[-1]]))
-        return path
-
     def leaves(self):
-        ch = self.children()
-        return [i for i in range(self.n_nodes) if not ch[i]]
+        return [i for i, ch in enumerate(self.children()) if not ch]
 
     def atom_terminals(self, n_atoms: int) -> np.ndarray:
         """Terminal node of each atom 0 .. n_atoms - 1, or -1 for an atom
@@ -239,9 +226,8 @@ def _fluxes(parents, atom_index, masses):
     total inflow at the root; masses is indexed by atom."""
     ai = np.asarray(atom_index)
     flux = np.where(ai >= 0, masses[ai], 0.0)
-    for i in reversed(_depth_order(parents)):
-        if parents[i] >= 0:
-            flux[parents[i]] += flux[i]
+    for i in reversed(_depth_order(parents)[1:]):
+        flux[parents[i]] += flux[i]
     return flux
 
 
@@ -272,16 +258,6 @@ def irrigation_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> 
     return _plan_cost(tree.positions, tree.parents, compute_fluxes(tree, mu).values, alpha)
 
 
-def scaled_mass_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
-                     g, eps: float) -> float:
-    """Cost of rerouting the reweighted measure (1 + eps * g) mu along the
-    same tree (same topology and geometry, fluxes recomputed)."""
-    factors = 1.0 + eps * np.asarray(g, dtype=float)
-    if np.any(factors < -1e-12):
-        raise ValidationError("scaled masses must stay nonnegative")
-    return irrigation_cost(tree, mu.with_masses(np.maximum(mu.masses() * factors, 0.0)), alpha)
-
-
 def landscape(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> LandscapeValues:
     """Landscape values along the tree; requires strictly positive edge fluxes."""
     if not 0.0 < alpha <= 1.0:
@@ -292,10 +268,8 @@ def landscape(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> Landsc
         raise ValidationError(f"zero-flux edge into node {bad}; landscape is undefined there")
     lengths = tree.edge_lengths()
     z = np.zeros(tree.n_nodes)
-    for i in tree.depth_order():
-        p = tree.parents[i]
-        if p >= 0:
-            z[i] = z[p] + flux[i] ** (alpha - 1.0) * lengths[i]
+    for i in tree.depth_order()[1:]:  # the root comes first
+        z[i] = z[tree.parents[i]] + flux[i] ** (alpha - 1.0) * lengths[i]
     z.setflags(write=False)
     return LandscapeValues(tree, z, float(alpha))
 
@@ -382,27 +356,17 @@ def check_arc_chord(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
     if total <= 0.0:
         raise ValidationError("measure carries no mass")
     constant = (1.0 / alpha) * (delta0 / total) ** (alpha - 1.0)
-    lengths = tree.edge_lengths()
-    pos = tree.positions
-    checked = set()
-    violations = []
-    for leaf in tree.leaves():
-        path = tree.path_to_root(leaf)[::-1]
-        arc = np.concatenate([[0.0], np.cumsum([lengths[i] for i in path[1:]])])
-        for a in range(len(path)):
-            for b in range(a + 1, len(path)):
-                key = (path[a], path[b])
-                if key in checked:
-                    continue
-                checked.add(key)
-                seg_flux = min(flux[path[k]] for k in range(a + 1, b + 1))
-                if seg_flux <= delta0:
-                    continue
-                arc_len = float(arc[b] - arc[a])
-                chord = float(np.linalg.norm(pos[path[b]] - pos[path[a]]))
-                if arc_len > constant * chord + rel_tol * max(1.0, arc_len):
-                    violations.append((key[0], key[1], arc_len, chord))
-    return ArcChordReport(tuple(violations), len(checked), float(constant), float(delta0))
+    lengths, pos, parents = tree.edge_lengths(), tree.positions, tree.parents.tolist()
+    violations, checked = [], 0
+    for b in range(1, tree.n_nodes):  # every ancestor a of b, walking up
+        a, arc, seg_flux = b, 0.0, np.inf
+        while a > 0:
+            arc, seg_flux, a = arc + lengths[a], min(seg_flux, flux[a]), parents[a]
+            checked += 1
+            chord = float(np.linalg.norm(pos[b] - pos[a]))
+            if seg_flux > delta0 and arc > constant * chord + rel_tol * max(1.0, arc):
+                violations.append((a, b, float(arc), chord))
+    return ArcChordReport(tuple(violations), checked, float(constant), float(delta0))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +393,7 @@ def _degenerate_anchor(pts, w):
     for i, (xi, yi) in enumerate(pts):
         gx = gy = held = 0.0
         for (xj, yj), wj in zip(pts, w):
-            nd = math.hypot(xi - xj, yi - yj)
-            if nd == 0.0:
+            if (nd := math.hypot(xi - xj, yi - yj)) == 0.0:
                 held += wj
             else:
                 gx += wj * (xi - xj) / nd
@@ -548,6 +511,45 @@ def _fermat_point(pts, w, start):
     return sx, sy
 
 
+def _newton_step(x, parents, weights, steiner):
+    """The (n, 2) positions x after one joint Newton step of
+    `_optimize_positions`; x itself when the step is skipped."""
+    child, par, w = np.arange(1, len(x)), parents[1:], weights[1:]
+    d = x[child] - x[par]
+    length = np.sqrt((d * d).sum(1))
+    zero = length == 0.0
+    join = zero & steiner[child] & steiner[par]
+    block = np.arange(len(x))  # a block's nodes take its top node's index
+    while np.any(block[child[join]] != block[par[join]]):
+        block[child[join]] = block[par[join]]
+    free = steiner.copy()
+    free[block[child[zero & ~join]]] = free[block[par[zero & ~join]]] = False  # kinks
+    slot = np.where(free[block], np.cumsum(free & (block == np.arange(len(x))))[block], 0)
+    if not (m := int(slot.max())):  # slot 0 holds every fixed node
+        return x
+    inv = 1.0 / np.where(zero, np.inf, length)
+    u = d * inv[:, None]
+    h = (w * inv)[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None])
+    a, b = 2 * slot[child, None] + np.arange(2), 2 * slot[par, None] + np.arange(2)
+    grad, hess = np.zeros(2 * m + 2), np.zeros((2 * m + 2, 2 * m + 2))
+    np.add.at(grad, np.concatenate([a, b]), np.concatenate([w[:, None] * u, -w[:, None] * u]))
+    if np.abs(grad[2:]).max() <= 1e-14 * w.max():
+        return x  # stationary to rounding
+    np.add.at(hess, (np.concatenate([a, b, a, b])[:, :, None],
+                     np.concatenate([a, b, b, a])[:, None, :]), np.concatenate([h, h, -h, -h]))
+    try:
+        step = np.vstack([(0.0, 0.0), np.linalg.solve(hess[2:, 2:], -grad[2:]).reshape(m, 2)])
+    except np.linalg.LinAlgError:
+        return x
+    t = 0.5 ** np.arange(_MAX_HALVINGS)
+    shift = t[:, None, None] * (step[slot[child]] - step[slot[par]])
+    # |d + shift| - |d| without cancellation; a zero-length edge never stretches
+    grow = ((2.0 * d + shift) * shift).sum(-1) / (
+        np.sqrt(((d + shift) ** 2).sum(-1)) + length + zero)
+    lower = np.flatnonzero((w * grow).sum(1) < 0.0)
+    return x + t[lower[0]] * step[slot] if len(lower) else x
+
+
 def _optimize_positions(pos, parents, atom_index, weights, scale):
     """Minimize sum(weights * edge_length) over steiner positions.
 
@@ -560,16 +562,23 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
     block, to the Fermat point of the block's outside neighbours.  Sweeps
     stop once no node moves more than 1e-12 * max(1, scale).  Returns the
     new positions.
+
+    Sweeps converge only linearly, so each sweep is followed by one joint
+    Newton step (`_newton_step`): each block is one unknown, and a node or
+    block on a kink (a zero-length edge to a terminal or the root) stays.
+    Edge e of length L and direction u adds w_e / L (I - u u^T) to the
+    dense Hessian.  The step is halved until the exact weighted length
+    strictly decreases, and skipped when the gradient is at rounding level,
+    the system is singular or no halving helps.
     """
-    steiner = [i > 0 and a < 0 for i, a in enumerate(np.asarray(atom_index).tolist())]
-    free_idx = [i for i, free in enumerate(steiner) if free]
-    if not free_idx:
-        return pos
+    steiner = (np.asarray(atom_index) < 0) & (np.arange(len(atom_index)) > 0)
+    free_idx = np.flatnonzero(steiner).tolist()
+    parents, weights = np.asarray(parents), np.asarray(weights, dtype=float)
     xy = [tuple(p) for p in np.asarray(pos, dtype=float).tolist()]
-    nbrs = [[] for _ in steiner]  # (neighbour, weight of the edge to it)
-    for i in range(1, len(steiner)):
-        nbrs[i].append((int(parents[i]), float(weights[i])))
-        nbrs[int(parents[i])].append((i, float(weights[i])))
+    nbrs = [[] for _ in xy]  # (neighbour, weight of the edge to it)
+    for i, (p, wi) in enumerate(zip(parents[1:].tolist(), weights[1:].tolist()), 1):
+        nbrs[i].append((p, wi))
+        nbrs[p].append((i, wi))
 
     def move(nodes, anchors):
         old = xy[nodes[0]]
@@ -589,6 +598,7 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
             if len(block) > 1:
                 outside = [(j, wj) for b in block for j, wj in nbrs[b] if j not in block]
                 moved = max(moved, move(block, outside))
+        xy[:] = map(tuple, _newton_step(np.array(xy), parents, weights, steiner).tolist())
         if moved <= 1e-12 * max(1.0, scale):
             break
     return np.array(xy, dtype=float)
@@ -606,38 +616,29 @@ def _contract(pos, parents, atom_index, tol):
     def delete(i):
         # caller guarantees nothing references node i anymore
         del pos[i], parents[i], atom_index[i]
-        for k in range(len(parents)):
-            if parents[k] > i:
-                parents[k] -= 1
+        parents[:] = [q - (q > i) for q in parents]
 
-    changed = True
-    while changed:
-        changed = False
+    while True:
         ch = _children_lists(parents)
         for i in range(1, len(parents)):
             p = parents[i]
-            if atom_index[i] < 0 and len(ch[i]) <= 1:
+            short = math.hypot(pos[i][0] - pos[p][0], pos[i][1] - pos[p][1]) <= tol
+            if atom_index[i] < 0 and (len(ch[i]) <= 1 or short):
                 for k in ch[i]:
                     parents[k] = p
                 delete(i)
-                changed = True
                 break
-            if math.hypot(pos[i][0] - pos[p][0], pos[i][1] - pos[p][1]) <= tol:
-                if atom_index[i] < 0:
-                    for k in ch[i]:
-                        parents[k] = p
-                    delete(i)
-                elif p > 0 and atom_index[p] < 0:
-                    # the terminal absorbs the branch point
-                    for k in ch[p]:
-                        if k != i:
-                            parents[k] = i
-                    parents[i] = parents[p]
-                    delete(p)
-                else:
+            if short:
+                if not (p > 0 and atom_index[p] < 0):
                     raise ValidationError("zero-length edge between fixed nodes")
-                changed = True
+                # the terminal absorbs the branch point
+                for k in ch[p]:
+                    parents[k] = i
+                parents[i] = parents[p]
+                delete(p)
                 break
+        else:
+            break
     return (np.array(pos, dtype=float), np.array(parents, dtype=np.int64),
             np.array(atom_index, dtype=np.int64))
 
@@ -831,12 +832,12 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
     the flux rerouted along root paths is priced by one matrix product, so
     every gain is an exact cost difference.  The best gain is applied; ties
     go to merge before reparent before attach, each in node order, so the
-    search is deterministic.  After every applied move the steiner
-    positions are solved exactly by Gauss-Seidel sweeps of weighted Fermat
-    points, and collapsed branch points are contracted away.  The search
-    works on the plan as (positions, parents, atom_index) alone: a node
-    that gains or loses an atom changes kind with it, as `IrrigationTree`
-    derives kinds from `atom_index`.
+    search is deterministic.  After every applied move the branch points
+    are placed exactly by `_optimize_positions` (Gauss-Seidel sweeps, each
+    followed by a joint Newton step), and collapsed ones are contracted
+    away.  The search works on the plan as (positions, parents,
+    atom_index) alone: a node that gains or loses an atom changes kind
+    with it, as `IrrigationTree` derives kinds from `atom_index`.
 
     The start, the star or `init`, is carried over to mu in one way.
     `init` is typically the plan of a measure with the same atoms under
@@ -905,12 +906,11 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
     per-topology optimum is global and the best topology wins.  Every branch
     point starts on the centroid of the source and the atoms, and
     `_optimize_positions` solves the problem from there with no seeding
-    pass: Gauss-Seidel sweeps of exact weighted Fermat points, with
-    coincident branch points moved as blocks, which also lets the branch
-    points that start on one point pull apart.  Degenerate optima (a branch
-    point collapsing onto a neighbor) land exactly on that neighbor and are
-    recovered by edge contraction, which is how star-like plans emerge from
-    the enumeration.
+    pass: its block moves pull the branch points apart, and its joint
+    Newton steps finish what the sweeps approach slowly.  Degenerate optima
+    (a branch point collapsing onto a neighbor) land exactly on that
+    neighbor and are recovered by edge contraction, which is how star-like
+    plans emerge from the enumeration.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")

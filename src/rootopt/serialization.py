@@ -45,7 +45,6 @@ __all__ = [
     "load_tree",
     "save_landscape_csv",
     "save_field_csv",
-    "load_field_csv",
     "save_field_binary",
     "load_field_shape",
     "load_field_binary",
@@ -267,21 +266,6 @@ def save_field_csv(path, field: ScalarField) -> None:
     rows = map(str.__add__, prefixes, map(repr, field.values.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,value\n" + "\n".join(rows) + "\n")
-
-
-def load_field_csv(path, domain: Domain) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValidationError(f"{path}: field CSV needs exactly three columns")
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
-    nx, ny = len(xs), len(ys)
-    if nx * ny != len(data):
-        raise ValidationError(f"{path}: rows do not form a full {nx}x{ny} grid")
-    grid = Grid(domain, nx, ny)
-    if not (np.array_equal(xs, grid.xs) and np.array_equal(ys, grid.ys)):
-        raise ValidationError(f"{path}: grid coordinates do not match the domain")
-    return ScalarField(grid, data[:, 2].copy())
 
 
 _FIELD_HEADER = struct.Struct("<ii4d")

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 import rootopt as ro
 
 
+def mass_outside(mu, r):
+    """Mass of the atoms at distance >= r from the source at the origin."""
+    return float(mu.masses()[np.hypot(*mu.positions().T) >= r].sum())
+
+
 class TestDomain:
     def test_defaults(self):
         d = ro.Domain()
@@ -204,13 +209,17 @@ class TestMeasure:
         assert len(built) == 4  # the two atoms of mu and the two they were compared with
 
     def test_mass_outside(self):
+        """The mass at distance >= r from the source, read off the measure's
+        arrays, is the integrand of the radial cost lower bound."""
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.6, 0.0), 0.25)))
-        assert ro.mass_outside(mu, 0.0) == 0.75
-        assert ro.mass_outside(mu, 0.8) == 0.5
-        assert ro.mass_outside(mu, 1.0) == 0.5  # boundary counts as outside
-        assert ro.mass_outside(mu, 2.0) == 0.0
-        with pytest.raises(ro.ValidationError):
-            ro.mass_outside(mu, -1.0)
+        assert mass_outside(mu, 0.0) == mu.total_mass == 0.75
+        assert mass_outside(mu, 0.8) == 0.5
+        assert mass_outside(mu, 1.0) == 0.5  # boundary counts as outside
+        assert mass_outside(mu, 2.0) == 0.0
+        # constant on [0, 0.6] and on (0.6, 1], zero beyond the last atom
+        alpha = 0.5
+        integral = 0.6 * mass_outside(mu, 0.3) ** alpha + 0.4 * mass_outside(mu, 0.8) ** alpha
+        assert ro.cost_lower_bound(mu, alpha) == pytest.approx(integral, rel=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
@@ -218,7 +227,7 @@ class TestMeasure:
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.6, 0.3), 0.25),
                                  ro.Atom((1.4, -0.4), 1.5)))
         lo, hi = min(r1, r2), max(r1, r2)
-        assert ro.mass_outside(mu, lo) >= ro.mass_outside(mu, hi)
+        assert mu.total_mass >= mass_outside(mu, lo) >= mass_outside(mu, hi) >= 0.0
 
     def test_mass_bound_check(self):
         d = ro.Domain()  # r0 = 0.5
@@ -238,8 +247,9 @@ class TestGrowth:
         f = ro.GrowthFunction(u_max=2.0, rate=3.0)
         assert f(0.0) == 0.0
         assert f(2.0) == 0.0
-        assert f.peak == pytest.approx(1.5)
-        assert f(1.0) == pytest.approx(1.5)
+        u = np.linspace(0.0, 2.0, 2001)
+        assert f(u).max() == f(1.0) == pytest.approx(3.0 * 2.0 / 4.0)  # rate u_max / 4
+        assert u[np.argmax(f(u))] == 1.0
 
     def test_derivative_matches_difference(self):
         f = ro.GrowthFunction()

@@ -125,16 +125,21 @@ class TestCostAndLandscape:
             g = np.zeros(len(mu))
             g[a] = 1.0
             eps = 1e-6
-            fd = (ro.scaled_mass_cost(tree, mu, alpha, g, eps)
-                  - ro.scaled_mass_cost(tree, mu, alpha, g, -eps)) / (2 * eps)
+            fd = (ro.irrigation_cost(tree, mu.with_masses(mu.masses() * (1 + eps * g)), alpha)
+                  - ro.irrigation_cost(tree, mu.with_masses(mu.masses() * (1 - eps * g)), alpha)
+                  ) / (2 * eps)
             assert fd == pytest.approx(alpha * mu.masses()[a] * z.at_atom(a), rel=1e-5)
 
     def test_scaled_mass_cost_at_zero_eps(self):
+        """Rerouting (1 + eps g) mu along the same tree costs what mu costs at
+        eps = 0, and a factor below zero is no measure."""
         mu = two_atom_measure()
         tree = ro.star_tree(mu)
         g = np.array([1.0, -1.0])
-        assert ro.scaled_mass_cost(tree, mu, 0.5, g, 0.0) == ro.irrigation_cost(
-            tree, mu, 0.5)
+        scaled = mu.with_masses(mu.masses() * (1.0 + 0.0 * g))
+        assert ro.irrigation_cost(tree, scaled, 0.5) == ro.irrigation_cost(tree, mu, 0.5)
+        with pytest.raises(ro.ValidationError):
+            mu.with_masses(mu.masses() * (1.0 + 2.0 * g))
 
 
 class TestAtomTerminals:
@@ -414,6 +419,14 @@ class TestWarmPlanner:
             check_terminals(warm, mu)
 
 
+def path_to_root(tree, node):
+    """Nodes from `node` up to and including the root."""
+    path = [node]
+    while path[-1] > 0:
+        path.append(int(tree.parents[path[-1]]))
+    return path
+
+
 def move_key(kind, payload):
     """A move without its branch point: (kind, nodes...)."""
     if kind == "merge":
@@ -443,7 +456,7 @@ class TestMoveScan:
             assert np.all(np.isfinite(gains) | (gains == -np.inf))
 
             # the candidates the search may apply, in tie-break order
-            below = [{v for v in range(n) if u in tree.path_to_root(v)} for u in range(n)]
+            below = [{v for v in range(n) if u in path_to_root(tree, v)} for u in range(n)]
             ch = tree.children()
             expected = (
                 [("merge", p, a, b) for p in range(n)
@@ -567,6 +580,65 @@ class TestYJunction:
             pull = np.hypot(*((w[m] / dist)[:, None] * diff).sum(0))
             w[m, i] = pull * (1.0 - 10.0 ** rng.uniform(-15.0, -2.0))
         self.assert_no_worse_than_fermat_point(pts, w)
+
+
+@pytest.fixture(scope="module")
+def geometry_calls():
+    """Every `_optimize_positions` call that optimize_plan(mu, 0.6) makes on
+    random 10-, 20- and 40-atom measures (atoms in [0.1, 2] x [-1, 1],
+    masses U(0.05, 1), numpy seed 0), as (arguments, result, sweeps).  Every
+    sweep is followed by exactly one `_newton_step`, so a call's sweeps are
+    counted as its Newton steps."""
+    calls = []
+    optimize, newton = irr._optimize_positions, irr._newton_step
+
+    def recording(*args):
+        calls.append([args, None, 0])
+        calls[-1][1] = optimize(*args)
+        return calls[-1][1]
+
+    def counting(*args):
+        calls[-1][2] += 1
+        return newton(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(irr, "_optimize_positions", recording)
+        mp.setattr(irr, "_newton_step", counting)
+        for n in (10, 20, 40):
+            rng = np.random.default_rng(0)
+            x, y = rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n)
+            ro.optimize_plan(ro.DiscreteMeasure.from_arrays(
+                np.c_[x, y], rng.uniform(0.05, 1.0, n)), 0.6)
+    return calls
+
+
+class TestGeometry:
+    def test_branch_points_are_stationary(self, geometry_calls):
+        """At every steiner node whose edges are all longer than
+        1e-12 * scale, the weighted unit vectors of its edges cancel:
+        |sum w_e u_e| <= 1e-9 sum w_e, the first-order condition of the
+        weighted length, checked on the positions rather than through the
+        stopping rule."""
+        checked = 0
+        for (_, parents, atom_index, weights, scale), pos, _ in geometry_calls:
+            parents, weights = np.asarray(parents), np.asarray(weights)
+            child = np.arange(1, len(parents))
+            d = pos[child] - pos[parents[1:]]
+            length = np.hypot(d[:, 0], d[:, 1])
+            for i in np.flatnonzero(np.asarray(atom_index) < 0)[1:]:
+                e = np.flatnonzero((child == i) | (parents[1:] == i))
+                if np.all(length[e] > 1e-12 * max(1.0, scale)):
+                    sign = np.where(child[e] == i, 1.0, -1.0)
+                    pull = ((weights[e + 1] * sign / length[e])[:, None] * d[e]).sum(0)
+                    assert np.hypot(*pull) <= 1e-9 * weights[e + 1].sum(), (i, pull)
+                    checked += 1
+        assert checked > 500
+
+    def test_no_call_reaches_the_sweep_cap(self, geometry_calls):
+        sweeps = [s for _, _, s in geometry_calls]
+        assert len(sweeps) > 50 and min(sweeps) >= 1
+        assert max(sweeps) < irr._MAX_GEOMETRY_SWEEPS, sorted(sweeps)[-5:]
+
 
 class TestBruteForce:
     def test_topology_counts(self):
