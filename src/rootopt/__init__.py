@@ -9,9 +9,8 @@ masses toward measures satisfying first-order optimality.
 from .core import (Atom, DiscreteMeasure, Domain, Grid, GrowthFunction,
                    RunConfig, SolverError, ValidationError, mass_bound_check)
 from .elliptic import (bilinear_interpolate, growth_bound_lambda, harvest,
-                       laplacian_matrix, lump_measure, perturbation_derivative,
-                       phi_field, quadrature_weights, solve_adjoint,
-                       solve_state)
+                       laplacian_matrix, lump_measure, phi_field,
+                       quadrature_weights, solve_adjoint, solve_state)
 from .irrigation import (IrrigationTree, brute_force_plan, check_arc_chord,
                          check_landscape_holder, compute_fluxes,
                          cost_lower_bound, irrigation_cost, landscape,
@@ -37,7 +36,6 @@ __all__ = [
     "harvest",
     "laplacian_matrix",
     "lump_measure",
-    "perturbation_derivative",
     "phi_field",
     "quadrature_weights",
     "solve_adjoint",

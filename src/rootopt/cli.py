@@ -133,7 +133,7 @@ def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
     _write_common(out, parsed, mu)
     tree = optimize_plan(mu, cfg.alpha, budget=cfg.max_plan_moves)
     cost = irrigation_cost(tree, mu, cfg.alpha)
-    lb = cost_lower_bound(mu, cfg.alpha, cfg.domain.origin)
+    lb = cost_lower_bound(mu, cfg.alpha)
     z = landscape(tree, mu, cfg.alpha)
     save_tree(out / "tree.json", tree, mu)
     save_landscape_csv(out / "landscape.csv", z)
@@ -281,7 +281,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if gap <= 1e-10 * max(1.0, cost) else
                f"sum of mass*Z misses the cost by {gap!r}")
 
-        lb = cost_lower_bound(mu, cfg.alpha, cfg.domain.origin)
+        lb = cost_lower_bound(mu, cfg.alpha)
         yield ("cost lower bound",
                None if cost >= lb - 1e-9 * max(1.0, cost) else
                f"cost {cost!r} sits below the lower bound {lb!r}")

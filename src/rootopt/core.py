@@ -8,7 +8,7 @@ so instances can be shared freely between routines and threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
@@ -41,16 +41,16 @@ class Domain:
     """Axis-aligned open rectangle with the transport source strictly outside.
 
     The source (the point all irrigation trees are rooted at) sits at the
-    origin; the rectangle is where the absorbing measure lives and where the
-    elliptic problems are posed.
+    origin (0, 0); the rectangle is where the absorbing measure lives and
+    where the elliptic problems are posed.  To move the source relative to
+    the plot, move the rectangle.
     """
 
     rect_min: tuple = (0.5, -0.5)
     rect_max: tuple = (1.5, 0.5)
-    origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("rect_min", "rect_max", "origin"):
+        for name in ("rect_min", "rect_max"):
             v = getattr(self, name)
             if len(v) != 2 or not all(math.isfinite(float(t)) for t in v):
                 raise ValidationError(f"{name} must be a finite 2-vector")
@@ -62,9 +62,8 @@ class Domain:
 
     def source_distance(self) -> float:
         """Distance from the origin to the closed rectangle (r0 > 0)."""
-        ox, oy = self.origin
-        dx = max(self.rect_min[0] - ox, 0.0, ox - self.rect_max[0])
-        dy = max(self.rect_min[1] - oy, 0.0, oy - self.rect_max[1])
+        dx = max(self.rect_min[0], 0.0, -self.rect_max[0])
+        dy = max(self.rect_min[1], 0.0, -self.rect_max[1])
         return math.hypot(dx, dy)
 
     @property
@@ -74,13 +73,6 @@ class Domain:
     @property
     def height(self) -> float:
         return self.rect_max[1] - self.rect_min[1]
-
-    def contains(self, x: float, y: float, closed: bool = True) -> bool:
-        if closed:
-            return (self.rect_min[0] <= x <= self.rect_max[0]
-                    and self.rect_min[1] <= y <= self.rect_max[1])
-        return (self.rect_min[0] < x < self.rect_max[0]
-                and self.rect_min[1] < y < self.rect_max[1])
 
 
 @dataclass(frozen=True)
@@ -399,6 +391,3 @@ class RunConfig:
     @property
     def domain(self) -> Domain:
         return self.grid.domain
-
-    def replace(self, **kw) -> "RunConfig":
-        return replace(self, **kw)

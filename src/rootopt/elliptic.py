@@ -13,16 +13,15 @@ so the scheme is self-adjoint in the tau-weighted inner product.  With this
 pairing the adjoint of the scheme is the scheme itself, so the sensitivity
 field from solve_adjoint differentiates the discrete crop exactly.
 
-Linear solves use sparse LU factors of -lap + diag(absorption) and
-back-substitute for each right-hand side.  The nodewise residual
-|A x - b| against the true matrix A must lie within
-tol_linear * max(1, |absorption * x|, |b|) at every node.  Factors of a
-nearby matrix (an earlier Newton Jacobian) are reused by refining against
-A, up to 12 steps that each at least halve the worst scaled residual; when
-they miss, A itself is factorized.  A solution from A's own factors that
-misses is refined once and checked again; if it still misses, SolverError
-reports the worst residual, so a singular or ill-conditioned system fails
-by name instead of returning garbage.
+Every linear solve A x = b, A = -lap + diag(absorption), follows one rule.
+The nodewise residual |A x - b| against the true matrix A must lie within
+tol_linear * max(1, |absorption * x|, |b|) at every node.  A solve given
+sparse LU factors (of A itself, or of a nearby matrix such as an earlier
+Newton Jacobian) back-substitutes with them and refines against A, up to
+12 steps that each at least halve the worst scaled residual.  Without
+factors, or when they miss, A is factorized and refined by the same rule;
+if that misses too, SolverError reports the worst residual, so a singular
+or ill-conditioned system fails by name instead of returning garbage.
 
 State equation
 --------------
@@ -38,12 +37,13 @@ The shift makes the sweep order-preserving, the iterates decrease
 monotonically, and the limit is the maximal solution (mirroring the
 sub/supersolution construction).  Without the shift the sweep started at
 u_max would jump straight to the trivial zero branch, since f(u_max) = 0.
-The shifted matrix is the same for every sweep of a given measure, so it is
-factorized once and each sweep is one back-substitution.  If the sweeps
+The shifted matrix is the same for every sweep of a given measure, so the
+first sweep factorizes it and every later sweep solves with those factors,
+one back-substitution unless the residual needs refining.  If the sweeps
 stall or run out, damped Newton steps finish the solve.  Each step solves
 the negated Jacobian -lap + diag(a - f'(u)) at its iterate to tol_linear:
-the first step factorizes it, and later steps refine with those factors,
-refactorizing only when refinement misses.  Given the state of a nearby
+the first step factorizes it, and later steps solve with those factors,
+which are replaced only when they miss.  Given the state of a nearby
 measure, the same Newton steps start from it instead and the sweep runs
 only when they stall, touch 0 or end on an unstable state.  The adjoint
 matrix is the Jacobian at the converged state, so a state that Newton
@@ -65,7 +65,8 @@ from .core import DiscreteMeasure, Grid, GrowthFunction, SolverError, Validation
 
 # sweeps allowed before the state solve gives up without stalling
 _MAX_SWEEPS = 400
-# refinement steps allowed with another matrix's factors before refactorizing
+# refinement steps allowed per set of factors, each of which must at least
+# halve the worst scaled residual
 _MAX_REFINE = 12
 
 __all__ = [
@@ -81,7 +82,6 @@ __all__ = [
     "solve_adjoint",
     "adjoint_residual",
     "phi_field",
-    "perturbation_derivative",
     "bilinear_interpolate",
 ]
 
@@ -224,14 +224,14 @@ def _factorize(mat: sp.csc_matrix):
         raise SolverError(f"sparse factorization failed: {e}") from None
 
 
-def _refine(mat, absorption, lu, rhs, tol_linear, max_steps):
+def _refine(mat, absorption, lu, rhs, tol_linear):
     """Back-substitute rhs with `lu`, then refine against the true matrix
     `mat` while the worst scaled residual misses tol_linear, for at most
-    max_steps steps that each at least halve it; returns x, A x - b and the
-    worst scaled residual."""
+    _MAX_REFINE steps that each at least halve it; returns x, A x - b and
+    the worst scaled residual."""
     x = lu.solve(rhs)
     res, worst = _linear_misfit(mat, absorption, x, rhs)
-    for _ in range(max_steps):
+    for _ in range(_MAX_REFINE):
         if worst <= tol_linear:
             break
         prev = worst
@@ -242,40 +242,24 @@ def _refine(mat, absorption, lu, rhs, tol_linear, max_steps):
     return x, res, worst
 
 
-def _checked(mat, absorption, lu, rhs, tol_linear):
-    """Solve with the factors of `mat` itself: one refinement step only on a
-    miss (some solves on a 17x17 grid leave residuals just above
-    tol_linear = 1e-12), then SolverError naming the worst residual."""
-    x, res, worst = _refine(mat, absorption, lu, rhs, tol_linear, 1)
+def _solve(mat, absorption, rhs, tol_linear, lu=None):
+    """Solve mat x = rhs, mat = -lap + diag(absorption), to the nodewise
+    residual tol_linear * max(1, |absorption x|, |rhs|); returns x and the
+    factors that solved it.  Refines with the factors `lu` when given (those
+    of mat itself, or of a nearby matrix); without them, or when they miss,
+    factorizes mat and refines with its factors by the same rule.  If those
+    miss too, SolverError names the worst residual."""
+    if lu is not None:
+        x, _, worst = _refine(mat, absorption, lu, rhs, tol_linear)
+        if worst <= tol_linear:
+            return x, lu
+    lu = _factorize(mat)
+    x, res, worst = _refine(mat, absorption, lu, rhs, tol_linear)
     if not worst <= tol_linear:
         raise SolverError(
             f"linear solve missed tolerance {tol_linear:g}; worst residual "
             f"{float(np.max(np.abs(res))):.3e}")
-    return x
-
-
-def _linear_solver(grid: Grid, absorption: np.ndarray, tol_linear: float):
-    """Factorize -lap + diag(absorption) once; return a function solving it for
-    one right-hand side to the nodewise residual tol_linear * max(1, |a x|, |b|)."""
-    mat = _system(grid, absorption)
-    lu = _factorize(mat)
-    return lambda rhs: _checked(mat, absorption, lu, rhs, tol_linear)
-
-
-def _solve(grid: Grid, absorption: np.ndarray, rhs: np.ndarray, tol_linear: float, lu=None):
-    """Solve -lap + diag(absorption) x = rhs to tol_linear; returns x and the
-    factors that solved it.  Given factors `lu` of a nearby matrix (the
-    Jacobian at an earlier Newton iterate), the solve refines against the
-    true matrix with them, up to _MAX_REFINE steps; when that misses, or
-    without `lu`, the true matrix is factorized and solved as by
-    _linear_solver."""
-    mat = _system(grid, absorption)
-    if lu is not None:
-        x, _, worst = _refine(mat, absorption, lu, rhs, tol_linear, _MAX_REFINE)
-        if worst <= tol_linear:
-            return x, lu
-    lu = _factorize(mat)
-    return _checked(mat, absorption, lu, rhs, tol_linear), lu
+    return x, lu
 
 
 def _state_misfit(lap, a, f, u):
@@ -302,7 +286,8 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
         res, rmax = _state_misfit(lap, a, f, u)
         if rmax <= tol:
             return u, lu
-        delta, lu = _solve(grid, a - f.derivative(u), res, tol_linear, lu)
+        jac = a - f.derivative(u)
+        delta, lu = _solve(_system(grid, jac), jac, res, tol_linear, lu)
         step = 1.0
         while step >= 1.0 / 4096.0:
             u_try = np.clip(u + step * delta, 0.0, f.u_max)
@@ -330,13 +315,14 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     Returns the limit of the monotone sweep from u = u_max.  Each atom is
     absorbed over its node's cell, so the nodal density is w / (tau h^2) and
     the half cells along the walls feel their full mass.  The shifted sweep
-    matrix -lap + a + sigma is factorized once per call and every sweep is a
-    back-substitution; when the sweeps stall or run out, damped Newton steps
-    finish.  Newton factorizes the Jacobian of its first step and refines
-    later steps against their own Jacobians with those factors, factorizing
-    afresh only when refinement misses.  Every linear solve must meet the
-    nodewise residual tol_linear against its true matrix, and the discrete
-    residual lap_h(u) + f(u) - a u is driven below tol * max(1, |f(u)|, |a u|) at
+    matrix -lap + a + sigma is factorized once per call and every sweep
+    solves with those factors; when the sweeps stall or run out, damped
+    Newton steps finish.  Newton factorizes the Jacobian of its first step
+    and solves later steps' own Jacobians with those factors.  Every linear
+    solve meets the nodewise residual tol_linear against its true matrix by
+    the module's one rule: refine with the factors at hand, and factorize
+    the true matrix only when they miss.  The discrete residual
+    lap_h(u) + f(u) - a u is driven below tol * max(1, |f(u)|, |a u|) at
     every node; failure to converge raises SolverError carrying the last
     residual.
 
@@ -380,12 +366,14 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
             if np.all((a - f.derivative(u)) * u - lap @ u > 0.0):
                 return _carrying(grid, u, lu)
     sigma = f.monotone_shift
-    sweep = _linear_solver(grid, a + sigma, tol_linear)
-
+    shifted = a + sigma
+    mat = _system(grid, shifted)
+    lu = None
     u = np.full(grid.n_nodes, u_max)
     rmax_prev = math.inf
     for _ in range(_MAX_SWEEPS):
-        u = np.clip(sweep(f(u) + sigma * u), 0.0, u_max)
+        x, lu = _solve(mat, shifted, f(u) + sigma * u, tol_linear, lu)
+        u = np.clip(x, 0.0, u_max)
         rmax = _state_misfit(lap, a, f, u)[1]
         if rmax <= tol:
             return ScalarField(grid, u)
@@ -440,10 +428,11 @@ def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
     Uses the same cell-area lumping as the state solve, which makes
     (1 - psi) u* the exact derivative of the discrete crop with respect to
     each nodal mass.  The system -lap + diag(a - f'(u*)) is Newton's Jacobian
-    at u*: when u_star comes from solve_state with Newton's factors, the
-    solve refines against the true matrix with them and factorizes the
-    matrix only when that misses tol; otherwise it factorizes.  Either way
-    the solve meets the nodewise residual tol against its true matrix.
+    at u*, so it is solved by the module's one linear-solve rule with the
+    factors that u_star carries from solve_state's Newton steps: refine
+    with them, and factorize the true matrix only when they miss or when
+    there are none.  Either way the solve meets the nodewise residual tol
+    against its true matrix.
     Post-checks: psi >= -1e-9 and psi <= lam * u_max + 1 + 1e-9, with
     lam = growth_bound_lambda(f, min(u*)).
     """
@@ -451,7 +440,7 @@ def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
         raise ValidationError("state field lives on a different grid")
     a = lump_measure(mu, grid).density()
     coeff = a - f.derivative(u_star.values)
-    psi = _solve(grid, coeff, a, tol, u_star._factors)[0]
+    psi = _solve(_system(grid, coeff), coeff, a, tol, u_star._factors)[0]
     if np.min(psi) < -1e-9:
         raise SolverError(f"adjoint went negative: min psi = {float(np.min(psi)):.3e}")
     lam = growth_bound_lambda(f, delta0=u_star.min())
@@ -467,22 +456,6 @@ def phi_field(u_star: ScalarField, psi: ScalarField) -> ScalarField:
     if u_star.grid != psi.grid:
         raise ValidationError("fields live on different grids")
     return ScalarField(u_star.grid, (1.0 - psi.values) * u_star.values)
-
-
-def perturbation_derivative(u_star: ScalarField, psi: ScalarField, g,
-                            mu: DiscreteMeasure) -> float:
-    """Derivative of the harvest under mass reweighting (1 + eps g) mu at eps = 0,
-    which is sum(mass_a * g_a * phi(node_a))."""
-    g = np.asarray(g, dtype=float).ravel()
-    if g.shape != (len(mu),):
-        raise ValidationError("g must assign one value per atom")
-    if np.any(np.abs(g) > 1.0 + 1e-12):
-        raise ValidationError("|g| <= 1 is required")
-    if not len(mu):
-        return 0.0
-    phi = phi_field(u_star, psi)
-    idx = _node_indices(mu, u_star.grid)
-    return float(np.sum(mu.masses() * g * phi.values[idx]))
 
 
 def bilinear_interpolate(field: ScalarField, points) -> np.ndarray:

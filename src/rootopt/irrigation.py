@@ -159,9 +159,6 @@ class IrrigationTree:
         out[1:] = np.linalg.norm(self.positions[1:] - self.positions[self.parents[1:]], axis=1)
         return out
 
-    def leaves(self):
-        return [i for i, ch in enumerate(self.children()) if not ch]
-
     def atom_terminals(self, n_atoms: int) -> np.ndarray:
         """Terminal node of each atom 0 .. n_atoms - 1, or -1 for an atom
         without one: the inverse of atom_index, built in one pass."""
@@ -274,8 +271,8 @@ def landscape(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> Landsc
     return LandscapeValues(tree, z, float(alpha))
 
 
-def cost_lower_bound(mu: DiscreteMeasure, alpha: float, origin=(0.0, 0.0)) -> float:
-    """Radial lower bound on any plan's cost.
+def cost_lower_bound(mu: DiscreteMeasure, alpha: float) -> float:
+    """Radial lower bound on any plan's cost, about the source at (0, 0).
 
     Integrating (mass at distance >= r) ** alpha over r >= 0 gives a finite
     sum over the sorted atom radii; no plan can beat it because the flux
@@ -284,7 +281,7 @@ def cost_lower_bound(mu: DiscreteMeasure, alpha: float, origin=(0.0, 0.0)) -> fl
     if not len(mu):
         return 0.0
     pos = mu.positions()
-    radii = np.hypot(pos[:, 0] - origin[0], pos[:, 1] - origin[1])
+    radii = np.hypot(pos[:, 0], pos[:, 1])
     masses = mu.masses()
     order = np.argsort(radii, kind="stable")
     r_sorted = radii[order]

@@ -239,8 +239,7 @@ def _trial(config: RunConfig, mu: DiscreteMeasure, base: _Bundle | None) -> _Bun
     tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves, init=init_tree)
     u = solve_state(config.grid, mu, config.growth, tol=config.tol_nonlinear,
                     tol_linear=config.tol_linear, init=init_u)
-    cost = irrigation_cost(tree, mu, config.alpha)
-    return _Bundle(mu, tree, u, harvest(u, mu) - float(config.c) * cost)
+    return _Bundle(mu, tree, u, payoff(u, mu, tree, config.c, config.alpha))
 
 
 def _complete(config: RunConfig, trial: _Bundle, iteration: int) -> _Bundle:

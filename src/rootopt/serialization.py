@@ -410,7 +410,6 @@ def _config_values(parsed: ParsedConfig) -> dict:
         "alpha": cfg.alpha, "c": cfg.c, "nx": grid.nx, "ny": grid.ny,
         "rect_min_x": d.rect_min[0], "rect_min_y": d.rect_min[1],
         "rect_max_x": d.rect_max[0], "rect_max_y": d.rect_max[1],
-        "origin_x": d.origin[0], "origin_y": d.origin[1],
         "u_max": cfg.growth.u_max, "rate": cfg.growth.rate,
         "tol_nonlinear": cfg.tol_nonlinear, "tol_linear": cfg.tol_linear,
         "tol_residual": cfg.tol_residual, "max_outer_iters": cfg.max_outer_iters,

@@ -66,6 +66,28 @@ class TestIrrigate:
         assert rc == 1
         assert "unknown config key: 'beta'" in capsys.readouterr().err
 
+    def test_origin_keys_are_unknown(self, single_atom_setup, capsys):
+        """The source sits at (0, 0); there is no key that moves it."""
+        cfg, tmp = single_atom_setup
+        rc = main(["irrigate", "--config", str(cfg), "--out", str(tmp / "run"),
+                   "--set", "origin_x=-0.5"])
+        assert rc == 1
+        assert "unknown config key: 'origin_x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["irrigate", "optimize"])
+    def test_rectangle_left_of_the_source_passes_verify(self, tmp_path, capsys, subcommand):
+        """A rectangle moved to the source's left: plans stay rooted at
+        (0, 0), and the cost and mass bounds that verify re-derives hold."""
+        cfg = write_setup(tmp_path, ["nx = 9", "ny = 9", "c = 0.1", "max_outer_iters = 4",
+                                     "rect_min_x = -1.5", "rect_max_x = -0.5"],
+                          [(-1.0, 0.0, 0.3), (-1.25, 0.25, 0.2)])
+        out = tmp_path / "run"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "ok: cost lower bound" in stdout and "ok: mass bound" in stdout
+        assert load_tree(out / "tree.json")[0].positions[0].tolist() == [0.0, 0.0]
+
     def test_off_grid_measure_fails_without_snap(self, tmp_path):
         cfg = write_setup(tmp_path, ["nx = 17", "ny = 17"], [(1.001, 0.0, 0.5)])
         out = tmp_path / "run"
@@ -163,8 +185,7 @@ class TestSolveAndAdjoint:
     def test_adjoint_of_a_swept_state_factorizes_its_own_matrix(self, tmp_path):
         """A state that the sweeps finish carries no Newton factors, so the
         adjoint is solved from freshly computed factors of its own matrix,
-        one back-substitution and a refinement step only on a miss, and its
-        artifacts hold exactly those bytes."""
+        refined only on a miss, and its artifacts hold exactly those bytes."""
         from rootopt import elliptic as ell
         cfg = write_setup(tmp_path, ["nx = 33", "ny = 33"],
                           [(0.5, -0.25, 0.4), (1.0, 0.0, 0.7), (1.5, 0.5, 0.2)])
@@ -176,8 +197,9 @@ class TestSolveAndAdjoint:
                            tol_linear=run.tol_linear)
         assert u._factors is None
         a = ro.lump_measure(mu, run.grid).density()
-        psi = ScalarField(run.grid, ell._linear_solver(
-            run.grid, a - run.growth.derivative(u.values), run.tol_linear)(a))
+        coeff = a - run.growth.derivative(u.values)
+        psi = ScalarField(run.grid, ell._solve(ell._system(run.grid, coeff), coeff, a,
+                                               run.tol_linear)[0])
         for name, field in (("state", u), ("psi", psi), ("phi", ro.phi_field(u, psi))):
             save_field_binary(tmp_path / f"{name}.bin", field)
             assert (out / f"{name}.bin").read_bytes() == (tmp_path / f"{name}.bin").read_bytes()

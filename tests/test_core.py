@@ -35,13 +35,6 @@ class TestDomain:
         d = ro.Domain(rect_min=(3.0, 4.0), rect_max=(5.0, 6.0))
         assert d.source_distance() == pytest.approx(5.0, abs=1e-15)
 
-    def test_contains(self):
-        d = ro.Domain()
-        assert d.contains(1.0, 0.0)
-        assert d.contains(0.5, -0.5)
-        assert not d.contains(0.5, -0.5, closed=False)
-        assert not d.contains(0.0, 0.0)
-
 
 class TestGrid:
     def test_spacing_must_match(self):
@@ -274,10 +267,6 @@ class TestRunConfig:
         cfg = ro.RunConfig()
         assert cfg.grid.nx == 33
         assert cfg.domain.source_distance() == 0.5
-
-    def test_replace(self):
-        cfg = ro.RunConfig().replace(alpha=0.5, c=0.25)
-        assert cfg.alpha == 0.5 and cfg.c == 0.25
 
     def test_validation(self):
         with pytest.raises(ro.ValidationError):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,12 +116,19 @@ class TestLumping:
 
 
 class TestLinearSolver:
+    """elliptic._solve, the one path of every linear solve: refine with the
+    factors at hand, factorize only without them or when they miss, and
+    raise SolverError when fresh factors miss too."""
+
+    @staticmethod
+    def solve(grid, coeff, rhs, tol_linear, lu=None):
+        return ell._solve(ell._system(grid, coeff), coeff, rhs, tol_linear, lu)
+
     def test_singular_system_raises(self, grid17):
         """Zero absorption leaves the pure-Neumann Laplacian, which has no
         solution for a right-hand side of non-zero mean."""
         with pytest.raises(ro.SolverError):
-            ell._linear_solver(grid17, np.zeros(grid17.n_nodes), 1e-10)(
-                np.ones(grid17.n_nodes))
+            self.solve(grid17, np.zeros(grid17.n_nodes), np.ones(grid17.n_nodes), 1e-10)
 
     @pytest.fixture()
     def back_substitutions(self, linalg_calls):
@@ -140,7 +148,7 @@ class TestLinearSolver:
     def test_solve_within_tolerance_is_not_refined(self, grid17, back_substitutions):
         coeff, rhs = self.adjoint_system(grid17, 1.0)
         back_substitutions.clear()
-        x = ell._linear_solver(grid17, coeff, 1e-12)(rhs)
+        x = self.solve(grid17, coeff, rhs, 1e-12)[0]
         assert len(back_substitutions) == 1
         assert ell._linear_misfit(ell._system(grid17, coeff), coeff, x, rhs)[1] <= 1e-12
 
@@ -153,18 +161,58 @@ class TestLinearSolver:
         first = ell.spla.splu(mat, permc_spec="MMD_AT_PLUS_A").solve(rhs)
         assert ell._linear_misfit(mat, coeff, first, rhs)[1] > 1e-12
         back_substitutions.clear()
-        x = ell._linear_solver(grid17, coeff, 1e-12)(rhs)
+        x = self.solve(grid17, coeff, rhs, 1e-12)[0]
         assert len(back_substitutions) == 2
         assert ell._linear_misfit(mat, coeff, x, rhs)[1] <= 1e-12
 
     def test_unreachable_tolerance_names_the_worst_residual(self, grid17,
                                                              back_substitutions):
+        """Fresh factors refine by the same halving rule as carried ones: the
+        first step halves the worst scaled residual, the second does not,
+        and the solve gives up after three back-substitutions."""
         coeff, rhs = self.adjoint_system(grid17, 1.0)
         back_substitutions.clear()
         with pytest.raises(ro.SolverError,
                            match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
-            ell._linear_solver(grid17, coeff, 1e-20)(rhs)
-        assert len(back_substitutions) == 2
+            self.solve(grid17, coeff, rhs, 1e-20)
+        assert len(back_substitutions) == 3
+
+    def test_carried_and_fresh_factors_both_miss(self, grid17, linalg_calls):
+        """Factors of -lap + 50 and a tolerance no solve can meet: the carried
+        factors miss, the true matrix is factorized exactly once, and its
+        factors miss too."""
+        coeff, rhs = self.adjoint_system(grid17, 1.0)
+        far = ell._factorize(ell._system(grid17, np.full(grid17.n_nodes, 50.0)))
+        linalg_calls.splu.clear()
+        with pytest.raises(ro.SolverError,
+                           match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
+            self.solve(grid17, coeff, rhs, 1e-20, lu=far)
+        assert len(linalg_calls.splu) == 1
+
+    def test_docs_name_the_refinement_cap(self):
+        """README and the module docstring state the cap that _refine keeps."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for text in (readme, ell.__doc__):
+            assert f"{ell._MAX_REFINE} steps that each at least halve" in " ".join(text.split())
+
+    def test_cold_sweeps_factorize_once(self, grid17, linalg_calls, monkeypatch):
+        """A cold state solve that the sweeps finish: one factorization of the
+        shifted matrix, carried from sweep to sweep, and one
+        back-substitution per sweep."""
+        sweeps = []
+        solve = ell._solve
+
+        def counting(*args):
+            sweeps.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(ell, "_solve", counting)
+        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+        u = ro.solve_state(grid17, mu, ro.GrowthFunction(), tol=1e-10)
+        assert u._factors is None  # the sweeps finished
+        assert len(sweeps) > 5
+        assert len(linalg_calls.splu) == 1
+        assert len(linalg_calls.solve) == len(sweeps)
 
 
 class TestStateSolve:
@@ -383,7 +431,9 @@ class TestFactorReuse:
             plain = ro.solve_adjoint(grid17, nu, ell.ScalarField(grid17, u.values), f,
                                      tol=tol_linear)
             with monkeypatch.context() as m:
-                m.setattr(ell, "_MAX_REFINE", 0)
+                solve = ell._solve
+                m.setattr(ell, "_solve", lambda mat, absorption, rhs, tol_linear, lu=None:
+                          solve(mat, absorption, rhs, tol_linear))
                 u0 = ro.solve_state(grid17, nu, f, tol=tol, tol_linear=tol_linear, init=prev)
             fresh += len(linalg_calls.splu)
             assert np.max(np.abs(u.values - u0.values)) <= tol * f.u_max
@@ -438,7 +488,9 @@ class TestHarvestAndAdjoint:
             ro.phi_field(u, psi)
 
     def test_perturbation_derivative_matches_resolve(self, grid17):
-        """Adjoint shortcut vs actually re-solving the PDE for (1 + eps g) mu."""
+        """The derivative of the harvest under the reweighting (1 + eps g) mu
+        at eps = 0 is sum(m g phi(node)): the adjoint shortcut against a
+        central difference of the re-solved harvest."""
         rng = np.random.default_rng(21)
         f = ro.GrowthFunction()
         mu = random_grid_measure(rng, grid17, 4, mass_range=(0.3, 0.9))
@@ -452,15 +504,9 @@ class TestHarvestAndAdjoint:
             u_s = ro.solve_state(grid17, mu_s, f, tol=1e-12)
             vals.append(ro.harvest(u_s, mu_s))
         fd = (vals[0] - vals[1]) / (2 * eps)
-        pred = ro.perturbation_derivative(u, psi, g, mu)
+        nodes = [grid17.index_of(*a.position) for a in mu.atoms]
+        pred = float(np.sum(mu.masses() * g * ro.phi_field(u, psi).values[nodes]))
         assert pred == pytest.approx(fd, rel=2e-4, abs=1e-8)
-
-    def test_perturbation_rejects_large_g(self, grid17):
-        f = ro.GrowthFunction()
-        u = ro.solve_state(grid17, ro.DiscreteMeasure(), f)
-        with pytest.raises(ro.ValidationError):
-            ro.perturbation_derivative(u, u, [2.0], ro.DiscreteMeasure(
-                (ro.Atom(grid17.node_position(4, 4), 0.5),)))
 
 
 class TestGrowthBound:

@@ -323,7 +323,7 @@ class TestConfigSchema:
         """A config that sets every key away from its default comes back
         whole through config_to_text, parse_config_text and
         config_from_mapping."""
-        domain = ro.Domain(rect_min=(0.25, -0.75), rect_max=(2.25, 0.25), origin=(-0.5, 0.5))
+        domain = ro.Domain(rect_min=(0.25, -0.75), rect_max=(2.25, 0.25))
         run = ro.RunConfig(
             grid=ro.Grid(domain, 17, 9), alpha=0.6, c=0.3,
             growth=ro.GrowthFunction(u_max=2.5, rate=3.0), tol_nonlinear=1e-9,
@@ -357,7 +357,7 @@ class TestConfigSchema:
         with pytest.raises(ro.ValidationError, match="alpha must be in"):
             ser.config_from_mapping({"alpha": 1.5})
         with pytest.raises(ro.ValidationError, match="origin must lie strictly outside"):
-            ser.config_from_mapping({"origin_x": 1.0})
+            ser.config_from_mapping({"rect_min_x": -1.0})
 
     @pytest.mark.parametrize("values, key, expected", [
         ({"spawn": "no"}, "spawn", "a boolean"),
