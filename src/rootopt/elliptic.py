@@ -39,16 +39,23 @@ sub/supersolution construction).  Without the shift the sweep started at
 u_max would jump straight to the trivial zero branch, since f(u_max) = 0.
 The shifted matrix is the same for every sweep of a given measure, so the
 first sweep factorizes it and every later sweep solves with those factors,
-one back-substitution unless the residual needs refining.  If the sweeps
-stall or run out, damped Newton steps finish the solve.  Each step solves
-the negated Jacobian -lap + diag(a - f'(u)) at its iterate to tol_linear:
-the first step factorizes it, and later steps solve with those factors,
-which are replaced only when they miss.  Given the state of a nearby
-measure, the same Newton steps start from it instead and the sweep runs
-only when they stall, touch 0 or end on an unstable state.  The adjoint
-matrix is the Jacobian at the converged state, so a state that Newton
-finished carries Newton's last factors to solve_adjoint; a state that the
-sweeps finished carries none.
+one back-substitution unless the residual needs refining.  Since
+sigma = rate = -f'(u_max), that matrix is the negated Jacobian at u_max:
+the sweep is the chord iteration at u_max and converges only linearly.
+So the sweeps stop at the first iterate whose scaled residual is within
+sqrt(tol), since one Newton step roughly squares the residual, or when
+they stall or run out, and damped Newton steps finish the solve.  By
+concavity of f, Newton from an iterate above the maximal solution stays
+above it.  The sweep's factors are freed before Newton factorizes.  Each
+Newton step solves the negated Jacobian -lap + diag(a - f'(u)) at its
+iterate to tol_linear: the first step factorizes it, and later steps solve
+with those factors, which are replaced only when they miss.  Given the
+state of a nearby measure, the same Newton steps start from it instead and
+the sweep runs only when they stall, touch 0 or end on an unstable state.
+The adjoint matrix is the Jacobian at the converged state, so a state that
+Newton finished carries Newton's last factors to solve_adjoint.  Only a
+state that a sweep brings within tol itself, before Newton can start,
+carries none.
 """
 
 from __future__ import annotations
@@ -63,7 +70,8 @@ import scipy.sparse.linalg as spla
 
 from .core import DiscreteMeasure, Grid, GrowthFunction, SolverError, ValidationError
 
-# sweeps allowed before the state solve gives up without stalling
+# sweeps allowed before Newton finishes the state solve from the last one,
+# if the sweeps neither reach sqrt(tol) nor stall first
 _MAX_SWEEPS = 400
 # refinement steps allowed per set of factors, each of which must at least
 # halve the worst scaled residual
@@ -300,6 +308,31 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
     raise SolverError(f"state solve did not converge, residual {rmax:.3e}")
 
 
+def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear: float):
+    """Shifted monotone sweeps from u = u_max; returns the last iterate and
+    whether it is within tol.  They stop at the first iterate within
+    sqrt(tol), for Newton to finish, or when they stall or run out.  The
+    shifted matrix is factorized once and its factors live only here."""
+    lap = laplacian_matrix(grid)
+    sigma = f.monotone_shift
+    shifted = a + sigma
+    mat = _system(grid, shifted)
+    lu = None
+    u = np.full(grid.n_nodes, f.u_max)
+    hand_over = math.sqrt(tol)
+    rmax_prev = math.inf
+    for _ in range(_MAX_SWEEPS):
+        x, lu = _solve(mat, shifted, f(u) + sigma * u, tol_linear, lu)
+        u = np.clip(x, 0.0, f.u_max)
+        rmax = _state_misfit(lap, a, f, u)[1]
+        if rmax <= tol:
+            return u, True
+        if rmax <= hand_over or rmax > 0.99 * rmax_prev:  # close enough, or stalled
+            break
+        rmax_prev = rmax
+    return u, False
+
+
 def _carrying(grid: Grid, u: np.ndarray, lu) -> ScalarField:
     """The state u as a field that hands the factors lu on to solve_adjoint."""
     state = ScalarField(grid, u)
@@ -312,13 +345,16 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
                 init: ScalarField | None = None) -> ScalarField:
     """Maximal solution of lap(u) + f(u) - u mu = 0 with Neumann walls.
 
-    Returns the limit of the monotone sweep from u = u_max.  Each atom is
-    absorbed over its node's cell, so the nodal density is w / (tau h^2) and
-    the half cells along the walls feel their full mass.  The shifted sweep
-    matrix -lap + a + sigma is factorized once per call and every sweep
-    solves with those factors; when the sweeps stall or run out, damped
-    Newton steps finish.  Newton factorizes the Jacobian of its first step
-    and solves later steps' own Jacobians with those factors.  Every linear
+    Runs the monotone sweep from u = u_max and lets damped Newton steps
+    finish from its last iterate, so the answer is the sweep's limit, the
+    maximal solution.  Each atom is absorbed over its node's cell, so the
+    nodal density is w / (tau h^2) and the half cells along the walls feel
+    their full mass.  The shifted sweep matrix -lap + a + sigma, the chord
+    Jacobian at u_max, is factorized once per call and every sweep solves
+    with those factors.  The sweeps stop at the first iterate within
+    sqrt(tol), or when they stall or run out, and Newton finishes.  Newton
+    factorizes the Jacobian of its first step and solves later steps' own
+    Jacobians with those factors.  Every linear
     solve meets the nodewise residual tol_linear against its true matrix by
     the module's one rule: refine with the factors at hand, and factorize
     the true matrix only when they miss.  The discrete residual
@@ -341,8 +377,8 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     answer is returned unchanged.
 
     A state that Newton finished privately carries Newton's last factors,
-    which solve_adjoint refines with; a state that the sweeps finished
-    carries none.
+    which solve_adjoint refines with; a state that a sweep brought within
+    tol before Newton started carries none.
     """
     a = lump_measure(mu, grid).density()
     u_max = f.u_max
@@ -365,22 +401,10 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
             # while the zero solution is unstable and a positive one exists
             if np.all((a - f.derivative(u)) * u - lap @ u > 0.0):
                 return _carrying(grid, u, lu)
-    sigma = f.monotone_shift
-    shifted = a + sigma
-    mat = _system(grid, shifted)
-    lu = None
-    u = np.full(grid.n_nodes, u_max)
-    rmax_prev = math.inf
-    for _ in range(_MAX_SWEEPS):
-        x, lu = _solve(mat, shifted, f(u) + sigma * u, tol_linear, lu)
-        u = np.clip(x, 0.0, u_max)
-        rmax = _state_misfit(lap, a, f, u)[1]
-        if rmax <= tol:
-            return ScalarField(grid, u)
-        if rmax > 0.99 * rmax_prev:
-            break  # stalled
-        rmax_prev = rmax
-    # damped Newton finishes what the sweeps started
+    u, done = _sweep(grid, a, f, tol, tol_linear)
+    if done:
+        return ScalarField(grid, u)
+    # the sweep's factors are freed by now; damped Newton finishes
     return _carrying(grid, *_newton(grid, a, f, u, tol, tol_linear))
 
 

@@ -182,10 +182,10 @@ class TestSolveAndAdjoint:
         for name in ("psi.csv", "psi.bin", "phi.csv", "phi.bin"):
             assert (out / name).exists()
 
-    def test_adjoint_of_a_swept_state_factorizes_its_own_matrix(self, tmp_path):
-        """A state that the sweeps finish carries no Newton factors, so the
-        adjoint is solved from freshly computed factors of its own matrix,
-        refined only on a miss, and its artifacts hold exactly those bytes."""
+    def test_adjoint_refines_with_the_states_factors(self, tmp_path):
+        """Newton finishes the cold state solve, so the state carries its
+        factors; the adjoint is those factors refined against its own
+        matrix, and its artifacts hold exactly those bytes."""
         from rootopt import elliptic as ell
         cfg = write_setup(tmp_path, ["nx = 33", "ny = 33"],
                           [(0.5, -0.25, 0.4), (1.0, 0.0, 0.7), (1.5, 0.5, 0.2)])
@@ -195,11 +195,13 @@ class TestSolveAndAdjoint:
         mu = load_measure(tmp_path / "measure.json")
         u = ro.solve_state(run.grid, mu, run.growth, tol=run.tol_nonlinear,
                            tol_linear=run.tol_linear)
-        assert u._factors is None
+        assert u._factors is not None
         a = ro.lump_measure(mu, run.grid).density()
         coeff = a - run.growth.derivative(u.values)
-        psi = ScalarField(run.grid, ell._solve(ell._system(run.grid, coeff), coeff, a,
-                                               run.tol_linear)[0])
+        psi, lu = ell._solve(ell._system(run.grid, coeff), coeff, a, run.tol_linear,
+                             u._factors)
+        assert lu is u._factors  # refined, not refactorized
+        psi = ScalarField(run.grid, psi)
         for name, field in (("state", u), ("psi", psi), ("phi", ro.phi_field(u, psi))):
             save_field_binary(tmp_path / f"{name}.bin", field)
             assert (out / f"{name}.bin").read_bytes() == (tmp_path / f"{name}.bin").read_bytes()

@@ -1,10 +1,13 @@
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import rootopt as ro
 from rootopt import elliptic as ell
@@ -20,8 +23,10 @@ def grid17():
 @pytest.fixture()
 def linalg_calls(monkeypatch):
     """Records every factorization (its matrix) and every back-substitution
-    (its right-hand side) through the factors splu returns."""
-    calls = SimpleNamespace(splu=[], solve=[])
+    (its right-hand side) through the factors splu returns, a weak reference
+    to each set of factors, and how many earlier sets were still alive when
+    each factorization started."""
+    calls = SimpleNamespace(splu=[], solve=[], factors=[], alive=[])
     real = ell.spla.splu
 
     class CountingFactors:
@@ -34,7 +39,10 @@ def linalg_calls(monkeypatch):
 
     def splu(mat, **kw):
         calls.splu.append(mat)
-        return CountingFactors(real(mat, **kw))
+        calls.alive.append(sum(ref() is not None for ref in calls.factors))
+        lu = CountingFactors(real(mat, **kw))
+        calls.factors.append(weakref.ref(lu))
+        return lu
 
     monkeypatch.setattr(ell, "spla", SimpleNamespace(splu=splu))
     return calls
@@ -57,7 +65,6 @@ class TestOperators:
     def test_weighted_laplacian_symmetric(self, grid17):
         lap = ro.laplacian_matrix(grid17)
         tau = ro.quadrature_weights(grid17)
-        import scipy.sparse as sp
         sym = sp.diags(tau) @ lap
         assert abs(sym - sym.T).max() < 1e-12
 
@@ -195,24 +202,60 @@ class TestLinearSolver:
         for text in (readme, ell.__doc__):
             assert f"{ell._MAX_REFINE} steps that each at least halve" in " ".join(text.split())
 
-    def test_cold_sweeps_factorize_once(self, grid17, linalg_calls, monkeypatch):
-        """A cold state solve that the sweeps finish: one factorization of the
-        shifted matrix, carried from sweep to sweep, and one
-        back-substitution per sweep."""
-        sweeps = []
+    def test_cold_solve_hands_over_below_sqrt_tol(self, grid17, linalg_calls, monkeypatch):
+        """A cold state solve: the sweep matrix is the negated Jacobian at
+        u_max (a chord iteration); the sweeps carry one factorization of it
+        and stop at the first iterate within sqrt(tol); Newton factorizes
+        once and the state carries its factors, with which the adjoint
+        refines in at most three back-substitutions and no factorization."""
+        f = ro.GrowthFunction()
+        assert f.monotone_shift == -f.derivative(f.u_max)
+        tol = 1e-10
+        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+        iterates = []
         solve = ell._solve
 
-        def counting(*args):
-            sweeps.append(args)
-            return solve(*args)
+        def recording(mat, absorption, rhs, tol_linear, lu=None):
+            x = solve(mat, absorption, rhs, tol_linear, lu)
+            iterates.append((absorption, x[0]))
+            return x
 
-        monkeypatch.setattr(ell, "_solve", counting)
-        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
-        u = ro.solve_state(grid17, mu, ro.GrowthFunction(), tol=1e-10)
-        assert u._factors is None  # the sweeps finished
+        monkeypatch.setattr(ell, "_solve", recording)
+        u = ro.solve_state(grid17, mu, f, tol=tol)
+        shifted = iterates[0][0]
+        sweeps = [np.clip(x, 0.0, f.u_max) for absorption, x in iterates
+                  if absorption is shifted]
+        residuals = [ell.state_residual(ell.ScalarField(grid17, v), mu, f) for v in sweeps]
         assert len(sweeps) > 5
-        assert len(linalg_calls.splu) == 1
-        assert len(linalg_calls.solve) == len(sweeps)
+        assert all(r > math.sqrt(tol) for r in residuals[:-1])
+        assert tol < residuals[-1] <= math.sqrt(tol)
+        assert len(linalg_calls.splu) == 2  # the shifted matrix, then Newton's Jacobian
+        assert u._factors is not None
+        assert ell.state_residual(u, mu, f) <= tol
+        linalg_calls.splu.clear()
+        linalg_calls.solve.clear()
+        psi = ro.solve_adjoint(grid17, mu, u, f)
+        assert not linalg_calls.splu
+        assert len(linalg_calls.solve) <= 3
+        assert ell.adjoint_residual(psi, u, mu, f) <= 1e-10
+
+    @pytest.mark.parametrize("m0", [None, 3.96])
+    def test_sweep_factors_die_before_newton_factorizes(self, grid17, linalg_calls, m0):
+        """Cold solves that Newton finishes, after the sweeps reach sqrt(tol)
+        (a random measure) or stall (uniform density 3.96 with rate 4): no
+        earlier factors are alive when the sweep's or Newton's first
+        factorization starts, so the sweep's factors and work arrays are
+        freed before Newton's.  (Newton may refactorize later, while its own
+        earlier factors are alive.)"""
+        if m0 is None:
+            f = ro.GrowthFunction()
+            mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+        else:
+            f = ro.GrowthFunction(u_max=1.0, rate=4.0)
+            mu = uniform_measure(grid17, m0)
+        u = ro.solve_state(grid17, mu, f, tol=1e-10)
+        assert u._factors is not None
+        assert linalg_calls.alive[:2] == [0, 0]
 
 
 class TestStateSolve:
@@ -256,6 +299,64 @@ class TestStateSolve:
         m0 = 3.9
         u = ro.solve_state(grid17, uniform_measure(grid17, m0), f, tol=1e-12)
         assert np.max(np.abs(u.values - f.u_max * (1.0 - m0 / f.rate))) < 1e-8
+
+    @staticmethod
+    def swept_reference(grid, mu, f, tol=1e-12):
+        """The shifted monotone iteration alone, from u_max until the scaled
+        state residual is within tol: every sweep solves
+        (-lap + a + sigma) u_next = f(u) + sigma u with scipy's own
+        factorization of that matrix, neither refined nor handed to Newton."""
+        a = ro.lump_measure(mu, grid).density()
+        lap = ro.laplacian_matrix(grid)
+        sigma = f.monotone_shift
+        sweep = spla.factorized((-lap + sp.diags(a + sigma)).tocsc())
+        u = np.full(grid.n_nodes, f.u_max)
+        for _ in range(20000):
+            u = np.clip(sweep(f(u) + sigma * u), 0.0, f.u_max)
+            fu = f(u)
+            scale = np.maximum(1.0, np.maximum(np.abs(a * u), np.abs(fu)))
+            if np.max(np.abs(lap @ u + fu - a * u) / scale) <= tol:
+                return u
+        raise AssertionError("the reference sweep did not reach tol")
+
+    def test_cold_solve_is_the_maximal_solution(self, grid17, monkeypatch):
+        """Newton finishing from a sweep iterate still lands on the maximal
+        solution: random measures (every third one heavy, mass 2 to 8),
+        uniform densities 3.9 and 3.96 near extinction, and uniform
+        densities 3.5 to 4.1 across the extinction threshold at rate 4.
+        The cold solve agrees with the sweep-only reference within
+        1e-7 u_max (at tol 1e-10: near the threshold the state error is
+        the residual over rate - density), exactly the extinct references
+        stay extinct, and by concavity of f every iterate, sweep or Newton,
+        stays above the reference up to rounding (measured -1.4e-12)."""
+        rng = np.random.default_rng(14)
+        cases = []
+        for k in range(9):
+            heavy = k % 3 == 2
+            cases.append((ro.GrowthFunction(), random_grid_measure(
+                rng, grid17, int(rng.integers(1, 10)),
+                mass_range=(2.0, 8.0) if heavy else (0.05, 1.0))))
+        logistic4 = ro.GrowthFunction(u_max=1.0, rate=4.0)
+        for m0 in (3.5, 3.8, 3.9, 3.96, 4.05, 4.1):
+            cases.append((logistic4, uniform_measure(grid17, m0)))
+        iterates = []
+        misfit = ell._state_misfit
+
+        def recording(lap, a, f, u):
+            iterates.append(u.copy())
+            return misfit(lap, a, f, u)
+
+        monkeypatch.setattr(ell, "_state_misfit", recording)
+        extinct = 0
+        for f, mu in cases:
+            ref = self.swept_reference(grid17, mu, f)
+            iterates.clear()
+            u = ro.solve_state(grid17, mu, f, tol=1e-10).values
+            assert np.max(np.abs(u - ref)) <= 1e-7 * f.u_max
+            assert (u.max() < 1e-6 * f.u_max) == (ref.max() < 1e-6 * f.u_max)
+            assert min(np.min(v - ref) for v in iterates) >= -1e-9 * f.u_max
+            extinct += ref.max() < 1e-6 * f.u_max
+        assert extinct >= 2
 
     def test_box_bounds(self, grid17):
         rng = np.random.default_rng(8)
