@@ -22,6 +22,11 @@ Newton Jacobian) back-substitutes with them and refines against A, up to
 factors, or when they miss, A is factorized and refined by the same rule;
 if that misses too, SolverError reports the worst residual, so a singular
 or ill-conditioned system fails by name instead of returning garbage.
+Every factorization is one SuperLU call (_factorize) with the minimum
+degree ordering of A^T + A, panels of 2 columns and supernodes relaxed up
+to 4 columns: measured against SuperLU's defaults on grids from 17x17 to
+257x257, these factorize each of the module's matrices in 0.6 to 0.86 of
+the time, with the same fill (BENCH_15.json).
 
 State equation
 --------------
@@ -43,15 +48,17 @@ one back-substitution unless the residual needs refining.  Since
 sigma = rate = -f'(u_max), that matrix is the negated Jacobian at u_max:
 the sweep is the chord iteration at u_max and converges only linearly.
 So the sweeps stop at the first iterate whose scaled residual is within
-sqrt(tol), since one Newton step roughly squares the residual, or when
-they stall or run out, and damped Newton steps finish the solve.  By
-concavity of f, Newton from an iterate above the maximal solution stays
-above it.  The sweep's factors are freed before Newton factorizes.  Each
-Newton step solves the negated Jacobian -lap + diag(a - f'(u)) at its
-iterate to tol_linear: the first step factorizes it, and later steps solve
-with those factors, which are replaced only when they miss.  Given the
-state of a nearby measure, the same Newton steps start from it instead and
-the sweep runs only when they stall, touch 0 or end on an unstable state.
+sqrt(tol), since one Newton step roughly squares the residual, at the
+first sweep that leaves more than 0.9 of the previous sweep's residual
+(slow contraction, as near extinction), or when they run out, and damped
+Newton steps finish the solve.  By concavity of f, Newton from an iterate
+above the maximal solution stays above it.  The sweep's factors are freed
+before Newton factorizes.  Each Newton step solves the negated Jacobian
+-lap + diag(a - f'(u)) at its iterate to tol_linear: the first step
+factorizes it, and later steps solve with those factors, which are
+replaced only when they miss.  Given the state of a nearby measure, the
+same Newton steps start from it instead and the sweep runs only when they
+stall, touch 0 or end on an unstable state.
 The adjoint matrix is the Jacobian at the converged state, so a state that
 Newton finished carries Newton's last factors to solve_adjoint.  Only a
 state that a sweep brings within tol itself, before Newton can start,
@@ -71,7 +78,7 @@ import scipy.sparse.linalg as spla
 from .core import DiscreteMeasure, Grid, GrowthFunction, SolverError, ValidationError
 
 # sweeps allowed before Newton finishes the state solve from the last one,
-# if the sweeps neither reach sqrt(tol) nor stall first
+# if the sweeps neither reach sqrt(tol) nor contract by less than 0.9 first
 _MAX_SWEEPS = 400
 # refinement steps allowed per set of factors, each of which must at least
 # halve the worst scaled residual
@@ -226,8 +233,13 @@ def _linear_misfit(mat, absorption, x, rhs):
 def _factorize(mat: sp.csc_matrix):
     try:
         # the stencil's pattern is symmetric: ordering on A^T + A roughly
-        # halves the fill of the default column ordering
-        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+        # halves the fill of the default column ordering.  Panels of 2
+        # columns and supernodes relaxed up to 4 columns, in place of
+        # SuperLU's defaults, leave the fill as it is and factorize faster on
+        # every grid from 17x17 to 257x257, for the sweep matrix, Newton's
+        # Jacobians and the adjoint alike (minimum of interleaved runs; the
+        # panel_size x relax sweep is in BENCH_15.json)
+        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", panel_size=2, relax=4)
     except RuntimeError as e:  # exactly singular
         raise SolverError(f"sparse factorization failed: {e}") from None
 
@@ -311,8 +323,9 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
 def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear: float):
     """Shifted monotone sweeps from u = u_max; returns the last iterate and
     whether it is within tol.  They stop at the first iterate within
-    sqrt(tol), for Newton to finish, or when they stall or run out.  The
-    shifted matrix is factorized once and its factors live only here."""
+    sqrt(tol), for Newton to finish, at the first sweep that leaves more
+    than 0.9 of the previous residual, or when they run out.  The shifted
+    matrix is factorized once and its factors live only here."""
     lap = laplacian_matrix(grid)
     sigma = f.monotone_shift
     shifted = a + sigma
@@ -327,7 +340,10 @@ def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear:
         rmax = _state_misfit(lap, a, f, u)[1]
         if rmax <= tol:
             return u, True
-        if rmax <= hand_over or rmax > 0.99 * rmax_prev:  # close enough, or stalled
+        # close enough for Newton, or contracting too slowly: at uniform
+        # density a a chord sweep contracts by 2a / (a + rate), which tends
+        # to 1 near extinction
+        if rmax <= hand_over or rmax > 0.9 * rmax_prev:
             break
         rmax_prev = rmax
     return u, False
@@ -352,7 +368,8 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     their full mass.  The shifted sweep matrix -lap + a + sigma, the chord
     Jacobian at u_max, is factorized once per call and every sweep solves
     with those factors.  The sweeps stop at the first iterate within
-    sqrt(tol), or when they stall or run out, and Newton finishes.  Newton
+    sqrt(tol), at the first sweep that leaves more than 0.9 of the previous
+    residual, or when they run out, and Newton finishes.  Newton
     factorizes the Jacobian of its first step and solves later steps' own
     Jacobians with those factors.  Every linear
     solve meets the nodewise residual tol_linear against its true matrix by

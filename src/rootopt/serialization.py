@@ -131,21 +131,25 @@ def measure_from_dict(d) -> DiscreteMeasure:
     return DiscreteMeasure.from_arrays(arr[:, :2], arr[:, 2])
 
 
-# one atom of dumps_json(measure_to_dict(mu)): indent 2, sorted keys, and
-# floats through repr, which is json's float form for the finite Python
-# floats a measure holds
-_ATOM_JSON = '    {\n      "mass": %r,\n      "x": %r,\n      "y": %r\n    }'
+# one atom of dumps_json(measure_to_dict(mu)): indent 2 and sorted keys; the
+# %s slots take repr of each float, which is json's float form for the finite
+# Python floats a measure holds
+_ATOM_JSON = '    {\n      "mass": %s,\n      "x": %s,\n      "y": %s\n    }'
 
 
 def save_measure(path, mu: DiscreteMeasure) -> None:
     """Write exactly the bytes of dumps_json(measure_to_dict(mu)), through one
-    %-template per atom instead of json's pure-Python indenting encoder; all
-    templates are filled in one pass from a flat (mass, x, y) list."""
+    %-template per atom instead of json's pure-Python indenting encoder.  Each
+    distinct float of the flat (mass, x, y) array is formatted by repr once,
+    keyed by its bit pattern so -0.0 stays apart from 0.0, and all templates
+    are filled in one pass from those strings."""
     if not len(mu):
         text = dumps_json({"atoms": []})
     else:
-        flat = np.column_stack([mu.masses(), mu.positions()]).ravel().tolist()
-        atoms = ",\n".join([_ATOM_JSON] * len(mu)) % tuple(flat)
+        flat = np.column_stack([mu.masses(), mu.positions()]).ravel()
+        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        reprs = [repr(v) for v in bits.view(np.float64).tolist()]
+        atoms = ",\n".join([_ATOM_JSON] * len(mu)) % itemgetter(*inverse.tolist())(reprs)
         text = '{\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

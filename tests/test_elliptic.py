@@ -22,11 +22,11 @@ def grid17():
 
 @pytest.fixture()
 def linalg_calls(monkeypatch):
-    """Records every factorization (its matrix) and every back-substitution
-    (its right-hand side) through the factors splu returns, a weak reference
-    to each set of factors, and how many earlier sets were still alive when
-    each factorization started."""
-    calls = SimpleNamespace(splu=[], solve=[], factors=[], alive=[])
+    """Records every factorization (its matrix and keyword arguments) and
+    every back-substitution (its right-hand side) through the factors splu
+    returns, a weak reference to each set of factors, and how many earlier
+    sets were still alive when each factorization started."""
+    calls = SimpleNamespace(splu=[], kwargs=[], solve=[], factors=[], alive=[])
     real = ell.spla.splu
 
     class CountingFactors:
@@ -39,6 +39,7 @@ def linalg_calls(monkeypatch):
 
     def splu(mat, **kw):
         calls.splu.append(mat)
+        calls.kwargs.append(kw)
         calls.alive.append(sum(ref() is not None for ref in calls.factors))
         lu = CountingFactors(real(mat, **kw))
         calls.factors.append(weakref.ref(lu))
@@ -160,12 +161,13 @@ class TestLinearSolver:
         assert ell._linear_misfit(ell._system(grid17, coeff), coeff, x, rhs)[1] <= 1e-12
 
     def test_missed_tolerance_is_refined_and_passes(self, grid17, back_substitutions):
-        """Near extinction (density 3.6, rate 4) the first back-substitution
-        leaves a scaled residual of about 1.3e-12; one refinement step with
-        the same factors brings it under tol_linear = 1e-12."""
-        coeff, rhs = self.adjoint_system(grid17, 3.6)
+        """Near extinction (density 3.7, rate 4) the first back-substitution
+        with the module's own factors leaves a scaled residual of about
+        1.9e-12; one refinement step with the same factors brings it under
+        tol_linear = 1e-12."""
+        coeff, rhs = self.adjoint_system(grid17, 3.7)
         mat = ell._system(grid17, coeff)
-        first = ell.spla.splu(mat, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        first = ell._factorize(mat).solve(rhs)
         assert ell._linear_misfit(mat, coeff, first, rhs)[1] > 1e-12
         back_substitutions.clear()
         x = self.solve(grid17, coeff, rhs, 1e-12)[0]
@@ -174,10 +176,16 @@ class TestLinearSolver:
 
     def test_unreachable_tolerance_names_the_worst_residual(self, grid17,
                                                              back_substitutions):
-        """Fresh factors refine by the same halving rule as carried ones: the
-        first step halves the worst scaled residual, the second does not,
-        and the solve gives up after three back-substitutions."""
-        coeff, rhs = self.adjoint_system(grid17, 1.0)
+        """Fresh factors refine by the same halving rule as carried ones: at
+        density 2 the first step halves the worst scaled residual, the
+        second does not, and the solve gives up after three
+        back-substitutions."""
+        coeff, rhs = self.adjoint_system(grid17, 2.0)
+        mat = ell._system(grid17, coeff)
+        lu = ell._factorize(mat)
+        first = lu.solve(rhs)
+        res, worst = ell._linear_misfit(mat, coeff, first, rhs)
+        assert ell._linear_misfit(mat, coeff, first - lu.solve(res), rhs)[1] <= 0.5 * worst
         back_substitutions.clear()
         with pytest.raises(ro.SolverError,
                            match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
@@ -195,6 +203,22 @@ class TestLinearSolver:
                            match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
             self.solve(grid17, coeff, rhs, 1e-20, lu=far)
         assert len(linalg_calls.splu) == 1
+
+    def test_every_factorization_uses_the_fitted_settings(self, grid17, linalg_calls):
+        """A cold state solve, an adjoint that factorizes its own matrix, and
+        an ascent-style trial (a warm solve after a mass change, then its
+        adjoint) all factorize through _factorize, with the ordering, panel
+        width and supernode relaxation fitted to the five-point stencil."""
+        f = ro.GrowthFunction()
+        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+        u = ro.solve_state(grid17, mu, f)
+        ro.solve_adjoint(grid17, mu, ell.ScalarField(grid17, u.values), f)
+        assert len(linalg_calls.kwargs) == 3
+        nu = mu.with_masses(mu.masses() * 1.2)
+        ro.solve_adjoint(grid17, nu, ro.solve_state(grid17, nu, f, init=u), f)
+        assert len(linalg_calls.kwargs) > 3
+        fitted = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 2, "relax": 4}
+        assert all(kw == fitted for kw in linalg_calls.kwargs)
 
     def test_docs_name_the_refinement_cap(self):
         """README and the module docstring state the cap that _refine keeps."""
@@ -242,7 +266,8 @@ class TestLinearSolver:
     @pytest.mark.parametrize("m0", [None, 3.96])
     def test_sweep_factors_die_before_newton_factorizes(self, grid17, linalg_calls, m0):
         """Cold solves that Newton finishes, after the sweeps reach sqrt(tol)
-        (a random measure) or stall (uniform density 3.96 with rate 4): no
+        (a random measure) or a sweep leaves more than 0.9 of the previous
+        residual (uniform density 3.96 with rate 4): no
         earlier factors are alive when the sweep's or Newton's first
         factorization starts, so the sweep's factors and work arrays are
         freed before Newton's.  (Newton may refactorize later, while its own
@@ -277,7 +302,8 @@ class TestStateSolve:
     def test_newton_finish_near_extinction(self, grid17, linalg_calls):
         """Uniform density m0 just below the rate leaves u = u_max (1 - m0 / rate)
         close to zero, where a sweep contracts the error only by about
-        2 m0 / (m0 + rate) > 0.99; the sweeps stall and Newton finishes."""
+        2 m0 / (m0 + rate) = 0.995 > 0.9; the sweeps hand over early and
+        Newton finishes."""
         f = ro.GrowthFunction(u_max=1.0, rate=4.0)
         m0 = 3.96
         mu = uniform_measure(grid17, m0)
@@ -291,14 +317,53 @@ class TestStateSolve:
         assert np.max(np.abs(res) / scale) <= tol
         assert np.max(np.abs(u - f.u_max * (1.0 - m0 / f.rate))) < 1e-10
 
-    def test_exhausted_sweeps_hand_over_to_newton(self, grid17):
-        """Density 3.9 with rate 4: a sweep contracts the residual by about
-        2 m0 / (m0 + rate) = 0.987, too fast to count as a stall and too
-        slow to converge within the sweep cap; Newton must finish."""
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        """Records the absorption of every linear solve; the sweeps are the
+        solves that share the first one's (shifted) absorption."""
+        absorptions = []
+        solve = ell._solve
+
+        def recording(mat, absorption, rhs, tol_linear, lu=None):
+            absorptions.append(absorption)
+            return solve(mat, absorption, rhs, tol_linear, lu)
+
+        monkeypatch.setattr(ell, "_solve", recording)
+        return lambda: sum(a is absorptions[0] for a in absorptions)
+
+    def test_exhausted_sweeps_hand_over_to_newton(self, grid17, monkeypatch):
+        """With the sweep cap cut to 3, a random measure (about 0.6 per
+        sweep) neither reaches sqrt(tol) nor contracts slowly before the
+        sweeps run out; Newton finishes from the third sweep and lands on
+        the uncapped answer."""
+        f = ro.GrowthFunction()
+        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+        tol = 1e-12
+        uncapped = ro.solve_state(grid17, mu, f, tol=tol)
+        sweeps = self.count_sweeps(monkeypatch)
+        monkeypatch.setattr(ell, "_MAX_SWEEPS", 3)
+        u = ro.solve_state(grid17, mu, f, tol=tol)
+        assert sweeps() == 3
+        assert u._factors is not None
+        assert ell.state_residual(u, mu, f) <= tol
+        assert np.max(np.abs(u.values - uncapped.values)) < 1e-10 * f.u_max
+
+    @pytest.mark.parametrize("m0", [3.9, 4.1])
+    def test_slow_sweeps_hand_over_near_extinction(self, grid17, monkeypatch, m0):
+        """Uniform densities 3.9 (alive) and 4.1 (extinct) with rate 4: a
+        sweep contracts by about 0.987, so the sweeps hand over to Newton
+        within 50 sweeps instead of running to the cap, and at tol 1e-10
+        the answer is the exact one: u_max (1 - m0 / rate) within 1e-8, or
+        below 1e-8 u_max once extinct."""
         f = ro.GrowthFunction(u_max=1.0, rate=4.0)
-        m0 = 3.9
-        u = ro.solve_state(grid17, uniform_measure(grid17, m0), f, tol=1e-12)
-        assert np.max(np.abs(u.values - f.u_max * (1.0 - m0 / f.rate))) < 1e-8
+        sweeps = self.count_sweeps(monkeypatch)
+        u = ro.solve_state(grid17, uniform_measure(grid17, m0), f, tol=1e-10)
+        assert sweeps() <= 50
+        exact = f.u_max * max(0.0, 1.0 - m0 / f.rate)
+        if exact > 0.0:
+            assert np.max(np.abs(u.values - exact)) < 1e-8
+        else:
+            assert u.max() < 1e-8 * f.u_max
 
     @staticmethod
     def swept_reference(grid, mu, f, tol=1e-12):

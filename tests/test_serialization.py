@@ -41,7 +41,8 @@ class TestMeasureFiles:
         (),
         ((1.0, 0.0, 0.5),),
         ((-0.0, 1e-300, -0.0), (1e-300, -0.0, 1e-300), (0.5, -0.5, 2.5e300)),
-    ], ids=["empty", "one-atom", "signed-zero-and-tiny"])
+        ((0.0, -0.0, -0.0), (-0.0, 1.0, 0.0), (1.0, 0.0, 0.5)),
+    ], ids=["empty", "one-atom", "signed-zero-and-tiny", "both-zeros"])
     def test_bytes_match_the_json_encoder(self, tmp_path, atoms):
         mu = ro.DiscreteMeasure(tuple(ro.Atom((x, y), m) for x, y, m in atoms))
         p = tmp_path / "measure.json"
