@@ -43,9 +43,8 @@ from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
                             load_field_binary, load_field_shape, load_measure,
                             load_report, load_trace, load_tree,
                             parse_config_entry, parse_config_text,
-                            save_field_binary, save_field_csv, save_json,
-                            save_landscape_csv, save_measure, save_report,
-                            save_trace, save_tree)
+                            save_fields, save_json, save_landscape_csv,
+                            save_measure, save_report, save_trace, save_tree)
 
 __all__ = ["main"]
 
@@ -156,8 +155,7 @@ def _cmd_solve(args, parsed: ParsedConfig, out: Path) -> int:
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     h = harvest(u, mu)
-    save_field_csv(out / "state.csv", u)
-    save_field_binary(out / "state.bin", u)
+    save_fields(out, {"state": u})
     save_json(out / "harvest.json", {"harvest": h, "u_min": u.min(), "u_max": u.max()})
     print(f"harvest {h!r} (state range [{u.min()!r}, {u.max()!r}])")
     return 0
@@ -172,9 +170,7 @@ def _cmd_adjoint(args, parsed: ParsedConfig, out: Path) -> int:
     psi = solve_adjoint(cfg.grid, mu, u, cfg.growth, tol=cfg.tol_linear)
     phi = phi_field(u, psi)
     lam = growth_bound_lambda(cfg.growth, u.min())
-    for name, field in (("state", u), ("psi", psi), ("phi", phi)):
-        save_field_csv(out / f"{name}.csv", field)
-        save_field_binary(out / f"{name}.bin", field)
+    save_fields(out, {"state": u, "psi": psi, "phi": phi})
     save_json(out / "adjoint.json", {
         "harvest": harvest(u, mu),
         "lambda_bound": lam,
@@ -204,10 +200,8 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
             trace.state, trace.adjoint, trace.tree, trace.measure,
             cfg.c, cfg.alpha, tol=cfg.path_tol * cfg.growth.u_max)
     if trace.state is not None:
-        phi = phi_field(trace.state, trace.adjoint)
-        for name, field in (("state", trace.state), ("psi", trace.adjoint), ("phi", phi)):
-            save_field_csv(out / f"{name}.csv", field)
-            save_field_binary(out / f"{name}.bin", field)
+        save_fields(out, {"state": trace.state, "psi": trace.adjoint,
+                          "phi": phi_field(trace.state, trace.adjoint)})
     if trace.report is not None:
         save_report(out / "report.json", trace.report, trace.converged,
                     len(trace.steps) - 1, path_check)

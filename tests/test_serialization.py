@@ -204,18 +204,62 @@ class TestFieldFiles:
         assert np.array_equal(back[:, :2], field.grid.node_coordinates())
         assert np.array_equal(back[:, 2], field.values)
 
+    # repr's other forms: signed zeros, integral floats, exponents of both
+    # signs, subnormals and the largest double
+    REPR_FORMS = [0.0, -0.0, 2.0, 1e-05, 1.5e-300, 5e-324, 1e16, 1.7976931348623157e308,
+                  -2.0, -1e-05, -5e-324, -1.7976931348623157e308]
+
     @pytest.mark.parametrize("nx, ny, rect_max", [
-        (3, 3, (1.5, 0.5)), (33, 33, (1.5, 0.5)), (9, 5, (2.5, 0.5))])
+        (3, 3, (1.5, 0.5)), (33, 33, (1.5, 0.5)), (9, 5, (2.5, 0.5)),
+        (9, 5, (-0.5, -0.5)), (5, 9, (0.0, 2.25))])
     def test_csv_bytes_match_a_per_node_formatter(self, tmp_path, nx, ny, rect_max):
-        g = ro.Grid(ro.Domain(rect_max=rect_max), nx, ny)
-        field = ScalarField(g, np.random.default_rng(73).uniform(-1.0, 2.0, g.n_nodes))
+        """Every domain is one unit high and ends at rect_max; the last two
+        lie at x <= 0, so the x reprs, and in one the y reprs too, carry a
+        sign."""
+        rect_min = (rect_max[0] - (nx - 1) / (ny - 1), rect_max[1] - 1.0)
+        g = ro.Grid(ro.Domain(rect_min=rect_min, rect_max=rect_max), nx, ny)
+        rng = np.random.default_rng(73)
+        values = np.concatenate([self.REPR_FORMS, rng.uniform(-1.0, 2.0, g.n_nodes)])
+        field = ScalarField(g, values[:g.n_nodes])
         rows = ["x,y,value"]
         for (x, y), v in zip(g.node_coordinates().tolist(), field.values.tolist()):
             rows.append(f"{x!r},{y!r},{v!r}")
         p = tmp_path / "field.csv"
         ser.save_field_csv(p, field)
         assert p.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
-        assert np.array_equal(np.loadtxt(p, delimiter=",", skiprows=1)[:, 2], field.values)
+        back = np.loadtxt(p, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 2].view(np.int64), field.values.view(np.int64))
+
+    def fields_on(self, grid, names):
+        rng = np.random.default_rng(74)
+        return {name: ScalarField(grid, rng.uniform(-1.0, 2.0, grid.n_nodes)) for name in names}
+
+    def test_save_fields_writes_the_bytes_of_the_single_field_writers(self, tmp_path):
+        g = ro.Grid(ro.Domain(rect_min=(-1.0, 0.25), rect_max=(0.0, 2.25)), 5, 9)
+        fields = self.fields_on(g, ("state", "psi", "phi"))
+        one, many = tmp_path / "one", tmp_path / "many"
+        one.mkdir()
+        many.mkdir()
+        for name, field in fields.items():
+            ser.save_field_csv(one / f"{name}.csv", field)
+            ser.save_field_binary(one / f"{name}.bin", field)
+        ser.save_fields(many, fields)
+        written = {p.name: p.read_bytes() for p in sorted(many.iterdir())}
+        assert written == {p.name: p.read_bytes() for p in sorted(one.iterdir())}
+        assert len(written) == 6
+
+    @pytest.mark.parametrize("other", [
+        ro.Grid(ro.Domain(rect_min=(0.75, -0.5), rect_max=(1.75, 0.5)), 9, 9),
+        ro.Grid(ro.Domain(), 17, 17)])
+    def test_save_fields_rejects_a_field_on_another_grid(self, tmp_path, other):
+        """A field with the first field's node count on another domain would
+        take the first grid's coordinates; it is named and nothing is
+        written."""
+        fields = {**self.fields_on(ro.Grid(ro.Domain(), 9, 9), ("state", "psi")),
+                  **self.fields_on(other, ("phi",))}
+        with pytest.raises(ro.ValidationError, match="field 'phi' lies on"):
+            ser.save_fields(tmp_path, fields)
+        assert list(tmp_path.iterdir()) == []
 
     def test_binary_round_trip_exact(self, tmp_path):
         field = self.make_field()
