@@ -18,7 +18,8 @@ Exit status: 0 success, 1 validation failure, 2 solver failure.
 
 Configs are flat ``key = value`` text; every subcommand writes the resolved
 config and measure into the output directory, so a run directory is
-self-describing and `verify` can consume it without extra flags.
+self-describing: without --config, `verify` and `report` read the
+directory's config.txt.
 """
 
 from __future__ import annotations
@@ -399,18 +400,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         out = Path(args.out)
-        if args.command == "verify":
+        if args.command in ("verify", "report"):
             if args.config is None and (out / "config.txt").exists():
                 args.config = out / "config.txt"
-            parsed = _load_setup(args)
-        else:
+        if args.command != "verify":
             out.mkdir(parents=True, exist_ok=True)
-            parsed = _load_setup(args)
-        return _COMMANDS[args.command](args, parsed, out)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        return _COMMANDS[args.command](args, _load_setup(args), out)
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -24,6 +24,7 @@ the trial that is kept gets an adjoint.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -291,6 +292,20 @@ def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | No
                                        np.append(masses, trial_mass))
 
 
+def _attempt(config: RunConfig, mu: DiscreteMeasure, cur: _Bundle, iteration: int,
+             keep, errors: list, what: str) -> _Bundle | None:
+    """The completed trial of mu if keep(its payoff, cur.payoff) holds, else
+    None.  A SolverError from the trial or its completion rejects it too,
+    and its message goes into `errors` as "<what>: <message>"."""
+    try:
+        cand = _trial(config, mu, cur)
+        if keep(cand.payoff, cur.payoff):
+            return _complete(config, cand, iteration)
+    except SolverError as exc:
+        errors.append(f"{what}: {exc}")
+    return None
+
+
 def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace:
     """Projected gradient ascent on atom masses.
 
@@ -303,21 +318,25 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     no worse than the current one.  Atoms below 1e-12 of the total mass are
     pruned.  With spawning enabled, a trial atom is placed at the grid node
     with the best estimated marginal payoff and kept only if the payoff
-    improves.  The loop stops when the sup residual drops below
-    tol_residual * u_max and no spawn helps, when no representable step makes
-    progress, or when the iteration budget runs out.  Accepted steps never
-    decrease the payoff.
+    improves.  Accepted steps never decrease the payoff.  The loop ends
+
+    * converged, when the sup residual is below tol_residual * u_max and no
+      spawn was kept in the iteration, or when the measure empties;
+    * not converged, when an iteration leaves the measure unchanged (no
+      representable step makes progress);
+    * not converged, when the iteration budget runs out.
 
     Iteration 0 plans from the star and solves the state cold.  Every later
     trial starts from the accepted evaluation: the planner from its tree
     (`optimize_plan(..., init=tree)`) and the state solve from its state
     (`solve_state(..., init=u)`, which falls back to the cold sweep when
-    its Newton steps stall, touch 0 or end on an unstable state).  A backtrack restarts from the
-    accepted evaluation, never from the rejected trial, so runs stay
-    deterministic.  A trial needs only its plan, state and payoff; the
-    adjoint, landscape and report are built for the trial that is kept.  A
-    SolverError in any of these rejects the trial, as a lower payoff would,
-    and its message goes into the step's `solver_errors`.
+    its Newton steps stall, touch 0 or end on an unstable state).  A
+    backtrack restarts from the accepted evaluation, never from the rejected
+    trial, so runs stay deterministic.  A trial needs only its plan, state
+    and payoff; the adjoint, landscape and report are built for the trial
+    that is kept.  A SolverError in any of these rejects the trial, as a
+    lower payoff would, and its message goes into the step's
+    `solver_errors`.
     """
     mu, _ = mu0.without_zero_mass()
     if not len(mu):
@@ -330,13 +349,12 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     converged = False
 
     for it in range(1, config.max_outer_iters + 1):
-        progressed = False
-        accepted = False
-        spawned = False
+        prev = cur
+        accepted = spawned = False
         eta_used = 0.0
         errors = []
 
-        if cur.sup_residual >= tol_eff and len(cur.mu):
+        if cur.sup_residual >= tol_eff:
             residuals = np.array([r.residual for r in cur.report.records])
             masses = cur.mu.masses()
             eta = config.step_size
@@ -345,49 +363,27 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
                 total = float(cand_m.sum())
                 cand_m[cand_m < prune_rel * max(total, 1e-300)] = 0.0
                 cand_mu, _ = cur.mu.with_masses(cand_m).without_zero_mass()
-                try:
-                    cand = _trial(config, cand_mu, cur)
-                    if cand.payoff >= cur.payoff:
-                        cand = _complete(config, cand, iteration=it)
-                except SolverError as exc:
-                    errors.append(f"mass step (eta {eta!r}): {exc}")
-                    eta *= 0.5
-                    continue
-                if cand.payoff >= cur.payoff:
-                    accepted = True
-                    eta_used = eta
-                    changed = (len(cand.mu) != len(cur.mu)
-                               or not np.array_equal(cand.mu.masses(), cur.mu.masses()))
-                    if changed:
-                        progressed = True
-                    cur = cand
+                cand = _attempt(config, cand_mu, cur, it, operator.ge, errors,
+                                f"mass step (eta {eta!r})")
+                if cand is not None:
+                    cur, accepted, eta_used = cand, True, eta
                     break
                 eta *= 0.5
 
-        spawn_helped = False
         if config.spawn and len(cur.mu):
             cand_mu = _spawn_candidate(config, cur)
             if cand_mu is not None:
-                try:
-                    cand = _trial(config, cand_mu, cur)
-                    if cand.payoff > cur.payoff:
-                        cur = _complete(config, cand, iteration=it)
-                        spawn_helped = True
-                        spawned = True
-                        progressed = True
-                except SolverError as exc:
-                    errors.append(f"spawn: {exc}")
+                cand = _attempt(config, cand_mu, cur, it, operator.gt, errors, "spawn")
+                if cand is not None:
+                    cur, spawned = cand, True
 
         steps.append(TraceStep(it, cur.mu, cur.payoff, cur.sup_residual,
                                accepted or spawned, spawned, eta_used, tuple(errors)))
 
-        if not len(cur.mu):
+        if not len(cur.mu) or (cur.sup_residual < tol_eff and not spawned):
             converged = True
             break
-        if cur.sup_residual < tol_eff and not spawn_helped:
-            converged = True
-            break
-        if not progressed and cur.sup_residual >= tol_eff:
+        if cur.mu == prev.mu:
             break
 
     return OptimizationTrace(tuple(steps), converged, cur.mu, cur.tree,

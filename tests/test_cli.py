@@ -442,6 +442,20 @@ class TestReport:
         assert any(line.startswith("scale") for line in lines)
         assert (out / "support.json").exists()
 
+    def test_report_on_a_run_directory_uses_its_config(self, tmp_path):
+        """Without --config, report reads the run's config.txt, so on a
+        17x17 optimize run it rewrites support.json with the same cell
+        sizes (from h = 1/16), not those of the default 33x33 grid."""
+        cfg = write_setup(tmp_path, ["nx = 17", "ny = 17", "c = 0.1",
+                                     "max_outer_iters = 2"],
+                          [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        written = (out / "support.json").read_bytes()
+        assert json.loads(written)["rows"][0]["scale"] == 0.0625
+        assert main(["report", "--out", str(out)]) == 0
+        assert (out / "support.json").read_bytes() == written
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):

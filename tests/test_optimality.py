@@ -223,6 +223,75 @@ class TestAscent:
         assert records[1]["solver_errors"] == list(trace.steps[1].solver_errors)
         assert all(r["solver_errors"] == [] for r in records[2:])
 
+    def test_failed_spawn_trial_is_recorded_and_the_run_goes_on(self, monkeypatch):
+        """Mass steps never add atoms, so the first state solve on more atoms
+        than the seed has is the first spawn trial: failing it records one
+        "spawn: ..." error, keeps no atom, and later spawns still run."""
+        from rootopt import optimality
+
+        grid = ro.Grid(ro.Domain(), 9, 9)
+        cfg = ro.RunConfig(grid=grid, c=0.1, max_outer_iters=4, spawn=True,
+                           spawn_mass=0.05)
+        mu0 = ro.DiscreteMeasure((ro.Atom(grid.node_position(4, 4), 0.3),))
+        failed = []
+        real = optimality.solve_state
+
+        def failing_first_spawn(grid, mu, *args, **kwargs):
+            if len(mu) > len(mu0) and not failed:
+                failed.append(len(mu))
+                raise ro.SolverError("injected spawn failure")
+            return real(grid, mu, *args, **kwargs)
+
+        monkeypatch.setattr(optimality, "solve_state", failing_first_spawn)
+        trace = ro.ascend_measure(cfg, mu0)
+        assert failed == [2]
+        hit = [s for s in trace.steps if s.solver_errors]
+        assert len(hit) == 1
+        step = hit[0]
+        assert step.solver_errors == ("spawn: injected spawn failure",)
+        assert not step.spawned and len(step.measure) == len(mu0)
+        assert step.iteration < len(trace.steps) - 1
+        assert any(s.spawned for s in trace.steps[step.iteration + 1:])
+
+    def test_adjoint_failure_rejects_a_candidate_that_paid(self, monkeypatch):
+        """The eta 1.0 candidate of iteration 1 passes the payoff test, and
+        only then fails its adjoint: the step records it and accepts the
+        halved step instead."""
+        from rootopt import optimality
+
+        grid = ro.Grid(ro.Domain(), 9, 9)
+        cfg = ro.RunConfig(grid=grid, c=0.1, max_outer_iters=2)
+        mu0 = ro.DiscreteMeasure((ro.Atom(grid.node_position(6, 4), 0.3),))
+        calls = []
+        real = optimality.solve_adjoint
+
+        def failing_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ro.SolverError("injected adjoint failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimality, "solve_adjoint", failing_second)
+        trace = ro.ascend_measure(cfg, mu0)
+        assert cfg.step_size == 1.0
+        assert trace.steps[1].solver_errors == (
+            "mass step (eta 1.0): injected adjoint failure",)
+        assert trace.steps[1].accepted and trace.steps[1].eta == 0.5
+        assert trace.steps[2].solver_errors == ()
+
+    def test_a_step_that_leaves_the_measure_unchanged_stops_the_run(self):
+        """With eta = 1e-300 every mass rounds back to itself: the step is
+        accepted, changes nothing, and the loop stops unconverged."""
+        grid = ro.Grid(ro.Domain(), 9, 9)
+        cfg = ro.RunConfig(grid=grid, c=0.1, step_size=1e-300)
+        mu0 = ro.DiscreteMeasure((ro.Atom(grid.node_position(6, 4), 0.3),))
+        trace = ro.ascend_measure(cfg, mu0)
+        assert not trace.converged
+        assert len(trace.steps) == 2
+        last = trace.steps[-1]
+        assert last.accepted and not last.spawned and last.eta == 1e-300
+        assert last.measure == mu0
+
 
 class TestSupportDensity:
     def test_single_atom_occupies_one_cell(self, small_grid):

@@ -1,0 +1,47 @@
+"""Source hygiene checks that need no linter: every name a module under
+src/rootopt or scripts imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "rootopt").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name that the module never uses.
+
+    A name counts as used when it appears as an expression name (unquoted
+    annotations included) or as a string in a module-level __all__ (a
+    re-export).  __future__ imports are skipped."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_the_check_finds_unused_imports():
+    source = ('from __future__ import annotations\n'
+              'import os\nimport numpy as np\nfrom math import pi, tau\n'
+              'from .core import Grid, Domain\n'
+              '__all__ = ["Domain"]\n'
+              'def f(x: Grid) -> float:\n    return np.sqrt(pi)\n')
+    assert unused_imports(source) == [(2, "os"), (4, "tau")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
