@@ -22,11 +22,23 @@ Newton Jacobian) back-substitutes with them and refines against A, up to
 factors, or when they miss, A is factorized and refined by the same rule;
 if that misses too, SolverError reports the worst residual, so a singular
 or ill-conditioned system fails by name instead of returning garbage.
-Every factorization is one SuperLU call (_factorize) with the minimum
-degree ordering of A^T + A, panels of 2 columns and supernodes relaxed up
-to 4 columns: measured against SuperLU's defaults on grids from 17x17 to
-257x257, these factorize each of the module's matrices in 0.6 to 0.86 of
-the time, with the same fill (BENCH_15.json).
+Every factorization goes through _factorize, which picks its method by
+the half-bandwidth of A; nodes are ordered iy * nx + ix, so that is nx.
+Up to nx = 45 (_BAND_MAX) A is factorized by LAPACK's banded LU with
+partial pivoting (dgbtrf; back-substitution by dgbtrs), which costs
+O(n nx^2) and needs no ordering; its band storage holds (3 nx + 1) n
+doubles, 2.2 MB at 45x45.  Wider systems get one SuperLU call with the
+minimum degree ordering of A^T + A, panels of 2 columns and supernodes
+relaxed up to 4 columns: measured against SuperLU's defaults on grids from
+17x17 to 257x257, these factorize each of the module's matrices in 0.6 to
+0.86 of the time, with the same fill (BENCH_15.json).  The crossover was
+measured on the sweep matrix, a Newton Jacobian and the adjoint matrix
+(one thread, minimum of interleaved runs, BENCH_18.json): one banded
+factorization and 17 back-substitutions, the mass ascent's ratio, take
+0.39 to 0.4 of SuperLU's time at 17x17, 0.5 to 0.54 at 33x33, 0.7 at
+41x41 and 0.86 to 0.9 at 45x45; from 47x47 to 51x51 they take 0.89 to
+1.0 of it, and at 57x57 and 65x65 1.27 to 1.34 times as long.  On either
+path an exactly singular matrix raises SolverError.
 
 State equation
 --------------
@@ -74,6 +86,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .core import DiscreteMeasure, Grid, GrowthFunction, SolverError, ValidationError
 
@@ -83,6 +96,9 @@ _MAX_SWEEPS = 400
 # refinement steps allowed per set of factors, each of which must at least
 # halve the worst scaled residual
 _MAX_REFINE = 12
+# largest half-bandwidth (nx) factorized by LAPACK's banded LU; wider
+# systems go to SuperLU (see _factorize)
+_BAND_MAX = 45
 
 __all__ = [
     "ScalarField",
@@ -161,13 +177,16 @@ def _second_difference(n: int, h: float) -> sp.csr_matrix:
     return (d.tocsr() / h ** 2).tocsr()
 
 
+def _laplacian(nx: int, ny: int, h: float) -> sp.csc_matrix:
+    lap = (sp.kron(sp.identity(ny, format="csr"), _second_difference(nx, h))
+           + sp.kron(_second_difference(ny, h), sp.identity(nx, format="csr"))).tocsc()
+    lap.sort_indices()
+    return lap
+
+
 @lru_cache(maxsize=16)
 def _operators(grid: Grid):
-    dxx = _second_difference(grid.nx, grid.h)
-    dyy = _second_difference(grid.ny, grid.h)
-    lap = (sp.kron(sp.identity(grid.ny, format="csr"), dxx)
-           + sp.kron(dyy, sp.identity(grid.nx, format="csr"))).tocsc()
-    lap.sort_indices()
+    lap = _laplacian(grid.nx, grid.ny, grid.h)
     tx = np.ones(grid.nx)
     tx[0] = tx[-1] = 0.5
     ty = np.ones(grid.ny)
@@ -177,6 +196,18 @@ def _operators(grid: Grid):
     cols = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
     diagonal = np.flatnonzero(lap.indices == cols)  # positions in lap.data
     return lap, tau, diagonal
+
+
+@lru_cache(maxsize=16)
+def _band_positions(nx: int, ny: int) -> np.ndarray:
+    """Where each entry of the CSC data of an nx x ny grid's system goes in
+    LAPACK's band storage with kl = ku = nx, flattened by columns: entry
+    (i, j) sits in row 2 nx + i - j of the 3 nx + 1 rows of column j.  It
+    depends on the five-point pattern only, not on h, and is built only
+    for the narrow grids that the banded LU serves."""
+    lap = _laplacian(nx, ny, 1.0)
+    cols = np.repeat(np.arange(nx * ny), np.diff(lap.indptr))
+    return 2 * nx + lap.indices + 3 * nx * cols
 
 
 def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
@@ -230,7 +261,37 @@ def _linear_misfit(mat, absorption, x, rhs):
     return res, float(np.max(np.abs(res) / scale))
 
 
+class _BandLU:
+    """LU factors with partial pivoting of a system from _system whose
+    half-bandwidth is nx, from LAPACK's dgbtrf; solve back-substitutes with
+    dgbtrs, as SuperLU's factors do with their own solve."""
+
+    def __init__(self, mat: sp.csc_matrix, nx: int):
+        n = mat.shape[0]
+        rows = 3 * nx + 1
+        ab = np.zeros(rows * n)
+        ab[_band_positions(nx, n // nx)] = mat.data
+        self.lu, self.piv, info = lapack.dgbtrf(ab.reshape((rows, n), order="F"), nx, nx,
+                                                overwrite_ab=1)
+        if info > 0:  # exactly singular
+            raise SolverError(f"banded factorization failed: pivot {info} is exactly zero")
+        self.nx = nx
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return lapack.dgbtrs(self.lu, self.nx, self.nx, rhs, self.piv)[0]
+
+
 def _factorize(mat: sp.csc_matrix):
+    # nodes are ordered iy * nx + ix, so the half-bandwidth is nx: the last
+    # column's first stored row is the node below the corner, n - 1 - nx.
+    # The banded LU costs O(n nx^2) and undercuts SuperLU's fixed cost per
+    # call up to nx = _BAND_MAX (0.39 of its time at 17x17, 0.86 to 0.9 at
+    # 45x45, for a factorization and 17 back-substitutions); by 57x57
+    # SuperLU is faster, and the band storage of (3 nx + 1) n doubles would
+    # reach 6.6 MB at 65x65 (BENCH_18.json)
+    nx = mat.shape[0] - 1 - int(mat.indices[mat.indptr[-2]])
+    if nx <= _BAND_MAX:
+        return _BandLU(mat, nx)
     try:
         # the stencil's pattern is symmetric: ordering on A^T + A roughly
         # halves the fill of the default column ordering.  Panels of 2

@@ -22,12 +22,13 @@ def grid17():
 
 @pytest.fixture()
 def linalg_calls(monkeypatch):
-    """Records every factorization (its matrix and keyword arguments) and
-    every back-substitution (its right-hand side) through the factors splu
-    returns, a weak reference to each set of factors, and how many earlier
-    sets were still alive when each factorization started."""
-    calls = SimpleNamespace(splu=[], kwargs=[], solve=[], factors=[], alive=[])
-    real = ell.spla.splu
+    """Records every factorization through elliptic._factorize (its matrix),
+    whichever path serves it, and every back-substitution (its right-hand
+    side) through the factors it returns, a weak reference to each set of
+    factors, and how many earlier sets were still alive when each
+    factorization started."""
+    calls = SimpleNamespace(factorize=[], solve=[], factors=[], alive=[])
+    real = ell._factorize
 
     class CountingFactors:
         def __init__(self, lu):
@@ -37,16 +38,29 @@ def linalg_calls(monkeypatch):
             calls.solve.append(rhs)
             return self.lu.solve(rhs)
 
-    def splu(mat, **kw):
-        calls.splu.append(mat)
-        calls.kwargs.append(kw)
+    def factorize(mat):
+        calls.factorize.append(mat)
         calls.alive.append(sum(ref() is not None for ref in calls.factors))
-        lu = CountingFactors(real(mat, **kw))
+        lu = CountingFactors(real(mat))
         calls.factors.append(weakref.ref(lu))
         return lu
 
-    monkeypatch.setattr(ell, "spla", SimpleNamespace(splu=splu))
+    monkeypatch.setattr(ell, "_factorize", factorize)
     return calls
+
+
+@pytest.fixture()
+def splu_kwargs(monkeypatch):
+    """The keyword arguments of every SuperLU factorization."""
+    kwargs = []
+    real = ell.spla.splu
+
+    def splu(mat, **kw):
+        kwargs.append(kw)
+        return real(mat, **kw)
+
+    monkeypatch.setattr(ell, "spla", SimpleNamespace(splu=splu))
+    return kwargs
 
 
 def uniform_measure(grid, m0):
@@ -132,15 +146,29 @@ class TestLinearSolver:
     def solve(grid, coeff, rhs, tol_linear, lu=None):
         return ell._solve(ell._system(grid, coeff), coeff, rhs, tol_linear, lu)
 
-    def test_singular_system_raises(self, grid17):
+    @pytest.mark.parametrize("n", [17, ell._BAND_MAX + 1], ids=["banded", "superlu"])
+    def test_singular_system_raises(self, n):
         """Zero absorption leaves the pure-Neumann Laplacian, which has no
-        solution for a right-hand side of non-zero mean."""
+        solution for a right-hand side of non-zero mean; on either side of
+        _BAND_MAX the solve fails by name."""
+        grid = ro.Grid(ro.Domain(), n, n)
         with pytest.raises(ro.SolverError):
-            self.solve(grid17, np.zeros(grid17.n_nodes), np.ones(grid17.n_nodes), 1e-10)
+            self.solve(grid, np.zeros(grid.n_nodes), np.ones(grid.n_nodes), 1e-10)
+
+    @pytest.mark.parametrize("n", [17, ell._BAND_MAX + 1], ids=["banded", "superlu"])
+    def test_zero_pivot_raises(self, n):
+        """A matrix with the stencil's pattern and every entry 0 is exactly
+        singular: dgbtrf reports a zero pivot and SuperLU raises, and both
+        become SolverError."""
+        grid = ro.Grid(ro.Domain(), n, n)
+        mat = ell._system(grid, np.zeros(grid.n_nodes))
+        mat.data[:] = 0.0
+        with pytest.raises(ro.SolverError, match="factorization failed"):
+            ell._factorize(mat)
 
     @pytest.fixture()
     def back_substitutions(self, linalg_calls):
-        """Counts every back-substitution through the factors splu returns."""
+        """Counts every back-substitution through the factors _factorize returns."""
         return linalg_calls.solve
 
     @staticmethod
@@ -163,7 +191,7 @@ class TestLinearSolver:
     def test_missed_tolerance_is_refined_and_passes(self, grid17, back_substitutions):
         """Near extinction (density 3.7, rate 4) the first back-substitution
         with the module's own factors leaves a scaled residual of about
-        1.9e-12; one refinement step with the same factors brings it under
+        2.4e-12; one refinement step with the same factors brings it under
         tol_linear = 1e-12."""
         coeff, rhs = self.adjoint_system(grid17, 3.7)
         mat = ell._system(grid17, coeff)
@@ -177,10 +205,10 @@ class TestLinearSolver:
     def test_unreachable_tolerance_names_the_worst_residual(self, grid17,
                                                              back_substitutions):
         """Fresh factors refine by the same halving rule as carried ones: at
-        density 2 the first step halves the worst scaled residual, the
+        density 2.5 the first step halves the worst scaled residual, the
         second does not, and the solve gives up after three
         back-substitutions."""
-        coeff, rhs = self.adjoint_system(grid17, 2.0)
+        coeff, rhs = self.adjoint_system(grid17, 2.5)
         mat = ell._system(grid17, coeff)
         lu = ell._factorize(mat)
         first = lu.solve(rhs)
@@ -198,27 +226,41 @@ class TestLinearSolver:
         factors miss too."""
         coeff, rhs = self.adjoint_system(grid17, 1.0)
         far = ell._factorize(ell._system(grid17, np.full(grid17.n_nodes, 50.0)))
-        linalg_calls.splu.clear()
+        linalg_calls.factorize.clear()
         with pytest.raises(ro.SolverError,
                            match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
             self.solve(grid17, coeff, rhs, 1e-20, lu=far)
-        assert len(linalg_calls.splu) == 1
+        assert len(linalg_calls.factorize) == 1
 
-    def test_every_factorization_uses_the_fitted_settings(self, grid17, linalg_calls):
+    @staticmethod
+    def ascent_factorizations(grid, linalg_calls):
         """A cold state solve, an adjoint that factorizes its own matrix, and
         an ascent-style trial (a warm solve after a mass change, then its
-        adjoint) all factorize through _factorize, with the ordering, panel
-        width and supernode relaxation fitted to the five-point stencil."""
+        adjoint), all through _factorize."""
         f = ro.GrowthFunction()
-        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
-        u = ro.solve_state(grid17, mu, f)
-        ro.solve_adjoint(grid17, mu, ell.ScalarField(grid17, u.values), f)
-        assert len(linalg_calls.kwargs) == 3
+        mu = random_grid_measure(np.random.default_rng(3), grid, 6, mass_range=(0.2, 1.0))
+        u = ro.solve_state(grid, mu, f)
+        ro.solve_adjoint(grid, mu, ell.ScalarField(grid, u.values), f)
+        assert len(linalg_calls.factorize) == 3
         nu = mu.with_masses(mu.masses() * 1.2)
-        ro.solve_adjoint(grid17, nu, ro.solve_state(grid17, nu, f, init=u), f)
-        assert len(linalg_calls.kwargs) > 3
+        ro.solve_adjoint(grid, nu, ro.solve_state(grid, nu, f, init=u), f)
+        assert len(linalg_calls.factorize) > 3
+
+    def test_past_the_band_every_factorization_uses_the_fitted_settings(
+            self, linalg_calls, splu_kwargs):
+        """On the first grid whose half-bandwidth nx exceeds _BAND_MAX, every
+        factorization is a SuperLU call with the ordering, panel width and
+        supernode relaxation fitted to the five-point stencil."""
+        n = ell._BAND_MAX + 1
+        self.ascent_factorizations(ro.Grid(ro.Domain(), n, n), linalg_calls)
+        assert len(splu_kwargs) == len(linalg_calls.factorize)
         fitted = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 2, "relax": 4}
-        assert all(kw == fitted for kw in linalg_calls.kwargs)
+        assert all(kw == fitted for kw in splu_kwargs)
+
+    def test_narrow_band_never_calls_superlu(self, grid17, linalg_calls, splu_kwargs):
+        """At 17x17 the same solves factorize with the banded LU alone."""
+        self.ascent_factorizations(grid17, linalg_calls)
+        assert not splu_kwargs
 
     def test_docs_name_the_refinement_cap(self):
         """README and the module docstring state the cap that _refine keeps."""
@@ -253,13 +295,13 @@ class TestLinearSolver:
         assert len(sweeps) > 5
         assert all(r > math.sqrt(tol) for r in residuals[:-1])
         assert tol < residuals[-1] <= math.sqrt(tol)
-        assert len(linalg_calls.splu) == 2  # the shifted matrix, then Newton's Jacobian
+        assert len(linalg_calls.factorize) == 2  # the shifted matrix, then Newton's Jacobian
         assert u._factors is not None
         assert ell.state_residual(u, mu, f) <= tol
-        linalg_calls.splu.clear()
+        linalg_calls.factorize.clear()
         linalg_calls.solve.clear()
         psi = ro.solve_adjoint(grid17, mu, u, f)
-        assert not linalg_calls.splu
+        assert not linalg_calls.factorize
         assert len(linalg_calls.solve) <= 3
         assert ell.adjoint_residual(psi, u, mu, f) <= 1e-10
 
@@ -281,6 +323,57 @@ class TestLinearSolver:
         u = ro.solve_state(grid17, mu, f, tol=1e-10)
         assert u._factors is not None
         assert linalg_calls.alive[:2] == [0, 0]
+
+
+class TestBandedAndSparseLU:
+    """_factorize serves systems of half-bandwidth nx <= _BAND_MAX with
+    LAPACK's banded LU and wider ones with SuperLU.  On grids on both sides
+    of the constant, both paths solve the module's three kinds of matrix to
+    tol_linear and give the same solution."""
+
+    @staticmethod
+    def systems(grid):
+        """The sweep matrix with its first right-hand side, a Newton Jacobian
+        at u = 0.3 u_max (negative absorption at every node without an atom)
+        with the state residual there, and the adjoint matrix at the
+        converged state with the lumped density: (absorption, rhs) each."""
+        f = ro.GrowthFunction()
+        mu = random_grid_measure(np.random.default_rng(5), grid, 6, mass_range=(0.2, 1.0))
+        a = ro.lump_measure(mu, grid).density()
+        lap = ro.laplacian_matrix(grid)
+        top = np.full(grid.n_nodes, f.u_max)
+        low = np.full(grid.n_nodes, 0.3 * f.u_max)
+        u = ro.solve_state(grid, mu, f, tol=1e-10)
+        return {
+            "sweep": (a + f.monotone_shift, f(top) + f.monotone_shift * top),
+            "jacobian": (a - f.derivative(low), ell._state_misfit(lap, a, f, low)[0]),
+            "adjoint": (a - f.derivative(u.values), a),
+        }
+
+    def test_docs_name_the_band_limit(self):
+        """README and the module docstring state the half-bandwidth up to
+        which _factorize takes the banded LU."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for text in (readme, ell.__doc__):
+            flat = " ".join(text.replace("`", "").split())
+            assert f"Up to nx = {ell._BAND_MAX} " in flat
+
+    @pytest.mark.parametrize("n", [17, 33, ell._BAND_MAX + 1])
+    def test_both_paths_meet_tol_and_agree(self, n, monkeypatch):
+        grid = ro.Grid(ro.Domain(), n, n)
+        tol_linear = 1e-10
+        for kind, (coeff, rhs) in self.systems(grid).items():
+            if kind == "jacobian":
+                assert np.any(coeff < 0.0)
+            mat = ell._system(grid, coeff)
+            solutions = []
+            for band_max in (n, n - 1):  # the banded LU, then SuperLU
+                monkeypatch.setattr(ell, "_BAND_MAX", band_max)
+                x = ell._solve(mat, coeff, rhs, tol_linear)[0]
+                assert ell._linear_misfit(mat, coeff, x, rhs)[1] <= tol_linear, kind
+                solutions.append(x)
+            gap = np.abs(solutions[0] - solutions[1]) / np.maximum(1.0, np.abs(solutions[1]))
+            assert np.max(gap) <= 100 * tol_linear, kind
 
 
 class TestStateSolve:
@@ -310,7 +403,7 @@ class TestStateSolve:
         tol = 1e-12
         u = ro.solve_state(grid17, mu, f, tol=tol).values
         # the sweep matrix, then at least one Jacobian for the Newton steps
-        assert len(linalg_calls.splu) > 1
+        assert len(linalg_calls.factorize) > 1
         a = ro.lump_measure(mu, grid17).density()
         res = ro.laplacian_matrix(grid17) @ u + f(u) - a * u
         scale = np.maximum(1.0, np.maximum(np.abs(a * u), np.abs(f(u))))
@@ -552,7 +645,7 @@ class TestFactorReuse:
         trace = ro.ascend_measure(cfg, ro.DiscreteMeasure(
             (ro.Atom(grid.node_position(8, 8), 0.35),)))
         assert len(trace.measure) > 10 and len(trials) > 30
-        assert len(linalg_calls.splu) <= 1.3 * len(trials)
+        assert len(linalg_calls.factorize) <= 1.3 * len(trials)
 
     def test_factors_of_another_matrix_are_replaced(self, grid17, linalg_calls):
         """A state carrying the factors of -lap + 50: refinement with them
@@ -563,9 +656,9 @@ class TestFactorReuse:
         u = ro.solve_state(grid17, mu, f, tol=1e-10)
         far = ell._factorize(ell._system(grid17, np.full(grid17.n_nodes, 50.0)))
         stale = ell._carrying(grid17, u.values, far)
-        linalg_calls.splu.clear()
+        linalg_calls.factorize.clear()
         psi = ro.solve_adjoint(grid17, mu, stale, f)
-        assert len(linalg_calls.splu) == 1
+        assert len(linalg_calls.factorize) == 1
         assert ell.adjoint_residual(psi, u, mu, f) <= 1e-10
         plain = ro.solve_adjoint(grid17, mu, ell.ScalarField(grid17, u.values), f)
         assert np.array_equal(psi.values, plain.values)
@@ -589,11 +682,11 @@ class TestFactorReuse:
                                      mass_range=(0.05, 1.0))
             prev = ro.solve_state(grid17, mu, f, tol=tol)
             nu = mu.with_masses(mu.masses() * (1 + 0.3 * rng.uniform(-1, 1, len(mu))))
-            linalg_calls.splu.clear()
+            linalg_calls.factorize.clear()
             u = ro.solve_state(grid17, nu, f, tol=tol, tol_linear=tol_linear, init=prev)
             psi = ro.solve_adjoint(grid17, nu, u, f, tol=tol_linear)
-            reused += len(linalg_calls.splu)
-            linalg_calls.splu.clear()
+            reused += len(linalg_calls.factorize)
+            linalg_calls.factorize.clear()
             plain = ro.solve_adjoint(grid17, nu, ell.ScalarField(grid17, u.values), f,
                                      tol=tol_linear)
             with monkeypatch.context() as m:
@@ -601,7 +694,7 @@ class TestFactorReuse:
                 m.setattr(ell, "_solve", lambda mat, absorption, rhs, tol_linear, lu=None:
                           solve(mat, absorption, rhs, tol_linear))
                 u0 = ro.solve_state(grid17, nu, f, tol=tol, tol_linear=tol_linear, init=prev)
-            fresh += len(linalg_calls.splu)
+            fresh += len(linalg_calls.factorize)
             assert np.max(np.abs(u.values - u0.values)) <= tol * f.u_max
             for adjoint in (psi, plain):
                 assert ell.adjoint_residual(adjoint, u, nu, f) <= tol_linear
