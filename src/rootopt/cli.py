@@ -234,7 +234,7 @@ def _cmd_report(args, parsed: ParsedConfig, out: Path) -> int:
 def _verify_checks(args, parsed: ParsedConfig, out: Path):
     """Yield (name, detail-or-None) pairs for every check whose inputs exist."""
     cfg = parsed.run
-    mu = tree = stored_flux = None
+    mu = tree = stored_flux = z = None
     if (out / "measure.json").exists():
         mu = load_measure(out / "measure.json")
     if (out / "tree.json").exists() and mu is not None:
@@ -339,7 +339,6 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if gap == 0.0 else
                f"recorded payoff differs from harvest - c*cost by {gap!r}")
         if u is not None and psi is not None and tree is not None:
-            z = landscape(tree, mu, cfg.alpha)
             fresh = optimality_residual(u, psi, z, mu, rep["c"], rep["alpha"])
             stored = {r["atom"]: r["residual"] for r in rep["records"]}
             fresh_map = {r.atom: r.residual for r in fresh.records}

@@ -2,7 +2,11 @@
 
 Value types shared by the irrigation planner, the elliptic solvers, and the
 measure-ascent optimizer.  Everything here is immutable after construction,
-so instances can be shared freely between routines and threads.
+so instances can be shared freely between routines and threads.  The one
+thing a `DiscreteMeasure` fills in after construction is a memo of values
+derived from its arrays (its `Atom` tuple, its node map on the last grid
+asked for); writing one twice stores the same value, and no memo takes part
+in equality, hashing, repr or pickling.
 """
 
 from __future__ import annotations
@@ -178,9 +182,15 @@ class DiscreteMeasure:
     `DiscreteMeasure.from_arrays(positions, masses)`.  `atoms` is the tuple
     of `Atom`s, built on first access only.  Measures with equal arrays are
     equal.
+
+    `elliptic._node_indices` memoizes the atoms' node map on the measure,
+    for the last grid it was asked for (`_nodes`, a (grid, read-only index
+    array) pair or None), so the state solve, the harvest and the adjoint of
+    one measure locate its atoms once.  An off-grid atom is never memoized:
+    it raises on every call.  Pickles carry the arrays alone.
     """
 
-    __slots__ = ("_positions", "_masses", "_atoms")
+    __slots__ = ("_positions", "_masses", "_atoms", "_nodes")
 
     def __init__(self, atoms=()):
         atoms = tuple(atoms)
@@ -225,6 +235,7 @@ class DiscreteMeasure:
         object.__setattr__(self, "_positions", pos)
         object.__setattr__(self, "_masses", masses)
         object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_nodes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")

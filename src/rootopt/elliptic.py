@@ -56,15 +56,19 @@ sub/supersolution construction).  Without the shift the sweep started at
 u_max would jump straight to the trivial zero branch, since f(u_max) = 0.
 The shifted matrix is the same for every sweep of a given measure, so the
 first sweep factorizes it and every later sweep solves with those factors,
-one back-substitution unless the residual needs refining.  Since
-sigma = rate = -f'(u_max), that matrix is the negated Jacobian at u_max:
-the sweep is the chord iteration at u_max and converges only linearly.
-So the sweeps stop at the first iterate whose scaled residual is within
-sqrt(tol), since one Newton step roughly squares the residual, at the
-first sweep that leaves more than 0.9 of the previous sweep's residual
-(slow contraction, as near extinction), or when they run out, and damped
-Newton steps finish the solve.  By concavity of f, Newton from an iterate
-above the maximal solution stays above it.  The sweep's factors are freed
+one back-substitution unless the residual needs refining.  f(u_k) is
+evaluated once per iterate, for its residual and the next right-hand
+side.  Since sigma = rate = -f'(u_max), that matrix is the negated
+Jacobian at u_max: the sweep is the chord iteration at u_max and
+converges only linearly.  So the sweeps stop at the first iterate whose
+scaled residual is within sqrt(tol), since one Newton step roughly
+squares the residual, at the first sweep that leaves more than 0.9 of the
+previous sweep's residual (slow contraction, as near extinction), or when
+they run out, and damped Newton steps finish the solve, starting from the
+residual the last sweep measured.  Each Newton step keeps the residual by
+which its line search accepted the next iterate, so no iterate's residual
+is evaluated twice.  By concavity of f, Newton from an iterate above the
+maximal solution stays above it.  The sweep's factors are freed
 before Newton factorizes.  Each Newton step solves the negated Jacobian
 -lap + diag(a - f'(u)) at its iterate to tol_linear: the first step
 factorizes it, and later steps solve with those factors, which are
@@ -221,9 +225,23 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
 
 
 def _node_indices(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
-    """Flat node index of every atom, in atom order; atoms must sit exactly
-    on nodes.  One rounding pass gives each atom's nearest node, which must
-    reproduce the atom's coordinates exactly."""
+    """Flat node index of every atom, in atom order, as a read-only array;
+    atoms must sit exactly on nodes.  Memoized on the measure for the last
+    grid asked for, so every solve and harvest of one measure shares one
+    map; an off-grid atom raises on every call."""
+    memo = mu._nodes
+    if memo is not None and memo[0] == grid:
+        return memo[1]
+    idx = _locate_nodes(mu, grid)
+    idx.setflags(write=False)
+    object.__setattr__(mu, "_nodes", (grid, idx))
+    return idx
+
+
+def _locate_nodes(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
+    """The node map of _node_indices, uncached: one rounding pass gives each
+    atom's nearest node, which must reproduce the atom's coordinates
+    exactly."""
     pos = mu.positions()
     ix = np.clip(np.rint((pos[:, 0] - grid.domain.rect_min[0]) / grid.h), 0, grid.nx - 1)
     iy = np.clip(np.rint((pos[:, 1] - grid.domain.rect_min[1]) / grid.h), 0, grid.ny - 1)
@@ -344,27 +362,29 @@ def _solve(mat, absorption, rhs, tol_linear, lu=None):
 
 
 def _state_misfit(lap, a, f, u):
-    """Nodewise residual lap u + f(u) - a u, and its worst value scaled by
-    max(1, |f(u)|, |a u|) at each node."""
+    """Nodewise residual lap u + f(u) - a u, its worst value scaled by
+    max(1, |f(u)|, |a u|) at each node, and f(u)."""
     fu = f(u)
     res = lap @ u + fu - a * u
     scale = np.maximum(1.0, np.maximum(np.abs(a * u), np.abs(fu)))
-    return res, float(np.max(np.abs(res) / scale))
+    return res, float(np.max(np.abs(res) / scale)), fu
 
 
 def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: float,
-            tol_linear: float, positive: bool = False):
+            tol_linear: float, positive: bool = False, misfit=None):
     """Damped Newton steps on lap u + f(u) - a u = 0 from u; returns the first
-    iterate within tol and the last factors used, or None with `positive` as
-    soon as an iterate has a node at 0.  Each step solves the Jacobian at its
-    iterate to tol_linear, refining with the previous step's factors and
-    factorizing only when they miss."""
+    iterate within tol and the last factors used (None if u itself is), or
+    None with `positive` as soon as an iterate has a node at 0.  `misfit`
+    is _state_misfit at u when the caller has it; each later iterate's is
+    the one its line search accepted it by.  Each step solves the Jacobian
+    at its iterate to tol_linear, refining with the previous step's factors
+    and factorizing only when they miss."""
     lap = laplacian_matrix(grid)
     lu = None
     for _ in range(80):
         if positive and not u.min() > 0.0:
             return None
-        res, rmax = _state_misfit(lap, a, f, u)
+        res, rmax, _ = misfit or _state_misfit(lap, a, f, u)
         if rmax <= tol:
             return u, lu
         jac = a - f.derivative(u)
@@ -372,7 +392,8 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
         step = 1.0
         while step >= 1.0 / 4096.0:
             u_try = np.clip(u + step * delta, 0.0, f.u_max)
-            if _state_misfit(lap, a, f, u_try)[1] < rmax:
+            misfit = _state_misfit(lap, a, f, u_try)
+            if misfit[1] < rmax:
                 u = u_try
                 break
             step *= 0.5
@@ -383,7 +404,8 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
 
 def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear: float):
     """Shifted monotone sweeps from u = u_max; returns the last iterate and
-    whether it is within tol.  They stop at the first iterate within
+    its _state_misfit, whose f(u) the next sweep's right-hand side reuses.
+    They stop at the first iterate within tol, at the first within
     sqrt(tol), for Newton to finish, at the first sweep that leaves more
     than 0.9 of the previous residual, or when they run out.  The shifted
     matrix is factorized once and its factors live only here."""
@@ -393,21 +415,21 @@ def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear:
     mat = _system(grid, shifted)
     lu = None
     u = np.full(grid.n_nodes, f.u_max)
-    hand_over = math.sqrt(tol)
+    fu = f(u)
+    hand_over = max(tol, math.sqrt(tol))
     rmax_prev = math.inf
     for _ in range(_MAX_SWEEPS):
-        x, lu = _solve(mat, shifted, f(u) + sigma * u, tol_linear, lu)
+        x, lu = _solve(mat, shifted, fu + sigma * u, tol_linear, lu)
         u = np.clip(x, 0.0, f.u_max)
-        rmax = _state_misfit(lap, a, f, u)[1]
-        if rmax <= tol:
-            return u, True
-        # close enough for Newton, or contracting too slowly: at uniform
-        # density a a chord sweep contracts by 2a / (a + rate), which tends
-        # to 1 near extinction
+        misfit = _state_misfit(lap, a, f, u)
+        rmax, fu = misfit[1:]
+        # within tol, close enough for Newton, or contracting too slowly: at
+        # uniform density a a chord sweep contracts by 2a / (a + rate),
+        # which tends to 1 near extinction
         if rmax <= hand_over or rmax > 0.9 * rmax_prev:
             break
         rmax_prev = rmax
-    return u, False
+    return u, misfit
 
 
 def _carrying(grid: Grid, u: np.ndarray, lu) -> ScalarField:
@@ -479,11 +501,10 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
             # while the zero solution is unstable and a positive one exists
             if np.all((a - f.derivative(u)) * u - lap @ u > 0.0):
                 return _carrying(grid, u, lu)
-    u, done = _sweep(grid, a, f, tol, tol_linear)
-    if done:
-        return ScalarField(grid, u)
-    # the sweep's factors are freed by now; damped Newton finishes
-    return _carrying(grid, *_newton(grid, a, f, u, tol, tol_linear))
+    u, misfit = _sweep(grid, a, f, tol, tol_linear)
+    # the sweep's factors are freed by now; damped Newton finishes, and
+    # returns a sweep iterate already within tol as it is, with no factors
+    return _carrying(grid, *_newton(grid, a, f, u, tol, tol_linear, misfit=misfit))
 
 
 def state_residual(u: ScalarField, mu: DiscreteMeasure, f: GrowthFunction) -> float:

@@ -91,6 +91,10 @@ class IrrigationTree:
     The node kinds are read off these arrays (`kinds`): node 0 is the root,
     a node that carries an atom is a terminal, and every other node is a
     steiner node.
+
+    `compute_fluxes` memoizes the fluxes of the last measure it was given
+    on the tree; the memo takes no part in repr, and pickles carry the
+    three arrays alone.
     """
 
     positions: np.ndarray
@@ -132,6 +136,10 @@ class IrrigationTree:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_flux_memo", None)
+
+    def __reduce__(self):
+        return IrrigationTree, (self.positions, self.parents, self.atom_index)
 
     @functools.cached_property
     def kinds(self) -> tuple:
@@ -238,14 +246,27 @@ def compute_fluxes(tree: IrrigationTree, mu: DiscreteMeasure) -> FluxMap:
     """Edge fluxes induced by routing every atom's mass to the root.
 
     Conservation holds at every node by construction: the flux into a node
-    equals its own terminal mass plus the flux into its children.
+    equals its own terminal mass plus the flux into its children.  The
+    read-only flux array is memoized on the tree for the measure object mu
+    (by identity, the last one given), so a plan's cost, landscape and
+    report share one accumulation; a measure that does not fit the tree
+    raises on every call.
     """
+    memo = tree._flux_memo
+    if memo is None or memo[0] is not mu:
+        memo = (mu, _tree_fluxes(tree, mu))
+        object.__setattr__(tree, "_flux_memo", memo)
+    return FluxMap(tree, memo[1])
+
+
+def _tree_fluxes(tree: IrrigationTree, mu: DiscreteMeasure) -> np.ndarray:
+    """The fluxes of compute_fluxes, uncached and checked for lost mass."""
     total = float(_node_masses(tree, mu).sum())
     flux = _fluxes(tree.parents, tree.atom_index, mu.masses())
     if abs(flux[0] - total) > 1e-12 * max(1.0, total):
         raise ValidationError("flux accumulation lost mass beyond tolerance")
     flux.setflags(write=False)
-    return FluxMap(tree, flux)
+    return flux
 
 
 def irrigation_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> float:
@@ -852,19 +873,22 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
 
     For alpha = 1 the star is returned immediately: with a linear cost in the
     flux there is no reward for shared trunks and straight segments are
-    optimal.
+    optimal.  The star is built only then or without `init`; a warm start
+    reads the positive atoms and the length scale off
+    `mu.without_zero_mass()` directly.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
-    base = star_tree(mu)
     if alpha == 1.0:
-        return base
-    scale = float(np.max(np.linalg.norm(base.positions, axis=1))) or 1.0
+        return star_tree(mu)
+    start = star_tree(mu) if init is None else init
+    filtered, kept = mu.without_zero_mass()
+    if not kept:
+        raise ValidationError("cannot plan for a measure with no positive mass")
+    scale = float(np.max(np.linalg.norm(filtered.positions(), axis=1)))
     if budget is None:
-        budget = 40 + 12 * (base.n_nodes - 1)
-    start = base if init is None else init
-    plan = _warm_plan(start.positions, start.parents, start.atom_index, mu,
-                      base.atom_index[1:], alpha, scale)
+        budget = 40 + 12 * len(kept)
+    plan = _warm_plan(start.positions, start.parents, start.atom_index, mu, kept, alpha, scale)
     return IrrigationTree(*_improve(*plan, mu.masses(), alpha, budget, scale))
 
 

@@ -46,6 +46,14 @@ def random_tree(rng, mu) -> ro.IrrigationTree:
                                         atom_index, tol=0.0))
 
 
+def spawn_ascent(grid):
+    """The spawn ascent of scripts/run_ascent_demo.py for 20 outer
+    iterations, from one atom of mass 0.35 at node (8, 8)."""
+    cfg = ro.RunConfig(grid=grid, alpha=0.75, c=0.1, step_size=2.0, spawn=True,
+                       spawn_mass=0.05, max_outer_iters=20)
+    return ro.ascend_measure(cfg, ro.DiscreteMeasure((ro.Atom(grid.node_position(8, 8), 0.35),)))
+
+
 def manufactured_problem(grid, f, amplitude=0.04):
     """(measure, exact nodal state) of the manufactured cosine bump in
     `scripts/convergence_study.py`."""

@@ -261,6 +261,30 @@ class TestVerify:
         assert "all" in stdout and "checks passed" in stdout
         assert "invariant violated" not in stdout
 
+    def test_landscape_is_derived_once(self, tmp_path, capsys, monkeypatch):
+        """The tree checks and the optimality residuals share one landscape;
+        every check still runs, in order."""
+        import rootopt.cli as cli
+
+        out = self.run_pipeline(tmp_path)
+        capsys.readouterr()
+        calls = []
+        landscape = cli.landscape
+
+        def counting(*args):
+            calls.append(args)
+            return landscape(*args)
+
+        monkeypatch.setattr(cli, "landscape", counting)
+        assert main(["verify", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines() == [f"ok: {name}" for name in (
+            "atoms have terminals", "flux conservation", "terminals on atoms",
+            "landscape identity", "cost lower bound", "mass bound", "landscape Holder bound",
+            "field resolution", "state box bounds", "state residual", "adjoint bounds",
+            "adjoint residual", "payoff identity", "optimality residuals",
+            "trace iterations contiguous", "trace monotonicity")] + ["all 16 checks passed"]
+
     def test_tampered_flux_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
         tree = json.loads((out / "tree.json").read_text())

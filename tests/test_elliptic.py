@@ -1,4 +1,5 @@
 import math
+import pickle
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ import scipy.sparse.linalg as spla
 import rootopt as ro
 from rootopt import elliptic as ell
 
-from conftest import manufactured_problem, random_grid_measure
+from conftest import manufactured_problem, random_grid_measure, spawn_ascent
 
 
 @pytest.fixture(scope="module")
@@ -516,6 +517,28 @@ class TestStateSolve:
             extinct += ref.max() < 1e-6 * f.u_max
         assert extinct >= 2
 
+    def test_each_iterate_is_measured_once(self, grid17, monkeypatch):
+        """A cold solve that Newton finishes and a warm one: the sweep hands
+        Newton its last residual, and each Newton step keeps the residual
+        its line search accepted, so no iterate is measured twice."""
+        f = ro.GrowthFunction()
+        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+        measured = []
+        misfit = ell._state_misfit
+
+        def recording(lap, a, f, u):
+            measured.append(u.tobytes())
+            return misfit(lap, a, f, u)
+
+        monkeypatch.setattr(ell, "_state_misfit", recording)
+        u = ro.solve_state(grid17, mu, f, tol=1e-10)
+        assert u._factors is not None  # Newton finished
+        nu = mu.with_masses(mu.masses() * 1.1)
+        for init in (None, u):
+            measured.clear()
+            ro.solve_state(grid17, nu, f, tol=1e-10, init=init)
+            assert len(measured) == len(set(measured)) > 1
+
     def test_box_bounds(self, grid17):
         rng = np.random.default_rng(8)
         f = ro.GrowthFunction()
@@ -631,9 +654,6 @@ class TestFactorReuse:
         each one state solve, and an adjoint for every kept trial."""
         import rootopt.optimality as opt
 
-        grid = ro.Grid(ro.Domain(), 17, 17)
-        cfg = ro.RunConfig(grid=grid, alpha=0.75, c=0.1, step_size=2.0, spawn=True,
-                           spawn_mass=0.05, max_outer_iters=20)
         trials = []
         solve_state = opt.solve_state
 
@@ -642,8 +662,7 @@ class TestFactorReuse:
             return solve_state(*args, **kw)
 
         monkeypatch.setattr(opt, "solve_state", counting)
-        trace = ro.ascend_measure(cfg, ro.DiscreteMeasure(
-            (ro.Atom(grid.node_position(8, 8), 0.35),)))
+        trace = spawn_ascent(ro.Grid(ro.Domain(), 17, 17))
         assert len(trace.measure) > 10 and len(trials) > 30
         assert len(linalg_calls.factorize) <= 1.3 * len(trials)
 
@@ -701,6 +720,77 @@ class TestFactorReuse:
             gap = np.abs(psi.values - plain.values) / np.maximum(1.0, np.abs(plain.values))
             assert np.max(gap) <= 100 * tol_linear
         assert reused < fresh
+
+
+class TestNodeMapMemo:
+    """_node_indices memoizes each measure's node map for the last grid."""
+
+    @pytest.fixture()
+    def located(self, monkeypatch):
+        """The (measure, grid) of every uncached node map."""
+        calls = []
+        real = ell._locate_nodes
+
+        def counting(mu, grid):
+            calls.append((mu, grid))
+            return real(mu, grid)
+
+        monkeypatch.setattr(ell, "_locate_nodes", counting)
+        return calls
+
+    def test_spawn_ascent_maps_each_measure_once(self, grid17, located, monkeypatch):
+        """Every measure the ascent asks about is mapped once, although the
+        state solve, the harvest, the adjoint and the report all ask."""
+        import rootopt.optimality as opt
+
+        asked = []
+        real = ell._node_indices
+
+        def asking(mu, grid):
+            asked.append(mu)
+            return real(mu, grid)
+
+        monkeypatch.setattr(ell, "_node_indices", asking)
+        monkeypatch.setattr(opt, "_node_indices", asking)
+        spawn_ascent(grid17)
+        distinct = {id(mu) for mu in asked}  # `asked` keeps every measure alive
+        assert len(located) == len(distinct) > 30
+        assert len(asked) > 3 * len(located)
+
+    def test_memoized_map_is_read_only_and_shared(self, grid17, located):
+        mu = random_grid_measure(np.random.default_rng(2), grid17, 5)
+        idx = ell._node_indices(mu, grid17)
+        with pytest.raises(ValueError):
+            idx[0] = 0
+        assert ell._node_indices(mu, ro.Grid(ro.Domain(), 17, 17)) is idx  # equal grid
+        assert np.array_equal(idx, [grid17.index_of(*a.position) for a in mu.atoms])
+        assert len(located) == 1
+
+    def test_another_grid_recomputes(self, grid17, located):
+        """Node (8, 8) of the 17x17 grid is node (16, 16) of the 33x33 grid
+        on the same rectangle; only the last grid's map is kept."""
+        grid33 = ro.Grid(ro.Domain(), 33, 33)
+        mu = ro.DiscreteMeasure((ro.Atom(grid17.node_position(8, 8), 0.3),))
+        assert ell._node_indices(mu, grid17).tolist() == [8 * 17 + 8]
+        assert ell._node_indices(mu, grid33).tolist() == [16 * 33 + 16]
+        assert ell._node_indices(mu, grid33).tolist() == [16 * 33 + 16]
+        assert ell._node_indices(mu, grid17).tolist() == [8 * 17 + 8]
+        assert [g.nx for _, g in located] == [17, 33, 17]
+
+    def test_off_grid_atom_raises_every_time(self, grid17, located):
+        x, y = grid17.node_position(3, 4)
+        mu = ro.DiscreteMeasure((ro.Atom((x, y), 0.2), ro.Atom((x + 0.1 * grid17.h, y), 0.3)))
+        for _ in range(2):
+            with pytest.raises(ro.ValidationError, match="atom 1 is not on a grid node"):
+                ro.lump_measure(mu, grid17)
+        assert len(located) == 2 and mu._nodes is None
+
+    def test_pickled_measure_carries_no_memo(self, grid17):
+        mu = random_grid_measure(np.random.default_rng(4), grid17, 5)
+        ro.lump_measure(mu, grid17)
+        back = pickle.loads(pickle.dumps(mu))
+        assert back == mu and hash(back) == hash(mu) and repr(back) == repr(mu)
+        assert mu._nodes is not None and back._nodes is None
 
 
 class TestHarvestAndAdjoint:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import rootopt as ro
 from rootopt import irrigation as irr
 
-from conftest import random_measure, random_tree
+from conftest import random_measure, random_tree, spawn_ascent
 
 
 def two_atom_measure():
@@ -83,6 +84,86 @@ class TestFluxes:
         star = ro.star_tree(ro.DiscreteMeasure((mu.atoms[0],)))
         with pytest.raises(ro.ValidationError, match="no terminal"):
             ro.compute_fluxes(star, mu)
+
+
+class TestFluxMemo:
+    """compute_fluxes memoizes the fluxes on the tree, keyed by the measure
+    object."""
+
+    @pytest.fixture()
+    def accumulated(self, monkeypatch):
+        """The (tree, measure) of every uncached flux accumulation."""
+        calls = []
+        real = irr._tree_fluxes
+
+        def counting(tree, mu):
+            calls.append((tree, mu))
+            return real(tree, mu)
+
+        monkeypatch.setattr(irr, "_tree_fluxes", counting)
+        return calls
+
+    def test_spawn_ascent_accumulates_once_per_plan(self, accumulated, monkeypatch):
+        """On the 17x17 20-iteration spawn ascent the cost, the landscape and
+        the report of a plan share one accumulation."""
+        asked = []
+        real = irr.compute_fluxes
+
+        def asking(tree, mu):
+            asked.append((tree, mu))
+            return real(tree, mu)
+
+        monkeypatch.setattr(irr, "compute_fluxes", asking)
+        spawn_ascent(ro.Grid(ro.Domain(), 17, 17))
+        distinct = {(id(t), id(mu)) for t, mu in asked}  # `asked` keeps them alive
+        assert len(accumulated) == len(distinct) > 30
+        assert len(asked) > 2 * len(accumulated)
+
+    def test_memoized_fluxes_are_read_only_and_shared(self, accumulated):
+        mu = two_atom_measure()
+        tree = ro.star_tree(mu)
+        flux = ro.compute_fluxes(tree, mu).values
+        with pytest.raises(ValueError):
+            flux[0] = 0.0
+        assert ro.compute_fluxes(tree, mu).values is flux
+        expected = 2 * 0.5 ** 0.5 * math.hypot(1.0, 0.1)
+        assert ro.irrigation_cost(tree, mu, 0.5) == pytest.approx(expected, rel=1e-15)
+        assert len(accumulated) == 1
+
+    def test_another_measure_recomputes(self, accumulated):
+        """The key is the measure object: an equal copy and a reweighting
+        are accumulated afresh, and the answer follows the measure asked."""
+        mu = two_atom_measure()
+        tree = ro.star_tree(mu)
+        heavy = mu.with_masses([2.0, 0.5])
+        assert ro.compute_fluxes(tree, mu).values.tolist() == [1.0, 0.5, 0.5]
+        assert ro.compute_fluxes(tree, heavy).values.tolist() == [2.5, 2.0, 0.5]
+        assert ro.compute_fluxes(tree, mu.with_masses(mu.masses())).values.tolist() == [
+            1.0, 0.5, 0.5]
+        assert ro.compute_fluxes(tree, heavy).values.tolist() == [2.5, 2.0, 0.5]
+        assert len(accumulated) == 4
+
+    def test_unfit_measure_raises_every_time(self, accumulated):
+        mu = two_atom_measure()
+        star = ro.star_tree(ro.DiscreteMeasure((mu.atoms[0],)))
+        for _ in range(2):
+            with pytest.raises(ro.ValidationError, match="no terminal"):
+                ro.compute_fluxes(star, mu)
+        assert len(accumulated) == 2 and star._flux_memo is None
+
+    def test_pickled_tree_carries_no_memo(self):
+        rng = np.random.default_rng(12)
+        mu = random_measure(rng, 6)
+        tree = ro.optimize_plan(mu, 0.6)
+        ro.landscape(tree, mu, 0.6)
+        back = pickle.loads(pickle.dumps(tree))
+        for name in ("positions", "parents", "atom_index"):
+            assert np.array_equal(getattr(back, name), getattr(tree, name))
+        assert repr(back) == repr(tree)
+        assert tree._flux_memo is not None and back._flux_memo is None
+        assert back.depth_order() == tree.depth_order() and back.kinds == tree.kinds
+        assert ro.compute_fluxes(back, mu).values.tolist() == ro.compute_fluxes(
+            tree, mu).values.tolist()
 
 
 class TestCostAndLandscape:
@@ -417,6 +498,60 @@ class TestWarmPlanner:
             assert ro.irrigation_cost(warm, mu, 0.7) <= ro.irrigation_cost(tree, mu, 0.7) * (
                 1.0 + 1e-12)
             check_terminals(warm, mu)
+
+
+class TestWarmStartSkipsTheStar:
+    """optimize_plan builds the star only without `init` or at alpha = 1."""
+
+    @staticmethod
+    def forbid_star(monkeypatch):
+        def star_tree(mu):
+            raise AssertionError("a warm start built the star")
+
+        monkeypatch.setattr(irr, "star_tree", star_tree)
+
+    @staticmethod
+    def assert_same_plan(a, b):
+        for name in ("positions", "parents", "atom_index"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_star_init_gives_the_cold_plan(self):
+        """Started from its own star, the search is the cold search, zero
+        mass atoms included."""
+        rng = np.random.default_rng(31)
+        for k in range(8):
+            mu = random_measure(rng, int(rng.integers(2, 10)))
+            if k % 2:
+                m = mu.masses().copy()
+                m[::3] = 0.0
+                mu = mu.with_masses(m)
+            alpha = float(rng.uniform(0.3, 0.9))
+            self.assert_same_plan(ro.optimize_plan(mu, alpha, init=ro.star_tree(mu)),
+                                  ro.optimize_plan(mu, alpha))
+
+    def test_warm_start_never_builds_the_star(self, monkeypatch):
+        """A reweighting that zeroes two atoms: they get no terminal."""
+        rng = np.random.default_rng(37)
+        mu = random_measure(rng, 7)
+        tree = ro.optimize_plan(mu, 0.6)
+        m = mu.masses() * rng.uniform(0.5, 1.5, 7)
+        m[[1, 4]] = 0.0
+        nu = mu.with_masses(m)
+        self.forbid_star(monkeypatch)
+        warm = ro.optimize_plan(nu, 0.6, init=tree)
+        check_terminals(warm, nu)
+        assert warm.atom_terminals(len(nu))[[1, 4]].tolist() == [-1, -1]
+
+    def test_warm_errors_and_alpha_one(self, monkeypatch):
+        mu = two_atom_measure()
+        tree = ro.optimize_plan(mu, 0.5)
+        one = mu.with_masses([0.0, 0.5])
+        self.assert_same_plan(ro.optimize_plan(one, 1.0, init=tree), ro.star_tree(one))
+        self.forbid_star(monkeypatch)
+        with pytest.raises(ro.ValidationError, match="no positive mass"):
+            ro.optimize_plan(mu.with_masses([0.0, 0.0]), 0.5, init=tree)
+        with pytest.raises(ro.ValidationError, match="alpha"):
+            ro.optimize_plan(mu, 1.5, init=tree)
 
 
 def path_to_root(tree, node):
