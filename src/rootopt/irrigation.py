@@ -421,10 +421,10 @@ def _degenerate_anchor(pts, w):
     return None
 
 
-def _y_junctions(pts, w):
-    """Exact minimizers of sum_i w_i |s - pts_i| for a batch of anchor triples.
+def _y_junctions(x, y, w):
+    """Exact minimizers of sum_i w_i |s - (x_i, y_i)| for batched anchor triples.
 
-    pts is (m, 3, 2) and w is (m, 3); returns the (m, 2) points.  The first
+    x, y and w are (m, 3); returns the points' x and y arrays.  The first
     anchor that wins the degenerate test of `_degenerate_anchor` is the
     answer.  Otherwise the minimizer is the weighted Y-junction: it sees the
     side opposite anchor i under the angle theta_i with
@@ -443,26 +443,27 @@ def _y_junctions(pts, w):
     and near-coincident anchors included: exactly collinear or coincident
     anchors always have a winner."""
     # sides from anchor i to anchors j = i + 1 and k = i + 2 (mod 3)
-    e_j = pts[:, [1, 2, 0]] - pts
-    e_k = pts[:, [2, 0, 1]] - pts
-    w_j, w_k = w[:, [1, 2, 0]], w[:, [2, 0, 1]]
-    len_j = np.sqrt((e_j * e_j).sum(-1))
-    len_k = np.sqrt((e_k * e_k).sum(-1))
-    pull = (e_j * (w_j / np.where(len_j > 0.0, len_j, np.inf))[..., None]
-            + e_k * (w_k / np.where(len_k > 0.0, len_k, np.inf))[..., None])
+    j, k = [1, 2, 0], [2, 0, 1]
+    xj, yj, xk, yk = x[:, j] - x, y[:, j] - y, x[:, k] - x, y[:, k] - y
+    w_j, w_k = w[:, j], w[:, k]
+    len_j, len_k = np.sqrt(xj * xj + yj * yj), np.sqrt(xk * xk + yk * yk)
+    c_j = w_j / np.where(len_j > 0.0, len_j, np.inf)
+    c_k = w_k / np.where(len_k > 0.0, len_k, np.inf)
+    pull_x, pull_y = xj * c_j + xk * c_k, yj * c_j + yk * c_k
     held = w + np.where(len_j > 0.0, 0.0, w_j) + np.where(len_k > 0.0, 0.0, w_k)
-    wins = np.sqrt((pull * pull).sum(-1)) <= held * (1.0 + 1e-12)
+    wins = np.sqrt(pull_x * pull_x + pull_y * pull_y) <= held * (1.0 + 1e-12)
 
-    dot = (e_j * e_k).sum(-1)
-    area2 = np.abs(e_j[:, 0, 0] * e_k[:, 0, 1] - e_j[:, 0, 1] * e_k[:, 0, 0])
+    dot = xj * xk + yj * yk
+    area2 = np.abs(xj[:, 0] * yk[:, 0] - yj[:, 0] * xk[:, 0])
     wsum = w.sum(1)
     with np.errstate(divide="ignore", invalid="ignore"):  # only where an anchor wins
         area4_w = np.sqrt(wsum * (wsum - 2.0 * w[:, 0]) * (wsum - 2.0 * w[:, 1])
                           * (wsum - 2.0 * w[:, 2]))
         lam = 1.0 / (dot * area4_w[:, None] + (w_j * w_j + w_k * w_k - w * w) * area2[:, None])
-        s = (lam[..., None] * pts).sum(1) / lam.sum(1)[:, None]
-    first = wins.argmax(1)
-    return np.where(wins.any(1)[:, None], pts[np.arange(len(w)), first], s)
+        lam_sum = lam.sum(1)
+        sx, sy = (lam * x).sum(1) / lam_sum, (lam * y).sum(1) / lam_sum
+    won, first = wins.any(1), (np.arange(len(w)), wins.argmax(1))
+    return np.where(won, x[first], sx), np.where(won, y[first], sy)
 
 
 def _fermat_point(pts, w, start):
@@ -531,7 +532,8 @@ def _fermat_point(pts, w, start):
 
 def _newton_step(x, parents, weights, steiner):
     """The (n, 2) positions x after one joint Newton step of
-    `_optimize_positions`; x itself when the step is skipped."""
+    `_optimize_positions`, x itself when it is skipped; the full step is
+    tried alone before the batch of its halvings."""
     child, par, w = np.arange(1, len(x)), parents[1:], weights[1:]
     d = x[child] - x[par]
     length = np.sqrt((d * d).sum(1))
@@ -559,13 +561,15 @@ def _newton_step(x, parents, weights, steiner):
         step = np.vstack([(0.0, 0.0), np.linalg.solve(hess[2:, 2:], -grad[2:]).reshape(m, 2)])
     except np.linalg.LinAlgError:
         return x
-    t = 0.5 ** np.arange(_MAX_HALVINGS)
-    shift = t[:, None, None] * (step[slot[child]] - step[slot[par]])
-    # |d + shift| - |d| without cancellation; a zero-length edge never stretches
-    grow = ((2.0 * d + shift) * shift).sum(-1) / (
-        np.sqrt(((d + shift) ** 2).sum(-1)) + length + zero)
-    lower = np.flatnonzero((w * grow).sum(1) < 0.0)
-    return x + t[lower[0]] * step[slot] if len(lower) else x
+    for t in (np.ones(1), 0.5 ** np.arange(1, _MAX_HALVINGS)):  # the full step alone first
+        shift = t[:, None, None] * (step[slot[child]] - step[slot[par]])
+        # |d + shift| - |d| without cancellation; a zero-length edge never stretches
+        grow = ((2.0 * d + shift) * shift).sum(-1) / (
+            np.sqrt(((d + shift) ** 2).sum(-1)) + length + zero)
+        lower = np.flatnonzero((w * grow).sum(1) < 0.0)
+        if len(lower):
+            return x + t[lower[0]] * step[slot]
+    return x
 
 
 def _optimize_positions(pos, parents, atom_index, weights, scale):
@@ -715,8 +719,8 @@ def _candidate_moves(pos, parents, flux, alpha):
     par = np.asarray(parents, dtype=np.int64)
     up = np.maximum(par, 0)  # the root points at itself
     fa = flux ** alpha
-    gap = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((gap * gap).sum(-1))
+    gx, gy = pos[:, None, 0] - pos[:, 0], pos[:, None, 1] - pos[:, 1]
+    dist = np.sqrt(gx * gx + gy * gy)
     elen = dist[np.arange(n), up]
     P = np.zeros((n, n))
     rows = anc = np.arange(1, n)
@@ -747,27 +751,26 @@ def _candidate_moves(pos, parents, flux, alpha):
     weights = np.concatenate([
         np.stack([(flux[a] + flux[b]) ** alpha, fa[a], fa[b]], 1),
         np.stack([(f0_q + flux[u]) ** alpha, f0_q ** alpha, fa[u]], 1)])
-    anchors = pos[corners]
-    s = _y_junctions(anchors, weights)
-    d = s[:, None, :] - anchors
-    y_cost = (weights * np.sqrt((d * d).sum(-1))).sum(1)
+    ax, ay = pos[corners, 0], pos[corners, 1]
+    sx, sy = _y_junctions(ax, ay, weights)
+    dx, dy = sx[:, None] - ax, sy[:, None] - ay
+    y_cost = (weights * np.sqrt(dx * dx + dy * dy)).sum(1)
     n_merge = len(a)
     g_merge = fa[a] * elen[a] + fa[b] * elen[b] - y_cost[:n_merge]
     g_att = np.full((n - 1, n - 1), -np.inf)
     g_att[att_ok] = (fa[q] * elen[q] + fa[u] * elen[u] - y_cost[n_merge:]
                      - R[u, par[q]] + P_op[u, q] * sub[u, q])
-    s_att = np.full((n - 1, n - 1, 2), np.nan)
-    s_att[att_ok] = s[n_merge:]
     gains = np.concatenate([g_merge, g_rep.ravel(), g_att.ravel()])
 
     def move_at(k):
         if k < n_merge:
-            return "merge", (int(par[a[k]]), int(a[k]), int(b[k]), tuple(s[k]))
+            return "merge", (int(par[a[k]]), int(a[k]), int(b[k]), (sx[k], sy[k]))
         uk, vk = divmod(k - n_merge, n)
         if uk < n - 1:
             return "reparent", (uk + 1, vk)
         uk, qk = divmod(k - n_merge - (n - 1) * n, n - 1)
-        return "attach", (uk + 1, qk + 1, int(par[qk + 1]), tuple(s_att[uk, qk]))
+        j = n_merge + np.count_nonzero(att_ok.ravel()[:uk * (n - 1) + qk])  # rank among attaches
+        return "attach", (uk + 1, qk + 1, int(par[qk + 1]), (sx[j], sy[j]))
 
     return gains, move_at
 

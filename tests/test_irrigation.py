@@ -626,7 +626,7 @@ class TestYJunction:
         """Every closed-form point costs at most the Newton-solved exact
         Fermat point's cost times (1 + 1e-12); returns the points."""
         pts, w = np.asarray(pts, dtype=float), np.asarray(w, dtype=float)
-        got = irr._y_junctions(pts, w)
+        got = np.stack(irr._y_junctions(pts[..., 0], pts[..., 1], w), 1)
         for p, wt, s in zip(pts.tolist(), w.tolist(), got):
             anchors = [tuple(a) for a in p]
             ref = irr._fermat_point(anchors, wt, anchors[0])
@@ -773,6 +773,109 @@ class TestGeometry:
         sweeps = [s for _, _, s in geometry_calls]
         assert len(sweeps) > 50 and min(sweeps) >= 1
         assert max(sweeps) < irr._MAX_GEOMETRY_SWEEPS, sorted(sweeps)[-5:]
+
+
+def newton_with_solve(args):
+    """(result, solution) of one `_newton_step` call, with the solution of
+    its Newton system as np.linalg.solve returned it (None when the step is
+    skipped before solving)."""
+    solved = []
+    real = np.linalg.solve
+
+    def recording(a, b):
+        solved.append(real(a, b))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", recording)
+        out = irr._newton_step(*args)
+    return out, (solved[0] if solved else None)
+
+
+def newton_by_batch(x, parents, weights, steiner, solution):
+    """(x + t * step, k) for the first t = 2^-k, k < _MAX_HALVINGS, at which
+    the weighted length strictly drops, or (x, None), all 40 trial steps
+    priced in one batch.  The step moves each free block (steiner nodes
+    joined by zero-length edges, none of them on a zero-length edge to a
+    terminal or the root) by its row of the solution, blocks numbered by
+    their top node."""
+    n = len(x)
+    child, par, w = np.arange(1, n), parents[1:], weights[1:]
+    d = x[child] - x[par]
+    length = np.sqrt((d * d).sum(1))
+    zero = length == 0.0
+    top = list(range(n))
+    for i in irr._depth_order(parents)[1:]:
+        if zero[i - 1] and steiner[i] and steiner[parents[i]]:
+            top[i] = top[parents[i]]
+    free = {top[i] for i in range(n) if steiner[i]}
+    for i in np.flatnonzero(zero) + 1:
+        if not (steiner[i] and steiner[parents[i]]):
+            free -= {top[i], top[parents[i]]}
+    rows = {b: r for r, b in enumerate(sorted(free))}
+    step = np.zeros((n, 2))
+    for i in range(n):
+        if top[i] in rows:
+            step[i] = solution.reshape(-1, 2)[rows[top[i]]]
+    t = 0.5 ** np.arange(irr._MAX_HALVINGS)
+    shift = t[:, None, None] * (step[child] - step[par])
+    grow = ((2.0 * d + shift) * shift).sum(-1) / (
+        np.sqrt(((d + shift) ** 2).sum(-1)) + length + zero)
+    lower = np.flatnonzero((w * grow).sum(1) < 0.0)
+    return (x + t[lower[0]] * step, int(lower[0])) if len(lower) else (x, None)
+
+
+@pytest.fixture(scope="module")
+def newton_steps():
+    """Arguments of `_newton_step` calls: (every call of the 17x17 spawn
+    ascent, steps on random plans), the latter from `random_tree` (steiner
+    nodes where it put them) with random weights U(0.05, 1), numpy seed 21,
+    plus one step that no halving helps."""
+    steps = []
+    real = irr._newton_step
+
+    def recording(*args):
+        steps.append(tuple(np.array(a, copy=True) for a in args))
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(irr, "_newton_step", recording)
+        spawn_ascent(ro.Grid(ro.Domain(), 17, 17))
+    ascent, steps = steps, []
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        tree = random_tree(rng, random_measure(rng, int(rng.integers(2, 9))))
+        steiner = (tree.atom_index < 0) & (np.arange(tree.n_nodes) > 0)
+        steps.append((tree.positions, tree.parents, rng.uniform(0.05, 1.0, tree.n_nodes), steiner))
+    # a steiner node 1e-30 off a terminal whose weight beats the pull of the
+    # other two edges: the optimum is the terminal and every trial step
+    # overshoots it, so no halving helps
+    steps.append((np.array([(0.0, 0.0), (1.0 + 1e-30, 1e-30), (1.0, 0.0), (1.0, 0.5)]),
+                  np.array([-1, 0, 1, 1]), np.array([0.0, 1.0, 5.0, 1.0]),
+                  np.array([False, True, False, False])))
+    return ascent, steps
+
+
+class TestNewtonStep:
+    def test_result_is_the_first_halving_that_lowers_the_length(self, newton_steps):
+        """The full step tried alone, then its halvings, accepts the same t
+        as pricing all 40 trial steps at once, bit for bit.  On the spawn
+        ascent every step that moves but one takes the full step."""
+        ks = {}
+        for part, steps in zip(("ascent", "random"), newton_steps):
+            ks[part] = []
+            for args in steps:
+                out, solution = newton_with_solve(args)
+                if solution is None:
+                    assert out is args[0]
+                    continue
+                expected, k = newton_by_batch(*args, solution)
+                assert np.array_equal(out, expected) and (k is not None or out is args[0]), k
+                ks[part].append(k)
+        assert len(ks["ascent"]) > 100 and ks["ascent"].count(0) == len(ks["ascent"]) - 1
+        every = ks["ascent"] + ks["random"]
+        assert sum(k is not None and k > 0 for k in every) > 10  # the fallback batch
+        assert None in every  # no halving helps, x comes back
 
 
 class TestBruteForce:

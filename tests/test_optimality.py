@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import rootopt as ro
-from rootopt.elliptic import ScalarField, phi_field
+from rootopt import optimality
+from rootopt.elliptic import ScalarField, _node_indices, phi_field
 from rootopt.optimality import AtomRecord
 
-from conftest import random_grid_measure
+from conftest import random_grid_measure, spawn_ascent
 
 
 def constant_field(grid, value):
@@ -196,7 +197,6 @@ class TestAscent:
     def test_solver_error_is_recorded_in_the_trace(self, tmp_path, monkeypatch):
         """The first trial of iteration 1 fails its state solve: the step
         halves eta as before and the message lands in trace.jsonl."""
-        from rootopt import optimality
         from rootopt.serialization import load_trace, save_trace
 
         grid = ro.Grid(ro.Domain(), 9, 9)
@@ -227,8 +227,6 @@ class TestAscent:
         """Mass steps never add atoms, so the first state solve on more atoms
         than the seed has is the first spawn trial: failing it records one
         "spawn: ..." error, keeps no atom, and later spawns still run."""
-        from rootopt import optimality
-
         grid = ro.Grid(ro.Domain(), 9, 9)
         cfg = ro.RunConfig(grid=grid, c=0.1, max_outer_iters=4, spawn=True,
                            spawn_mass=0.05)
@@ -257,8 +255,6 @@ class TestAscent:
         """The eta 1.0 candidate of iteration 1 passes the payoff test, and
         only then fails its adjoint: the step records it and accepts the
         halved step instead."""
-        from rootopt import optimality
-
         grid = ro.Grid(ro.Domain(), 9, 9)
         cfg = ro.RunConfig(grid=grid, c=0.1, max_outer_iters=2)
         mu0 = ro.DiscreteMeasure((ro.Atom(grid.node_position(6, 4), 0.3),))
@@ -291,6 +287,87 @@ class TestAscent:
         last = trace.steps[-1]
         assert last.accepted and not last.spawned and last.eta == 1e-300
         assert last.measure == mu0
+
+
+def loop_spawn_scores(config, bundle, trial_mass):
+    """The per-edge scorer that the broadcast of `_spawn_scores` replaced:
+    every node projected onto one plan edge at a time, folded in with
+    np.minimum."""
+    coords = config.grid.node_coordinates()
+    tree, z = bundle.tree, bundle.z.values
+    spur = trial_mass ** (config.alpha - 1.0)
+    z_ext = np.full(len(coords), np.inf)
+    for p, q in tree.edges():
+        a = tree.positions[p]
+        ab = tree.positions[q] - a
+        t = np.clip(((coords - a) @ ab) / float(ab @ ab), 0.0, 1.0)
+        gap = coords - (a + t[:, None] * ab)
+        z_line = z[p] + t * (z[q] - z[p])
+        np.minimum(z_ext, z_line + spur * np.sqrt((gap * gap).sum(axis=1)), out=z_ext)
+    score = phi_field(bundle.u, bundle.psi).values - config.c * config.alpha * z_ext
+    score[_node_indices(bundle.mu, config.grid)] = -np.inf
+    return score
+
+
+@pytest.fixture(scope="module")
+def spawn_calls():
+    """(config, bundle, trial mass, scores) of every spawn of the 17x17
+    spawn ascent of `conftest.spawn_ascent`."""
+    calls = []
+    real = optimality._spawn_scores
+
+    def recording(config, bundle, trial_mass):
+        calls.append((config, bundle, trial_mass, real(config, bundle, trial_mass)))
+        return calls[-1][3]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimality, "_spawn_scores", recording)
+        spawn_ascent(ro.Grid(ro.Domain(), 17, 17))
+    return calls
+
+
+class TestSpawnScores:
+    def test_broadcast_equals_the_per_edge_loop(self, spawn_calls):
+        assert len(spawn_calls) == 20
+        for config, bundle, trial_mass, score in spawn_calls:
+            ref = loop_spawn_scores(config, bundle, trial_mass)
+            assert np.array_equal(score, ref)
+            assert np.argmax(score) == np.argmax(ref)
+
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_edge_blocks_equal_the_per_edge_loop(self, n):
+        """On larger grids the edges are scored in several blocks (15 edges
+        at 33x33, 3 at 65x65); phi is constant here, Z_ext decides."""
+        grid = ro.Grid(ro.Domain(), n, n)
+        mu = random_grid_measure(np.random.default_rng(n), grid, 24)
+        tree = ro.optimize_plan(mu, 0.75)
+        assert tree.n_nodes - 1 > 2 * ((1 << 14) // grid.n_nodes)
+        cfg = ro.RunConfig(grid=grid, alpha=0.75, c=0.1)
+        bundle = optimality._Bundle(mu, tree, constant_field(grid, 0.8), 0.0,
+                                    constant_field(grid, 0.1), ro.landscape(tree, mu, 0.75))
+        score = optimality._spawn_scores(cfg, bundle, 0.05)
+        assert np.array_equal(score, loop_spawn_scores(cfg, bundle, 0.05))
+
+    def test_a_node_on_an_edge_scores_the_path_excess(self, spawn_calls):
+        """At a free node x on the plan edge from p to q, Z_ext is the
+        landscape Z(x) = Z(p) + flux_q^(alpha - 1) |x - p|, so the score is
+        phi - c alpha Z(x)."""
+        checked = 0
+        for config, bundle, _, score in spawn_calls:
+            coords, tree = config.grid.node_coordinates(), bundle.tree
+            flux = ro.compute_fluxes(tree, bundle.mu).values
+            phi = phi_field(bundle.u, bundle.psi).values
+            for p, q in tree.edges():
+                ab = tree.positions[q] - tree.positions[p]
+                rel = coords - tree.positions[p]
+                along = rel @ ab
+                on = ((np.abs(ab[0] * rel[:, 1] - ab[1] * rel[:, 0]) <= 1e-14 * (ab @ ab))
+                      & (along >= 0.0) & (along <= ab @ ab) & np.isfinite(score))
+                for i in np.flatnonzero(on):
+                    z = bundle.z.values[p] + flux[q] ** (config.alpha - 1.0) * np.hypot(*rel[i])
+                    assert abs(score[i] - (phi[i] - config.c * config.alpha * z)) <= 1e-12
+                    checked += 1
+        assert checked > 50, checked
 
 
 class TestSupportDensity:

@@ -1,7 +1,10 @@
 """Source hygiene checks that need no linter: every name a module under
-src/rootopt or scripts imports is used in that module."""
+src/rootopt or scripts imports is used in that module, and every module of
+the package, the scripts and the tests parses at the oldest Python that
+pyproject.toml declares."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,29 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def declared_floor():
+    """(major, minor) of the `requires-python = ">=X.Y"` floor in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        spec = tomllib.load(fh)["project"]["requires-python"]
+    floor = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec.strip())
+    assert floor, spec
+    return int(floor[1]), int(floor[2])
+
+
+def test_the_floor_check_rejects_newer_syntax():
+    except_star = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # Python 3.11
+    ast.parse(except_star, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(except_star, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "rootopt").rglob("*.py"))
+                         + sorted((ROOT / "scripts").rglob("*.py"))
+                         + sorted((ROOT / "tests").rglob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=declared_floor())
