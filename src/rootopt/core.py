@@ -184,10 +184,12 @@ class DiscreteMeasure:
     equal.
 
     `elliptic._node_indices` memoizes the atoms' node map on the measure,
-    for the last grid it was asked for (`_nodes`, a (grid, read-only index
-    array) pair or None), so the state solve, the harvest and the adjoint of
-    one measure locate its atoms once.  An off-grid atom is never memoized:
-    it raises on every call.  Pickles carry the arrays alone.
+    for the last grid it was asked for, and `elliptic._density` the lumped
+    nodal density next to it (`_nodes`, a (grid, read-only index array,
+    read-only density or None) triple, or None), so the state solve, the
+    harvest and the adjoint of one measure locate and lump its atoms once.
+    An off-grid atom is never memoized: it raises on every call.  Pickles
+    carry the arrays alone.
     """
 
     __slots__ = ("_positions", "_masses", "_atoms", "_nodes")

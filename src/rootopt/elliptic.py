@@ -22,12 +22,18 @@ Newton Jacobian) back-substitutes with them and refines against A, up to
 factors, or when they miss, A is factorized and refined by the same rule;
 if that misses too, SolverError reports the worst residual, so a singular
 or ill-conditioned system fails by name instead of returning garbage.
+A system is its grid and its absorption: every residual, in the sweep,
+Newton, the adjoint and state_residual / adjoint_residual alike, comes from
+the cached Laplacian as absorption * x - lap @ x - b, and a matrix is
+assembled only inside a factorization.
 Every factorization goes through _factorize, which picks its method by
 the half-bandwidth of A; nodes are ordered iy * nx + ix, so that is nx.
 Up to nx = 45 (_BAND_MAX) A is factorized by LAPACK's banded LU with
 partial pivoting (dgbtrf; back-substitution by dgbtrs), which costs
 O(n nx^2) and needs no ordering; its band storage holds (3 nx + 1) n
-doubles, 2.2 MB at 45x45.  Wider systems get one SuperLU call with the
+doubles, 2.2 MB at 45x45, and is filled from a cached copy of -lap in that
+storage, with the absorption added to its diagonal.  Wider systems get one
+CSC matrix and one SuperLU call with the
 minimum degree ordering of A^T + A, panels of 2 columns and supernodes
 relaxed up to 4 columns: measured against SuperLU's defaults on grids from
 17x17 to 257x257, these factorize each of the module's matrices in 0.6 to
@@ -70,15 +76,19 @@ which its line search accepted the next iterate, so no iterate's residual
 is evaluated twice.  By concavity of f, Newton from an iterate above the
 maximal solution stays above it.  The sweep's factors are freed
 before Newton factorizes.  Each Newton step solves the negated Jacobian
--lap + diag(a - f'(u)) at its iterate to tol_linear: the first step
-factorizes it, and later steps solve with those factors, which are
-replaced only when they miss.  Given the state of a nearby measure, the
-same Newton steps start from it instead and the sweep runs only when they
-stall, touch 0 or end on an unstable state.
+-lap + diag(a - f'(u)) at its iterate to tol_linear.  Given the state of
+a nearby measure, the same Newton steps start from it instead (a warm
+solve) and the sweep runs only when they stall, touch 0 or end on an
+unstable state.  On grids up to nx = 23 (_EXACT_NEWTON_MAX) every step
+of a warm solve factorizes its own Jacobian, which costs about two
+refinement steps at 17x17 and then needs one or two back-substitutions,
+where the first step's factors needed 3 to 12.  In a cold solve, and in
+a warm one on a wider grid, the first step factorizes and later steps
+solve with those factors, which are replaced only when they miss.
 The adjoint matrix is the Jacobian at the converged state, so a state that
-Newton finished carries Newton's last factors to solve_adjoint.  Only a
-state that a sweep brings within tol itself, before Newton can start,
-carries none.
+Newton finished carries Newton's last factors to solve_adjoint, which
+refines with them.  Only a state that a sweep brings within tol itself,
+before Newton can start, carries none.
 """
 
 from __future__ import annotations
@@ -103,6 +113,13 @@ _MAX_REFINE = 12
 # largest half-bandwidth (nx) factorized by LAPACK's banded LU; wider
 # systems go to SuperLU (see _factorize)
 _BAND_MAX = 45
+# widest grid (nx) on which a warm state solve factorizes the Jacobian of
+# every Newton step; wider warm solves and every cold solve refine later
+# steps with the first step's factors.  Timed on 40-iteration spawn
+# ascents, exact against carried steps in alternating pairs, the state
+# and adjoint solves took 0.81 / 0.92 / 0.87 of the time at 17 / 21 / 23
+# and 1.05 to 1.18 of it at 25 / 27 / 29 / 33 / 41 (BENCH_22.json)
+_EXACT_NEWTON_MAX = 23
 
 __all__ = [
     "ScalarField",
@@ -203,15 +220,19 @@ def _operators(grid: Grid):
 
 
 @lru_cache(maxsize=16)
-def _band_positions(nx: int, ny: int) -> np.ndarray:
-    """Where each entry of the CSC data of an nx x ny grid's system goes in
-    LAPACK's band storage with kl = ku = nx, flattened by columns: entry
-    (i, j) sits in row 2 nx + i - j of the 3 nx + 1 rows of column j.  It
-    depends on the five-point pattern only, not on h, and is built only
-    for the narrow grids that the banded LU serves."""
-    lap = _laplacian(nx, ny, 1.0)
-    cols = np.repeat(np.arange(nx * ny), np.diff(lap.indptr))
-    return 2 * nx + lap.indices + 3 * nx * cols
+def _band_template(grid: Grid):
+    """-lap in LAPACK's band storage with kl = ku = nx, flattened by
+    columns, and where its diagonal sits there: entry (i, j) of the CSC
+    Laplacian goes to row 2 nx + i - j of the 3 nx + 1 rows of column j.
+    Built only for the narrow grids that the banded LU serves."""
+    lap, _, diagonal = _operators(grid)
+    nx = grid.nx
+    cols = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
+    positions = 2 * nx + lap.indices + 3 * nx * cols
+    band = np.zeros((3 * nx + 1) * grid.n_nodes)
+    band[positions] = -lap.data
+    band.setflags(write=False)
+    return band, positions[diagonal]
 
 
 def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
@@ -234,7 +255,7 @@ def _node_indices(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
         return memo[1]
     idx = _locate_nodes(mu, grid)
     idx.setflags(write=False)
-    object.__setattr__(mu, "_nodes", (grid, idx))
+    object.__setattr__(mu, "_nodes", (grid, idx, None))
     return idx
 
 
@@ -262,35 +283,55 @@ def lump_measure(mu: DiscreteMeasure, grid: Grid) -> NodalMeasure:
     return NodalMeasure(grid, w)
 
 
+def _density(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
+    """lump_measure(mu, grid).density() as a read-only array, memoized on the
+    measure next to its node map for the same grid, so the state solve, the
+    adjoint and the residuals of one measure lump it once."""
+    idx = _node_indices(mu, grid)
+    a = mu._nodes[2]
+    if a is None:
+        a = lump_measure(mu, grid).density()
+        a.setflags(write=False)
+        object.__setattr__(mu, "_nodes", (grid, idx, a))
+    return a
+
+
 def _system(grid: Grid, absorption: np.ndarray) -> sp.csc_matrix:
-    """-lap + diag(absorption): a negated copy of the cached CSC Laplacian
-    with absorption added to its diagonal entries, so no format conversion
-    runs per factorization."""
+    """-lap + diag(absorption) as a CSC matrix, for SuperLU: a negated copy
+    of the cached Laplacian with absorption added to its diagonal entries."""
     lap, _, diagonal = _operators(grid)
     mat = -lap
     mat.data[diagonal] += absorption
     return mat
 
 
-def _linear_misfit(mat, absorption, x, rhs):
-    """Nodewise A x - b and the worst |A x - b| over max(1, |absorption x|, |b|)."""
-    res = mat @ x - rhs
-    scale = np.maximum(1.0, np.maximum(np.abs(absorption * x), np.abs(rhs)))
+def _band_system(grid: Grid, absorption: np.ndarray) -> np.ndarray:
+    """-lap + diag(absorption) in band storage for dgbtrf, a (3 nx + 1) x n
+    array in Fortran order: the template of _band_template with absorption
+    added to its diagonal, the same bits as scattering _system's CSC."""
+    template, diagonal = _band_template(grid)
+    band = template.copy()
+    band[diagonal] += absorption
+    return band.reshape((3 * grid.nx + 1, grid.n_nodes), order="F")
+
+
+def _linear_misfit(grid: Grid, absorption, x, rhs):
+    """Nodewise A x - b for A = -lap + diag(absorption), from the cached
+    Laplacian, and the worst |A x - b| over max(1, |absorption x|, |b|)."""
+    ax = absorption * x
+    res = ax - laplacian_matrix(grid) @ x - rhs
+    scale = np.maximum(1.0, np.maximum(np.abs(ax), np.abs(rhs)))
     return res, float(np.max(np.abs(res) / scale))
 
 
 class _BandLU:
-    """LU factors with partial pivoting of a system from _system whose
-    half-bandwidth is nx, from LAPACK's dgbtrf; solve back-substitutes with
-    dgbtrs, as SuperLU's factors do with their own solve."""
+    """LU factors with partial pivoting, from LAPACK's dgbtrf, of a matrix
+    of half-bandwidth nx in band storage (kl = ku = nx, 3 nx + 1 rows, as
+    _band_system fills it); solve back-substitutes with dgbtrs, as
+    SuperLU's factors do with their own solve."""
 
-    def __init__(self, mat: sp.csc_matrix, nx: int):
-        n = mat.shape[0]
-        rows = 3 * nx + 1
-        ab = np.zeros(rows * n)
-        ab[_band_positions(nx, n // nx)] = mat.data
-        self.lu, self.piv, info = lapack.dgbtrf(ab.reshape((rows, n), order="F"), nx, nx,
-                                                overwrite_ab=1)
+    def __init__(self, band: np.ndarray, nx: int):
+        self.lu, self.piv, info = lapack.dgbtrf(band, nx, nx, overwrite_ab=1)
         if info > 0:  # exactly singular
             raise SolverError(f"banded factorization failed: pivot {info} is exactly zero")
         self.nx = nx
@@ -299,17 +340,8 @@ class _BandLU:
         return lapack.dgbtrs(self.lu, self.nx, self.nx, rhs, self.piv)[0]
 
 
-def _factorize(mat: sp.csc_matrix):
-    # nodes are ordered iy * nx + ix, so the half-bandwidth is nx: the last
-    # column's first stored row is the node below the corner, n - 1 - nx.
-    # The banded LU costs O(n nx^2) and undercuts SuperLU's fixed cost per
-    # call up to nx = _BAND_MAX (0.39 of its time at 17x17, 0.86 to 0.9 at
-    # 45x45, for a factorization and 17 back-substitutions); by 57x57
-    # SuperLU is faster, and the band storage of (3 nx + 1) n doubles would
-    # reach 6.6 MB at 65x65 (BENCH_18.json)
-    nx = mat.shape[0] - 1 - int(mat.indices[mat.indptr[-2]])
-    if nx <= _BAND_MAX:
-        return _BandLU(mat, nx)
+def _superlu(mat: sp.csc_matrix):
+    """SuperLU factors of a CSC matrix with the stencil's pattern."""
     try:
         # the stencil's pattern is symmetric: ordering on A^T + A roughly
         # halves the fill of the default column ordering.  Panels of 2
@@ -323,37 +355,50 @@ def _factorize(mat: sp.csc_matrix):
         raise SolverError(f"sparse factorization failed: {e}") from None
 
 
-def _refine(mat, absorption, lu, rhs, tol_linear):
+def _factorize(grid: Grid, absorption: np.ndarray):
+    """LU factors of -lap + diag(absorption), the one place a matrix is
+    assembled.  Nodes are ordered iy * nx + ix, so the half-bandwidth is
+    nx.  The banded LU costs O(n nx^2) and undercuts SuperLU's fixed cost
+    per call up to nx = _BAND_MAX (0.39 of its time at 17x17, 0.86 to 0.9
+    at 45x45, for a factorization and 17 back-substitutions); by 57x57
+    SuperLU is faster, and the band storage of (3 nx + 1) n doubles would
+    reach 6.6 MB at 65x65 (BENCH_18.json)."""
+    if grid.nx <= _BAND_MAX:
+        return _BandLU(_band_system(grid, absorption), grid.nx)
+    return _superlu(_system(grid, absorption))
+
+
+def _refine(grid, absorption, lu, rhs, tol_linear):
     """Back-substitute rhs with `lu`, then refine against the true matrix
-    `mat` while the worst scaled residual misses tol_linear, for at most
-    _MAX_REFINE steps that each at least halve it; returns x, A x - b and
-    the worst scaled residual."""
+    -lap + diag(absorption) while the worst scaled residual misses
+    tol_linear, for at most _MAX_REFINE steps that each at least halve it;
+    returns x, A x - b and the worst scaled residual."""
     x = lu.solve(rhs)
-    res, worst = _linear_misfit(mat, absorption, x, rhs)
+    res, worst = _linear_misfit(grid, absorption, x, rhs)
     for _ in range(_MAX_REFINE):
         if worst <= tol_linear:
             break
         prev = worst
         x = x - lu.solve(res)
-        res, worst = _linear_misfit(mat, absorption, x, rhs)
+        res, worst = _linear_misfit(grid, absorption, x, rhs)
         if not worst <= 0.5 * prev:
             break
     return x, res, worst
 
 
-def _solve(mat, absorption, rhs, tol_linear, lu=None):
-    """Solve mat x = rhs, mat = -lap + diag(absorption), to the nodewise
+def _solve(grid, absorption, rhs, tol_linear, lu=None):
+    """Solve A x = rhs, A = -lap + diag(absorption), to the nodewise
     residual tol_linear * max(1, |absorption x|, |rhs|); returns x and the
     factors that solved it.  Refines with the factors `lu` when given (those
-    of mat itself, or of a nearby matrix); without them, or when they miss,
-    factorizes mat and refines with its factors by the same rule.  If those
+    of A itself, or of a nearby matrix); without them, or when they miss,
+    factorizes A and refines with its factors by the same rule.  If those
     miss too, SolverError names the worst residual."""
     if lu is not None:
-        x, _, worst = _refine(mat, absorption, lu, rhs, tol_linear)
+        x, _, worst = _refine(grid, absorption, lu, rhs, tol_linear)
         if worst <= tol_linear:
             return x, lu
-    lu = _factorize(mat)
-    x, res, worst = _refine(mat, absorption, lu, rhs, tol_linear)
+    lu = _factorize(grid, absorption)
+    x, res, worst = _refine(grid, absorption, lu, rhs, tol_linear)
     if not worst <= tol_linear:
         raise SolverError(
             f"linear solve missed tolerance {tol_linear:g}; worst residual "
@@ -371,14 +416,15 @@ def _state_misfit(lap, a, f, u):
 
 
 def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: float,
-            tol_linear: float, positive: bool = False, misfit=None):
+            tol_linear: float, positive: bool = False, misfit=None, exact: bool = False):
     """Damped Newton steps on lap u + f(u) - a u = 0 from u; returns the first
     iterate within tol and the last factors used (None if u itself is), or
     None with `positive` as soon as an iterate has a node at 0.  `misfit`
     is _state_misfit at u when the caller has it; each later iterate's is
     the one its line search accepted it by.  Each step solves the Jacobian
-    at its iterate to tol_linear, refining with the previous step's factors
-    and factorizing only when they miss."""
+    at its iterate to tol_linear: with `exact` it factorizes that Jacobian,
+    otherwise it refines with the previous step's factors and factorizes
+    only when they miss."""
     lap = laplacian_matrix(grid)
     lu = None
     for _ in range(80):
@@ -388,7 +434,7 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
         if rmax <= tol:
             return u, lu
         jac = a - f.derivative(u)
-        delta, lu = _solve(_system(grid, jac), jac, res, tol_linear, lu)
+        delta, lu = _solve(grid, jac, res, tol_linear, None if exact else lu)
         step = 1.0
         while step >= 1.0 / 4096.0:
             u_try = np.clip(u + step * delta, 0.0, f.u_max)
@@ -412,14 +458,13 @@ def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear:
     lap = laplacian_matrix(grid)
     sigma = f.monotone_shift
     shifted = a + sigma
-    mat = _system(grid, shifted)
     lu = None
     u = np.full(grid.n_nodes, f.u_max)
     fu = f(u)
     hand_over = max(tol, math.sqrt(tol))
     rmax_prev = math.inf
     for _ in range(_MAX_SWEEPS):
-        x, lu = _solve(mat, shifted, fu + sigma * u, tol_linear, lu)
+        x, lu = _solve(grid, shifted, fu + sigma * u, tol_linear, lu)
         u = np.clip(x, 0.0, f.u_max)
         misfit = _state_misfit(lap, a, f, u)
         rmax, fu = misfit[1:]
@@ -457,15 +502,19 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     Jacobians with those factors.  Every linear
     solve meets the nodewise residual tol_linear against its true matrix by
     the module's one rule: refine with the factors at hand, and factorize
-    the true matrix only when they miss.  The discrete residual
+    the true matrix when there are none or they miss.  The discrete residual
     lap_h(u) + f(u) - a u is driven below tol * max(1, |f(u)|, |a u|) at
     every node; failure to converge raises SolverError carrying the last
     residual.
 
     With `init` (a state on the same grid, say the solution for a nearby
     measure) the damped Newton steps start from init instead, clipped to
-    [0, u_max].  Every nonnegative solution is either 0 or positive at
-    every node, and since f(u) / u strictly decreases, the positive solution
+    [0, u_max].  On a grid of nx <= _EXACT_NEWTON_MAX (23) every one of
+    these steps factorizes its own Jacobian instead of refining with the
+    first step's factors: there a factorization costs about two
+    refinement steps, fewer than the first step's factors need.  Every
+    nonnegative solution is either 0 or positive at every node, and since
+    f(u) / u strictly decreases, the positive solution
     is unique (Brezis and Oswald, Nonlinear Anal. 10, 1986).  A Newton limit
     u is kept when it is positive and stable: J u > 0 at every node for the
     Jacobian J = -lap + diag(a - f'(u)).  The positive solution always
@@ -480,7 +529,7 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     which solve_adjoint refines with; a state that a sweep brought within
     tol before Newton started carries none.
     """
-    a = lump_measure(mu, grid).density()
+    a = _density(mu, grid)
     u_max = f.u_max
     if not np.any(a):
         return ScalarField(grid, np.full(grid.n_nodes, u_max))
@@ -490,7 +539,7 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
             raise ValidationError("initial state lives on a different grid")
         try:
             found = _newton(grid, a, f, np.clip(init.values, 0.0, u_max), tol, tol_linear,
-                            positive=True)
+                            positive=True, exact=grid.nx <= _EXACT_NEWTON_MAX)
         except SolverError:
             found = None
         if found is not None:
@@ -510,7 +559,7 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
 def state_residual(u: ScalarField, mu: DiscreteMeasure, f: GrowthFunction) -> float:
     """Worst nodewise |lap u + f(u) - a u| / max(1, |f(u)|, |a u|): the
     quantity solve_state drives below its tol."""
-    a = lump_measure(mu, u.grid).density()
+    a = _density(mu, u.grid)
     return _state_misfit(laplacian_matrix(u.grid), a, f, u.values)[1]
 
 
@@ -519,9 +568,9 @@ def adjoint_residual(psi: ScalarField, u_star: ScalarField, mu: DiscreteMeasure,
     """Worst nodewise |A psi - a| / max(1, |(a - f'(u*)) psi|, |a|) with
     A = -lap + diag(a - f'(u*)): the quantity solve_adjoint keeps within
     its tol."""
-    a = lump_measure(mu, psi.grid).density()
+    a = _density(mu, psi.grid)
     coeff = a - f.derivative(u_star.values)
-    return _linear_misfit(_system(psi.grid, coeff), coeff, psi.values, a)[1]
+    return _linear_misfit(psi.grid, coeff, psi.values, a)[1]
 
 
 def harvest(u: ScalarField, mu: DiscreteMeasure) -> float:
@@ -552,18 +601,21 @@ def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
     (1 - psi) u* the exact derivative of the discrete crop with respect to
     each nodal mass.  The system -lap + diag(a - f'(u*)) is Newton's Jacobian
     at u*, so it is solved by the module's one linear-solve rule with the
-    factors that u_star carries from solve_state's Newton steps: refine
-    with them, and factorize the true matrix only when they miss or when
-    there are none.  Either way the solve meets the nodewise residual tol
-    against its true matrix.
+    factors that u_star carries from solve_state's last Newton step, warm
+    or cold, on any grid: refine with them, and factorize the true matrix
+    only when they miss or when there are none.  After a warm solve on a
+    grid of nx <= _EXACT_NEWTON_MAX those are the factors of the Jacobian
+    one Newton step before u*, and refining with them takes two or three
+    back-substitutions.  Either way the solve meets the nodewise residual
+    tol against its true matrix.
     Post-checks: psi >= -1e-9 and psi <= lam * u_max + 1 + 1e-9, with
     lam = growth_bound_lambda(f, min(u*)).
     """
     if u_star.grid != grid:
         raise ValidationError("state field lives on a different grid")
-    a = lump_measure(mu, grid).density()
+    a = _density(mu, grid)
     coeff = a - f.derivative(u_star.values)
-    psi = _solve(_system(grid, coeff), coeff, a, tol, u_star._factors)[0]
+    psi = _solve(grid, coeff, a, tol, u_star._factors)[0]
     if np.min(psi) < -1e-9:
         raise SolverError(f"adjoint went negative: min psi = {float(np.min(psi)):.3e}")
     lam = growth_bound_lambda(f, delta0=u_star.min())

@@ -9,7 +9,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 import rootopt as ro
 from rootopt.cli import main as cli_main

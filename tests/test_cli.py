@@ -198,8 +198,7 @@ class TestSolveAndAdjoint:
         assert u._factors is not None
         a = ro.lump_measure(mu, run.grid).density()
         coeff = a - run.growth.derivative(u.values)
-        psi, lu = ell._solve(ell._system(run.grid, coeff), coeff, a, run.tol_linear,
-                             u._factors)
+        psi, lu = ell._solve(run.grid, coeff, a, run.tol_linear, u._factors)
         assert lu is u._factors  # refined, not refactorized
         psi = ScalarField(run.grid, psi)
         for name, field in (("state", u), ("psi", psi), ("phi", ro.phi_field(u, psi))):

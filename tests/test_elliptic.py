@@ -23,8 +23,8 @@ def grid17():
 
 @pytest.fixture()
 def linalg_calls(monkeypatch):
-    """Records every factorization through elliptic._factorize (its matrix),
-    whichever path serves it, and every back-substitution (its right-hand
+    """Records every factorization through elliptic._factorize (its
+    absorption), whichever path serves it, and every back-substitution (its right-hand
     side) through the factors it returns, a weak reference to each set of
     factors, and how many earlier sets were still alive when each
     factorization started."""
@@ -39,10 +39,10 @@ def linalg_calls(monkeypatch):
             calls.solve.append(rhs)
             return self.lu.solve(rhs)
 
-    def factorize(mat):
-        calls.factorize.append(mat)
+    def factorize(grid, absorption):
+        calls.factorize.append(absorption)
         calls.alive.append(sum(ref() is not None for ref in calls.factors))
-        lu = CountingFactors(real(mat))
+        lu = CountingFactors(real(grid, absorption))
         calls.factors.append(weakref.ref(lu))
         return lu
 
@@ -145,7 +145,7 @@ class TestLinearSolver:
 
     @staticmethod
     def solve(grid, coeff, rhs, tol_linear, lu=None):
-        return ell._solve(ell._system(grid, coeff), coeff, rhs, tol_linear, lu)
+        return ell._solve(grid, coeff, rhs, tol_linear, lu)
 
     @pytest.mark.parametrize("n", [17, ell._BAND_MAX + 1], ids=["banded", "superlu"])
     def test_singular_system_raises(self, n):
@@ -160,12 +160,19 @@ class TestLinearSolver:
     def test_zero_pivot_raises(self, n):
         """A matrix with the stencil's pattern and every entry 0 is exactly
         singular: dgbtrf reports a zero pivot and SuperLU raises, and both
-        become SolverError."""
+        become SolverError.  The matrix is assembled the way _factorize
+        assembles it on each path, in band storage or as a CSC matrix."""
         grid = ro.Grid(ro.Domain(), n, n)
-        mat = ell._system(grid, np.zeros(grid.n_nodes))
-        mat.data[:] = 0.0
+        zeros = np.zeros(grid.n_nodes)
         with pytest.raises(ro.SolverError, match="factorization failed"):
-            ell._factorize(mat)
+            if n <= ell._BAND_MAX:
+                band = ell._band_system(grid, zeros)
+                band[:] = 0.0
+                ell._BandLU(band, grid.nx)
+            else:
+                mat = ell._system(grid, zeros)
+                mat.data[:] = 0.0
+                ell._superlu(mat)
 
     @pytest.fixture()
     def back_substitutions(self, linalg_calls):
@@ -187,7 +194,7 @@ class TestLinearSolver:
         back_substitutions.clear()
         x = self.solve(grid17, coeff, rhs, 1e-12)[0]
         assert len(back_substitutions) == 1
-        assert ell._linear_misfit(ell._system(grid17, coeff), coeff, x, rhs)[1] <= 1e-12
+        assert ell._linear_misfit(grid17, coeff, x, rhs)[1] <= 1e-12
 
     def test_missed_tolerance_is_refined_and_passes(self, grid17, back_substitutions):
         """Near extinction (density 3.7, rate 4) the first back-substitution
@@ -195,13 +202,12 @@ class TestLinearSolver:
         2.4e-12; one refinement step with the same factors brings it under
         tol_linear = 1e-12."""
         coeff, rhs = self.adjoint_system(grid17, 3.7)
-        mat = ell._system(grid17, coeff)
-        first = ell._factorize(mat).solve(rhs)
-        assert ell._linear_misfit(mat, coeff, first, rhs)[1] > 1e-12
+        first = ell._factorize(grid17, coeff).solve(rhs)
+        assert ell._linear_misfit(grid17, coeff, first, rhs)[1] > 1e-12
         back_substitutions.clear()
         x = self.solve(grid17, coeff, rhs, 1e-12)[0]
         assert len(back_substitutions) == 2
-        assert ell._linear_misfit(mat, coeff, x, rhs)[1] <= 1e-12
+        assert ell._linear_misfit(grid17, coeff, x, rhs)[1] <= 1e-12
 
     def test_unreachable_tolerance_names_the_worst_residual(self, grid17,
                                                              back_substitutions):
@@ -210,11 +216,10 @@ class TestLinearSolver:
         second does not, and the solve gives up after three
         back-substitutions."""
         coeff, rhs = self.adjoint_system(grid17, 2.5)
-        mat = ell._system(grid17, coeff)
-        lu = ell._factorize(mat)
+        lu = ell._factorize(grid17, coeff)
         first = lu.solve(rhs)
-        res, worst = ell._linear_misfit(mat, coeff, first, rhs)
-        assert ell._linear_misfit(mat, coeff, first - lu.solve(res), rhs)[1] <= 0.5 * worst
+        res, worst = ell._linear_misfit(grid17, coeff, first, rhs)
+        assert ell._linear_misfit(grid17, coeff, first - lu.solve(res), rhs)[1] <= 0.5 * worst
         back_substitutions.clear()
         with pytest.raises(ro.SolverError,
                            match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
@@ -226,7 +231,7 @@ class TestLinearSolver:
         factors miss, the true matrix is factorized exactly once, and its
         factors miss too."""
         coeff, rhs = self.adjoint_system(grid17, 1.0)
-        far = ell._factorize(ell._system(grid17, np.full(grid17.n_nodes, 50.0)))
+        far = ell._factorize(grid17, np.full(grid17.n_nodes, 50.0))
         linalg_calls.factorize.clear()
         with pytest.raises(ro.SolverError,
                            match=r"missed tolerance 1e-20; worst residual \d\.\d{3}e-\d+"):
@@ -282,8 +287,8 @@ class TestLinearSolver:
         iterates = []
         solve = ell._solve
 
-        def recording(mat, absorption, rhs, tol_linear, lu=None):
-            x = solve(mat, absorption, rhs, tol_linear, lu)
+        def recording(grid, absorption, rhs, tol_linear, lu=None):
+            x = solve(grid, absorption, rhs, tol_linear, lu)
             iterates.append((absorption, x[0]))
             return x
 
@@ -366,15 +371,101 @@ class TestBandedAndSparseLU:
         for kind, (coeff, rhs) in self.systems(grid).items():
             if kind == "jacobian":
                 assert np.any(coeff < 0.0)
-            mat = ell._system(grid, coeff)
             solutions = []
             for band_max in (n, n - 1):  # the banded LU, then SuperLU
                 monkeypatch.setattr(ell, "_BAND_MAX", band_max)
-                x = ell._solve(mat, coeff, rhs, tol_linear)[0]
-                assert ell._linear_misfit(mat, coeff, x, rhs)[1] <= tol_linear, kind
+                x = ell._solve(grid, coeff, rhs, tol_linear)[0]
+                assert ell._linear_misfit(grid, coeff, x, rhs)[1] <= tol_linear, kind
                 solutions.append(x)
             gap = np.abs(solutions[0] - solutions[1]) / np.maximum(1.0, np.abs(solutions[1]))
             assert np.max(gap) <= 100 * tol_linear, kind
+
+
+class TestSystemFromGrid:
+    """A system is its grid and its absorption: residuals come from the
+    cached Laplacian as absorption * x - lap @ x - b, and a matrix is
+    assembled only to factorize it."""
+
+    @staticmethod
+    def exact_residual(grid, absorption, x, rhs):
+        """A x - b for A = -lap + diag(absorption), rounded once per node:
+        every product is split exactly into two doubles (Dekker's
+        TwoProduct) and each node's terms are summed by math.fsum."""
+        def split(v):
+            c = 134217729.0 * v  # 2^27 + 1
+            hi = c - (c - v)
+            return hi, v - hi
+
+        def two_product(a, b):
+            p = a * b
+            (ah, al), (bh, bl) = split(a), split(b)
+            return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+        lap = ro.laplacian_matrix(grid).tocsr()
+        p, e = two_product(-lap.data, x[lap.indices])
+        q, d = two_product(absorption, x)
+        ptr = lap.indptr
+        return np.array([math.fsum([*p[ptr[i]:ptr[i + 1]], *e[ptr[i]:ptr[i + 1]],
+                                    q[i], d[i], -rhs[i]])
+                         for i in range(grid.n_nodes)])
+
+    @pytest.mark.parametrize("n", [17, 65, 129])
+    def test_stencil_residual_rounds_like_the_csc_product(self, n):
+        """At the adjoint solution of a random 6-atom measure, the residual
+        from the stencil and the residual through the assembled CSC matrix
+        both stay within the a priori rounding bound
+        gamma_8 (|A| |x| + |b|) of the exactly rounded residual at every
+        node (measured: at most 0.16 of it), and the stencil's worst error,
+        scaled as _linear_misfit scales it, is within twice the CSC's
+        (measured 1.1e-13 against 2.2e-13 at 17x17, 1.4e-12 against 4.5e-12
+        at 65x65, 5.5e-12 against 1.4e-11 at 129x129)."""
+        grid = ro.Grid(ro.Domain(), n, n)
+        coeff, rhs = TestBandedAndSparseLU.systems(grid)["adjoint"]
+        x = ell._solve(grid, coeff, rhs, 1e-10)[0]
+        exact = self.exact_residual(grid, coeff, x, rhs)
+        stencil = ell._linear_misfit(grid, coeff, x, rhs)[0]
+        csc = ell._system(grid, coeff) @ x - rhs
+        lap = ro.laplacian_matrix(grid)
+        gamma = 8 * 2.0 ** -53 / (1 - 8 * 2.0 ** -53)
+        bound = gamma * (np.abs(coeff * x) + abs(lap) @ np.abs(x) + np.abs(rhs))
+        scale = np.maximum(1.0, np.maximum(np.abs(coeff * x), np.abs(rhs)))
+        errors = {}
+        for name, res in (("stencil", stencil), ("csc", csc)):
+            assert np.all(np.abs(res - exact) <= bound), name
+            errors[name] = np.max(np.abs(res - exact) / scale)
+        assert errors["stencil"] <= 2.0 * errors["csc"]
+
+    @pytest.mark.parametrize("n", [9, 17, 33, ell._BAND_MAX])
+    def test_band_storage_is_the_csc_scatter(self, n):
+        """The band storage that _factorize fills from the cached stencil
+        equals, bit for bit, the CSC matrix of _system scattered entry by
+        entry into LAPACK's layout (entry (i, j) in row 2 nx + i - j of
+        column j), for absorptions of either sign."""
+        grid = ro.Grid(ro.Domain(), n, n)
+        absorption = np.random.default_rng(n).uniform(-5.0, 50.0, grid.n_nodes)
+        mat = ell._system(grid, absorption)
+        cols = np.repeat(np.arange(grid.n_nodes), np.diff(mat.indptr))
+        scattered = np.zeros((3 * n + 1, grid.n_nodes))
+        scattered[2 * n + mat.indices - cols, cols] = mat.data
+        band = ell._band_system(grid, absorption)
+        assert band.flags.f_contiguous and band.shape == scattered.shape
+        assert band.tobytes() == scattered.tobytes()
+
+    def test_residuals_build_no_matrix(self, grid17, monkeypatch):
+        """A cold and a warm state solve at 17x17, the adjoint and both
+        residual checks assemble no CSC matrix."""
+        built = []
+        system = ell._system
+        monkeypatch.setattr(ell, "_system", lambda *args: built.append(1) or system(*args))
+        f = ro.GrowthFunction()
+        mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+        u = ro.solve_state(grid17, mu, f)
+        nu = mu.with_masses(mu.masses() * 1.2)
+        v = ro.solve_state(grid17, nu, f, init=u)
+        psi = ro.solve_adjoint(grid17, nu, v, f)
+        assert ell.state_residual(v, nu, f) <= 1e-8
+        assert ell.adjoint_residual(psi, v, nu, f) <= 1e-10
+        assert not built
 
 
 class TestStateSolve:
@@ -418,9 +509,9 @@ class TestStateSolve:
         absorptions = []
         solve = ell._solve
 
-        def recording(mat, absorption, rhs, tol_linear, lu=None):
+        def recording(grid, absorption, rhs, tol_linear, lu=None):
             absorptions.append(absorption)
-            return solve(mat, absorption, rhs, tol_linear, lu)
+            return solve(grid, absorption, rhs, tol_linear, lu)
 
         monkeypatch.setattr(ell, "_solve", recording)
         return lambda: sum(a is absorptions[0] for a in absorptions)
@@ -646,25 +737,64 @@ class TestWarmStart:
 
 
 class TestFactorReuse:
-    """Newton steps and the adjoint refine with the factors of the first
-    Jacobian of a state solve instead of factorizing their own matrices."""
+    """Where factors are carried, Newton steps and the adjoint refine with
+    the factors of the first Jacobian of a state solve instead of
+    factorizing their own matrices: in cold solves, and in warm solves on
+    grids wider than _EXACT_NEWTON_MAX.  On narrower grids every step of a
+    warm solve factorizes its own Jacobian, and the adjoint refines with
+    the last step's factors."""
 
-    def test_spawn_ascent_factorizes_about_once_per_trial(self, monkeypatch, linalg_calls):
-        """The 17x17 spawn ascent of scripts/run_ascent_demo.py: 41 trials,
-        each one state solve, and an adjoint for every kept trial."""
+    @staticmethod
+    def counted_ascent(monkeypatch, linalg_calls, n):
+        """The spawn ascent of scripts/run_ascent_demo.py on an n x n grid,
+        with the measure of every trial (one state solve each) and the
+        factorizations made by each linear solve of a warm state solve."""
         import rootopt.optimality as opt
 
-        trials = []
-        solve_state = opt.solve_state
+        trials, warm_solves = [], []
+        inside_warm = [False]
+        solve_state, solve = opt.solve_state, ell._solve
 
-        def counting(*args, **kw):
+        def tracking(*args, **kw):
             trials.append(args[1])
-            return solve_state(*args, **kw)
+            inside_warm[0] = kw.get("init") is not None
+            try:
+                return solve_state(*args, **kw)
+            finally:
+                inside_warm[0] = False
 
-        monkeypatch.setattr(opt, "solve_state", counting)
-        trace = spawn_ascent(ro.Grid(ro.Domain(), 17, 17))
+        def counting(*args):
+            before = len(linalg_calls.factorize)
+            out = solve(*args)
+            if inside_warm[0]:
+                warm_solves.append(len(linalg_calls.factorize) - before)
+            return out
+
+        monkeypatch.setattr(opt, "solve_state", tracking)
+        monkeypatch.setattr(ell, "_solve", counting)
+        trace = spawn_ascent(ro.Grid(ro.Domain(), n, n))
+        return trace, trials, warm_solves
+
+    def test_spawn_ascent_factorizes_about_once_per_trial(self, monkeypatch, linalg_calls):
+        """The 47x47 spawn ascent, wider than _EXACT_NEWTON_MAX (and on the
+        SuperLU path): 41 trials, each one state solve, and an adjoint for
+        every kept trial, with 42 factorizations."""
+        assert ell._EXACT_NEWTON_MAX < ell._BAND_MAX < 47
+        trace, trials, _ = self.counted_ascent(monkeypatch, linalg_calls, 47)
         assert len(trace.measure) > 10 and len(trials) > 30
         assert len(linalg_calls.factorize) <= 1.3 * len(trials)
+
+    def test_narrow_warm_newton_factorizes_every_step(self, monkeypatch, linalg_calls):
+        """The 17x17 spawn ascent, within _EXACT_NEWTON_MAX: every linear
+        solve of a warm state solve is a Newton step that factorizes its own
+        Jacobian exactly once (no warm solve falls back to the sweep), and
+        the ascent back-substitutes 205 times for 41 trials (measured; 705
+        when every warm solve carried its first step's factors)."""
+        assert 17 <= ell._EXACT_NEWTON_MAX
+        trace, trials, warm_solves = self.counted_ascent(monkeypatch, linalg_calls, 17)
+        assert len(trace.measure) > 10 and len(trials) > 30
+        assert len(warm_solves) > 2 * len(trials) and set(warm_solves) == {1}
+        assert len(linalg_calls.solve) <= 5.5 * len(trials)
 
     def test_factors_of_another_matrix_are_replaced(self, grid17, linalg_calls):
         """A state carrying the factors of -lap + 50: refinement with them
@@ -673,7 +803,7 @@ class TestFactorReuse:
         f = ro.GrowthFunction()
         mu = random_grid_measure(np.random.default_rng(13), grid17, 5, mass_range=(0.2, 1.0))
         u = ro.solve_state(grid17, mu, f, tol=1e-10)
-        far = ell._factorize(ell._system(grid17, np.full(grid17.n_nodes, 50.0)))
+        far = ell._factorize(grid17, np.full(grid17.n_nodes, 50.0))
         stale = ell._carrying(grid17, u.values, far)
         linalg_calls.factorize.clear()
         psi = ro.solve_adjoint(grid17, mu, stale, f)
@@ -682,48 +812,53 @@ class TestFactorReuse:
         plain = ro.solve_adjoint(grid17, mu, ell.ScalarField(grid17, u.values), f)
         assert np.array_equal(psi.values, plain.values)
 
-    def test_warm_state_and_adjoint_match_fresh_factors(self, grid17, linalg_calls,
-                                                       monkeypatch):
-        """Warm solves with masses changed by up to 30%, with reused factors
-        and with every Newton matrix factorized afresh: the states agree
-        within tol.  At the reused state, the adjoint refined with Newton's
-        factors and the adjoint of freshly factorized matrices both meet
-        tol_linear against the true matrix, and agree within 100 tol_linear
-        relative: the conditioning of the adjoint system turns the residual
-        tolerance into a larger solution gap (up to 29 tol_linear over 48
-        measured cases at 17x17 and 33x33)."""
+    def test_warm_state_and_adjoint_match_fresh_factors(self, linalg_calls, monkeypatch):
+        """Warm solves with masses changed by up to 30%, on 17x17 (every
+        Newton step factorizes) and on a grid just wider than
+        _EXACT_NEWTON_MAX (factors carried), against the same solves with
+        every Newton matrix factorized afresh: the states agree within tol.
+        At the warm state, the adjoint refined with Newton's last factors
+        and the adjoint of freshly factorized matrices both meet tol_linear
+        against the true matrix, and agree within 100 tol_linear relative:
+        the conditioning of the adjoint system turns the residual tolerance
+        into a larger solution gap (up to 29 tol_linear over 48 measured
+        cases at 17x17 and 33x33).  The adjoint never factorizes, so the
+        warm solve and its adjoint factorize less than the fresh ones."""
         f = ro.GrowthFunction()
         tol, tol_linear = 1e-8, 1e-10
         rng = np.random.default_rng(7)
-        reused = fresh = 0
-        for _ in range(6):
-            mu = random_grid_measure(rng, grid17, int(rng.integers(2, 12)),
-                                     mass_range=(0.05, 1.0))
-            prev = ro.solve_state(grid17, mu, f, tol=tol)
-            nu = mu.with_masses(mu.masses() * (1 + 0.3 * rng.uniform(-1, 1, len(mu))))
-            linalg_calls.factorize.clear()
-            u = ro.solve_state(grid17, nu, f, tol=tol, tol_linear=tol_linear, init=prev)
-            psi = ro.solve_adjoint(grid17, nu, u, f, tol=tol_linear)
-            reused += len(linalg_calls.factorize)
-            linalg_calls.factorize.clear()
-            plain = ro.solve_adjoint(grid17, nu, ell.ScalarField(grid17, u.values), f,
-                                     tol=tol_linear)
-            with monkeypatch.context() as m:
-                solve = ell._solve
-                m.setattr(ell, "_solve", lambda mat, absorption, rhs, tol_linear, lu=None:
-                          solve(mat, absorption, rhs, tol_linear))
-                u0 = ro.solve_state(grid17, nu, f, tol=tol, tol_linear=tol_linear, init=prev)
-            fresh += len(linalg_calls.factorize)
-            assert np.max(np.abs(u.values - u0.values)) <= tol * f.u_max
-            for adjoint in (psi, plain):
-                assert ell.adjoint_residual(adjoint, u, nu, f) <= tol_linear
-            gap = np.abs(psi.values - plain.values) / np.maximum(1.0, np.abs(plain.values))
-            assert np.max(gap) <= 100 * tol_linear
-        assert reused < fresh
+        solve = ell._solve
+        for n in (17, ell._EXACT_NEWTON_MAX + 2):
+            grid = ro.Grid(ro.Domain(), n, n)
+            reused = fresh = 0
+            for _ in range(6):
+                mu = random_grid_measure(rng, grid, int(rng.integers(2, 12)),
+                                         mass_range=(0.05, 1.0))
+                prev = ro.solve_state(grid, mu, f, tol=tol)
+                nu = mu.with_masses(mu.masses() * (1 + 0.3 * rng.uniform(-1, 1, len(mu))))
+                linalg_calls.factorize.clear()
+                u = ro.solve_state(grid, nu, f, tol=tol, tol_linear=tol_linear, init=prev)
+                psi = ro.solve_adjoint(grid, nu, u, f, tol=tol_linear)
+                reused += len(linalg_calls.factorize)
+                linalg_calls.factorize.clear()
+                plain = ro.solve_adjoint(grid, nu, ell.ScalarField(grid, u.values), f,
+                                         tol=tol_linear)
+                with monkeypatch.context() as m:
+                    m.setattr(ell, "_solve", lambda grid, absorption, rhs, tol_linear, lu=None:
+                              solve(grid, absorption, rhs, tol_linear))
+                    u0 = ro.solve_state(grid, nu, f, tol=tol, tol_linear=tol_linear, init=prev)
+                fresh += len(linalg_calls.factorize)
+                assert np.max(np.abs(u.values - u0.values)) <= tol * f.u_max
+                for adjoint in (psi, plain):
+                    assert ell.adjoint_residual(adjoint, u, nu, f) <= tol_linear
+                gap = np.abs(psi.values - plain.values) / np.maximum(1.0, np.abs(plain.values))
+                assert np.max(gap) <= 100 * tol_linear
+            assert reused < fresh, n
 
 
 class TestNodeMapMemo:
-    """_node_indices memoizes each measure's node map for the last grid."""
+    """_node_indices memoizes each measure's node map for the last grid, and
+    _density its lumped density next to it."""
 
     @pytest.fixture()
     def located(self, monkeypatch):
@@ -756,6 +891,37 @@ class TestNodeMapMemo:
         distinct = {id(mu) for mu in asked}  # `asked` keeps every measure alive
         assert len(located) == len(distinct) > 30
         assert len(asked) > 3 * len(located)
+
+    def test_spawn_ascent_lumps_each_measure_once(self, grid17, monkeypatch):
+        """The state solve, the adjoint and the residuals of a measure share
+        one lumped density: the ascent lumps every measure it asks about
+        exactly once."""
+        lumped = []
+        real = ell.lump_measure
+
+        def counting(mu, grid):
+            lumped.append(mu)
+            return real(mu, grid)
+
+        monkeypatch.setattr(ell, "lump_measure", counting)
+        spawn_ascent(grid17)
+        assert len(lumped) == len({id(mu) for mu in lumped}) > 30
+
+    def test_memoized_density_has_the_lumped_bits(self, grid17):
+        """_density is lump_measure(mu, grid).density(), bit for bit, read
+        only and shared until another grid is asked for; node (8, 8) of the
+        17x17 grid is node (16, 16) of the 33x33 grid."""
+        mu = random_grid_measure(np.random.default_rng(2), grid17, 5)
+        a = ell._density(mu, grid17)
+        assert a.tobytes() == ro.lump_measure(mu, grid17).density().tobytes()
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        assert ell._density(mu, ro.Grid(ro.Domain(), 17, 17)) is a  # equal grid
+        grid33 = ro.Grid(ro.Domain(), 33, 33)
+        assert ell._density(mu, grid33).tobytes() == \
+            ro.lump_measure(mu, grid33).density().tobytes()
+        again = ell._density(mu, grid17)
+        assert again is not a and again.tobytes() == a.tobytes()
 
     def test_memoized_map_is_read_only_and_shared(self, grid17, located):
         mu = random_grid_measure(np.random.default_rng(2), grid17, 5)

@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: every name a module under
-src/rootopt or scripts imports is used in that module, and every module of
-the package, the scripts and the tests parses at the oldest Python that
-pyproject.toml declares."""
+src/rootopt, scripts or tests imports is used in that module, and every
+module of the package, the scripts and the tests parses at the oldest
+Python that pyproject.toml declares."""
 
 import ast
 import re
@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "rootopt").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = [path for part in (("src", "rootopt"), ("scripts",), ("tests",))
+           for path in sorted(ROOT.joinpath(*part).glob("*.py"))]
 
 
 def unused_imports(source: str):
