@@ -31,8 +31,8 @@ the half-bandwidth of A; nodes are ordered iy * nx + ix, so that is nx.
 Up to nx = 45 (_BAND_MAX) A is factorized by LAPACK's banded LU with
 partial pivoting (dgbtrf; back-substitution by dgbtrs), which costs
 O(n nx^2) and needs no ordering; its band storage holds (3 nx + 1) n
-doubles, 2.2 MB at 45x45, and is filled from a cached copy of -lap in that
-storage, with the absorption added to its diagonal.  Wider systems get one
+doubles, 2.2 MB at 45x45, and is zeroed, takes the entries of -lap from
+a cached scatter and adds the absorption to its diagonal.  Wider systems get one
 CSC matrix and one SuperLU call with the
 minimum degree ordering of A^T + A, panels of 2 columns and supernodes
 relaxed up to 4 columns: measured against SuperLU's defaults on grids from
@@ -53,25 +53,57 @@ State equation
 Solved by a monotone fixed-point sweep started at the constant supersolution
 u = u_max.  Each sweep solves the shifted linear problem
 
-    (-lap + mu/h^2 + sigma) u_next = f(u_k) + sigma u_k,
+    (-lap + mu/h^2 + sigma) g = f(u_k) + sigma u_k,
 
 with sigma chosen so that f(u) + sigma u is nondecreasing on [0, u_max].
-The shift makes the sweep order-preserving, the iterates decrease
+Write F(u) = -lap u + a u - f(u), so that u is a supersolution where
+F(u) >= 0.  The shift makes the sweep order-preserving: from a
+supersolution u_k it gives a supersolution g <= u_k, the iterates decrease
 monotonically, and the limit is the maximal solution (mirroring the
 sub/supersolution construction).  Without the shift the sweep started at
 u_max would jump straight to the trivial zero branch, since f(u_max) = 0.
 The shifted matrix is the same for every sweep of a given measure, so the
 first sweep factorizes it and every later sweep solves with those factors,
-one back-substitution unless the residual needs refining.  f(u_k) is
-evaluated once per iterate, for its residual and the next right-hand
-side.  Since sigma = rate = -f'(u_max), that matrix is the negated
-Jacobian at u_max: the sweep is the chord iteration at u_max and
-converges only linearly.  So the sweeps stop at the first iterate whose
-scaled residual is within sqrt(tol), since one Newton step roughly
-squares the residual, at the first sweep that leaves more than 0.9 of the
-previous sweep's residual (slow contraction, as near extinction), or when
-they run out, and damped Newton steps finish the solve, starting from the
-residual the last sweep measured.  Each Newton step keeps the residual by
+one back-substitution unless the residual needs refining.  f is evaluated
+once per adopted iterate, for its residual and the next right-hand side.
+Since sigma = rate = -f'(u_max), that matrix is the negated Jacobian at
+u_max: the sweep is the chord iteration at u_max and contracts only
+linearly, by about 0.65 per sweep on the 65x65 and 129x129 measures of the
+benchmark's fields workload.
+
+Every sweep after the first therefore tries a secant point between its
+iterate g and the previous sweep's g_prev, the one-step Anderson mixing of
+the sweep map (Walker and Ni, SIAM J. Numer. Anal. 49, 2011),
+
+    u~ = g + c (g - g_prev),   c = (r . r_prev - r . r) / |r - r_prev|^2,
+
+where r = g - u_k is the sweep's step and r_prev the previous one, so c
+minimizes |r + c (r - r_prev)|.  It is tried only when c > 0, so that u~
+lies below g, for c, c / 2 and c / 4.  A trial point is measured only
+once it is certified: u~ > 0 at every node, and F(g) + J(g) (u~ - g) >= 0
+at every node for the Jacobian J(g) = -lap + diag(a - f'(g)), checked
+against the residual that g's own measurement gave.  It replaces g only
+when its scaled residual is lower.  The certificate makes u~ a positive
+supersolution, since f is concave: F(u~) >= F(g) + J(g) (u~ - g) >= 0.
+A positive supersolution v lies on or above the maximal solution u*,
+since f(s) / s strictly decreases: if t = min v / u* were below 1, then
+t u* would be a strict subsolution touching v from below at some node,
+and there the M-matrix stencil would give F(v) <= F(t u*) < 0,
+contradicting F(v) >= 0.  So every
+point the sweep measures stays on or above the maximal solution, its limit
+is unchanged, and no fallback is needed.  Uncertified, the step does
+undershoot: on the first random measure of the fields workload (6 atoms
+at 65x65) it lands 4.5e-5 below the maximal solution.  On that workload
+(seed 1) every secant step was adopted, most at c / 2, and a cold state
+solve with its adjoint takes 11 to 13 back-substitutions instead of 19 to
+24: 60 per pass instead of 114, with 10 factorizations either way.
+
+The sweeps stop at the first adopted iterate whose scaled residual is
+within sqrt(tol), since one Newton step roughly squares the residual, at
+the first sweep that leaves more than 0.9 of the previous sweep's residual
+(slow contraction, as near extinction), or when they run out, and damped
+Newton steps finish the solve, starting from the residual the last sweep
+measured.  Each Newton step keeps the residual by
 which its line search accepted the next iterate, so no iterate's residual
 is evaluated twice.  By concavity of f, Newton from an iterate above the
 maximal solution stays above it.  The sweep's factors are freed
@@ -220,19 +252,20 @@ def _operators(grid: Grid):
 
 
 @lru_cache(maxsize=16)
-def _band_template(grid: Grid):
-    """-lap in LAPACK's band storage with kl = ku = nx, flattened by
-    columns, and where its diagonal sits there: entry (i, j) of the CSC
-    Laplacian goes to row 2 nx + i - j of the 3 nx + 1 rows of column j.
-    Built only for the narrow grids that the banded LU serves."""
+def _band_scatter(grid: Grid):
+    """Where the entries of -lap go in LAPACK's band storage with kl = ku =
+    nx, flattened by columns, their values (-lap's data) and where its
+    diagonal sits there: entry (i, j) of the CSC Laplacian goes to row
+    2 nx + i - j of the 3 nx + 1 rows of column j.  Built only for the
+    narrow grids that the banded LU serves."""
     lap, _, diagonal = _operators(grid)
     nx = grid.nx
     cols = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
     positions = 2 * nx + lap.indices + 3 * nx * cols
-    band = np.zeros((3 * nx + 1) * grid.n_nodes)
-    band[positions] = -lap.data
-    band.setflags(write=False)
-    return band, positions[diagonal]
+    values, diagonal = -lap.data, positions[diagonal]
+    for arr in (positions, values, diagonal):
+        arr.setflags(write=False)
+    return positions, values, diagonal
 
 
 def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
@@ -307,10 +340,12 @@ def _system(grid: Grid, absorption: np.ndarray) -> sp.csc_matrix:
 
 def _band_system(grid: Grid, absorption: np.ndarray) -> np.ndarray:
     """-lap + diag(absorption) in band storage for dgbtrf, a (3 nx + 1) x n
-    array in Fortran order: the template of _band_template with absorption
-    added to its diagonal, the same bits as scattering _system's CSC."""
-    template, diagonal = _band_template(grid)
-    band = template.copy()
+    array in Fortran order: zeroed storage that takes -lap's entries where
+    _band_scatter puts them, with absorption added to the diagonal, the
+    same bits as scattering _system's CSC."""
+    positions, values, diagonal = _band_scatter(grid)
+    band = np.zeros((3 * grid.nx + 1) * grid.n_nodes)
+    band[positions] = values
     band[diagonal] += absorption
     return band.reshape((3 * grid.nx + 1, grid.n_nodes), order="F")
 
@@ -448,13 +483,45 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
     raise SolverError(f"state solve did not converge, residual {rmax:.3e}")
 
 
+def _secant(lap, a, f: GrowthFunction, g: np.ndarray, misfit, d: np.ndarray, c: float):
+    """The secant point g + c d, or g, with its _state_misfit.  A trial
+    point, for c, c / 2 and c / 4, is measured only when it is certified: it
+    is positive at every node and the linearization of the residual at g
+    keeps it a supersolution, F(g) + J(g) (c d) >= 0 for F(u) = -lap u + a u
+    - f(u) and J(g) = -lap + diag(a - f'(g)), that is c J(g) d >= res at
+    every node; it is adopted when its scaled residual is below g's."""
+    res, rmax, _ = misfit
+    jd = f.derivative(g)
+    np.subtract(a, jd, out=jd)
+    jd *= d
+    jd -= lap @ d
+    for _ in range(3):
+        trial = d * c
+        trial += g
+        if trial.min() > 0.0 and np.all(c * jd >= res):
+            measured = _state_misfit(lap, a, f, trial)
+            if measured[1] < rmax:
+                return trial, measured
+        c *= 0.5
+    return g, misfit
+
+
 def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear: float):
-    """Shifted monotone sweeps from u = u_max; returns the last iterate and
-    its _state_misfit, whose f(u) the next sweep's right-hand side reuses.
-    They stop at the first iterate within tol, at the first within
-    sqrt(tol), for Newton to finish, at the first sweep that leaves more
-    than 0.9 of the previous residual, or when they run out.  The shifted
-    matrix is factorized once and its factors live only here."""
+    """Shifted monotone sweeps from u = u_max, each followed, from the
+    second on, by a certified secant step (_secant); returns the last
+    adopted iterate and its _state_misfit, whose f(u) the next sweep's
+    right-hand side reuses.  With g the sweep's iterate, r = g - u its step
+    and r_prev, g_prev the previous sweep's, the secant point is
+    g + c (g - g_prev) with c = (r . r_prev - r . r) / |r - r_prev|^2,
+    tried only when c > 0; every point measured is a positive
+    supersolution, so it lies on or above the maximal solution.  The
+    sweeps stop at the first adopted iterate within tol, at the first
+    within sqrt(tol), for Newton to finish, at the first sweep that leaves
+    more than 0.9 of the previous residual, or when they run out.  Besides
+    the iterate and its misfit, only r_prev with its square and a copy of
+    g_prev, which the secant step overwrites with g - g_prev, live from
+    one sweep to the next.  The shifted matrix is factorized once and its
+    factors live only here."""
     lap = laplacian_matrix(grid)
     sigma = f.monotone_shift
     shifted = a + sigma
@@ -463,10 +530,25 @@ def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear:
     fu = f(u)
     hand_over = max(tol, math.sqrt(tol))
     rmax_prev = math.inf
+    g_prev = np.empty(grid.n_nodes)  # the previous sweep's iterate, a copy
+    r_prev = None  # and its step
     for _ in range(_MAX_SWEEPS):
         x, lu = _solve(grid, shifted, fu + sigma * u, tol_linear, lu)
-        u = np.clip(x, 0.0, f.u_max)
-        misfit = _state_misfit(lap, a, f, u)
+        g = np.clip(x, 0.0, f.u_max, out=x)
+        misfit = _state_misfit(lap, a, f, g)
+        r, u = g - u, g
+        # einsum, not BLAS's dot, whose rounding depends on its thread count
+        rr = float(np.einsum("i,i", r, r))
+        if r_prev is not None:
+            # the weight c that minimizes |r + c (r - r_prev)|, taken when
+            # c > 0 so that the secant point lies below g
+            r_rp = float(np.einsum("i,i", r, r_prev))
+            denom = rr - 2.0 * r_rp + rr_prev
+            if r_rp > rr and denom > 0.0:
+                d = np.subtract(g, g_prev, out=g_prev)
+                u, misfit = _secant(lap, a, f, g, misfit, d, (r_rp - rr) / denom)
+        np.copyto(g_prev, g)
+        r_prev, rr_prev = r, rr
         rmax, fu = misfit[1:]
         # within tol, close enough for Newton, or contracting too slowly: at
         # uniform density a a chord sweep contracts by 2a / (a + rate),
@@ -495,11 +577,21 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     nodal density is w / (tau h^2) and the half cells along the walls feel
     their full mass.  The shifted sweep matrix -lap + a + sigma, the chord
     Jacobian at u_max, is factorized once per call and every sweep solves
-    with those factors.  The sweeps stop at the first iterate within
-    sqrt(tol), at the first sweep that leaves more than 0.9 of the previous
-    residual, or when they run out, and Newton finishes.  Newton
-    factorizes the Jacobian of its first step and solves later steps' own
-    Jacobians with those factors.  Every linear
+    with those factors.  After each sweep but the first a secant point
+    g + c (g - g_prev) is tried, at c, c / 2 and c / 4 for the c > 0 that
+    minimizes the mixed step |r + c (r - r_prev)|; it is measured only
+    when it is positive and the residual linearized at g certifies it a
+    supersolution, and kept when its scaled residual is lower.  Since f is
+    concave and f(u) / u strictly decreases, a certified point lies on or
+    above the maximal solution, so the sweep keeps its monotone invariant
+    and its limit (see the module docstring).  On the seed-1 fields
+    benchmark workload (65x65 and 129x129) this takes a cold state solve
+    and its adjoint from 19 to 24 back-substitutions to 11 to 13, with
+    the same 2 factorizations.  The sweeps stop at the first adopted
+    iterate within sqrt(tol), at the first sweep that leaves more than 0.9
+    of the previous residual, or when they run out, and Newton finishes.
+    Newton factorizes the Jacobian of its first step and solves later
+    steps' own Jacobians with those factors.  Every linear
     solve meets the nodewise residual tol_linear against its true matrix by
     the module's one rule: refine with the factors at hand, and factorize
     the true matrix when there are none or they miss.  The discrete residual

@@ -522,3 +522,15 @@ class TestConvergenceStudyScript:
         assert [row.split()[0] for row in rows] == ["17", "33"]
         assert rows[0].split()[3] == "nan"
         assert 1.9 <= float(rows[1].split()[3]) <= 2.1
+
+    def test_fine_levels_reproduce_the_measured_errors(self):
+        """At 65x65 and 129x129 the max-norm errors against the exact state
+        are 8.80e-6 and 2.20e-6 within 1%, a ratio of 4 (second order)."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+        proc = subprocess.run([sys.executable, str(script), "--levels", "65", "129"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rows = [row.split() for row in proc.stdout.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["65", "129"]
+        assert float(rows[0][2]) == pytest.approx(8.80e-6, rel=0.01)
+        assert float(rows[1][2]) == pytest.approx(2.20e-6, rel=0.01)

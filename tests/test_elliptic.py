@@ -64,6 +64,54 @@ def splu_kwargs(monkeypatch):
     return kwargs
 
 
+@pytest.fixture()
+def sweep_log(monkeypatch):
+    """Records every linear solve (its absorption) and every point that
+    _state_misfit measures (a copy, with its misfit), in call order.
+    `adopted()` gives the iterate each sweep adopted, with its misfit: the
+    sweeps are the solves that share the first solve's (shifted)
+    absorption, and a sweep adopts the least-residual point measured after
+    its solve and before the next solve, that is its own iterate or a
+    secant point that measured lower."""
+    log = []
+    solve, misfit = ell._solve, ell._state_misfit
+
+    def recording_solve(grid, absorption, rhs, tol_linear, lu=None):
+        log.append(("solve", absorption))
+        return solve(grid, absorption, rhs, tol_linear, lu)
+
+    def recording_misfit(lap, a, f, u):
+        measured = misfit(lap, a, f, u)
+        log.append(("misfit", u.copy(), measured))
+        return measured
+
+    def adopted():
+        shifted = next(entry[1] for entry in log if entry[0] == "solve")
+        sweeps = []
+        for entry in log:
+            if entry[0] == "solve":
+                sweeps.append([] if entry[1] is shifted else None)
+            elif sweeps and sweeps[-1] is not None:
+                sweeps[-1].append(entry[1:])
+        return [min(points, key=lambda p: p[1][1]) for points in sweeps if points is not None]
+
+    monkeypatch.setattr(ell, "_solve", recording_solve)
+    monkeypatch.setattr(ell, "_state_misfit", recording_misfit)
+    return SimpleNamespace(log=log, adopted=adopted)
+
+
+def fields_random0():
+    """The first random measure of the seed-1 `fields` benchmark workload:
+    6 atoms on distinct nodes of the 65x65 grid, masses from U(0.1, 0.8)."""
+    grid = ro.Grid(ro.Domain(), 65, 65)
+    rng = np.random.default_rng(1)
+    coords = grid.node_coordinates()
+    nodes = sorted(rng.choice(len(coords), size=6, replace=False))
+    return grid, ro.DiscreteMeasure(tuple(
+        ro.Atom((float(coords[i, 0]), float(coords[i, 1])), float(rng.uniform(0.1, 0.8)))
+        for i in nodes))
+
+
 def uniform_measure(grid, m0):
     """One atom per node with mass m0 times its cell area: density m0 everywhere."""
     coords = grid.node_coordinates()
@@ -274,29 +322,19 @@ class TestLinearSolver:
         for text in (readme, ell.__doc__):
             assert f"{ell._MAX_REFINE} steps that each at least halve" in " ".join(text.split())
 
-    def test_cold_solve_hands_over_below_sqrt_tol(self, grid17, linalg_calls, monkeypatch):
+    def test_cold_solve_hands_over_below_sqrt_tol(self, grid17, linalg_calls, sweep_log):
         """A cold state solve: the sweep matrix is the negated Jacobian at
         u_max (a chord iteration); the sweeps carry one factorization of it
-        and stop at the first iterate within sqrt(tol); Newton factorizes
-        once and the state carries its factors, with which the adjoint
-        refines in at most three back-substitutions and no factorization."""
+        and stop at the first adopted iterate (a sweep's own or a certified
+        secant point) within sqrt(tol); Newton factorizes once and the
+        state carries its factors, with which the adjoint refines in at most
+        three back-substitutions and no factorization."""
         f = ro.GrowthFunction()
         assert f.monotone_shift == -f.derivative(f.u_max)
         tol = 1e-10
         mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
-        iterates = []
-        solve = ell._solve
-
-        def recording(grid, absorption, rhs, tol_linear, lu=None):
-            x = solve(grid, absorption, rhs, tol_linear, lu)
-            iterates.append((absorption, x[0]))
-            return x
-
-        monkeypatch.setattr(ell, "_solve", recording)
         u = ro.solve_state(grid17, mu, f, tol=tol)
-        shifted = iterates[0][0]
-        sweeps = [np.clip(x, 0.0, f.u_max) for absorption, x in iterates
-                  if absorption is shifted]
+        sweeps = [v for v, _ in sweep_log.adopted()]
         residuals = [ell.state_residual(ell.ScalarField(grid17, v), mu, f) for v in sweeps]
         assert len(sweeps) > 5
         assert all(r > math.sqrt(tol) for r in residuals[:-1])
@@ -309,6 +347,27 @@ class TestLinearSolver:
         psi = ro.solve_adjoint(grid17, mu, u, f)
         assert not linalg_calls.factorize
         assert len(linalg_calls.solve) <= 3
+        assert ell.adjoint_residual(psi, u, mu, f) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["random0", "manufactured129"])
+    def test_cold_state_and_adjoint_back_substitute_at_most_16_times(self, case,
+                                                                     linalg_calls):
+        """The first random measure of the seed-1 `fields` workload at 65x65
+        and the manufactured measure at 129x129: a cold state solve and its
+        adjoint take 2 factorizations (the sweep matrix, then Newton's
+        Jacobian) and at most 16 back-substitutions (measured 12 each;
+        24 before the secant steps)."""
+        f = ro.GrowthFunction()
+        if case == "random0":
+            grid, mu = fields_random0()
+        else:
+            grid = ro.Grid(ro.Domain(), 129, 129)
+            mu = manufactured_problem(grid, f)[0]
+        u = ro.solve_state(grid, mu, f)
+        psi = ro.solve_adjoint(grid, mu, u, f)
+        assert len(linalg_calls.factorize) == 2
+        assert len(linalg_calls.solve) <= 16
+        assert ell.state_residual(u, mu, f) <= 1e-8
         assert ell.adjoint_residual(psi, u, mu, f) <= 1e-10
 
     @pytest.mark.parametrize("m0", [None, 3.96])
@@ -607,6 +666,42 @@ class TestStateSolve:
             assert min(np.min(v - ref) for v in iterates) >= -1e-9 * f.u_max
             extinct += ref.max() < 1e-6 * f.u_max
         assert extinct >= 2
+
+    def test_certified_secant_points_stay_above_the_maximal_solution(self, sweep_log,
+                                                                     monkeypatch):
+        """The first random measure of the seed-1 `fields` workload at
+        65x65.  Every point that _state_misfit measures in a cold solve
+        (sweep iterates, certified secant points, Newton iterates) stays
+        above the sweep-only reference up to rounding, and every iterate a
+        sweep adopts is a supersolution: lap u + f(u) - a u <= 0 at every
+        node, up to the rounding of the stencil (measured: below 0
+        everywhere).  The certificate is what keeps them there: a sweep that
+        adopts its secant point whenever it measures lower, uncertified,
+        undershoots the reference by 4.5e-5."""
+        grid, mu = fields_random0()
+        f = ro.GrowthFunction()
+        ref = self.swept_reference(grid, mu, f, tol=1e-11)
+        lap = ro.laplacian_matrix(grid)
+        a = ro.lump_measure(mu, grid).density()
+        ro.solve_state(grid, mu, f)
+        measured = [entry[1] for entry in sweep_log.log if entry[0] == "misfit"]
+        assert min(np.min(v - ref) for v in measured) >= -1e-9 * f.u_max
+        adopted = sweep_log.adopted()
+        assert len(adopted) > 3
+        gamma = 8 * 2.0 ** -53 / (1 - 8 * 2.0 ** -53)
+        for v, (res, _, fu) in adopted:
+            assert np.all(res <= gamma * (abs(lap) @ v + np.abs(fu) + a * v))
+
+        def uncertified(lap, a, f, g, misfit, d, c):
+            trial = g + c * d
+            trial_misfit = ell._state_misfit(lap, a, f, trial)
+            return (trial, trial_misfit) if trial_misfit[1] < misfit[1] else (g, misfit)
+
+        sweep_log.log.clear()
+        monkeypatch.setattr(ell, "_secant", uncertified)
+        ro.solve_state(grid, mu, f)
+        measured = [entry[1] for entry in sweep_log.log if entry[0] == "misfit"]
+        assert min(np.min(v - ref) for v in measured) < -4e-5 * f.u_max
 
     def test_each_iterate_is_measured_once(self, grid17, monkeypatch):
         """A cold solve that Newton finishes and a warm one: the sweep hands

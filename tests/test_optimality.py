@@ -370,6 +370,39 @@ class TestSpawnScores:
         assert checked > 50, checked
 
 
+class TestSpawnTieBreak:
+    def test_mirror_ties_go_to_the_lowest_node_index(self, spawn_calls, monkeypatch):
+        """The 17x17 spawn ascent spawns on the axis y = 0 while its measure
+        stays symmetric in y, until the best node and its mirror image
+        y -> -y tie up to rounding.  Whichever of the two is ahead by a few
+        ulps, the spawn goes to the lower node index; a lead of 1e-9
+        decides."""
+        for config, bundle, _, score in spawn_calls:
+            grid = config.grid
+            best = int(np.argmax(score))
+            iy, ix = divmod(best, grid.nx)
+            mirror = (grid.ny - 1 - iy) * grid.nx + ix
+            if mirror != best and abs(score[best] - score[mirror]) <= 4 * np.spacing(score[best]):
+                break
+        else:
+            pytest.fail("no spawn with a tied mirror pair")
+        low, high = sorted((best, mirror))
+        top = score[best]
+
+        def spawned_at(node, lead):
+            perturbed = score.copy()
+            perturbed[[low, high]] = top
+            perturbed[node] += lead
+            monkeypatch.setattr(optimality, "_spawn_scores", lambda *args: perturbed)
+            trial = optimality._spawn_candidate(config, bundle)
+            return grid.index_of(*trial.atoms[-1].position)
+
+        for node in (low, high):
+            for ulps in (0, 1, 4):
+                assert spawned_at(node, ulps * np.spacing(top)) == low
+        assert spawned_at(high, 1e-9) == high
+
+
 class TestSupportDensity:
     def test_single_atom_occupies_one_cell(self, small_grid):
         mu = ro.DiscreteMeasure((ro.Atom(small_grid.node_position(8, 8), 0.5),))
