@@ -480,8 +480,10 @@ def _fermat_point(pts, w, start):
     if k is not None:
         return pts[k]
 
-    def cost(x, y):
-        return sum(wi * math.hypot(x - px, y - py) for (px, py), wi in zip(pts, w))
+    def change(nx, ny):  # cost(n) - cost(s) as sum w_i (|d_i + e| - |d_i|), no cancellation
+        ex, ey = nx - sx, ny - sy
+        return sum(wi * ((dx + dx + ex) * ex + (dy + dy + ey) * ey)
+                   / (math.hypot(dx + ex, dy + ey) + nd) for dx, dy, nd, wi in rel)
 
     if start in pts:
         wsum = sum(w)
@@ -489,14 +491,15 @@ def _fermat_point(pts, w, start):
                  sum(wi * py for wi, (_, py) in zip(w, pts)) / wsum)
     sx, sy = start
     tiny = 1e-15 * (max(max(abs(px), abs(py)) for px, py in pts) + 1.0)
-    f = cost(sx, sy)
     for _ in range(_MAX_NEWTON_STEPS):
         gx = gy = hxx = hxy = hyy = num_x = num_y = den = 0.0
+        rel = []  # (s - anchor, |s - anchor|, weight) per anchor
         for (px, py), wi in zip(pts, w):
             nd = math.hypot(sx - px, sy - py)
             if nd == 0.0:
                 return sx, sy  # an iterate hit an anchor exactly
             ux, uy, c = (sx - px) / nd, (sy - py) / nd, wi / nd
+            rel.append((sx - px, sy - py, nd, wi))
             gx += wi * ux
             gy += wi * uy
             hxx += c * uy * uy
@@ -514,62 +517,93 @@ def _fermat_point(pts, w, start):
         if det > 0.0 and step <= tiny:
             break
         wx, wy = num_x / den, num_y / den
-        fw = cost(wx, wy)
+        fw = change(wx, wy)
         t = 1.0
         while t * step > tiny:
             nx, ny = sx + t * stx, sy + t * sty
-            fn = cost(nx, ny)
+            fn = change(nx, ny)
             if fn <= fw:
                 break
             t *= 0.5
         else:
             nx, ny, fn = wx, wy, fw
-        if fn >= f:
+        if fn >= 0.0:
             break
-        sx, sy, f = nx, ny, fn
+        sx, sy = nx, ny
     return sx, sy
 
 
-def _newton_step(x, parents, weights, steiner):
-    """The (n, 2) positions x after one joint Newton step of
-    `_optimize_positions`, x itself when it is skipped; the full step is
-    tried alone before the batch of its halvings."""
-    child, par, w = np.arange(1, len(x)), parents[1:], weights[1:]
-    d = x[child] - x[par]
-    length = np.sqrt((d * d).sum(1))
-    zero = length == 0.0
-    join = zero & steiner[child] & steiner[par]
-    block = np.arange(len(x))  # a block's nodes take its top node's index
-    while np.any(block[child[join]] != block[par[join]]):
-        block[child[join]] = block[par[join]]
-    free = steiner.copy()
-    free[block[child[zero & ~join]]] = free[block[par[zero & ~join]]] = False  # kinks
-    slot = np.where(free[block], np.cumsum(free & (block == np.arange(len(x))))[block], 0)
-    if not (m := int(slot.max())):  # slot 0 holds every fixed node
-        return x
-    inv = 1.0 / np.where(zero, np.inf, length)
-    u = d * inv[:, None]
-    h = (w * inv)[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None])
-    a, b = 2 * slot[child, None] + np.arange(2), 2 * slot[par, None] + np.arange(2)
-    grad, hess = np.zeros(2 * m + 2), np.zeros((2 * m + 2, 2 * m + 2))
-    np.add.at(grad, np.concatenate([a, b]), np.concatenate([w[:, None] * u, -w[:, None] * u]))
-    if np.abs(grad[2:]).max() <= 1e-14 * w.max():
-        return x  # stationary to rounding
-    np.add.at(hess, (np.concatenate([a, b, a, b])[:, :, None],
-                     np.concatenate([a, b, b, a])[:, None, :]), np.concatenate([h, h, -h, -h]))
-    try:
-        step = np.vstack([(0.0, 0.0), np.linalg.solve(hess[2:, 2:], -grad[2:]).reshape(m, 2)])
-    except np.linalg.LinAlgError:
-        return x
-    for t in (np.ones(1), 0.5 ** np.arange(1, _MAX_HALVINGS)):  # the full step alone first
-        shift = t[:, None, None] * (step[slot[child]] - step[slot[par]])
-        # |d + shift| - |d| without cancellation; a zero-length edge never stretches
-        grow = ((2.0 * d + shift) * shift).sum(-1) / (
-            np.sqrt(((d + shift) ** 2).sum(-1)) + length + zero)
-        lower = np.flatnonzero((w * grow).sum(1) < 0.0)
-        if len(lower):
-            return x + t[lower[0]] * step[slot]
-    return x
+def _newton_direction(xy, edges, tiny):
+    """({free node: its step}, [(i, top of p's block, w, dx, dy, length, the
+    edge's Hessian block h = w / L (I - u u^T) as h_xx, h_xy, h_yy) per edge
+    of nonzero length]) of the joint Newton step of `_optimize_positions`
+    at xy; None if no block is free, no gradient entry exceeds tiny or a
+    pivot is singular.  edges: (i, parent, weight, i is steiner, parent is
+    steiner) per edge with a steiner end, parents first.  The free blocks
+    form a forest: their Hessian eliminates leaves first, with 2x2 pivots
+    and no fill (George and Liu, 1981)."""
+    top = list(range(n := len(xy)))  # a block's nodes take its top node's index
+    sxx, sxy, syy, rx, ry = ([0.0] * n for _ in range(5))  # per block; r = -grad
+    held, geo, done, step = set(), [], [], {}
+    for i, p, w, si, sp in edges:
+        (xi, yi), (xp, yp) = xy[i], xy[p]
+        if (length := math.sqrt((dx := xi - xp) * dx + (dy := yi - yp) * dy)) > 0.0:
+            ux, uy, c, q = dx * (inv := 1.0 / length), dy * inv, w * inv, top[p]
+            hxx, hxy, hyy = c * (1.0 - ux * ux), -c * (ux * uy), c * (1.0 - uy * uy)
+            gx, gy = w * ux, w * uy  # i tops its block: r_i starts here, as in a dense assembly
+            geo.append((i, q, w, dx, dy, length, hxx, hxy, hyy))
+            sxx[i], sxy[i], syy[i] = sxx[i] + hxx, sxy[i] + hxy, syy[i] + hyy
+            sxx[q], sxy[q], syy[q] = sxx[q] + hxx, sxy[q] + hxy, syy[q] + hyy
+            rx[i], ry[i], rx[q], ry[q] = rx[i] - gx, ry[i] - gy, rx[q] + gx, ry[q] + gy
+        elif si and sp:
+            top[i] = top[p]
+        else:
+            held.update((top[i], top[p]))  # a kink
+    free = {i for i, _, _, si, _ in edges if si and top[i] not in held}
+    if max((max(abs(rx[i]), abs(ry[i])) for i in free if top[i] == i), default=0.0) <= tiny:
+        return None
+    for i, q, _, _, _, _, hxx, hxy, hyy in reversed(geo):
+        if i in free:  # i tops a block, and every block below it is eliminated
+            axx, axy, ayy, bx, by = sxx[i], sxy[i], syy[i], rx[i], ry[i]
+            if (det := axx * ayy - axy * axy) == 0.0:
+                return None
+            a, b, d = ayy / det, -axy / det, axx / det
+            done.append((i, q := q if q in free else None, hxx, hxy, hyy, a, b, d, bx, by))
+            if q is not None:  # with k = h S_i^-1: S_q -= k h, r_q += k r_i
+                kxx, kxy = hxx * a + hxy * b, hxx * b + hxy * d
+                kyx, kyy = hxy * a + hyy * b, hxy * b + hyy * d
+                sxx[q], sxy[q] = sxx[q] - (kxx * hxx + kxy * hxy), sxy[q] - (kxx * hxy + kxy * hyy)
+                syy[q], rx[q] = syy[q] - (kyx * hxy + kyy * hyy), rx[q] + (kxx * bx + kxy * by)
+                ry[q] += kyx * bx + kyy * by
+    for i, q, hxx, hxy, hyy, a, b, d, bx, by in reversed(done):  # s_i = S_i^-1 (r_i + h s_q)
+        px, py = step[q] if q is not None else (0.0, 0.0)
+        bx, by = bx + (hxx * px + hxy * py), by + (hxy * px + hyy * py)
+        step[i] = (a * bx + b * by, b * bx + d * by)
+    return {i: step[top[i]] for i in free}, geo
+
+
+def _newton_step(xy, edges, tiny):
+    """xy, a list of (x, y), after the joint Newton step of `_newton_direction`
+    scaled by the first t = 2^-k, k < _MAX_HALVINGS, that strictly lowers the
+    weighted length; xy itself when the step is skipped or no t helps."""
+    if (solved := _newton_direction(xy, edges, tiny)) is None:
+        return xy
+    step, geo = solved
+    moving = [(w, dx, dy, length, step.get(i, (0.0, 0.0)), step.get(q, (0.0, 0.0)))
+              for i, q, w, dx, dy, length, _, _, _ in geo if i in step or q in step]
+    for k in range(_MAX_HALVINGS):
+        t, change = 0.5 ** k, 0.0
+        for w, dx, dy, length, (ax, ay), (bx, by) in moving:  # |d + shift| - |d|, no cancellation
+            sx, sy = t * (ax - bx), t * (ay - by)
+            nx, ny = dx + sx, dy + sy
+            change += w * (((2.0 * dx + sx) * sx + (2.0 * dy + sy) * sy)
+                           / (math.sqrt(nx * nx + ny * ny) + length))
+        if change < 0.0:
+            out = list(xy)
+            for i, (sx, sy) in step.items():
+                out[i] = (xy[i][0] + t * sx, xy[i][1] + t * sy)
+            return out
+    return xy
 
 
 def _optimize_positions(pos, parents, atom_index, weights, scale):
@@ -586,19 +620,18 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
     new positions.
 
     Sweeps converge only linearly, so each sweep is followed by one joint
-    Newton step (`_newton_step`): each block is one unknown, and a node or
-    block on a kink (a zero-length edge to a terminal or the root) stays.
-    Edge e of length L and direction u adds w_e / L (I - u u^T) to the
-    dense Hessian.  The step is halved until the exact weighted length
-    strictly decreases, and skipped when the gradient is at rounding level,
-    the system is singular or no halving helps.
+    Newton step over all blocks (`_newton_step`), solved by elimination over
+    the tree in plain floats; a block on a kink (a zero-length edge to a
+    terminal or the root) stays.
     """
-    steiner = (np.asarray(atom_index) < 0) & (np.arange(len(atom_index)) > 0)
-    free_idx = np.flatnonzero(steiner).tolist()
-    parents, weights = np.asarray(parents), np.asarray(weights, dtype=float)
+    steiner = [a < 0 and i > 0 for i, a in enumerate(np.asarray(atom_index).tolist())]
+    par, weights = np.asarray(parents).tolist(), np.asarray(weights, dtype=float).tolist()
+    edges = [(i, par[i], weights[i], steiner[i], steiner[par[i]])
+             for i in _depth_order(par)[1:] if steiner[i] or steiner[par[i]]]
+    tiny = 1e-14 * max(weights[1:], default=0.0)  # the gradient's rounding level
     xy = [tuple(p) for p in np.asarray(pos, dtype=float).tolist()]
     nbrs = [[] for _ in xy]  # (neighbour, weight of the edge to it)
-    for i, (p, wi) in enumerate(zip(parents[1:].tolist(), weights[1:].tolist()), 1):
+    for i, (p, wi) in enumerate(zip(par[1:], weights[1:]), 1):
         nbrs[i].append((p, wi))
         nbrs[p].append((i, wi))
 
@@ -611,7 +644,7 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
 
     for _ in range(_MAX_GEOMETRY_SWEEPS):
         moved = 0.0
-        for i in free_idx:
+        for i in (i for i, s in enumerate(steiner) if s):
             moved = max(moved, move([i], nbrs[i]))
             block = [i]
             for b in block:  # grows while it is read
@@ -620,7 +653,7 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
             if len(block) > 1:
                 outside = [(j, wj) for b in block for j, wj in nbrs[b] if j not in block]
                 moved = max(moved, move(block, outside))
-        xy[:] = map(tuple, _newton_step(np.array(xy), parents, weights, steiner).tolist())
+        xy = _newton_step(xy, edges, tiny)
         if moved <= 1e-12 * max(1.0, scale):
             break
     return np.array(xy, dtype=float)

@@ -620,6 +620,28 @@ def y_cost(s, pts, w):
     return sum(wi * math.hypot(s[0] - x, s[1] - y) for (x, y), wi in zip(pts, w))
 
 
+class TestFermatPoint:
+    def test_random_anchor_sets_are_stationary(self):
+        """From random starts, the Fermat point of random 3- to 6-anchor sets
+        that no anchor wins balances the pulls of its anchors: |sum w_i u_i|
+        <= 1e-11 sum w.  Summed costs cannot resolve the last decreases
+        before the optimum, so the search must compare per-anchor length
+        changes to get there."""
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 2000:
+            k = int(rng.integers(3, 7))
+            pts = [tuple(p) for p in rng.uniform(-1.0, 1.0, (k, 2)).tolist()]
+            w = rng.uniform(0.05, 1.0, k).tolist()
+            if irr._degenerate_anchor(pts, w) is not None:
+                continue
+            s = irr._fermat_point(pts, w, tuple(rng.uniform(-1.0, 1.0, 2).tolist()))
+            dist = [math.hypot(s[0] - x, s[1] - y) for x, y in pts]
+            pull = [sum(wi * (s[c] - p[c]) / di for p, wi, di in zip(pts, w, dist)) for c in (0, 1)]
+            assert math.hypot(*pull) <= 1e-11 * sum(w), (pts, w)
+            checked += 1
+
+
 class TestYJunction:
     @staticmethod
     def assert_no_worse_than_fermat_point(pts, w):
@@ -775,54 +797,98 @@ class TestGeometry:
         assert max(sweeps) < irr._MAX_GEOMETRY_SWEEPS, sorted(sweeps)[-5:]
 
 
-def newton_with_solve(args):
-    """(result, solution) of one `_newton_step` call, with the solution of
-    its Newton system as np.linalg.solve returned it (None when the step is
-    skipped before solving)."""
-    solved = []
-    real = np.linalg.solve
-
-    def recording(a, b):
-        solved.append(real(a, b))
-        return solved[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "solve", recording)
-        out = irr._newton_step(*args)
-    return out, (solved[0] if solved else None)
+def newton_args(pos, parents, weights, steiner):
+    """`_newton_step`'s arguments for a plan, as `_optimize_positions` builds
+    them: the positions as (x, y) tuples, (i, parent, weight, i is steiner,
+    parent is steiner) for every edge with a steiner end in depth order,
+    and the gradient's rounding level 1e-14 * max weight."""
+    par, w, st = list(map(int, parents)), list(map(float, weights)), list(map(bool, steiner))
+    edges = [(i, par[i], w[i], st[i], st[par[i]])
+             for i in irr._depth_order(par)[1:] if st[i] or st[par[i]]]
+    return [tuple(p) for p in np.asarray(pos, dtype=float).tolist()], edges, 1e-14 * max(w[1:])
 
 
-def newton_by_batch(x, parents, weights, steiner, solution):
-    """(x + t * step, k) for the first t = 2^-k, k < _MAX_HALVINGS, at which
-    the weighted length strictly drops, or (x, None), all 40 trial steps
-    priced in one batch.  The step moves each free block (steiner nodes
-    joined by zero-length edges, none of them on a zero-length edge to a
-    terminal or the root) by its row of the solution, blocks numbered by
-    their top node."""
-    n = len(x)
-    child, par, w = np.arange(1, n), parents[1:], weights[1:]
+def dense_newton(xy, edges, tiny):
+    """The reference for `_newton_direction`: the joint Newton system
+    assembled as a dense matrix with np.add.at and solved with
+    np.linalg.solve.  Returns the (n, 2) step of every node (zero on fixed
+    nodes), or None when the step is skipped: no free block, a gradient at
+    rounding level, or a singular system.  Blocks take the label of their
+    top node by propagation over zero-length steiner-steiner edges, and a
+    block on a zero-length edge to a fixed node is fixed."""
+    x, n = np.array(xy, dtype=float), len(xy)
+    if not edges:
+        return None
+    child, par, w, st_child, st_par = (np.array(c) for c in zip(*edges))
+    steiner = np.zeros(n, dtype=bool)
+    steiner[child], steiner[par] = st_child, st_par
     d = x[child] - x[par]
     length = np.sqrt((d * d).sum(1))
     zero = length == 0.0
-    top = list(range(n))
-    for i in irr._depth_order(parents)[1:]:
-        if zero[i - 1] and steiner[i] and steiner[parents[i]]:
-            top[i] = top[parents[i]]
-    free = {top[i] for i in range(n) if steiner[i]}
-    for i in np.flatnonzero(zero) + 1:
-        if not (steiner[i] and steiner[parents[i]]):
-            free -= {top[i], top[parents[i]]}
-    rows = {b: r for r, b in enumerate(sorted(free))}
-    step = np.zeros((n, 2))
-    for i in range(n):
-        if top[i] in rows:
-            step[i] = solution.reshape(-1, 2)[rows[top[i]]]
+    join = zero & steiner[child] & steiner[par]
+    block = np.arange(n)
+    while np.any(block[child[join]] != block[par[join]]):
+        block[child[join]] = block[par[join]]
+    free = steiner.copy()
+    free[block[child[zero & ~join]]] = free[block[par[zero & ~join]]] = False
+    slot = np.where(free[block], np.cumsum(free & (block == np.arange(n)))[block], 0)
+    if not (m := int(slot.max())):  # slot 0 holds every fixed node
+        return None
+    inv = 1.0 / np.where(zero, np.inf, length)
+    u = d * inv[:, None]
+    h = (w * inv)[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None])
+    a, b = 2 * slot[child, None] + np.arange(2), 2 * slot[par, None] + np.arange(2)
+    grad, hess = np.zeros(2 * m + 2), np.zeros((2 * m + 2, 2 * m + 2))
+    np.add.at(grad, np.concatenate([a, b]), np.concatenate([w[:, None] * u, -w[:, None] * u]))
+    if np.abs(grad[2:]).max() <= tiny:
+        return None
+    np.add.at(hess, (np.concatenate([a, b, a, b])[:, :, None],
+                     np.concatenate([a, b, b, a])[:, None, :]), np.concatenate([h, h, -h, -h]))
+    try:
+        solution = np.linalg.solve(hess[2:, 2:], -grad[2:])
+    except np.linalg.LinAlgError:
+        return None
+    return np.vstack([(0.0, 0.0), solution.reshape(m, 2)])[slot]
+
+
+def first_lowering_halving(xy, edges, step):
+    """The first k < _MAX_HALVINGS at which xy + 2^-k step strictly lowers
+    the weighted length, all trial steps priced in one batch, or None."""
+    x = np.array(xy, dtype=float)
+    child, par, w = (np.array(c) for c in list(zip(*edges))[:3])
+    d = x[child] - x[par]
+    length = np.sqrt((d * d).sum(1))
     t = 0.5 ** np.arange(irr._MAX_HALVINGS)
     shift = t[:, None, None] * (step[child] - step[par])
+    # |d + shift| - |d| without cancellation; a zero-length edge never stretches
     grow = ((2.0 * d + shift) * shift).sum(-1) / (
-        np.sqrt(((d + shift) ** 2).sum(-1)) + length + zero)
+        np.sqrt(((d + shift) ** 2).sum(-1)) + length + (length == 0.0))
     lower = np.flatnonzero((w * grow).sum(1) < 0.0)
-    return (x + t[lower[0]] * step, int(lower[0])) if len(lower) else (x, None)
+    return int(lower[0]) if len(lower) else None
+
+
+def check_against_dense(xy, edges, tiny):
+    """Checks one `_newton_step` against `dense_newton`: the same skips, an
+    eliminated step within 1e-12 of the dense one relative to its largest
+    entry, and the same accepted halving k, the result being exactly xy +
+    2^-k step.  Returns k, None when no halving helps, or "skip"."""
+    ref = dense_newton(xy, edges, tiny)
+    out = irr._newton_step(xy, edges, tiny)
+    if ref is None:
+        assert out is xy
+        return "skip"
+    solved = irr._newton_direction(xy, edges, tiny)
+    assert solved is not None
+    step = np.zeros_like(ref)
+    for i, s in solved[0].items():
+        step[i] = s
+    assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
+    k = first_lowering_halving(xy, edges, ref)
+    if k is None:
+        assert out is xy
+    else:
+        assert np.array_equal(np.array(out), np.array(xy) + 0.5 ** k * step), k
+    return k
 
 
 @pytest.fixture(scope="module")
@@ -834,9 +900,9 @@ def newton_steps():
     steps = []
     real = irr._newton_step
 
-    def recording(*args):
-        steps.append(tuple(np.array(a, copy=True) for a in args))
-        return real(*args)
+    def recording(xy, edges, tiny):
+        steps.append((list(xy), edges, tiny))  # the sweeps rewrite xy in place
+        return real(xy, edges, tiny)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(irr, "_newton_step", recording)
@@ -846,36 +912,79 @@ def newton_steps():
     for _ in range(200):
         tree = random_tree(rng, random_measure(rng, int(rng.integers(2, 9))))
         steiner = (tree.atom_index < 0) & (np.arange(tree.n_nodes) > 0)
-        steps.append((tree.positions, tree.parents, rng.uniform(0.05, 1.0, tree.n_nodes), steiner))
+        steps.append(newton_args(tree.positions, tree.parents,
+                                 rng.uniform(0.05, 1.0, tree.n_nodes), steiner))
     # a steiner node 1e-30 off a terminal whose weight beats the pull of the
     # other two edges: the optimum is the terminal and every trial step
     # overshoots it, so no halving helps
-    steps.append((np.array([(0.0, 0.0), (1.0 + 1e-30, 1e-30), (1.0, 0.0), (1.0, 0.5)]),
-                  np.array([-1, 0, 1, 1]), np.array([0.0, 1.0, 5.0, 1.0]),
-                  np.array([False, True, False, False])))
+    steps.append(newton_args([(0.0, 0.0), (1.0 + 1e-30, 1e-30), (1.0, 0.0), (1.0, 0.5)],
+                             [-1, 0, 1, 1], [0.0, 1.0, 5.0, 1.0], [False, True, False, False]))
     return ascent, steps
+
+
+# (positions, parents, steiner flags) of plans whose free blocks are shaped
+# to exercise the elimination
+ELIMINATION_PLANS = {
+    # steiner nodes 1 and 2 coincide: one block with four outside neighbours
+    "coincident block": ([(0.0, 0.0), (1.0, 0.1), (1.0, 0.1), (2.0, 1.0), (2.0, -1.0),
+                          (2.5, 0.2), (1.3, 0.7), (1.7, 0.9), (1.5, 1.4)],
+                         [-1, 0, 1, 1, 2, 2, 1, 6, 6], [0, 1, 1, 0, 0, 0, 1, 0, 0]),
+    # steiner 1 sits on the root and steiner 3 on terminal 2: both are held,
+    # and steiner 6, a child of the held node 1, is free
+    "kinks": ([(0.0, 0.0), (0.0, 0.0), (1.0, 0.5), (1.0, 0.5), (2.0, 0.3), (1.6, 1.2),
+               (0.6, -0.3), (1.2, -0.8), (1.4, -0.1)],
+              [-1, 0, 1, 2, 3, 3, 1, 6, 6], [0, 1, 0, 1, 0, 0, 1, 0, 0]),
+    # free blocks {1} and {4, 7} separated by terminal 2: a forest
+    "forest": ([(0.0, 0.0), (0.5, 0.1), (1.0, 0.0), (0.6, 0.7), (1.5, 0.2), (2.0, 0.6),
+                (2.0, -0.3), (1.5, 0.2), (2.2, 0.1)],
+               [-1, 0, 1, 1, 2, 4, 4, 4, 7], [0, 1, 0, 0, 1, 0, 0, 1, 0]),
+    # the only steiner node sits on terminal 2
+    "no free node": ([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 1.0), (0.5, -0.5)],
+                     [-1, 0, 1, 1, 0], [0, 1, 0, 0, 0]),
+    # a branch point on the axis through both neighbours: its Hessian w / L
+    # (I - u u^T) is exactly singular
+    "collinear": ([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], [-1, 0, 1], [0, 1, 0]),
+}
 
 
 class TestNewtonStep:
     def test_result_is_the_first_halving_that_lowers_the_length(self, newton_steps):
-        """The full step tried alone, then its halvings, accepts the same t
-        as pricing all 40 trial steps at once, bit for bit.  On the spawn
-        ascent every step that moves but one takes the full step."""
-        ks = {}
-        for part, steps in zip(("ascent", "random"), newton_steps):
-            ks[part] = []
-            for args in steps:
-                out, solution = newton_with_solve(args)
-                if solution is None:
-                    assert out is args[0]
-                    continue
-                expected, k = newton_by_batch(*args, solution)
-                assert np.array_equal(out, expected) and (k is not None or out is args[0]), k
-                ks[part].append(k)
-        assert len(ks["ascent"]) > 100 and ks["ascent"].count(0) == len(ks["ascent"]) - 1
-        every = ks["ascent"] + ks["random"]
-        assert sum(k is not None and k > 0 for k in every) > 10  # the fallback batch
+        """On every step of the spawn ascent and on random plans, the tree
+        elimination takes the dense solve's step within 1e-12, the result is
+        x plus the first halving of that step that lowers the weighted
+        length as the dense step's halvings priced in one batch find it, and
+        every skip returns x.  On the spawn ascent every step that moves but
+        one takes the full step."""
+        ks = {part: [check_against_dense(*args) for args in steps]
+              for part, steps in zip(("ascent", "random"), newton_steps)}
+        ascent = [k for k in ks["ascent"] if k != "skip"]
+        assert len(ascent) > 100 and ascent.count(0) == len(ascent) - 1
+        every = ascent + ks["random"]
+        assert sum(k not in (None, "skip") and k > 0 for k in every) > 10  # halvings
         assert None in every  # no halving helps, x comes back
+        assert "skip" in ks["ascent"]
+
+    @pytest.mark.parametrize("name", list(ELIMINATION_PLANS))
+    def test_shaped_plans_match_the_dense_solve(self, name):
+        """Coincident blocks move as one, held blocks stay, a forest of free
+        blocks is solved tree by tree, and a plan with no free node or an
+        exactly singular pivot returns x unchanged."""
+        pos, parents, steiner = ELIMINATION_PLANS[name]
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            args = newton_args(pos, parents, rng.uniform(0.05, 1.0, len(pos)), steiner)
+            k = check_against_dense(*args)
+            if name in ("no free node", "collinear"):
+                assert k == "skip"
+                continue
+            assert k != "skip"
+            moving = irr._newton_direction(*args)[0]
+            free = {"coincident block": {1, 2, 6}, "kinks": {6}, "forest": {1, 4, 7}}[name]
+            assert set(moving) == free
+        if name == "coincident block":
+            assert moving[1] == moving[2]
+        if name == "collinear":
+            assert irr._newton_direction(*args) is None
 
 
 class TestBruteForce:
