@@ -148,9 +148,16 @@ class Grid:
         return self.node_index(ix, iy)
 
     def node_coordinates(self) -> np.ndarray:
-        """All node positions as an (n_nodes, 2) array in node order."""
+        """All node positions as a read-only (n_nodes, 2) array in node
+        order iy * nx + ix, built once per grid."""
+        return self._coordinates
+
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
         X, Y = np.meshgrid(self.xs, self.ys)
-        return np.column_stack([X.ravel(), Y.ravel()])
+        v = np.column_stack([X.ravel(), Y.ravel()])
+        v.setflags(write=False)
+        return v
 
 
 @dataclass(frozen=True)

@@ -466,8 +466,40 @@ def _y_junctions(x, y, w):
     return np.where(won, x[first], sx), np.where(won, y[first], sy)
 
 
+def _y_junction(pts, w):
+    """`_y_junctions` for one triple in plain floats, bit for bit: pts holds
+    three (x, y) anchors and w their weights; returns the point as (x, y).
+    It repeats the batched operations in their order, sums left to right."""
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    w0, w1, w2 = w
+    terms = []  # (dot, w_j^2 + w_k^2 - w_i^2) per anchor i
+    for xi, yi, wi, xj, yj, wj, xk, yk, wk in ((x0, y0, w0, x1, y1, w1, x2, y2, w2),
+                                               (x1, y1, w1, x2, y2, w2, x0, y0, w0),
+                                               (x2, y2, w2, x0, y0, w0, x1, y1, w1)):
+        dxj, dyj, dxk, dyk = xj - xi, yj - yi, xk - xi, yk - yi
+        len_j, len_k = math.sqrt(dxj * dxj + dyj * dyj), math.sqrt(dxk * dxk + dyk * dyk)
+        c_j = wj / len_j if len_j > 0.0 else 0.0
+        c_k = wk / len_k if len_k > 0.0 else 0.0
+        px, py = dxj * c_j + dxk * c_k, dyj * c_j + dyk * c_k
+        held = (wi + (0.0 if len_j > 0.0 else wj)) + (0.0 if len_k > 0.0 else wk)
+        if math.sqrt(px * px + py * py) <= held * (1.0 + 1e-12):
+            return xi, yi
+        terms.append((dxj * dxk + dyj * dyk, wj * wj + wk * wk - wi * wi))
+    area2, wsum = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)), w0 + w1 + w2
+    area4_w = math.sqrt(wsum * (wsum - 2.0 * w0) * (wsum - 2.0 * w1) * (wsum - 2.0 * w2))
+    l0, l1, l2 = (1.0 / (dot * area4_w + wq * area2) for dot, wq in terms)
+    lam_sum = l0 + l1 + l2
+    return (l0 * x0 + l1 * x1 + l2 * x2) / lam_sum, (l0 * y0 + l1 * y1 + l2 * y2) / lam_sum
+
+
 def _fermat_point(pts, w, start):
     """Exact minimizer of sum w_i |s - pts_i| over (x, y) anchors, as (x, y).
+
+    The general solver, for any number of anchors.  `_optimize_positions`
+    sends it every move that does not have exactly three anchors: a node
+    with four or more neighbours, a block of coincident nodes, or the
+    two-neighbour node a reparent leaves until the next contraction.  The
+    tests take it as the independent reference of `_y_junctions`.
 
     A winner of the degenerate test is returned as is.  Otherwise the
     minimizer lies off every anchor, where the objective is smooth and
@@ -612,12 +644,13 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
     The steiner nodes are the non-root nodes without an atom.  The
     objective is convex in the coordinates.  Each Gauss-Seidel sweep
     moves every steiner node, in node order, to the exact weighted Fermat
-    point of its neighbours.  Single moves stall on the kink where steiner
-    nodes coincide, so a node that lands on a steiner neighbour then moves
-    on with all steiner nodes joined to it by zero-length edges, as one
-    block, to the Fermat point of the block's outside neighbours.  Sweeps
-    stop once no node moves more than 1e-12 * max(1, scale).  Returns the
-    new positions.
+    point of its neighbours: in closed form (`_y_junction`) for a move
+    with three anchors, by `_fermat_point` otherwise.  Single moves stall on
+    the kink where steiner nodes coincide, so a node that lands on a
+    steiner neighbour then moves on with all steiner nodes joined to it by
+    zero-length edges, as one block, to the Fermat point of the block's
+    outside neighbours.  Sweeps stop once no node moves more than
+    1e-12 * max(1, scale).  Returns the new positions.
 
     Sweeps converge only linearly, so each sweep is followed by one joint
     Newton step over all blocks (`_newton_step`), solved by elimination over
@@ -634,25 +667,27 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
     for i, (p, wi) in enumerate(zip(par[1:], weights[1:]), 1):
         nbrs[i].append((p, wi))
         nbrs[p].append((i, wi))
+    stars = [(i, *zip(*nbrs[i])) for i, s in enumerate(steiner) if s]  # (i, anchors, weights)
 
-    def move(nodes, anchors):
+    def move(nodes, anchors, w):
         old = xy[nodes[0]]
-        q = _fermat_point([xy[j] for j, _ in anchors], [wj for _, wj in anchors], old)
+        pts = [xy[j] for j in anchors]
+        q = _y_junction(pts, w) if len(pts) == 3 else _fermat_point(pts, w, old)
         for i in nodes:
             xy[i] = q
         return math.hypot(q[0] - old[0], q[1] - old[1])
 
     for _ in range(_MAX_GEOMETRY_SWEEPS):
         moved = 0.0
-        for i in (i for i, s in enumerate(steiner) if s):
-            moved = max(moved, move([i], nbrs[i]))
+        for i, anchors, w in stars:
+            moved = max(moved, move([i], anchors, w))
             block = [i]
             for b in block:  # grows while it is read
                 block.extend(j for j, _ in nbrs[b] if steiner[j]
                              and j not in block and xy[j] == xy[i])
             if len(block) > 1:
                 outside = [(j, wj) for b in block for j, wj in nbrs[b] if j not in block]
-                moved = max(moved, move(block, outside))
+                moved = max(moved, move(block, *zip(*outside)))
         xy = _newton_step(xy, edges, tiny)
         if moved <= 1e-12 * max(1.0, scale):
             break

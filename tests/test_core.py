@@ -68,6 +68,15 @@ class TestGrid:
         k = g.node_index(3, 2)
         assert tuple(coords[k]) == g.node_position(3, 2)
 
+    def test_node_coordinates_are_one_read_only_array(self):
+        g = ro.Grid(ro.Domain((0.5, -0.5), (2.0, 0.5)), 7, 5)
+        coords = g.node_coordinates()
+        assert g.node_coordinates() is coords and not coords.flags.writeable
+        assert coords.tolist() == [list(g.node_position(ix, iy))
+                                   for iy in range(g.ny) for ix in range(g.nx)]
+        with pytest.raises(ValueError):
+            coords[0, 0] = 1.0
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 40), st.integers(0, 39), st.integers(0, 39))
     def test_round_trip_property(self, n, ix, iy):

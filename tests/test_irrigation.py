@@ -620,6 +620,11 @@ def y_cost(s, pts, w):
     return sum(wi * math.hypot(s[0] - x, s[1] - y) for (x, y), wi in zip(pts, w))
 
 
+def bits(points):
+    """The IEEE bit patterns of a sequence of (x, y) points, as a list."""
+    return np.asarray(points, dtype=float).view(np.int64).tolist()
+
+
 class TestFermatPoint:
     def test_random_anchor_sets_are_stationary(self):
         """From random starts, the Fermat point of random 3- to 6-anchor sets
@@ -646,13 +651,15 @@ class TestYJunction:
     @staticmethod
     def assert_no_worse_than_fermat_point(pts, w):
         """Every closed-form point costs at most the Newton-solved exact
-        Fermat point's cost times (1 + 1e-12); returns the points."""
+        Fermat point's cost times (1 + 1e-12), and the scalar twin
+        `_y_junction` returns its bits; returns the points."""
         pts, w = np.asarray(pts, dtype=float), np.asarray(w, dtype=float)
         got = np.stack(irr._y_junctions(pts[..., 0], pts[..., 1], w), 1)
         for p, wt, s in zip(pts.tolist(), w.tolist(), got):
             anchors = [tuple(a) for a in p]
             ref = irr._fermat_point(anchors, wt, anchors[0])
             assert y_cost(s, anchors, wt) <= y_cost(ref, anchors, wt) * (1.0 + 1e-12), (p, wt)
+            assert bits(irr._y_junction(anchors, wt)) == bits(s), (p, wt)
         return got
 
     @staticmethod
@@ -722,6 +729,22 @@ class TestYJunction:
         pts[100:, 2] = pts[100:, 1] + rng.normal(0.0, 1e-12, (100, 2))
         s = self.assert_no_worse_than_fermat_point(pts, rng.uniform(0.1, 1.0, (200, 3)))
         assert np.all(np.isfinite(s))
+
+    def test_scalar_twin_matches_bit_for_bit(self):
+        """`_y_junction`, the plain-float form the geometry sweeps use,
+        returns the bits of `_y_junctions` on 100,000 random triples (half
+        with merge weights) and 20,000 triples snapped to a grid of
+        spacing 1/4, where anchors coincide and line up."""
+        rng = np.random.default_rng(16)
+        pts = rng.uniform(-1.0, 1.0, (120_000, 3, 2))
+        pts[100_000:] = np.round(pts[100_000:] * 4.0) / 4.0
+        w = rng.uniform(0.05, 1.0, (120_000, 3))
+        w[:50_000] = self.tree_weights(rng, 50_000, 0.6)
+        got = np.stack(irr._y_junctions(pts[..., 0], pts[..., 1], w), 1)
+        twin = [irr._y_junction([tuple(a) for a in p], wt) for p, wt in zip(pts.tolist(), w.tolist())]
+        assert bits(twin) == bits(got)
+        on_anchor = (got[:, None, :] == pts).all(-1).any(-1)
+        assert 0.2 < on_anchor.mean() < 0.9  # both branches of the closed form run
 
     def test_near_ties_where_an_anchor_barely_loses(self):
         """Anchor i gets just less weight than the pull of the other two, so
@@ -795,6 +818,35 @@ class TestGeometry:
         sweeps = [s for _, _, s in geometry_calls]
         assert len(sweeps) > 50 and min(sweeps) >= 1
         assert max(sweeps) < irr._MAX_GEOMETRY_SWEEPS, sorted(sweeps)[-5:]
+
+
+class TestSweepRouting:
+    def test_three_anchor_moves_take_the_closed_form(self, geometry_calls):
+        """Replaying the fixture's calls and running the 17x17 spawn
+        ascent, every sweep move with three anchors goes to `_y_junction`.
+        `_fermat_point` sees four anchors or more, or two: a steiner node
+        that a reparent left with one child until the next contraction,
+        which its degenerate test answers without iterating."""
+        fermat, y_junction, moves = irr._fermat_point, irr._y_junction, []
+
+        def recording(pts, w, start):
+            moves.append((len(pts), irr._degenerate_anchor(pts, w) is not None))
+            return fermat(pts, w, start)
+
+        def counting(pts, w):
+            moves.append((3, None))
+            return y_junction(pts, w)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(irr, "_fermat_point", recording)
+            mp.setattr(irr, "_y_junction", counting)
+            for args, pos, _ in geometry_calls:
+                assert np.array_equal(irr._optimize_positions(*args), pos)
+            replayed, moves[:] = list(moves), []
+            spawn_ascent(ro.Grid(ro.Domain(), 17, 17))
+        assert replayed.count((3, None)) > 2000 and moves.count((3, None)) > 300
+        assert any(k >= 4 for k, _ in replayed)
+        assert all(k >= 4 or (k == 2 and won) for k, won in replayed + moves if won is not None)
 
 
 def newton_args(pos, parents, weights, steiner):
