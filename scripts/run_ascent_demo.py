@@ -1,5 +1,9 @@
-"""Mass-ascent demo: grow a root measure from a single seed atom and print
-the payoff trajectory, then drop the usual artifact files into --out."""
+"""Mass-ascent demo: grow a root measure from a single seed atom with
+`rootopt optimize`, then print the payoff trajectory from its trace.jsonl.
+
+The seed measure goes into --out as seed.json, and the run leaves the
+usual artifacts there, config.txt included, so `rootopt verify --out DIR`
+re-checks it."""
 
 import argparse
 import sys
@@ -8,9 +12,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import rootopt as ro
-from rootopt.serialization import (save_measure, save_report, save_trace,
-                                   save_tree)
-from rootopt.render import save_svg, render_tree_svg
+from rootopt import cli
+from rootopt.serialization import load_measure, load_report, load_trace, save_measure
 
 
 def parse_args():
@@ -29,31 +32,31 @@ def parse_args():
 def main():
     args = parse_args()
     grid = ro.Grid(ro.Domain(), args.nx, args.nx)
-    cfg = ro.RunConfig(grid=grid, alpha=args.alpha, c=args.c,
-                       max_outer_iters=args.iters, step_size=2.0,
-                       spawn=args.spawn, spawn_mass=0.05,
-                       tol_residual=1e-4)
     seed = grid.node_position(grid.nx // 2, grid.ny // 2)
-    mu0 = ro.DiscreteMeasure((ro.Atom(seed, args.seed_mass),))
-
-    trace = ro.ascend_measure(cfg, mu0)
-    for s in trace.steps:
-        tag = " spawn" if s.spawned else ""
-        print(f"it {s.iteration:4d}  payoff {s.payoff:+.6f}  "
-              f"sup res {s.sup_residual:.3e}  atoms {len(s.measure)}{tag}")
-    print(f"converged: {trace.converged}, final payoff {trace.final_payoff:.6f}, "
-          f"total mass {trace.measure.total_mass:.4f}")
-
     args.out.mkdir(parents=True, exist_ok=True)
-    save_trace(args.out / "trace.jsonl", trace)
-    save_measure(args.out / "measure.json", trace.measure)
-    if trace.tree is not None:
-        save_tree(args.out / "tree.json", trace.tree, trace.measure)
-        save_svg(args.out / "plan.svg",
-                 render_tree_svg(trace.tree, trace.measure, cfg.alpha,
-                                 domain=grid.domain))
-        save_report(args.out / "report.json", trace.report, trace.converged,
-                    len(trace.steps) - 1)
+    seed_path = (args.out / "seed.json").resolve()
+    save_measure(seed_path, ro.DiscreteMeasure((ro.Atom(seed, args.seed_mass),)))
+
+    settings = {"nx": args.nx, "ny": args.nx, "alpha": args.alpha, "c": args.c,
+                "max_outer_iters": args.iters, "step_size": 2.0, "spawn": args.spawn,
+                "spawn_mass": 0.05, "tol_residual": 1e-4, "measure_path": seed_path}
+    argv = ["optimize", "--out", str(args.out)]
+    for key, value in settings.items():
+        argv += ["--set", f"{key}={value}"]
+    status = cli.main(argv)
+    if status:
+        sys.exit(status)
+
+    records = load_trace(args.out / "trace.jsonl")
+    for r in records:
+        tag = " spawn" if r["spawned"] else ""
+        print(f"it {r['iteration']:4d}  payoff {r['payoff']:+.6f}  "
+              f"sup res {r['sup_residual']:.3e}  atoms {len(r['atoms'])}{tag}")
+    # a run without report.json ended on an empty measure, which converges
+    report = args.out / "report.json"
+    converged = load_report(report)["converged"] if report.exists() else True
+    print(f"converged: {converged}, final payoff {records[-1]['payoff']:.6f}, "
+          f"total mass {load_measure(args.out / 'measure.json').total_mass:.4f}")
     print(f"artifacts in {args.out}/")
 
 

@@ -497,8 +497,7 @@ def _fermat_point(pts, w, start):
 
     The general solver, for any number of anchors.  `_optimize_positions`
     sends it every move that does not have exactly three anchors: a node
-    with four or more neighbours, a block of coincident nodes, or the
-    two-neighbour node a reparent leaves until the next contraction.  The
+    with four or more neighbours, or a block of coincident nodes.  The
     tests take it as the independent reference of `_y_junctions`.
 
     A winner of the degenerate test is returned as is.  Otherwise the
@@ -733,63 +732,55 @@ def _contract(pos, parents, atom_index, tol):
             np.array(atom_index, dtype=np.int64))
 
 
-def _apply_move(kind, payload, pos, parents, atom_index):
-    """The plan (pos, parents, atom_index) after one topology move.  A merge
-    (p, x, y, s) or an attach (x, y, p, s) hangs x and y off a new branch
-    point s below p, appended as the last node; a reparent (u, v) hangs u
-    off v."""
+def _apply_move(move, pos, parents, atom_index):
+    """The plan (pos, parents, atom_index) after the attach move (u, q, p, s):
+    u and q hang off a new branch point s below p, appended as the last
+    node."""
+    u, q, p, s = move
     parents = np.array(parents, dtype=np.int64)
-    if kind == "reparent":
-        u, v = payload
-        parents[u] = v
-        return pos, parents, atom_index
-    if kind == "merge":
-        p, x, y, s = payload
-    else:
-        x, y, p, s = payload
-    parents[x] = parents[y] = len(parents)
+    parents[u] = parents[q] = len(parents)
     return (np.vstack([pos, np.array(s)[None, :]]), np.append(parents, p),
             np.append(atom_index, -1))
 
 
-def _move_costs(kind, payload, pos, parents, nm, alpha):
-    """Plan cost before and after one topology move, each from a full
+def _move_costs(move, pos, parents, nm, alpha):
+    """Plan cost before and after one attach move, each from a full
     recompute; nm is the mass per node, so node i carries "atom" i."""
     plan = (pos, parents, np.arange(len(parents)))
     return tuple(_plan_cost(p, par, _fluxes(par, ai, nm), alpha)
-                 for p, par, ai in (plan, _apply_move(kind, payload, *plan)))
+                 for p, par, ai in (plan, _apply_move(move, *plan)))
 
 
 def _candidate_moves(pos, parents, flux, alpha):
     """Every topology move of the plan with its exact cost decrease.
 
-    Returns (gains, move_at): one gain per candidate in tie-break order, and
-    a function from a candidate's index to its (kind, payload).  Merges
-    (p, a, b, s) come first, by parent p and then child pair a < b; then
-    reparents (u, v), by subtree root u and then new parent v; then
-    attaches (u, q, p, s), by u and then the edge from p into q.  s is the
-    new branch point.  Excluded candidates have gain -inf: a reparent onto
-    the subtree itself or onto the current parent, an attach onto an edge
-    inside the subtree or out of the current parent (that is a merge).
+    The one move is an attach (u, q, p, s): subtree u leaves its parent and
+    hangs, with q, off a new branch point s inserted on the edge from p into
+    q.  Every q outside the subtree of u is a candidate, a sibling of u
+    included.  Returns (gains, move_at): the gain of every candidate in (u,
+    q) order, the tie-break order, and a function from a candidate's index
+    to its move.  Merging two siblings is an attach onto a sibling's edge.
+    Hanging u off a node v is the attach onto the edge into v (onto any
+    edge out of the root when v is the root) with s placed on v, and the
+    exact Y-junction never does worse than that.
 
     Moving the flux phi_u of subtree u off the root path of its parent and
-    onto the root path of v changes the cost of the edges on exactly one
+    onto the root path of p changes the cost of the edges on exactly one
     of the two paths.  With P[v, e] = 1 when edge e lies on the root path
     of v, Add[u, e] and Sub[u, e] the cost changes of edge e when phi_u is
     added to or taken off its flux, and op the parent of each u,
 
         R = (Add * (1 - P[op]) - Sub * P[op]) @ P.T + rowsum(Sub * P[op])
 
-    holds every such change.  An attach also takes off the term of the
-    edge into q, whose new flux its own Y-junction prices.  Every merge and
-    attach branch point is one batch of `_y_junctions`."""
+    holds every such change.  The attach also takes off the terms of the
+    edges into u and q, whose new fluxes its own Y-junction prices, and
+    every branch point s is one batch of `_y_junctions`."""
     n = len(parents)
     par = np.asarray(parents, dtype=np.int64)
     up = np.maximum(par, 0)  # the root points at itself
     fa = flux ** alpha
-    gx, gy = pos[:, None, 0] - pos[:, 0], pos[:, None, 1] - pos[:, 1]
-    dist = np.sqrt(gx * gx + gy * gy)
-    elen = dist[np.arange(n), up]
+    ex, ey = pos[:, 0] - pos[up, 0], pos[:, 1] - pos[up, 1]
+    elen = np.sqrt(ex * ex + ey * ey)
     P = np.zeros((n, n))
     rows = anc = np.arange(1, n)
     while len(rows):  # one pass per tree level
@@ -802,71 +793,61 @@ def _candidate_moves(pos, parents, flux, alpha):
     sub = (np.maximum(flux - phi, 0.0) ** alpha - fa) * elen
     sub_old = sub * P_op
     R = (add * (1.0 - P_op) - sub_old) @ P.T + sub_old.sum(1)[:, None]
-    outside = P.T == 0.0  # outside[u, v]: v is not in the subtree of u
 
-    rep_ok = outside & (np.arange(n)[None, :] != par[:, None])
-    g_rep = np.where(rep_ok, -R - fa[:, None] * (dist - elen[:, None]), -np.inf)[1:]
-
-    a, b = np.nonzero(np.triu(par[:, None] == par[None, :], 1))
-    by_parent = np.argsort(par[a], kind="stable")
-    a, b = a[by_parent], b[by_parent]
-    att_ok = outside[1:, 1:] & (par[None, 1:] != par[1:, None])
-    u, q = np.nonzero(att_ok)
+    u, q = np.nonzero(P.T[1:, 1:] == 0.0)  # q is not in the subtree of u
     u, q = u + 1, q + 1
     f0_q = flux[q] - flux[u] * P_op[u, q]  # flux into q once u is detached
-    corners = np.concatenate([np.stack([par[a], a, b], 1),
-                              np.stack([par[q], q, u], 1)])
-    weights = np.concatenate([
-        np.stack([(flux[a] + flux[b]) ** alpha, fa[a], fa[b]], 1),
-        np.stack([(f0_q + flux[u]) ** alpha, f0_q ** alpha, fa[u]], 1)])
+    weights = np.stack([(f0_q + flux[u]) ** alpha, f0_q ** alpha, fa[u]], 1)
+    corners = np.stack([par[q], q, u], 1)
     ax, ay = pos[corners, 0], pos[corners, 1]
     sx, sy = _y_junctions(ax, ay, weights)
     dx, dy = sx[:, None] - ax, sy[:, None] - ay
     y_cost = (weights * np.sqrt(dx * dx + dy * dy)).sum(1)
-    n_merge = len(a)
-    g_merge = fa[a] * elen[a] + fa[b] * elen[b] - y_cost[:n_merge]
-    g_att = np.full((n - 1, n - 1), -np.inf)
-    g_att[att_ok] = (fa[q] * elen[q] + fa[u] * elen[u] - y_cost[n_merge:]
-                     - R[u, par[q]] + P_op[u, q] * sub[u, q])
-    gains = np.concatenate([g_merge, g_rep.ravel(), g_att.ravel()])
+    gains = (fa[q] * elen[q] + fa[u] * elen[u] - y_cost
+             - R[u, par[q]] + P_op[u, q] * sub[u, q])
 
     def move_at(k):
-        if k < n_merge:
-            return "merge", (int(par[a[k]]), int(a[k]), int(b[k]), (sx[k], sy[k]))
-        uk, vk = divmod(k - n_merge, n)
-        if uk < n - 1:
-            return "reparent", (uk + 1, vk)
-        uk, qk = divmod(k - n_merge - (n - 1) * n, n - 1)
-        j = n_merge + np.count_nonzero(att_ok.ravel()[:uk * (n - 1) + qk])  # rank among attaches
-        return "attach", (uk + 1, qk + 1, int(par[qk + 1]), (sx[j], sy[j]))
+        return int(u[k]), int(q[k]), int(par[q[k]]), (sx[k], sy[k])
 
     return gains, move_at
 
 
 def _scan_moves(pos, parents, flux, alpha):
-    """The best topology move as (gain, kind, payload), or None when no move
-    lowers the cost by more than 1e-12 * max(1, cost).  Of equal gains the
-    first in `_candidate_moves` order wins, so the search is deterministic."""
+    """The best topology move as (gain, move), or None when no candidate
+    lowers the cost by more than 1e-12 * max(1, cost), a plan without
+    candidates included.  Of equal gains the first in `_candidate_moves`
+    order wins, so the search is deterministic."""
     gains, move_at = _candidate_moves(pos, parents, flux, alpha)
+    if not len(gains):
+        return None
     k = int(np.argmax(gains))
     if not gains[k] > 1e-12 * max(1.0, _plan_cost(pos, parents, flux, alpha)):
         return None
-    return (float(gains[k]),) + move_at(k)
+    return float(gains[k]), move_at(k)
+
+
+def _refit(pos, parents, atom_index, masses, alpha, scale):
+    """The plan (pos, parents, atom_index) contracted, with its steiner
+    geometry refit exactly to its fluxes, and contracted again.  Contracting
+    first keeps a branch point that sits on a neighbour or has one child out
+    of the sweeps."""
+    tol = 1e-12 * max(1.0, scale)
+    pos, parents, atom_index = _contract(pos, parents, atom_index, tol)
+    weights = _fluxes(parents, atom_index, masses) ** alpha
+    pos = _optimize_positions(pos, parents, atom_index, weights, scale)
+    return _contract(pos, parents, atom_index, tol)
 
 
 def _improve(pos, parents, atom_index, masses, alpha, budget, scale):
     """Apply at most `budget` best-gain topology moves to a contracted plan,
-    each followed by the exact steiner geometry and a contraction; stops
-    once no move gains.  Takes and returns (pos, parents, atom_index)."""
-    tol = 1e-12 * max(1.0, scale)
+    each followed by `_refit`; stops once no move gains.  Takes and returns
+    (pos, parents, atom_index)."""
     for _ in range(budget):
         best = _scan_moves(pos, parents, _fluxes(parents, atom_index, masses), alpha)
         if best is None:
             break
-        pos, parents, atom_index = _apply_move(*best[1:], pos, parents, atom_index)
-        weights = _fluxes(parents, atom_index, masses) ** alpha
-        pos = _optimize_positions(pos, parents, atom_index, weights, scale)
-        pos, parents, atom_index = _contract(pos, parents, atom_index, tol)
+        plan = _apply_move(best[1], pos, parents, atom_index)
+        pos, parents, atom_index = _refit(*plan, masses, alpha, scale)
     return pos, parents, atom_index
 
 
@@ -877,9 +858,9 @@ def _warm_plan(pos, parents, atom_index, mu: DiscreteMeasure, kept, alpha, scale
     Terminals and atoms are matched one to one by exact position, in atom
     order, each atom taking the first free terminal in node order.  A
     terminal left without an atom becomes a steiner node, atoms left
-    without a terminal hang off the root, and one contraction, one exact
-    refit of the steiner geometry to the new fluxes and a second
-    contraction follow.  Neither step raises the cost of rerouting mu
+    without a terminal hang off the root, and `_refit` follows: one
+    contraction, one exact refit of the steiner geometry to the new fluxes
+    and a second contraction.  Neither step raises the cost of rerouting mu
     along the carried-over tree."""
     pos = [tuple(p) for p in pos.tolist()]
     free = {}
@@ -896,11 +877,7 @@ def _warm_plan(pos, parents, atom_index, mu: DiscreteMeasure, kept, alpha, scale
             pos.append(p)
             parents.append(0)
             atom_index.append(int(j))
-    tol = 1e-12 * max(1.0, scale)
-    pos, parents, atom_index = _contract(pos, parents, atom_index, tol)
-    weights = _fluxes(parents, atom_index, mu.masses()) ** alpha
-    pos = _optimize_positions(pos, parents, atom_index, weights, scale)
-    return _contract(pos, parents, atom_index, tol)
+    return _refit(pos, parents, atom_index, mu.masses(), alpha, scale)
 
 
 def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
@@ -908,25 +885,27 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
     """Heuristic search for a cheap plan.
 
     Starts from the star of direct segments, or from the plan `init` when
-    one is given, and applies three kinds of topology moves, accepting only
-    strict cost decreases:
+    one is given, and applies one kind of topology move, accepting only
+    strict cost decreases: attach, which hangs a subtree off a new branch
+    point inserted on an edge outside it.  Merging two children of a
+    shared parent is the attach of one onto the other's edge, and hanging
+    a subtree off another node is never better than attaching it onto the
+    edge into that node (any edge out of the root, for the root), so the
+    one move covers both.
 
-    - merge: reroute two children of a shared parent through a new branch point
-    - reparent: hang a subtree off a different node
-    - attach: hang a subtree off a new branch point inserted on an edge
-
-    Every candidate of every kind is scored at once in numpy
-    (`_scan_moves`): each new branch point is the exact weighted Fermat
-    point of its three neighbours, in closed form (`_y_junctions`), and
-    the flux rerouted along root paths is priced by one matrix product, so
-    every gain is an exact cost difference.  The best gain is applied; ties
-    go to merge before reparent before attach, each in node order, so the
-    search is deterministic.  After every applied move the branch points
-    are placed exactly by `_optimize_positions` (Gauss-Seidel sweeps, each
-    followed by a joint Newton step), and collapsed ones are contracted
-    away.  The search works on the plan as (positions, parents,
-    atom_index) alone: a node that gains or loses an atom changes kind
-    with it, as `IrrigationTree` derives kinds from `atom_index`.
+    Every candidate is scored at once in numpy (`_scan_moves`): each new
+    branch point is the exact weighted Fermat point of its three
+    neighbours, in closed form (`_y_junctions`), and the flux rerouted
+    along root paths is priced by one matrix product, so every gain is an
+    exact cost difference.  The best gain is applied; ties go to the first
+    candidate by subtree root and then by edge, each in node order, so the
+    search is deterministic.  After every applied move the plan is
+    contracted, its branch points are placed exactly by
+    `_optimize_positions` (Gauss-Seidel sweeps, each followed by a joint
+    Newton step), and collapsed ones are contracted away.  The search
+    works on the plan as (positions, parents, atom_index) alone: a node
+    that gains or loses an atom changes kind with it, as `IrrigationTree`
+    derives kinds from `atom_index`.
 
     The start, the star or `init`, is carried over to mu in one way.
     `init` is typically the plan of a measure with the same atoms under
