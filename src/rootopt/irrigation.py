@@ -108,30 +108,30 @@ class IrrigationTree:
         n = len(par)
         if pos.shape != (n, 2) or ai.shape != (n,) or n < 2:
             raise ValidationError("tree arrays must agree in length and hold >= 2 nodes")
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise ValidationError("node positions must be finite")
-        if par[0] != -1 or ai[0] != -1:
+        pl, al = par.tolist(), ai.tolist()  # lists beat numpy calls at plan sizes
+        if pl[0] != -1 or al[0] != -1:
             raise ValidationError("node 0 must be the root, with parent -1 and no atom")
         if not (pos[0, 0] == 0.0 and pos[0, 1] == 0.0):
             raise ValidationError("the root must sit at the origin (0, 0)")
-        if np.any(par[1:] < 0) or np.any(par[1:] >= n):
+        if not 0 <= min(pl[1:]) <= max(pl[1:]) < n:
             raise ValidationError("every non-root node needs a parent inside the tree")
-        if np.any(ai < -1):
-            raise ValidationError(f"node {int(np.argmax(ai < -1))} has atom index below -1")
-        order = _depth_order(par)
-        atoms, count = np.unique(ai[ai >= 0], return_counts=True)
-        if np.any(count > 1):
-            twice = int(atoms[np.argmax(count > 1)])
-            raise ValidationError(f"atom {twice} has more than one terminal")
-        lonely = (ai < 0) & (np.bincount(par[1:], minlength=n) < 2)
-        lonely[0] = False
-        if np.any(lonely):
-            bad = int(np.argmax(lonely))
-            raise ValidationError(f"steiner node {bad} has fewer than two children")
-        lengths = np.linalg.norm(pos[1:] - pos[par[1:]], axis=1)
-        if np.any(lengths <= 0.0):
-            bad = int(np.argmin(lengths)) + 1
-            raise ValidationError(f"edge into node {bad} has zero length")
+        if min(al) < -1:
+            raise ValidationError(f"node {next(i for i, a in enumerate(al) if a < -1)} "
+                                  "has atom index below -1")
+        order = _depth_order(pl)
+        terminals = sorted(a for a in al if a >= 0)
+        if twice := [a for a, b in zip(terminals, terminals[1:]) if a == b]:
+            raise ValidationError(f"atom {twice[0]} has more than one terminal")
+        kids = [0] * n
+        for p in pl[1:]:
+            kids[p] += 1
+        if lonely := [i for i in range(1, n) if al[i] < 0 and kids[i] < 2]:
+            raise ValidationError(f"steiner node {lonely[0]} has fewer than two children")
+        d = pos[1:] - pos[par[1:]]
+        if not (squared := (d * d).sum(1)).all():  # zero where the length is
+            raise ValidationError(f"edge into node {int(np.argmin(squared)) + 1} has zero length")
         for name, arr in (("positions", pos), ("parents", par), ("atom_index", ai)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -781,12 +781,13 @@ def _candidate_moves(pos, parents, flux, alpha):
     fa = flux ** alpha
     ex, ey = pos[:, 0] - pos[up, 0], pos[:, 1] - pos[up, 1]
     elen = np.sqrt(ex * ex + ey * ey)
-    P = np.zeros((n, n))
-    rows = anc = np.arange(1, n)
-    while len(rows):  # one pass per tree level
-        P[rows, anc] = 1.0
-        keep = par[anc] > 0
-        rows, anc = rows[keep], par[anc[keep]]
+    P, pl, on_path = np.zeros((n, n)), par.tolist(), []
+    for v in range(1, n):  # flat indices of P's ones, walking up from each node
+        e = v
+        while e > 0:
+            on_path.append(v * n + e)
+            e = pl[e]
+    P.flat[on_path] = 1.0
     P_op = P[up]  # P[0] is all zero: the root's path holds no edge
     phi = flux[:, None]
     add = ((flux + phi) ** alpha - fa) * elen
@@ -826,14 +827,33 @@ def _scan_moves(pos, parents, flux, alpha):
     return float(gains[k]), move_at(k)
 
 
+def _stationary(pos, parents, atom_index, weights):
+    """Whether every steiner node of a contracted plan is stationary for
+    the edge weights: the weighted unit vectors w_e u_e of its edges sum to
+    at most the `tiny` cutoff of `_newton_direction` in each coordinate.
+    Contraction leaves no edge of zero length, so the weighted length is
+    smooth at the steiner nodes and, being convex, at its minimum there."""
+    d = pos[1:] - pos[parents[1:]]
+    pull = d * (weights[1:] / np.sqrt((d * d).sum(1)))[:, None]
+    grad = np.zeros_like(pos)
+    grad[1:] = pull
+    np.subtract.at(grad, parents[1:], pull)
+    steiner = grad[1:][atom_index[1:] < 0]
+    return bool(np.abs(steiner).max(initial=0.0) <= 1e-14 * weights[1:].max())
+
+
 def _refit(pos, parents, atom_index, masses, alpha, scale):
     """The plan (pos, parents, atom_index) contracted, with its steiner
     geometry refit exactly to its fluxes, and contracted again.  Contracting
     first keeps a branch point that sits on a neighbour or has one child out
-    of the sweeps."""
+    of the sweeps.  A contracted plan that is already `_stationary` for its
+    fluxes is returned as it is, such as a spawn trial's warm start: its new
+    atom hangs off the root and changes no carried flux."""
     tol = 1e-12 * max(1.0, scale)
     pos, parents, atom_index = _contract(pos, parents, atom_index, tol)
     weights = _fluxes(parents, atom_index, masses) ** alpha
+    if _stationary(pos, parents, atom_index, weights):
+        return pos, parents, atom_index
     pos = _optimize_positions(pos, parents, atom_index, weights, scale)
     return _contract(pos, parents, atom_index, tol)
 

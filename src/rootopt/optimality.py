@@ -223,7 +223,8 @@ class OptimizationTrace:
 @dataclass(frozen=True, eq=False)
 class _Bundle:
     """One evaluated measure.  A trial carries the plan, the state and the
-    payoff; `_complete` adds the adjoint, the landscape and the report."""
+    payoff; `_complete` adds the adjoint and the landscape, and `_reported`
+    the first-order report."""
 
     mu: DiscreteMeasure
     tree: IrrigationTree | None
@@ -235,7 +236,13 @@ class _Bundle:
 
     @property
     def sup_residual(self) -> float:
-        return 0.0 if self.report is None else self.report.sup_residual
+        """The report's sup residual; 0.0 for a measure without positive
+        mass, which has no atom to report on."""
+        if self.tree is None:
+            return 0.0
+        if self.report is None:
+            raise RuntimeError("the sup residual of a bundle whose report was not built")
+        return self.report.sup_residual
 
 
 def _trial(config: RunConfig, mu: DiscreteMeasure, base: _Bundle | None) -> _Bundle:
@@ -250,14 +257,20 @@ def _trial(config: RunConfig, mu: DiscreteMeasure, base: _Bundle | None) -> _Bun
     return _Bundle(mu, tree, u, payoff(u, mu, tree, config.c, config.alpha))
 
 
-def _complete(config: RunConfig, trial: _Bundle, iteration: int) -> _Bundle:
-    """The trial with its adjoint, landscape and first-order report."""
+def _complete(config: RunConfig, trial: _Bundle) -> _Bundle:
+    """The trial with its adjoint and landscape, which spawn scoring reads."""
     if trial.tree is None:
         return trial
     psi = solve_adjoint(config.grid, trial.mu, trial.u, config.growth, tol=config.tol_linear)
-    z = landscape(trial.tree, trial.mu, config.alpha)
-    report = optimality_residual(trial.u, psi, z, trial.mu, config.c, config.alpha, iteration)
-    return replace(trial, psi=psi, z=z, report=report)
+    return replace(trial, psi=psi, z=landscape(trial.tree, trial.mu, config.alpha))
+
+
+def _reported(config: RunConfig, bundle: _Bundle, iteration: int) -> _Bundle:
+    """The completed bundle with its first-order report."""
+    if bundle.tree is None:
+        return bundle
+    return replace(bundle, report=optimality_residual(bundle.u, bundle.psi, bundle.z, bundle.mu,
+                                                      config.c, config.alpha, iteration))
 
 
 def _spawn_scores(config: RunConfig, bundle: _Bundle, trial_mass: float) -> np.ndarray:
@@ -312,7 +325,7 @@ def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | No
                                        np.append(masses, trial_mass))
 
 
-def _attempt(config: RunConfig, mu: DiscreteMeasure, cur: _Bundle, iteration: int,
+def _attempt(config: RunConfig, mu: DiscreteMeasure, cur: _Bundle,
              keep, errors: list, what: str) -> _Bundle | None:
     """The completed trial of mu if keep(its payoff, cur.payoff) holds, else
     None.  A SolverError from the trial or its completion rejects it too,
@@ -320,7 +333,7 @@ def _attempt(config: RunConfig, mu: DiscreteMeasure, cur: _Bundle, iteration: in
     try:
         cand = _trial(config, mu, cur)
         if keep(cand.payoff, cur.payoff):
-            return _complete(config, cand, iteration)
+            return _complete(config, cand)
     except SolverError as exc:
         errors.append(f"{what}: {exc}")
     return None
@@ -353,10 +366,12 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     its Newton steps stall, touch 0 or end on an unstable state).  A
     backtrack restarts from the accepted evaluation, never from the rejected
     trial, so runs stay deterministic.  A trial needs only its plan, state
-    and payoff; the adjoint, landscape and report are built for the trial
-    that is kept.  A SolverError in any of these rejects the trial, as a
-    lower payoff would, and its message goes into the step's
-    `solver_errors`.
+    and payoff; the adjoint and landscape are built for the trial that is
+    kept.  A SolverError in any of these rejects the trial, as a lower
+    payoff would, and its message goes into the step's `solver_errors`.
+    The first-order report is built once per iteration, for the bundle the
+    iteration keeps: an accepted spawn supersedes the mass step's bundle
+    before anything reads its residuals.
     """
     mu, _ = mu0.without_zero_mass()
     if not len(mu):
@@ -364,7 +379,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     tol_eff = config.tol_residual * config.growth.u_max
     prune_rel = 1e-12
 
-    cur = _complete(config, _trial(config, mu, None), iteration=0)
+    cur = _reported(config, _complete(config, _trial(config, mu, None)), iteration=0)
     steps = [TraceStep(0, mu, cur.payoff, cur.sup_residual, True, False, 0.0)]
     converged = False
 
@@ -383,7 +398,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
                 total = float(cand_m.sum())
                 cand_m[cand_m < prune_rel * max(total, 1e-300)] = 0.0
                 cand_mu, _ = cur.mu.with_masses(cand_m).without_zero_mass()
-                cand = _attempt(config, cand_mu, cur, it, operator.ge, errors,
+                cand = _attempt(config, cand_mu, cur, operator.ge, errors,
                                 f"mass step (eta {eta!r})")
                 if cand is not None:
                     cur, accepted, eta_used = cand, True, eta
@@ -393,10 +408,12 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
         if config.spawn and len(cur.mu):
             cand_mu = _spawn_candidate(config, cur)
             if cand_mu is not None:
-                cand = _attempt(config, cand_mu, cur, it, operator.gt, errors, "spawn")
+                cand = _attempt(config, cand_mu, cur, operator.gt, errors, "spawn")
                 if cand is not None:
                     cur, spawned = cand, True
 
+        if cur is not prev:
+            cur = _reported(config, cur, it)
         steps.append(TraceStep(it, cur.mu, cur.payoff, cur.sup_residual,
                                accepted or spawned, spawned, eta_used, tuple(errors)))
 

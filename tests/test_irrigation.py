@@ -47,6 +47,47 @@ class TestTreeValidation:
         with pytest.raises(ro.ValidationError, match="no atom"):
             ro.IrrigationTree(pos, np.array([-1, 0]), np.array([0, 1]))
 
+    def test_arrays_of_different_lengths(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]])
+        with pytest.raises(ro.ValidationError, match="agree in length"):
+            ro.IrrigationTree(pos, np.array([-1, 0]), np.array([-1, 0]))
+
+    def test_non_finite_position(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 0.5]])
+        with pytest.raises(ro.ValidationError, match="positions must be finite"):
+            ro.IrrigationTree(pos, np.array([-1, 0, 0]), np.array([-1, 0, 1]))
+
+    def test_root_with_a_parent(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ro.ValidationError, match="node 0 must be the root, with parent -1"):
+            ro.IrrigationTree(pos, np.array([1, 0]), np.array([-1, 0]))
+
+    def test_parent_out_of_range(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]])
+        for bad in (3, -1):
+            with pytest.raises(ro.ValidationError, match="needs a parent inside the tree"):
+                ro.IrrigationTree(pos, np.array([-1, 0, bad]), np.array([-1, 0, 1]))
+
+    def test_node_the_root_does_not_reach(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5]])
+        with pytest.raises(ro.ValidationError, match="tree reaching every node"):
+            ro.IrrigationTree(pos, np.array([-1, 0, 3, 2]), np.array([-1, 0, 1, 2]))
+
+    def test_atom_index_below_minus_one(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]])
+        with pytest.raises(ro.ValidationError, match="node 2 has atom index below -1"):
+            ro.IrrigationTree(pos, np.array([-1, 0, 0]), np.array([-1, 0, -2]))
+
+    def test_offending_nodes_are_named(self):
+        """The checks that name a node or an atom name the first one."""
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [1.0, 0.5], [0.5, 0.0]])
+        cases = (([-1, 0, 0, 0, 0], [-1, 3, 1, 3, 1], "atom 1 has more than one terminal"),
+                 ([-1, 0, 4, 0, 0], [-1, 0, 1, -1, -1], "steiner node 3 has fewer"),
+                 ([-1, 2, 0, 2, 0], [-1, 0, -1, 1, 2], "edge into node 3 has zero length"))
+        for parents, atoms, message in cases:
+            with pytest.raises(ro.ValidationError, match=message):
+                ro.IrrigationTree(pos, np.array(parents), np.array(atoms))
+
     def test_kinds_are_read_off_the_atoms(self):
         pos = np.array([[0.0, 0.0], [0.8, 0.0], [1.0, 0.2], [1.0, -0.2]])
         tree = ro.IrrigationTree(pos, np.array([-1, 0, 1, 1]), np.array([-1, -1, 3, 0]))
@@ -498,6 +539,50 @@ class TestWarmPlanner:
             assert ro.irrigation_cost(warm, mu, 0.7) <= ro.irrigation_cost(tree, mu, 0.7) * (
                 1.0 + 1e-12)
             check_terminals(warm, mu)
+
+
+class TestStationaryWarmStart:
+    def test_an_atom_under_the_root_keeps_a_stationary_plan(self, monkeypatch):
+        """A new atom hung off the root changes no carried flux, so a carried
+        plan that is `_stationary` for its fluxes is kept bit for bit with
+        no `_optimize_positions` call; one that is not is refit, and so is
+        every plan whose masses change unevenly."""
+        calls = []
+        real = irr._optimize_positions
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        rng = np.random.default_rng(41)
+        stationary = 0
+        for _ in range(12):
+            n, alpha = int(rng.integers(3, 12)), float(rng.uniform(0.3, 0.9))
+            mu = random_measure(rng, n)
+            tree = ro.optimize_plan(mu, alpha)
+            flux = irr._fluxes(tree.parents, tree.atom_index, mu.masses())
+            still = irr._stationary(tree.positions, tree.parents, tree.atom_index, flux ** alpha)
+            stationary += still
+            nu = ro.DiscreteMeasure(mu.atoms + (ro.Atom((0.2, 0.8), 0.1),))
+            reweighted = mu.with_masses(mu.masses() * rng.uniform(0.5, 1.5, n))
+            with monkeypatch.context() as mp:
+                mp.setattr(irr, "_optimize_positions", counting)
+                calls.clear()
+                warm = ro.optimize_plan(nu, alpha, budget=0, init=tree)
+                assert len(calls) == (0 if still else 1)
+                calls.clear()
+                ro.optimize_plan(reweighted, alpha, budget=0, init=tree)
+                assert len(calls) == 1
+            if still:
+                m = tree.n_nodes
+                assert np.array_equal(warm.positions[:m], tree.positions)
+                assert np.array_equal(warm.parents[:m], tree.parents)
+                assert (warm.parents[m:].tolist(), warm.atom_index[m:].tolist()) == ([0], [n])
+                # a branch point 1e-9 off its optimum is refit
+                off = tree.positions.copy()
+                off[np.flatnonzero(tree.atom_index < 0)[1]] += 1e-9
+                assert not irr._stationary(off, tree.parents, tree.atom_index, flux ** alpha)
+        assert stationary >= 9
 
 
 class TestWarmStartSkipsTheStar:

@@ -289,6 +289,34 @@ class TestAscent:
         assert last.measure == mu0
 
 
+class TestReports:
+    def test_one_report_per_iteration(self, small_grid, monkeypatch):
+        """The 17x17 spawn ascent builds the first-order report once for
+        iteration 0 and once per later iteration, for the bundle the
+        iteration keeps, and every step's sup residual is its report's."""
+        reports = []
+        real = optimality.optimality_residual
+
+        def recording(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(optimality, "optimality_residual", recording)
+        trace = spawn_ascent(small_grid)
+        assert len(trace.steps) == 21 and all(s.accepted for s in trace.steps)
+        assert [r.iteration for r in reports] == list(range(21))
+        assert [s.sup_residual for s in trace.steps] == [r.sup_residual for r in reports]
+        assert trace.report is reports[-1]
+
+    def test_sup_residual_needs_a_report(self, small_grid):
+        """Only a bundle without positive mass reads 0.0 without a report."""
+        assert optimality._Bundle(ro.DiscreteMeasure(), None, None, 0.0).sup_residual == 0.0
+        mu = ro.DiscreteMeasure((ro.Atom(small_grid.node_position(8, 8), 0.3),))
+        bundle = optimality._Bundle(mu, ro.star_tree(mu), constant_field(small_grid, 0.8), 0.0)
+        with pytest.raises(RuntimeError, match="report was not built"):
+            bundle.sup_residual
+
+
 def loop_spawn_scores(config, bundle, trial_mass):
     """The per-edge scorer that the broadcast of `_spawn_scores` replaced:
     every node projected onto one plan edge at a time, folded in with
