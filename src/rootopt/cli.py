@@ -7,33 +7,40 @@ Subcommands:
 * ``solve``     maximal state solution: state.csv, state.bin, harvest.json
 * ``adjoint``   state plus adjoint and marginal-harvest fields: psi.*, phi.*,
   adjoint.json
-* ``optimize``  full mass ascent: trace.jsonl, report.json, final measure and
-  plan, fields, support.json
-* ``verify``    re-check invariants against stored artifacts; exit 1 naming
-  the first violated invariant
+* ``optimize``  full mass ascent: trace.jsonl, report.json, initial measure,
+  final measure and plan, fields, support.json
+* ``verify``    re-check invariants against stored artifacts, re-deriving
+  phi.bin, report.json's path check and support.json exactly; exit 1
+  naming the first violated invariant
 * ``report``    support-density table from stored or configured measure
 
 Flags: --config PATH, --out DIR, --set K=V (repeatable).
 Exit status: 0 success, 1 validation failure, 2 solver failure.
 
-Configs are flat ``key = value`` text; every subcommand writes the resolved
-config and measure into the output directory, so a run directory is
-self-describing: without --config, `verify` and `report` read the
-directory's config.txt.
+Configs are flat ``key = value`` text; every subcommand but ``verify`` and
+``report`` writes the resolved config and its input measure into the output
+directory, so a run directory is self-describing: without --config,
+`verify` and `report` read the directory's config.txt.  Its measure_path
+names the input measure, measure.json, or measure_initial.json for
+``optimize``, whose measure.json is the final measure; so the subcommand
+rerun with --config DIR/config.txt into a new directory writes the same
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .core import DiscreteMeasure, SolverError, ValidationError, mass_bound_check
-from .elliptic import (adjoint_residual, growth_bound_lambda, harvest,
-                       phi_field, solve_adjoint, solve_state, state_residual)
+from .elliptic import (_adjoint_bounds, adjoint_residual, growth_bound_lambda,
+                       harvest, phi_field, solve_adjoint, solve_state,
+                       state_residual)
 from .irrigation import (_plan_cost, check_landscape_holder, compute_fluxes,
                          cost_lower_bound, irrigation_cost, landscape,
                          optimize_plan)
@@ -41,8 +48,8 @@ from .optimality import (ascend_measure, optimality_residual,
                          path_inequality_check, support_density_report)
 from .render import render_tree_svg, save_svg
 from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
-                            load_field_binary, load_field_shape, load_measure,
-                            load_report, load_trace, load_tree,
+                            load_field_binary, load_field_shape, load_json,
+                            load_measure, load_report, load_trace, load_tree,
                             parse_config_entry, parse_config_text,
                             save_fields, save_json, save_landscape_csv,
                             save_measure, save_report, save_trace, save_tree)
@@ -90,14 +97,14 @@ def _load_setup(args) -> ParsedConfig:
 
 
 def _snap_to_grid(mu: DiscreteMeasure, grid) -> DiscreteMeasure:
-    """Move each atom to its nearest node, merging masses that collide."""
-    acc: dict[tuple, float] = {}
-    for (x, y), m in zip(mu.positions().tolist(), mu.masses().tolist()):
-        key = grid.nearest_node(x, y)
-        acc[key] = acc.get(key, 0.0) + m
-    nodes = sorted(acc)
-    return DiscreteMeasure.from_arrays([grid.node_position(ix, iy) for ix, iy in nodes],
-                                       [acc[k] for k in nodes])
+    """Move each atom to its nearest node, merging masses that collide: the
+    nodes in sorted (ix, iy) order, each holding its atoms' masses summed in
+    atom order."""
+    ix, iy = grid.nearest_nodes(mu.positions())
+    nodes, which = np.unique(ix * grid.ny + iy, return_inverse=True)
+    ix, iy = np.divmod(nodes, grid.ny)
+    return DiscreteMeasure.from_arrays(np.column_stack([grid.xs[ix], grid.ys[iy]]),
+                                       np.bincount(which, mu.masses(), len(nodes)))
 
 
 def _default_measure(parsed: ParsedConfig) -> DiscreteMeasure:
@@ -120,11 +127,14 @@ def _resolve_measure(args, parsed: ParsedConfig) -> DiscreteMeasure:
     return mu
 
 
-def _write_common(out: Path, parsed: ParsedConfig, mu: DiscreteMeasure) -> None:
-    stamped = ParsedConfig(parsed.run, measure_path="measure.json", snap_measure=False)
+def _write_common(out: Path, parsed: ParsedConfig, mu: DiscreteMeasure,
+                  name: str = "measure.json") -> None:
+    """Write the input measure mu into out as `name` and the resolved config
+    as config.txt, pointing at it, so the directory reruns its command."""
+    stamped = ParsedConfig(parsed.run, measure_path=name, snap_measure=False)
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
         fh.write(config_to_text(stamped))
-    save_measure(out / "measure.json", mu)
+    save_measure(out / name, mu)
 
 
 def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
@@ -170,23 +180,29 @@ def _cmd_adjoint(args, parsed: ParsedConfig, out: Path) -> int:
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     psi = solve_adjoint(cfg.grid, mu, u, cfg.growth, tol=cfg.tol_linear)
     phi = phi_field(u, psi)
-    lam = growth_bound_lambda(cfg.growth, u.min())
     save_fields(out, {"state": u, "psi": psi, "phi": phi})
     save_json(out / "adjoint.json", {
         "harvest": harvest(u, mu),
-        "lambda_bound": lam,
+        "lambda_bound": growth_bound_lambda(cfg.growth, u.min()),
         "psi_min": psi.min(),
         "psi_max": psi.max(),
     })
-    print(f"adjoint range [{psi.min()!r}, {psi.max()!r}], bound {lam * cfg.growth.u_max + 1.0!r}")
+    print(f"adjoint range [{psi.min()!r}, {psi.max()!r}], "
+          f"bound {_adjoint_bounds(cfg.growth, u.min())[0]!r}")
     return 0
+
+
+def _path_check(cfg, u, psi, tree, mu):
+    """The path inequality check at tol path_tol * u_max, which optimize
+    stores in report.json and verify re-derives."""
+    return path_inequality_check(u, psi, tree, mu, cfg.c, cfg.alpha,
+                                 tol=cfg.path_tol * cfg.growth.u_max)
 
 
 def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     mu0 = _resolve_measure(args, parsed)
-    _write_common(out, parsed, mu0)
-    save_measure(out / "measure_initial.json", mu0)
+    _write_common(out, parsed, mu0, "measure_initial.json")
     trace = ascend_measure(cfg, mu0)
     save_trace(out / "trace.jsonl", trace)
     save_measure(out / "measure.json", trace.measure)
@@ -197,9 +213,7 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
                  render_tree_svg(trace.tree, trace.measure, cfg.alpha, cfg.domain))
         save_landscape_csv(out / "landscape.csv",
                            landscape(trace.tree, trace.measure, cfg.alpha))
-        path_check = path_inequality_check(
-            trace.state, trace.adjoint, trace.tree, trace.measure,
-            cfg.c, cfg.alpha, tol=cfg.path_tol * cfg.growth.u_max)
+        path_check = _path_check(cfg, trace.state, trace.adjoint, trace.tree, trace.measure)
     if trace.state is not None:
         save_fields(out, {"state": trace.state, "psi": trace.adjoint,
                           "phi": phi_field(trace.state, trace.adjoint)})
@@ -320,9 +334,8 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                    f"above tol_nonlinear {cfg.tol_nonlinear!r}")
     if (out / "psi.bin").exists() and u is not None:
         psi = load_field_binary(out / "psi.bin", cfg.domain)
-        lam = growth_bound_lambda(cfg.growth, u.min())
-        cap = lam * cfg.growth.u_max + 1.0
-        ok = psi.min() >= -1e-9 and psi.max() <= cap + 1e-9
+        cap, slack = _adjoint_bounds(cfg.growth, u.min())
+        ok = psi.min() >= -slack and psi.max() <= cap + slack
         yield ("adjoint bounds",
                None if ok else f"adjoint range [{psi.min()!r}, {psi.max()!r}] leaves [0, {cap!r}]")
         if mu is not None:
@@ -331,6 +344,13 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                    None if worst <= cfg.tol_linear else
                    f"scaled residual of the adjoint system reaches {worst!r}, "
                    f"above tol_linear {cfg.tol_linear!r}")
+        if (out / "phi.bin").exists():
+            off = np.flatnonzero(load_field_binary(out / "phi.bin", cfg.domain).values
+                                 != phi_field(u, psi).values)
+            yield ("phi field",
+                   None if not len(off) else
+                   f"stored phi differs from (1 - psi) u at {len(off)} nodes, "
+                   f"first node {int(off[0])}")
 
     if (out / "report.json").exists():
         rep = load_report(out / "report.json")
@@ -350,6 +370,11 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                 yield ("optimality residuals",
                        None if gap <= tol else
                        f"stored residuals drift from recomputation by {gap!r}")
+            stored = rep.get("path_check")
+            fresh = asdict(_path_check(cfg, u, psi, tree, mu))
+            yield ("path check",
+                   None if stored == fresh else
+                   f"stored path check {stored!r} differs from recomputation {fresh!r}")
 
     if (out / "trace.jsonl").exists():
         records = load_trace(out / "trace.jsonl")
@@ -365,6 +390,12 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if bad is None else
                f"accepted payoff decreases at step {bad}: "
                f"{accepted[bad - 1]!r} -> {accepted[bad]!r}")
+
+    if (out / "support.json").exists() and mu is not None:
+        fresh = {"rows": support_density_report(mu, cfg.grid).as_dicts()}
+        yield ("support density",
+               None if load_json(out / "support.json") == fresh else
+               "stored support.json differs from the support of measure.json")
 
 
 def _cmd_verify(args, parsed: ParsedConfig, out: Path) -> int:

@@ -131,13 +131,19 @@ class Grid:
             raise ValidationError(f"node ({ix}, {iy}) outside grid {self.nx}x{self.ny}")
         return iy * self.nx + ix
 
+    def nearest_nodes(self, positions) -> tuple:
+        """Index arrays (ix, iy) of the node nearest to each row (x, y) of an
+        (n, 2) position array, clamped to the grid: the one rounding rule
+        from positions to nodes.  Halfway positions round to the even index."""
+        pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+        nodes = np.rint((pos - self.domain.rect_min) / self.h)
+        nodes = np.clip(nodes, 0, (self.nx - 1, self.ny - 1)).astype(np.int64)
+        return nodes[:, 0], nodes[:, 1]
+
     def nearest_node(self, x: float, y: float) -> tuple:
         """Indices (ix, iy) of the node nearest to (x, y), clamped to the grid."""
-        ix = int(round((x - self.domain.rect_min[0]) / self.h))
-        iy = int(round((y - self.domain.rect_min[1]) / self.h))
-        ix = min(max(ix, 0), self.nx - 1)
-        iy = min(max(iy, 0), self.ny - 1)
-        return ix, iy
+        ix, iy = self.nearest_nodes((x, y))
+        return int(ix[0]), int(iy[0])
 
     def index_of(self, x: float, y: float) -> int:
         """Flat index of the node at exactly (x, y); error if (x, y) is off-node."""
@@ -321,6 +327,13 @@ def _check_distinct(pos: np.ndarray) -> None:
         raise ValidationError(f"atoms {i} and {j} share position {tuple(pos[j].tolist())}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a branching exponent outside (0, 1], as every plan cost and
+    landscape does."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+
+
 def mass_bound_check(mu: DiscreteMeasure, irrigation_cost: float, domain: Domain,
                      alpha: float) -> bool:
     """Whether total mass respects the transport budget (cost / r0) ** (1 / alpha).
@@ -328,8 +341,7 @@ def mass_bound_check(mu: DiscreteMeasure, irrigation_cost: float, domain: Domain
     A measure reachable from the source at the given cost cannot weigh more
     than this bound, since every unit of mass travels at least r0.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     if irrigation_cost < 0.0 or not math.isfinite(irrigation_cost):
         raise ValidationError(f"irrigation cost must be finite and >= 0, got {irrigation_cost!r}")
     r0 = domain.source_distance()

@@ -56,7 +56,8 @@ u = u_max.  Each sweep solves the shifted linear problem
     (-lap + mu/h^2 + sigma) g = f(u_k) + sigma u_k,
 
 with sigma chosen so that f(u) + sigma u is nondecreasing on [0, u_max].
-Write F(u) = -lap u + a u - f(u), so that u is a supersolution where
+Write F(u) = a u - lap u - f(u), the residual of the linear solve
+A u = f(u) for A = -lap + diag(a), so that u is a supersolution where
 F(u) >= 0.  The shift makes the sweep order-preserving: from a
 supersolution u_k it gives a supersolution g <= u_k, the iterates decrease
 monotonically, and the limit is the maximal solution (mirroring the
@@ -293,13 +294,11 @@ def _node_indices(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
 
 
 def _locate_nodes(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
-    """The node map of _node_indices, uncached: one rounding pass gives each
-    atom's nearest node, which must reproduce the atom's coordinates
+    """The node map of _node_indices, uncached: each atom's nearest node
+    (Grid.nearest_nodes), which must reproduce the atom's coordinates
     exactly."""
     pos = mu.positions()
-    ix = np.clip(np.rint((pos[:, 0] - grid.domain.rect_min[0]) / grid.h), 0, grid.nx - 1)
-    iy = np.clip(np.rint((pos[:, 1] - grid.domain.rect_min[1]) / grid.h), 0, grid.ny - 1)
-    ix, iy = ix.astype(np.int64), iy.astype(np.int64)
+    ix, iy = grid.nearest_nodes(pos)
     off = np.flatnonzero((grid.xs[ix] != pos[:, 0]) | (grid.ys[iy] != pos[:, 1]))
     if len(off):
         i = int(off[0])
@@ -354,7 +353,7 @@ def _linear_misfit(grid: Grid, absorption, x, rhs):
     """Nodewise A x - b for A = -lap + diag(absorption), from the cached
     Laplacian, and the worst |A x - b| over max(1, |absorption x|, |b|)."""
     ax = absorption * x
-    res = ax - laplacian_matrix(grid) @ x - rhs
+    res = ax - (laplacian_matrix(grid) @ x + rhs)
     scale = np.maximum(1.0, np.maximum(np.abs(ax), np.abs(rhs)))
     return res, float(np.max(np.abs(res) / scale))
 
@@ -441,39 +440,38 @@ def _solve(grid, absorption, rhs, tol_linear, lu=None):
     return x, lu
 
 
-def _state_misfit(lap, a, f, u):
-    """Nodewise residual lap u + f(u) - a u, its worst value scaled by
-    max(1, |f(u)|, |a u|) at each node, and f(u)."""
+def _state_misfit(grid: Grid, a, f, u):
+    """F(u) = a u - lap u - f(u), the residual of the linear solve
+    A u = f(u) for A = -lap + diag(a), its worst value scaled as
+    _linear_misfit scales it, by max(1, |a u|, |f(u)|), and f(u)."""
     fu = f(u)
-    res = lap @ u + fu - a * u
-    scale = np.maximum(1.0, np.maximum(np.abs(a * u), np.abs(fu)))
-    return res, float(np.max(np.abs(res) / scale)), fu
+    return (*_linear_misfit(grid, a, u, fu), fu)
 
 
 def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: float,
             tol_linear: float, positive: bool = False, misfit=None, exact: bool = False):
-    """Damped Newton steps on lap u + f(u) - a u = 0 from u; returns the first
-    iterate within tol and the last factors used (None if u itself is), or
-    None with `positive` as soon as an iterate has a node at 0.  `misfit`
+    """Damped Newton steps u - t J(u)^-1 F(u) on F(u) = a u - lap u - f(u) = 0
+    from u, with J = -lap + diag(a - f'(u)); returns the first iterate
+    within tol and the last factors used (None if u itself is), or None
+    with `positive` as soon as an iterate has a node at 0.  `misfit`
     is _state_misfit at u when the caller has it; each later iterate's is
     the one its line search accepted it by.  Each step solves the Jacobian
     at its iterate to tol_linear: with `exact` it factorizes that Jacobian,
     otherwise it refines with the previous step's factors and factorizes
     only when they miss."""
-    lap = laplacian_matrix(grid)
     lu = None
     for _ in range(80):
         if positive and not u.min() > 0.0:
             return None
-        res, rmax, _ = misfit or _state_misfit(lap, a, f, u)
+        res, rmax, _ = misfit or _state_misfit(grid, a, f, u)
         if rmax <= tol:
             return u, lu
         jac = a - f.derivative(u)
         delta, lu = _solve(grid, jac, res, tol_linear, None if exact else lu)
         step = 1.0
         while step >= 1.0 / 4096.0:
-            u_try = np.clip(u + step * delta, 0.0, f.u_max)
-            misfit = _state_misfit(lap, a, f, u_try)
+            u_try = np.clip(u - step * delta, 0.0, f.u_max)
+            misfit = _state_misfit(grid, a, f, u_try)
             if misfit[1] < rmax:
                 u = u_try
                 break
@@ -483,23 +481,23 @@ def _newton(grid: Grid, a: np.ndarray, f: GrowthFunction, u: np.ndarray, tol: fl
     raise SolverError(f"state solve did not converge, residual {rmax:.3e}")
 
 
-def _secant(lap, a, f: GrowthFunction, g: np.ndarray, misfit, d: np.ndarray, c: float):
+def _secant(grid: Grid, a, f: GrowthFunction, g: np.ndarray, misfit, d: np.ndarray, c: float):
     """The secant point g + c d, or g, with its _state_misfit.  A trial
     point, for c, c / 2 and c / 4, is measured only when it is certified: it
     is positive at every node and the linearization of the residual at g
-    keeps it a supersolution, F(g) + J(g) (c d) >= 0 for F(u) = -lap u + a u
-    - f(u) and J(g) = -lap + diag(a - f'(g)), that is c J(g) d >= res at
-    every node; it is adopted when its scaled residual is below g's."""
+    keeps it a supersolution, F(g) + c J(g) d >= 0 at every node for
+    F(u) = a u - lap u - f(u) and J(g) = -lap + diag(a - f'(g)); it is
+    adopted when its scaled residual is below g's."""
     res, rmax, _ = misfit
     jd = f.derivative(g)
     np.subtract(a, jd, out=jd)
     jd *= d
-    jd -= lap @ d
+    jd -= laplacian_matrix(grid) @ d
     for _ in range(3):
         trial = d * c
         trial += g
-        if trial.min() > 0.0 and np.all(c * jd >= res):
-            measured = _state_misfit(lap, a, f, trial)
+        if trial.min() > 0.0 and np.all(res + c * jd >= 0.0):
+            measured = _state_misfit(grid, a, f, trial)
             if measured[1] < rmax:
                 return trial, measured
         c *= 0.5
@@ -522,7 +520,6 @@ def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear:
     g_prev, which the secant step overwrites with g - g_prev, live from
     one sweep to the next.  The shifted matrix is factorized once and its
     factors live only here."""
-    lap = laplacian_matrix(grid)
     sigma = f.monotone_shift
     shifted = a + sigma
     lu = None
@@ -535,7 +532,7 @@ def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear:
     for _ in range(_MAX_SWEEPS):
         x, lu = _solve(grid, shifted, fu + sigma * u, tol_linear, lu)
         g = np.clip(x, 0.0, f.u_max, out=x)
-        misfit = _state_misfit(lap, a, f, g)
+        misfit = _state_misfit(grid, a, f, g)
         r, u = g - u, g
         # einsum, not BLAS's dot, whose rounding depends on its thread count
         rr = float(np.einsum("i,i", r, r))
@@ -546,7 +543,7 @@ def _sweep(grid: Grid, a: np.ndarray, f: GrowthFunction, tol: float, tol_linear:
             denom = rr - 2.0 * r_rp + rr_prev
             if r_rp > rr and denom > 0.0:
                 d = np.subtract(g, g_prev, out=g_prev)
-                u, misfit = _secant(lap, a, f, g, misfit, d, (r_rp - rr) / denom)
+                u, misfit = _secant(grid, a, f, g, misfit, d, (r_rp - rr) / denom)
         np.copyto(g_prev, g)
         r_prev, rr_prev = r, rr
         rmax, fu = misfit[1:]
@@ -595,7 +592,7 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     solve meets the nodewise residual tol_linear against its true matrix by
     the module's one rule: refine with the factors at hand, and factorize
     the true matrix when there are none or they miss.  The discrete residual
-    lap_h(u) + f(u) - a u is driven below tol * max(1, |f(u)|, |a u|) at
+    a u - lap_h u - f(u) is driven below tol * max(1, |a u|, |f(u)|) at
     every node; failure to converge raises SolverError carrying the last
     residual.
 
@@ -649,10 +646,9 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
 
 
 def state_residual(u: ScalarField, mu: DiscreteMeasure, f: GrowthFunction) -> float:
-    """Worst nodewise |lap u + f(u) - a u| / max(1, |f(u)|, |a u|): the
+    """Worst nodewise |a u - lap u - f(u)| / max(1, |a u|, |f(u)|): the
     quantity solve_state drives below its tol."""
-    a = _density(mu, u.grid)
-    return _state_misfit(laplacian_matrix(u.grid), a, f, u.values)[1]
+    return _state_misfit(u.grid, _density(mu, u.grid), f, u.values)[1]
 
 
 def adjoint_residual(psi: ScalarField, u_star: ScalarField, mu: DiscreteMeasure,
@@ -685,6 +681,14 @@ def growth_bound_lambda(f: GrowthFunction, delta0: float) -> float:
     return max(0.0, (f.u_max - 2.0 * delta) / delta ** 2)
 
 
+def _adjoint_bounds(f: GrowthFunction, u_min: float):
+    """(cap, slack): the adjoint lies in [0, cap], cap = lam * u_max + 1 with
+    lam = growth_bound_lambda(f, u_min) for the state's minimum u_min, up to
+    a slack of 1e-9 at either end.  solve_adjoint, verify's adjoint check
+    and the adjoint command's bound all read it here."""
+    return growth_bound_lambda(f, u_min) * f.u_max + 1.0, 1e-9
+
+
 def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
                   f: GrowthFunction, tol: float = 1e-10) -> ScalarField:
     """Solve lap(psi) + f'(u*) psi - psi mu = -mu for the harvest sensitivity.
@@ -700,19 +704,18 @@ def solve_adjoint(grid: Grid, mu: DiscreteMeasure, u_star: ScalarField,
     one Newton step before u*, and refining with them takes two or three
     back-substitutions.  Either way the solve meets the nodewise residual
     tol against its true matrix.
-    Post-checks: psi >= -1e-9 and psi <= lam * u_max + 1 + 1e-9, with
-    lam = growth_bound_lambda(f, min(u*)).
+    Post-checks: psi lies in [0, cap] of _adjoint_bounds(f, min(u*)), up to
+    its slack.
     """
     if u_star.grid != grid:
         raise ValidationError("state field lives on a different grid")
     a = _density(mu, grid)
     coeff = a - f.derivative(u_star.values)
     psi = _solve(grid, coeff, a, tol, u_star._factors)[0]
-    if np.min(psi) < -1e-9:
+    cap, slack = _adjoint_bounds(f, u_star.min())
+    if np.min(psi) < -slack:
         raise SolverError(f"adjoint went negative: min psi = {float(np.min(psi)):.3e}")
-    lam = growth_bound_lambda(f, delta0=u_star.min())
-    cap = lam * f.u_max + 1.0
-    if np.max(psi) > cap + 1e-9:
+    if np.max(psi) > cap + slack:
         raise SolverError(
             f"adjoint exceeded its bound {cap:.6g}: max psi = {float(np.max(psi)):.6g}")
     return ScalarField(grid, psi)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, ValidationError
+from .core import DiscreteMeasure, ValidationError, _check_alpha
 
 __all__ = [
     "IrrigationTree",
@@ -271,15 +271,13 @@ def _tree_fluxes(tree: IrrigationTree, mu: DiscreteMeasure) -> np.ndarray:
 
 def irrigation_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> float:
     """Transport cost sum(flux ** alpha * length) of the plan."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     return _plan_cost(tree.positions, tree.parents, compute_fluxes(tree, mu).values, alpha)
 
 
 def landscape(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> LandscapeValues:
     """Landscape values along the tree; requires strictly positive edge fluxes."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     flux = compute_fluxes(tree, mu).values
     if np.any(flux[1:] <= 0.0):
         bad = 1 + int(np.argmin(flux[1:]))
@@ -637,6 +635,13 @@ def _newton_step(xy, edges, tiny):
     return xy
 
 
+def _gradient_cutoff(weights):
+    """The rounding level 1e-14 * max w of the weighted length's gradient,
+    for edge weights w = weights[1:]: below it a steiner node counts as
+    stationary, in `_newton_direction` and in `_stationary` alike."""
+    return 1e-14 * max(weights[1:], default=0.0)
+
+
 def _optimize_positions(pos, parents, atom_index, weights, scale):
     """Minimize sum(weights * edge_length) over steiner positions.
 
@@ -660,7 +665,7 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
     par, weights = np.asarray(parents).tolist(), np.asarray(weights, dtype=float).tolist()
     edges = [(i, par[i], weights[i], steiner[i], steiner[par[i]])
              for i in _depth_order(par)[1:] if steiner[i] or steiner[par[i]]]
-    tiny = 1e-14 * max(weights[1:], default=0.0)  # the gradient's rounding level
+    tiny = _gradient_cutoff(weights)
     xy = [tuple(p) for p in np.asarray(pos, dtype=float).tolist()]
     nbrs = [[] for _ in xy]  # (neighbour, weight of the edge to it)
     for i, (p, wi) in enumerate(zip(par[1:], weights[1:]), 1):
@@ -830,16 +835,16 @@ def _scan_moves(pos, parents, flux, alpha):
 def _stationary(pos, parents, atom_index, weights):
     """Whether every steiner node of a contracted plan is stationary for
     the edge weights: the weighted unit vectors w_e u_e of its edges sum to
-    at most the `tiny` cutoff of `_newton_direction` in each coordinate.
-    Contraction leaves no edge of zero length, so the weighted length is
-    smooth at the steiner nodes and, being convex, at its minimum there."""
+    at most `_gradient_cutoff(weights)` in each coordinate.  Contraction
+    leaves no edge of zero length, so the weighted length is smooth at the
+    steiner nodes and, being convex, at its minimum there."""
     d = pos[1:] - pos[parents[1:]]
     pull = d * (weights[1:] / np.sqrt((d * d).sum(1)))[:, None]
     grad = np.zeros_like(pos)
     grad[1:] = pull
     np.subtract.at(grad, parents[1:], pull)
     steiner = grad[1:][atom_index[1:] < 0]
-    return bool(np.abs(steiner).max(initial=0.0) <= 1e-14 * weights[1:].max())
+    return bool(np.abs(steiner).max(initial=0.0) <= _gradient_cutoff(weights))
 
 
 def _refit(pos, parents, atom_index, masses, alpha, scale):
@@ -947,8 +952,7 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
     reads the positive atoms and the length scale off
     `mu.without_zero_mass()` directly.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     if alpha == 1.0:
         return star_tree(mu)
     start = star_tree(mu) if init is None else init
@@ -1003,8 +1007,7 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
     neighbor and are recovered by edge contraction, which is how star-like
     plans emerge from the enumeration.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     filtered, kept = mu.without_zero_mass()
     n = len(kept)
     if n == 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import numbers
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -414,12 +414,7 @@ def report_to_dict(report: OptimalityReport, converged: bool, iterations: int,
             }
             for r in report.records
         ],
-        "path_check": None if path_check is None else {
-            "n_samples": path_check.n_samples,
-            "n_violations": path_check.n_violations,
-            "max_excess": path_check.max_excess,
-            "tol": path_check.tol,
-        },
+        "path_check": None if path_check is None else asdict(path_check),
     }
 
 

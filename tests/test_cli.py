@@ -22,12 +22,61 @@ def write_setup(dirpath, config_lines, atoms):
     return cfg
 
 
+def spawn_setup(dirpath):
+    """Two seed atoms on a 9x9 grid and 6 iterations of the spawn ascent,
+    whose plan breaks the path inequality at most of its samples."""
+    return write_setup(dirpath, ["nx = 9", "ny = 9", "c = 0.1", "max_outer_iters = 6",
+                                 "spawn = true", "spawn_mass = 0.05"],
+                       [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
+
+
 @pytest.fixture()
 def single_atom_setup(tmp_path):
     # one atom on a 17 x 17 grid node, unit distance from the source
     cfg = write_setup(tmp_path, ["nx = 17", "ny = 17", "alpha = 0.5"],
                       [(1.0, 0.0, 0.5)])
     return cfg, tmp_path
+
+
+class TestSnapToGrid:
+    @staticmethod
+    def dict_loop(mu, grid):
+        """The snap one atom at a time: the scalar rounding rule, masses
+        summed per node in atom order, nodes in sorted (ix, iy) order."""
+        acc = {}
+        for (x, y), m in zip(mu.positions().tolist(), mu.masses().tolist()):
+            ix = int(round((x - grid.domain.rect_min[0]) / grid.h))
+            iy = int(round((y - grid.domain.rect_min[1]) / grid.h))
+            key = (min(max(ix, 0), grid.nx - 1), min(max(iy, 0), grid.ny - 1))
+            acc[key] = acc.get(key, 0.0) + m
+        nodes = sorted(acc)
+        return ro.DiscreteMeasure.from_arrays([grid.node_position(*k) for k in nodes],
+                                              [acc[k] for k in nodes])
+
+    def test_one_rounding_pass_gives_the_dict_loop_bytes(self, monkeypatch):
+        """300 atoms on 81 nodes, inside and around the rectangle: the
+        snapped measure holds the loop's bytes, from one call of
+        Grid.nearest_nodes for all atoms; the empty measure stays empty."""
+        from rootopt.cli import _snap_to_grid
+        grid = ro.Grid(ro.Domain(), 9, 9)
+        rng = np.random.default_rng(4)
+        mu = ro.DiscreteMeasure.from_arrays(rng.uniform((0.3, -0.7), (1.7, 0.7), (300, 2)),
+                                            rng.uniform(0.01, 1.0, 300))
+        calls = []
+        nearest = ro.Grid.nearest_nodes
+
+        def counting(self, positions):
+            calls.append(len(positions))
+            return nearest(self, positions)
+
+        monkeypatch.setattr(ro.Grid, "nearest_nodes", counting)
+        snapped, ref = _snap_to_grid(mu, grid), self.dict_loop(mu, grid)
+        assert calls == [300]
+        assert len(ref) < len(mu) // 3  # nodes collect several atoms each
+        assert snapped.positions().tobytes() == ref.positions().tobytes()
+        assert snapped.masses().tobytes() == ref.masses().tobytes()
+        empty = _snap_to_grid(ro.DiscreteMeasure(), grid)
+        assert len(empty) == 0 and empty.positions().shape == (0, 2)
 
 
 class TestIrrigate:
@@ -143,7 +192,7 @@ class TestFieldsPathBuildsNoAtoms:
         out = tmp_path / "run"
         assert main(["adjoint", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["verify", "--out", str(out)]) == 0
-        assert "all 5 checks passed" in capsys.readouterr().out
+        assert "all 6 checks passed" in capsys.readouterr().out
         assert built == []
         ro.Atom((1.0, 0.0), 1.0)
         assert len(built) == 1  # the counter counts
@@ -243,6 +292,19 @@ class TestOptimize:
         assert (out / "measure_initial.json").exists()
         assert (out / "support.json").exists()
 
+    def test_rerun_from_its_config_reproduces_every_file(self, tmp_path):
+        """config.txt names the initial measure, so optimize run again from
+        a run directory's config.txt writes the same bytes into every file."""
+        cfg = spawn_setup(tmp_path)
+        run, rerun = tmp_path / "run", tmp_path / "rerun"
+        assert main(["optimize", "--config", str(cfg), "--out", str(run)]) == 0
+        assert "measure_path = measure_initial.json\n" in (run / "config.txt").read_text()
+        assert main(["optimize", "--config", str(run / "config.txt"), "--out", str(rerun)]) == 0
+        files = sorted(p.name for p in run.iterdir())
+        assert sorted(p.name for p in rerun.iterdir()) == files
+        for name in files:
+            assert (rerun / name).read_bytes() == (run / name).read_bytes(), name
+
 
 class TestVerify:
     def run_pipeline(self, tmp_path, subcommand="optimize"):
@@ -281,8 +343,9 @@ class TestVerify:
             "atoms have terminals", "flux conservation", "terminals on atoms",
             "landscape identity", "cost lower bound", "mass bound", "landscape Holder bound",
             "field resolution", "state box bounds", "state residual", "adjoint bounds",
-            "adjoint residual", "payoff identity", "optimality residuals",
-            "trace iterations contiguous", "trace monotonicity")] + ["all 16 checks passed"]
+            "adjoint residual", "phi field", "payoff identity", "optimality residuals",
+            "path check", "trace iterations contiguous", "trace monotonicity",
+            "support density")] + ["all 19 checks passed"]
 
     def test_tampered_flux_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
@@ -441,6 +504,49 @@ class TestVerify:
         (out / "measure.json").write_text(json.dumps(measure))
         assert main(["verify", "--out", str(out)]) == 1
         assert "invariant violated: mass bound: total mass" in capsys.readouterr().out
+
+    def spawn_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(spawn_setup(tmp_path)), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    def test_tampered_phi_is_caught(self, tmp_path, capsys):
+        out = self.spawn_run(tmp_path, capsys)
+        raw = (out / "phi.bin").read_bytes()
+        n = (len(raw) - 40) // 8
+        (out / "phi.bin").write_bytes(raw[:40] + np.full(n, 0.123, dtype="<f8").tobytes())
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: adjoint residual" in stdout
+        assert (f"invariant violated: phi field: stored phi differs from (1 - psi) u "
+                f"at {n} nodes, first node 0") in stdout
+
+    def test_tampered_path_check_is_caught(self, tmp_path, capsys):
+        """The check fails on a stored path check that recomputation does
+        not give, not on the size of the excess: the honest run passes with
+        most of its samples in violation."""
+        out = self.spawn_run(tmp_path, capsys)
+        stored = load_report(out / "report.json")["path_check"]
+        assert stored["n_violations"] > stored["n_samples"] // 2
+        self.tamper_report(out, lambda r: r["path_check"].update(
+            n_violations=0, max_excess=-1.0))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: optimality residuals" in stdout
+        assert "invariant violated: path check: stored path check" in stdout
+        fresh = {key: stored[key] for key in ("n_samples", "n_violations", "max_excess", "tol")}
+        assert f"recomputation {fresh!r}" in stdout
+
+    def test_tampered_support_is_caught(self, tmp_path, capsys):
+        out = self.spawn_run(tmp_path, capsys)
+        support = json.loads((out / "support.json").read_text())
+        support["rows"][0]["occupied"] = 999
+        (out / "support.json").write_text(json.dumps(support))
+        assert main(["verify", "--out", str(out)]) == 1
+        assert ("invariant violated: support density: stored support.json differs "
+                "from the support of measure.json") in capsys.readouterr().out
 
     def test_empty_dir_is_an_error(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path), "--config", "/dev/null"])

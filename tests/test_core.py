@@ -62,6 +62,34 @@ class TestGrid:
         assert g.nearest_node(0.51, -0.49) == (0, 0)
         assert g.nearest_node(99.0, 99.0) == (g.nx - 1, g.ny - 1)
 
+    def test_nearest_nodes_match_the_scalar_rule(self):
+        """Grid.nearest_nodes against int(round((x - rect_min) / h)) clamped
+        to the grid, per position: random positions inside and outside the
+        rectangle, positions exactly halfway between nodes (both round to
+        the even index) and several positions rounding to one node."""
+        g = ro.Grid(ro.Domain((0.5, -0.5), (2.0, 0.5)), 13, 9)  # h = 1/8, exact
+        rng = np.random.default_rng(11)
+        k = np.arange(-2.0, 15.0)
+        halfway = np.column_stack([0.5 + (k + 0.5) * g.h, -0.5 + (k[::-1] - 3.5) * g.h])
+        pos = np.vstack([rng.uniform((0.5, -0.5), (2.0, 0.5), (400, 2)),
+                         rng.uniform((-3.0, -3.0), (5.0, 3.0), (400, 2)), halfway,
+                         g.node_coordinates()[[0, 40, 116]].repeat(4, axis=0)
+                         + rng.uniform(-0.4 * g.h, 0.4 * g.h, (12, 2))])
+
+        def scalar(x, y):
+            ix = int(round((x - g.domain.rect_min[0]) / g.h))
+            iy = int(round((y - g.domain.rect_min[1]) / g.h))
+            return min(max(ix, 0), g.nx - 1), min(max(iy, 0), g.ny - 1)
+
+        expected = [scalar(x, y) for x, y in pos.tolist()]
+        ix, iy = g.nearest_nodes(pos)
+        assert ix.dtype == iy.dtype == np.int64
+        assert list(zip(ix.tolist(), iy.tolist())) == expected
+        assert [g.nearest_node(x, y) for x, y in pos.tolist()] == expected
+        evens = [scalar(x, y)[0] % 2 for x, y in halfway.tolist() if 0.5 < x < 2.0]
+        assert evens == [0] * len(evens) and len(evens) == 12
+        assert len(set(expected[-12:])) == 3
+
     def test_node_coordinates_order(self):
         g = ro.Grid(ro.Domain(), 5, 5)
         coords = g.node_coordinates()

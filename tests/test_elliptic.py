@@ -80,8 +80,8 @@ def sweep_log(monkeypatch):
         log.append(("solve", absorption))
         return solve(grid, absorption, rhs, tol_linear, lu)
 
-    def recording_misfit(lap, a, f, u):
-        measured = misfit(lap, a, f, u)
+    def recording_misfit(grid, a, f, u):
+        measured = misfit(grid, a, f, u)
         log.append(("misfit", u.copy(), measured))
         return measured
 
@@ -405,13 +405,12 @@ class TestBandedAndSparseLU:
         f = ro.GrowthFunction()
         mu = random_grid_measure(np.random.default_rng(5), grid, 6, mass_range=(0.2, 1.0))
         a = ro.lump_measure(mu, grid).density()
-        lap = ro.laplacian_matrix(grid)
         top = np.full(grid.n_nodes, f.u_max)
         low = np.full(grid.n_nodes, 0.3 * f.u_max)
         u = ro.solve_state(grid, mu, f, tol=1e-10)
         return {
             "sweep": (a + f.monotone_shift, f(top) + f.monotone_shift * top),
-            "jacobian": (a - f.derivative(low), ell._state_misfit(lap, a, f, low)[0]),
+            "jacobian": (a - f.derivative(low), ell._state_misfit(grid, a, f, low)[0]),
             "adjoint": (a - f.derivative(u.values), a),
         }
 
@@ -651,9 +650,9 @@ class TestStateSolve:
         iterates = []
         misfit = ell._state_misfit
 
-        def recording(lap, a, f, u):
+        def recording(grid, a, f, u):
             iterates.append(u.copy())
-            return misfit(lap, a, f, u)
+            return misfit(grid, a, f, u)
 
         monkeypatch.setattr(ell, "_state_misfit", recording)
         extinct = 0
@@ -673,7 +672,7 @@ class TestStateSolve:
         65x65.  Every point that _state_misfit measures in a cold solve
         (sweep iterates, certified secant points, Newton iterates) stays
         above the sweep-only reference up to rounding, and every iterate a
-        sweep adopts is a supersolution: lap u + f(u) - a u <= 0 at every
+        sweep adopts is a supersolution: a u - lap u - f(u) >= 0 at every
         node, up to the rounding of the stencil (measured: below 0
         everywhere).  The certificate is what keeps them there: a sweep that
         adopts its secant point whenever it measures lower, uncertified,
@@ -690,11 +689,11 @@ class TestStateSolve:
         assert len(adopted) > 3
         gamma = 8 * 2.0 ** -53 / (1 - 8 * 2.0 ** -53)
         for v, (res, _, fu) in adopted:
-            assert np.all(res <= gamma * (abs(lap) @ v + np.abs(fu) + a * v))
+            assert np.all(-res <= gamma * (abs(lap) @ v + np.abs(fu) + a * v))
 
-        def uncertified(lap, a, f, g, misfit, d, c):
+        def uncertified(grid, a, f, g, misfit, d, c):
             trial = g + c * d
-            trial_misfit = ell._state_misfit(lap, a, f, trial)
+            trial_misfit = ell._state_misfit(grid, a, f, trial)
             return (trial, trial_misfit) if trial_misfit[1] < misfit[1] else (g, misfit)
 
         sweep_log.log.clear()
@@ -712,9 +711,9 @@ class TestStateSolve:
         measured = []
         misfit = ell._state_misfit
 
-        def recording(lap, a, f, u):
+        def recording(grid, a, f, u):
             measured.append(u.tobytes())
-            return misfit(lap, a, f, u)
+            return misfit(grid, a, f, u)
 
         monkeypatch.setattr(ell, "_state_misfit", recording)
         u = ro.solve_state(grid17, mu, f, tol=1e-10)

@@ -4,7 +4,9 @@ module of the package, the scripts and the tests parses at the oldest
 Python that pyproject.toml declares."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,33 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# each rule shared between modules, as the code tokens that write it out
+SHARED_RULES = {
+    "rounding of positions to nodes": [("rint",), ("round",)],
+    "adjoint cap lam * u_max + 1": [("u_max", "+", "1.0")],
+    "gradient cutoff 1e-14 * max w": [("1e-14",)],
+    "residual scale max(1, ...)": [("maximum", "(", "1.0")],
+}
+
+
+def test_each_shared_rule_is_written_once():
+    """A search of src/rootopt's code tokens (names, numbers, operators;
+    no comments or docstrings) finds each shared rule once, and the text
+    finds the alpha-range error once."""
+    counts = dict.fromkeys(SHARED_RULES, 0)
+    text = ""
+    for path in sorted((ROOT / "src" / "rootopt").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        text += source
+        toks = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+                if t.type in (tokenize.NAME, tokenize.NUMBER, tokenize.OP)]
+        for rule, spellings in SHARED_RULES.items():
+            counts[rule] += sum(toks[i:i + len(seq)] == list(seq)
+                                for seq in spellings for i in range(len(toks)))
+    counts["alpha range error"] = text.count("alpha must be in (0, 1], got")
+    assert counts == dict.fromkeys(counts, 1)
 
 
 def declared_floor():
