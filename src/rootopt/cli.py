@@ -9,9 +9,13 @@ Subcommands:
   adjoint.json
 * ``optimize``  full mass ascent: trace.jsonl, report.json, initial measure,
   final measure and plan, fields, support.json
-* ``verify``    re-check invariants against stored artifacts, re-deriving
-  phi.bin, report.json's path check and support.json exactly; exit 1
-  naming the first violated invariant
+* ``verify``    check the invariants of the stored measure, plan, fields
+  and trace, then rebuild each derived file present (tree.json,
+  landscape.csv, plan.svg, phi.bin, report.json, support.json) from them
+  and the config by the writer its command used, and compare bytes; field
+  CSVs are left out, since rebuilding their text costs about as much as
+  writing it.  Exit 1 naming each violated check, a file with the line (for
+  phi.bin the byte) where its bytes first differ
 * ``report``    support-density table from stored or configured measure
 
 Flags: --config PATH, --out DIR, --set K=V (repeatable).
@@ -30,8 +34,8 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,18 +45,18 @@ from .core import DiscreteMeasure, SolverError, ValidationError, mass_bound_chec
 from .elliptic import (_adjoint_bounds, adjoint_residual, growth_bound_lambda,
                        harvest, phi_field, solve_adjoint, solve_state,
                        state_residual)
-from .irrigation import (_plan_cost, check_landscape_holder, compute_fluxes,
-                         cost_lower_bound, irrigation_cost, landscape,
-                         optimize_plan)
-from .optimality import (ascend_measure, optimality_residual,
+from .irrigation import (_plan_cost, check_landscape_holder, cost_lower_bound,
+                         irrigation_cost, landscape, optimize_plan)
+from .optimality import (_converged, ascend_measure, optimality_residual,
                          path_inequality_check, support_density_report)
 from .render import render_tree_svg, save_svg
 from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
-                            load_field_binary, load_field_shape, load_json,
-                            load_measure, load_report, load_trace, load_tree,
-                            parse_config_entry, parse_config_text,
-                            save_fields, save_json, save_landscape_csv,
-                            save_measure, save_report, save_trace, save_tree)
+                            dumps_json, field_binary_bytes, landscape_csv_text,
+                            load_field_binary, load_field_shape, load_measure,
+                            load_trace, load_tree, parse_config_entry,
+                            parse_config_text, report_to_dict, save_fields,
+                            save_json, save_landscape_csv, save_measure,
+                            save_report, save_trace, save_tree, tree_to_dict)
 
 __all__ = ["main"]
 
@@ -71,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
         ("solve", "solve the harvest state equation"),
         ("adjoint", "solve state and adjoint, emit marginal-harvest field"),
         ("optimize", "run mass ascent on the measure"),
-        ("verify", "re-check invariants against stored artifacts"),
+        ("verify", "check invariants and rebuild derived artifacts"),
         ("report", "support-density table"),
     ):
         p = sub.add_parser(name, help=desc)
@@ -99,8 +103,16 @@ def _load_setup(args) -> ParsedConfig:
 def _snap_to_grid(mu: DiscreteMeasure, grid) -> DiscreteMeasure:
     """Move each atom to its nearest node, merging masses that collide: the
     nodes in sorted (ix, iy) order, each holding its atoms' masses summed in
-    atom order."""
-    ix, iy = grid.nearest_nodes(mu.positions())
+    atom order.  An atom that the snap would move more than h/2 in x or y,
+    which only an atom outside the rectangle can be, raises ValidationError
+    naming it."""
+    pos, d = mu.positions(), grid.domain
+    far = np.flatnonzero(((pos < np.subtract(d.rect_min, grid.h / 2))
+                          | (pos > np.add(d.rect_max, grid.h / 2))).any(axis=1))
+    if len(far):
+        raise ValidationError(f"measure atom {far[0]} at {tuple(pos[far[0]].tolist())} lies "
+                              f"more than h/2 outside the rectangle, so no node is near it")
+    ix, iy = grid.nearest_nodes(pos)
     nodes, which = np.unique(ix * grid.ny + iy, return_inverse=True)
     ix, iy = np.divmod(nodes, grid.ny)
     return DiscreteMeasure.from_arrays(np.column_stack([grid.xs[ix], grid.ys[iy]]),
@@ -245,10 +257,25 @@ def _cmd_report(args, parsed: ParsedConfig, out: Path) -> int:
 # verify
 
 
+def _rebuild_mismatch(path: Path, fresh) -> str | None:
+    """None when the file at path holds exactly `fresh`, the text or bytes
+    that its writer returns; else where the stored bytes first differ: the
+    line of a text file, the byte of a binary one."""
+    binary = isinstance(fresh, bytes)
+    stored, raw = path.read_bytes(), fresh if binary else fresh.encode("utf-8")
+    if stored == raw:
+        return None
+    k = len(os.path.commonprefix([stored, raw]))
+    where = f"byte {k}" if binary else "line %d" % (stored.count(b"\n", 0, k) + 1)
+    return f"stored bytes differ from the rebuild from {where}"
+
+
 def _verify_checks(args, parsed: ParsedConfig, out: Path):
-    """Yield (name, detail-or-None) pairs for every check whose inputs exist."""
+    """Yield (name, detail-or-None) pairs for every check whose inputs exist:
+    the invariants of the stored measure, plan, fields and trace, then one
+    check per derived file present, named by the file."""
     cfg = parsed.run
-    mu = tree = stored_flux = z = None
+    mu = tree = stored_flux = z = u = psi = records = None
     if (out / "measure.json").exists():
         mu = load_measure(out / "measure.json")
     if (out / "tree.json").exists() and mu is not None:
@@ -265,13 +292,6 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
             tree = None  # every later tree check needs a terminal per atom
 
     if tree is not None:
-        flux = compute_fluxes(tree, mu)
-        gap = float(np.max(np.abs(flux.values[1:] - stored_flux[1:]))) if tree.n_nodes > 1 else 0.0
-        tol = 1e-9 * max(1.0, mu.total_mass)
-        yield ("flux conservation",
-               None if gap <= tol else
-               f"stored edge fluxes disagree with the measure by {gap!r}")
-
         nodes = np.flatnonzero(tree.atom_index >= 0)
         atom_pos = mu.positions()
         off = np.hypot(*(tree.positions[nodes] - atom_pos[tree.atom_index[nodes]]).T)
@@ -319,7 +339,6 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                f"the config asks for {cfg.grid.nx}x{cfg.grid.ny}")
 
     # a field on another grid would sample the wrong nodes: skip its checks
-    u = psi = None
     if not wrong and (out / "state.bin").exists():
         u = load_field_binary(out / "state.bin", cfg.domain)
         lo, hi = u.min(), u.max()
@@ -344,37 +363,6 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                    None if worst <= cfg.tol_linear else
                    f"scaled residual of the adjoint system reaches {worst!r}, "
                    f"above tol_linear {cfg.tol_linear!r}")
-        if (out / "phi.bin").exists():
-            off = np.flatnonzero(load_field_binary(out / "phi.bin", cfg.domain).values
-                                 != phi_field(u, psi).values)
-            yield ("phi field",
-                   None if not len(off) else
-                   f"stored phi differs from (1 - psi) u at {len(off)} nodes, "
-                   f"first node {int(off[0])}")
-
-    if (out / "report.json").exists():
-        rep = load_report(out / "report.json")
-        gap = abs(rep["payoff"] - (rep["harvest"] - rep["c"] * rep["irrigation_cost"]))
-        yield ("payoff identity",
-               None if gap == 0.0 else
-               f"recorded payoff differs from harvest - c*cost by {gap!r}")
-        if u is not None and psi is not None and tree is not None:
-            fresh = optimality_residual(u, psi, z, mu, rep["c"], rep["alpha"])
-            stored = {r["atom"]: r["residual"] for r in rep["records"]}
-            fresh_map = {r.atom: r.residual for r in fresh.records}
-            if set(stored) != set(fresh_map):
-                yield ("optimality residuals", "stored atom set differs from the measure")
-            else:
-                gap = max((abs(stored[a] - fresh_map[a]) for a in stored), default=0.0)
-                tol = 1e-8 * max(1.0, cfg.growth.u_max)
-                yield ("optimality residuals",
-                       None if gap <= tol else
-                       f"stored residuals drift from recomputation by {gap!r}")
-            stored = rep.get("path_check")
-            fresh = asdict(_path_check(cfg, u, psi, tree, mu))
-            yield ("path check",
-                   None if stored == fresh else
-                   f"stored path check {stored!r} differs from recomputation {fresh!r}")
 
     if (out / "trace.jsonl").exists():
         records = load_trace(out / "trace.jsonl")
@@ -391,11 +379,28 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                f"accepted payoff decreases at step {bad}: "
                f"{accepted[bad - 1]!r} -> {accepted[bad]!r}")
 
-    if (out / "support.json").exists() and mu is not None:
-        fresh = {"rows": support_density_report(mu, cfg.grid).as_dicts()}
-        yield ("support density",
-               None if load_json(out / "support.json") == fresh else
-               "stored support.json differs from the support of measure.json")
+    def report_text():
+        fresh = optimality_residual(u, psi, z, mu, cfg.c, cfg.alpha)
+        converged = _converged(cfg, mu, fresh.sup_residual, records[-1]["spawned"])
+        return dumps_json(report_to_dict(fresh, converged, len(records) - 1,
+                                         _path_check(cfg, u, psi, tree, mu)))
+
+    # (file, whether its inputs were loaded and passed the checks that need
+    # them, its text or bytes from the writer that its command used)
+    derived = (
+        ("tree.json", tree is not None, lambda: dumps_json(tree_to_dict(tree, mu))),
+        ("landscape.csv", tree is not None, lambda: landscape_csv_text(z)),
+        ("plan.svg", tree is not None,
+         lambda: render_tree_svg(tree, mu, cfg.alpha, cfg.domain)),
+        ("phi.bin", psi is not None, lambda: field_binary_bytes(phi_field(u, psi))),
+        ("report.json", tree is not None and psi is not None and bool(records), report_text),
+        ("support.json", mu is not None,
+         lambda: dumps_json({"rows": support_density_report(mu, cfg.grid).as_dicts()})),
+    )
+    for name, ready, rebuild in derived:
+        if (out / name).exists():
+            yield (name, _rebuild_mismatch(out / name, rebuild()) if ready else
+                   "cannot be rebuilt: an input is missing or failed its check")
 
 
 def _cmd_verify(args, parsed: ParsedConfig, out: Path) -> int:

@@ -401,7 +401,6 @@ class RunConfig:
     max_outer_iters: int = 200
     max_plan_moves: int = 200
     step_size: float = 1.0
-    seed: int = 0
     spawn: bool = False
     spawn_mass: float = 0.0
     path_tol: float = 1e-3

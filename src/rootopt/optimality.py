@@ -339,6 +339,16 @@ def _attempt(config: RunConfig, mu: DiscreteMeasure, cur: _Bundle,
     return None
 
 
+def _converged(config: RunConfig, mu: DiscreteMeasure, sup_residual: float,
+               spawned: bool) -> bool:
+    """The ascent's stop test for the iteration that ends with measure mu:
+    mu is empty, or its sup residual lies below tol_residual * u_max and the
+    iteration kept no spawn.  `verify` re-derives report.json's `converged`
+    with it from the last trace record."""
+    return not len(mu) or (sup_residual < config.tol_residual * config.growth.u_max
+                           and not spawned)
+
+
 def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace:
     """Projected gradient ascent on atom masses.
 
@@ -354,7 +364,8 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     improves.  Accepted steps never decrease the payoff.  The loop ends
 
     * converged, when the sup residual is below tol_residual * u_max and no
-      spawn was kept in the iteration, or when the measure empties;
+      spawn was kept in the iteration, or when the measure empties
+      (`_converged`);
     * not converged, when an iteration leaves the measure unchanged (no
       representable step makes progress);
     * not converged, when the iteration budget runs out.
@@ -417,7 +428,7 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
         steps.append(TraceStep(it, cur.mu, cur.payoff, cur.sup_residual,
                                accepted or spawned, spawned, eta_used, tuple(errors)))
 
-        if not len(cur.mu) or (cur.sup_residual < tol_eff and not spawned):
+        if _converged(config, cur.mu, cur.sup_residual, spawned):
             converged = True
             break
         if cur.mu == prev.mu:

@@ -46,8 +46,10 @@ __all__ = [
     "tree_from_dict",
     "save_tree",
     "load_tree",
+    "landscape_csv_text",
     "save_landscape_csv",
     "save_field_csv",
+    "field_binary_bytes",
     "save_field_binary",
     "save_fields",
     "load_field_shape",
@@ -257,13 +259,18 @@ def load_tree(path):
 # landscape and fields
 
 
-def save_landscape_csv(path, z) -> None:
+def landscape_csv_text(z) -> str:
+    """Header ``node,x,y,z``, then one row per tree node, floats through repr."""
     lines = ["node,x,y,z"]
     for i in range(z.tree.n_nodes):
         x, y = z.tree.positions[i]
         lines.append(f"{i},{float(x)!r},{float(y)!r},{float(z.values[i])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def save_landscape_csv(path, z) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(landscape_csv_text(z))
 
 
 def _csv_template(grid: Grid) -> str:
@@ -293,14 +300,18 @@ def save_field_csv(path, field: ScalarField) -> None:
 _FIELD_HEADER = struct.Struct("<ii4d")
 
 
-def save_field_binary(path, field: ScalarField) -> None:
+def field_binary_bytes(field: ScalarField) -> bytes:
+    """The ``<ii4d`` header, then the values as little-endian float64."""
     g = field.grid
     d = g.domain
     header = _FIELD_HEADER.pack(g.nx, g.ny, d.rect_min[0], d.rect_max[0],
                                 d.rect_min[1], d.rect_max[1])
+    return header + np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+
+
+def save_field_binary(path, field: ScalarField) -> None:
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(field_binary_bytes(field))
 
 
 def save_fields(out, fields) -> None:
@@ -455,9 +466,8 @@ def _config_values(parsed: ParsedConfig) -> dict:
         "tol_nonlinear": cfg.tol_nonlinear, "tol_linear": cfg.tol_linear,
         "tol_residual": cfg.tol_residual, "max_outer_iters": cfg.max_outer_iters,
         "max_plan_moves": cfg.max_plan_moves, "step_size": cfg.step_size,
-        "seed": cfg.seed, "spawn": cfg.spawn, "spawn_mass": cfg.spawn_mass,
-        "path_tol": cfg.path_tol, "measure_path": parsed.measure_path,
-        "snap_measure": parsed.snap_measure,
+        "spawn": cfg.spawn, "spawn_mass": cfg.spawn_mass, "path_tol": cfg.path_tol,
+        "measure_path": parsed.measure_path, "snap_measure": parsed.snap_measure,
     }
 
 

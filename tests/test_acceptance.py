@@ -243,8 +243,7 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
     cfg = tmp_path / "config.txt"
     cfg.write_text("measure_path = measure.json\n"
                    "nx = 9\nny = 9\nalpha = 0.75\nc = 0.1\n"
-                   "max_outer_iters = 6\nspawn = true\nspawn_mass = 0.05\n"
-                   "seed = 3\n")
+                   "max_outer_iters = 6\nspawn = true\nspawn_mass = 0.05\n")
     (tmp_path / "measure.json").write_text(json.dumps(
         {"atoms": [{"x": 1.0, "y": 0.0, "mass": 0.3},
                    {"x": 1.25, "y": 0.25, "mass": 0.2}]}))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 import rootopt as ro
 from rootopt.cli import main
 from rootopt.elliptic import ScalarField
-from rootopt.serialization import (load_field_binary, load_measure, load_report,
-                                   load_trace, load_tree, save_field_binary,
-                                   save_measure)
+from rootopt.serialization import (dumps_json, load_field_binary, load_measure,
+                                   load_report, load_trace, load_tree,
+                                   save_field_binary, save_measure)
 
 
 def write_setup(dirpath, config_lines, atoms):
@@ -54,13 +55,13 @@ class TestSnapToGrid:
                                               [acc[k] for k in nodes])
 
     def test_one_rounding_pass_gives_the_dict_loop_bytes(self, monkeypatch):
-        """300 atoms on 81 nodes, inside and around the rectangle: the
-        snapped measure holds the loop's bytes, from one call of
-        Grid.nearest_nodes for all atoms; the empty measure stays empty."""
+        """300 atoms on 81 nodes, inside the rectangle and up to 0.4 h
+        around it: the snapped measure holds the loop's bytes, from one call
+        of Grid.nearest_nodes for all atoms; the empty measure stays empty."""
         from rootopt.cli import _snap_to_grid
-        grid = ro.Grid(ro.Domain(), 9, 9)
+        grid = ro.Grid(ro.Domain(), 9, 9)  # h = 1/8
         rng = np.random.default_rng(4)
-        mu = ro.DiscreteMeasure.from_arrays(rng.uniform((0.3, -0.7), (1.7, 0.7), (300, 2)),
+        mu = ro.DiscreteMeasure.from_arrays(rng.uniform((0.45, -0.55), (1.55, 0.55), (300, 2)),
                                             rng.uniform(0.01, 1.0, 300))
         calls = []
         nearest = ro.Grid.nearest_nodes
@@ -77,6 +78,31 @@ class TestSnapToGrid:
         assert snapped.masses().tobytes() == ref.masses().tobytes()
         empty = _snap_to_grid(ro.DiscreteMeasure(), grid)
         assert len(empty) == 0 and empty.positions().shape == (0, 2)
+
+    def test_far_atom_is_named(self, tmp_path, capsys):
+        cfg = write_setup(tmp_path, ["nx = 9", "ny = 9", "snap_measure = true"],
+                          [(1.0, 0.0, 0.3), (5.0, 3.0, 0.2)])
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            "error: measure atom 1 at (5.0, 3.0) lies more than h/2 outside the "
+            "rectangle, so no node is near it\n")
+
+    def test_atoms_within_half_a_cell_of_a_wall_snap_onto_it(self):
+        from rootopt.cli import _snap_to_grid
+        grid = ro.Grid(ro.Domain(), 9, 9)  # h = 1/8
+        mu = ro.DiscreteMeasure.from_arrays(
+            [(1.5 + 0.4 * grid.h, 0.0), (1.0, -0.5 - 0.4 * grid.h)], [0.3, 0.2])
+        snapped = _snap_to_grid(mu, grid)
+        assert snapped.positions().tolist() == [[1.0, -0.5], [1.5, 0.0]]
+        assert snapped.masses().tolist() == [0.2, 0.3]
+
+    def test_default_measure_is_unchanged(self):
+        from rootopt.cli import _default_measure
+        from rootopt.serialization import ParsedConfig
+        mu = _default_measure(ParsedConfig(ro.RunConfig()))  # 33x33, h = 1/32
+        assert mu.positions().tolist() == [[0.8125, -0.21875], [0.9375, 0.3125],
+                                           [1.15625, 0.03125]]
+        assert mu.masses().tolist() == [0.35, 0.25, 0.4]
 
 
 class TestIrrigate:
@@ -323,8 +349,8 @@ class TestVerify:
         assert "invariant violated" not in stdout
 
     def test_landscape_is_derived_once(self, tmp_path, capsys, monkeypatch):
-        """The tree checks and the optimality residuals share one landscape;
-        every check still runs, in order."""
+        """The tree checks and the rebuilds of landscape.csv and report.json
+        share one landscape; every check still runs, in order."""
         import rootopt.cli as cli
 
         out = self.run_pipeline(tmp_path)
@@ -340,20 +366,36 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.splitlines() == [f"ok: {name}" for name in (
-            "atoms have terminals", "flux conservation", "terminals on atoms",
+            "atoms have terminals", "terminals on atoms",
             "landscape identity", "cost lower bound", "mass bound", "landscape Holder bound",
             "field resolution", "state box bounds", "state residual", "adjoint bounds",
-            "adjoint residual", "phi field", "payoff identity", "optimality residuals",
-            "path check", "trace iterations contiguous", "trace monotonicity",
-            "support density")] + ["all 19 checks passed"]
+            "adjoint residual", "trace iterations contiguous", "trace monotonicity",
+            "tree.json", "landscape.csv", "plan.svg", "phi.bin", "report.json",
+            "support.json")] + ["all 19 checks passed"]
+
+    @staticmethod
+    def tamper_json(out, name, change):
+        """Apply change to the JSON of file `name` and write it back in its
+        writer's format; returns the first line that changed."""
+        before = (out / name).read_text()
+        data = json.loads(before)
+        change(data)
+        after = dumps_json(data)
+        (out / name).write_text(after)
+        lines = zip_longest(before.splitlines(), after.splitlines())
+        return next(k for k, (a, b) in enumerate(lines, 1) if a != b)
+
+    @staticmethod
+    def rebuild_differs(name, line):
+        return (f"invariant violated: {name}: stored bytes differ from the rebuild "
+                f"from line {line}")
 
     def test_tampered_flux_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
-        tree = json.loads((out / "tree.json").read_text())
-        tree["edges"][0]["flux"] *= 1.5
-        (out / "tree.json").write_text(json.dumps(tree))
+        line = self.tamper_json(out, "tree.json", lambda t: t["edges"][0].update(
+            flux=t["edges"][0]["flux"] * 1.5))
         assert main(["verify", "--out", str(out)]) == 1
-        assert "flux conservation" in capsys.readouterr().out
+        assert self.rebuild_differs("tree.json", line) in capsys.readouterr().out
 
     def test_moved_terminal_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path, subcommand="irrigate")
@@ -440,38 +482,75 @@ class TestVerify:
 
     def test_tampered_payoff_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
-        report = json.loads((out / "report.json").read_text())
-        report["payoff"] += 1e-6
-        (out / "report.json").write_text(json.dumps(report))
+        line = self.tamper_json(out, "report.json", lambda r: r.update(payoff=r["payoff"] + 1e-6))
         assert main(["verify", "--out", str(out)]) == 1
-        assert "payoff" in capsys.readouterr().out
-
-    def tamper_report(self, out, change):
-        report = json.loads((out / "report.json").read_text())
-        change(report)
-        (out / "report.json").write_text(json.dumps(report))
+        assert self.rebuild_differs("report.json", line) in capsys.readouterr().out
 
     def test_drifted_residual_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
         assert main(["verify", "--out", str(out)]) == 0
-        assert "ok: optimality residuals" in capsys.readouterr().out
-        self.tamper_report(out, lambda r: r["records"][0].update(
+        assert "ok: report.json" in capsys.readouterr().out
+        line = self.tamper_json(out, "report.json", lambda r: r["records"][0].update(
             residual=r["records"][0]["residual"] + 1e-6))
         assert main(["verify", "--out", str(out)]) == 1
         stdout = capsys.readouterr().out
-        assert "ok: payoff identity" in stdout
-        prefix = ("invariant violated: optimality residuals: "
-                  "stored residuals drift from recomputation by ")
-        line = next(ln for ln in stdout.splitlines() if ln.startswith(prefix))
-        assert float(line[len(prefix):]) == pytest.approx(1e-6, rel=1e-6)
+        assert self.rebuild_differs("report.json", line) in stdout
+        assert '"residual"' in (out / "report.json").read_text().splitlines()[line - 1]
 
     def test_extra_residual_record_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
-        self.tamper_report(out, lambda r: r["records"].append(
+        line = self.tamper_json(out, "report.json", lambda r: r["records"].append(
             dict(r["records"][0], atom=len(r["records"]) + 5)))
         assert main(["verify", "--out", str(out)]) == 1
-        assert ("invariant violated: optimality residuals: "
-                "stored atom set differs from the measure") in capsys.readouterr().out
+        assert self.rebuild_differs("report.json", line) in capsys.readouterr().out
+
+    def converged_run(self, tmp_path, capsys):
+        cfg = write_setup(tmp_path, ["nx = 9", "ny = 9", "c = 0.1", "max_outer_iters = 100",
+                                     "step_size = 4.0", "tol_residual = 1e-4"],
+                          [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load_report(out / "report.json")["converged"] is True
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: report.json" in capsys.readouterr().out
+        return out
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(converged=not r["converged"]),
+        lambda r: r.update(sup_residual=0.0),
+        lambda r: r.update(harvest=r["harvest"] + 0.5,
+                           payoff=r["harvest"] + 0.5 - r["c"] * r["irrigation_cost"]),
+        lambda r: r["records"][0].update(phi=r["records"][0]["phi"] + 1e-3),
+    ], ids=["converged", "sup_residual", "harvest_and_payoff", "phi"])
+    def test_edited_report_of_a_converged_run_is_caught(self, tmp_path, capsys, edit):
+        """Every field of report.json is rebuilt: the convergence flag from
+        the stop test of the ascent, the sup residual, a harvest shifted with
+        its payoff, and each record's phi."""
+        out = self.converged_run(tmp_path, capsys)
+        line = self.tamper_json(out, "report.json", edit)
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert self.rebuild_differs("report.json", line) in stdout
+        assert sum(ln.startswith("invariant violated") for ln in stdout.splitlines()) == 1
+
+    def test_edited_landscape_value_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path)
+        lines = (out / "landscape.csv").read_text().splitlines(keepends=True)
+        node, x, y, z = lines[2].split(",")
+        lines[2] = f"{node},{x},{y},{float(z) * 1.01!r}\n"
+        (out / "landscape.csv").write_text("".join(lines))
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "ok: landscape identity" in stdout
+        assert self.rebuild_differs("landscape.csv", 3) in stdout
+
+    def test_comment_appended_to_the_plan_is_caught(self, tmp_path, capsys):
+        out = self.run_pipeline(tmp_path)
+        n = len((out / "plan.svg").read_text().splitlines())
+        with open(out / "plan.svg", "a", encoding="utf-8") as fh:
+            fh.write("<!-- edited -->\n")
+        assert main(["verify", "--out", str(out)]) == 1
+        assert self.rebuild_differs("plan.svg", n + 1) in capsys.readouterr().out
 
     def test_lowered_accepted_payoff_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path)
@@ -520,8 +599,8 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         stdout = capsys.readouterr().out
         assert "ok: adjoint residual" in stdout
-        assert (f"invariant violated: phi field: stored phi differs from (1 - psi) u "
-                f"at {n} nodes, first node 0") in stdout
+        assert ("invariant violated: phi.bin: stored bytes differ from the rebuild "
+                "from byte 40") in stdout
 
     def test_tampered_path_check_is_caught(self, tmp_path, capsys):
         """The check fails on a stored path check that recomputation does
@@ -530,23 +609,19 @@ class TestVerify:
         out = self.spawn_run(tmp_path, capsys)
         stored = load_report(out / "report.json")["path_check"]
         assert stored["n_violations"] > stored["n_samples"] // 2
-        self.tamper_report(out, lambda r: r["path_check"].update(
+        line = self.tamper_json(out, "report.json", lambda r: r["path_check"].update(
             n_violations=0, max_excess=-1.0))
         assert main(["verify", "--out", str(out)]) == 1
         stdout = capsys.readouterr().out
-        assert "ok: optimality residuals" in stdout
-        assert "invariant violated: path check: stored path check" in stdout
-        fresh = {key: stored[key] for key in ("n_samples", "n_violations", "max_excess", "tol")}
-        assert f"recomputation {fresh!r}" in stdout
+        assert "ok: phi.bin" in stdout
+        assert self.rebuild_differs("report.json", line) in stdout
+        assert '"max_excess"' in (out / "report.json").read_text().splitlines()[line - 1]
 
     def test_tampered_support_is_caught(self, tmp_path, capsys):
         out = self.spawn_run(tmp_path, capsys)
-        support = json.loads((out / "support.json").read_text())
-        support["rows"][0]["occupied"] = 999
-        (out / "support.json").write_text(json.dumps(support))
+        line = self.tamper_json(out, "support.json", lambda s: s["rows"][0].update(occupied=999))
         assert main(["verify", "--out", str(out)]) == 1
-        assert ("invariant violated: support density: stored support.json differs "
-                "from the support of measure.json") in capsys.readouterr().out
+        assert self.rebuild_differs("support.json", line) in capsys.readouterr().out
 
     def test_empty_dir_is_an_error(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path), "--config", "/dev/null"])
@@ -557,7 +632,7 @@ class TestVerify:
         out = self.run_pipeline(tmp_path, subcommand="irrigate")
         assert main(["verify", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        assert "ok: flux conservation" in stdout
+        assert "ok: tree.json" in stdout
         assert "ok: landscape identity" in stdout
 
 

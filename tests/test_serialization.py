@@ -372,7 +372,7 @@ class TestConfigSchema:
             grid=ro.Grid(domain, 17, 9), alpha=0.6, c=0.3,
             growth=ro.GrowthFunction(u_max=2.5, rate=3.0), tol_nonlinear=1e-9,
             tol_linear=1e-11, tol_residual=1e-5, max_outer_iters=7, max_plan_moves=50,
-            step_size=0.5, seed=11, spawn=True, spawn_mass=0.02, path_tol=1e-4)
+            step_size=0.5, spawn=True, spawn_mass=0.02, path_tol=1e-4)
         parsed = ser.ParsedConfig(run, measure_path="data/mu.json", snap_measure=True)
         values = ser.parse_config_text(ser.config_to_text(parsed))
         assert sorted(values) == sorted(ser.CONFIG_KEYS)
@@ -382,7 +382,7 @@ class TestConfigSchema:
         assert ser.config_from_mapping(values) == parsed
 
     def test_parsers_follow_the_default_types(self):
-        want = {"nx": 17, "seed": 4, "alpha": 0.5, "u_max": 2.0,
+        want = {"nx": 17, "max_plan_moves": 4, "alpha": 0.5, "u_max": 2.0,
                 "spawn": True, "measure_path": "a b.json"}
         for key, value in want.items():
             got = ser.parse_config_entry(key, f"  {value} ")[1]
