@@ -11,11 +11,13 @@ Subcommands:
   final measure and plan, fields, support.json
 * ``verify``    check the invariants of the stored measure, plan, fields
   and trace, then rebuild each derived file present (tree.json,
-  landscape.csv, plan.svg, phi.bin, report.json, support.json) from them
-  and the config by the writer its command used, and compare bytes; field
-  CSVs are left out, since rebuilding their text costs about as much as
-  writing it.  Exit 1 naming each violated check, a file with the line (for
-  phi.bin the byte) where its bytes first differ
+  landscape.csv, plan.svg, phi.bin, cost.json, harvest.json, adjoint.json,
+  report.json, support.json) from them and the config by the writer its
+  command used, and compare bytes (support.json from the configured
+  measure where no measure.json is stored, as report wrote it); field CSVs
+  are left out, since rebuilding their text costs about as much as writing
+  it.  Exit 1 naming each violated check, a file with the line (for phi.bin
+  the byte) where its bytes first differ
 * ``report``    support-density table from stored or configured measure
 
 Flags: --config PATH, --out DIR, --set K=V (repeatable).
@@ -149,6 +151,23 @@ def _write_common(out: Path, parsed: ParsedConfig, mu: DiscreteMeasure,
     save_measure(out / name, mu)
 
 
+def _cost_summary(cfg, mu, cost, lb) -> dict:
+    """cost.json of irrigate, which verify rebuilds from the stored plan."""
+    return {"alpha": cfg.alpha, "cost": cost, "lower_bound": lb, "n_atoms": len(mu),
+            "total_mass": mu.total_mass}
+
+
+def _harvest_summary(u, mu) -> dict:
+    """harvest.json of solve, which verify rebuilds from the stored state."""
+    return {"harvest": harvest(u, mu), "u_min": u.min(), "u_max": u.max()}
+
+
+def _adjoint_summary(cfg, mu, u, psi) -> dict:
+    """adjoint.json of adjoint, which verify rebuilds from the stored fields."""
+    return {"harvest": harvest(u, mu), "lambda_bound": growth_bound_lambda(cfg.growth, u.min()),
+            "psi_min": psi.min(), "psi_max": psi.max()}
+
+
 def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     mu = _resolve_measure(args, parsed)
@@ -160,13 +179,7 @@ def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
     save_tree(out / "tree.json", tree, mu)
     save_landscape_csv(out / "landscape.csv", z)
     save_svg(out / "plan.svg", render_tree_svg(tree, mu, cfg.alpha, cfg.domain))
-    save_json(out / "cost.json", {
-        "alpha": cfg.alpha,
-        "cost": cost,
-        "lower_bound": lb,
-        "n_atoms": len(mu),
-        "total_mass": mu.total_mass,
-    })
+    save_json(out / "cost.json", _cost_summary(cfg, mu, cost, lb))
     print(f"cost {cost!r} (lower bound {lb!r}) over {len(mu)} atoms")
     return 0
 
@@ -177,10 +190,10 @@ def _cmd_solve(args, parsed: ParsedConfig, out: Path) -> int:
     _write_common(out, parsed, mu)
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
-    h = harvest(u, mu)
+    summary = _harvest_summary(u, mu)
     save_fields(out, {"state": u})
-    save_json(out / "harvest.json", {"harvest": h, "u_min": u.min(), "u_max": u.max()})
-    print(f"harvest {h!r} (state range [{u.min()!r}, {u.max()!r}])")
+    save_json(out / "harvest.json", summary)
+    print(f"harvest {summary['harvest']!r} (state range [{u.min()!r}, {u.max()!r}])")
     return 0
 
 
@@ -193,12 +206,7 @@ def _cmd_adjoint(args, parsed: ParsedConfig, out: Path) -> int:
     psi = solve_adjoint(cfg.grid, mu, u, cfg.growth, tol=cfg.tol_linear)
     phi = phi_field(u, psi)
     save_fields(out, {"state": u, "psi": psi, "phi": phi})
-    save_json(out / "adjoint.json", {
-        "harvest": harvest(u, mu),
-        "lambda_bound": growth_bound_lambda(cfg.growth, u.min()),
-        "psi_min": psi.min(),
-        "psi_max": psi.max(),
-    })
+    save_json(out / "adjoint.json", _adjoint_summary(cfg, mu, u, psi))
     print(f"adjoint range [{psi.min()!r}, {psi.max()!r}], "
           f"bound {_adjoint_bounds(cfg.growth, u.min())[0]!r}")
     return 0
@@ -244,6 +252,7 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
 def _cmd_report(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     stored = out / "measure.json"
+    # verify rebuilds support.json from the same measure
     mu = load_measure(stored) if stored.exists() else _resolve_measure(args, parsed)
     support = support_density_report(mu, cfg.grid)
     save_json(out / "support.json", {"rows": support.as_dicts()})
@@ -393,9 +402,15 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         ("plan.svg", tree is not None,
          lambda: render_tree_svg(tree, mu, cfg.alpha, cfg.domain)),
         ("phi.bin", psi is not None, lambda: field_binary_bytes(phi_field(u, psi))),
+        ("cost.json", tree is not None, lambda: dumps_json(_cost_summary(cfg, mu, cost, lb))),
+        ("harvest.json", u is not None and mu is not None,
+         lambda: dumps_json(_harvest_summary(u, mu))),
+        ("adjoint.json", psi is not None and mu is not None,
+         lambda: dumps_json(_adjoint_summary(cfg, mu, u, psi))),
         ("report.json", tree is not None and psi is not None and bool(records), report_text),
-        ("support.json", mu is not None,
-         lambda: dumps_json({"rows": support_density_report(mu, cfg.grid).as_dicts()})),
+        # report tabulates measure.json, or the configured measure without one
+        ("support.json", True, lambda: dumps_json({"rows": support_density_report(
+            mu if mu is not None else _resolve_measure(args, parsed), cfg.grid).as_dicts()})),
     )
     for name, ready, rebuild in derived:
         if (out / name).exists():

@@ -16,8 +16,8 @@ field from solve_adjoint differentiates the discrete crop exactly.
 Every linear solve A x = b, A = -lap + diag(absorption), follows one rule.
 The nodewise residual |A x - b| against the true matrix A must lie within
 tol_linear * max(1, |absorption * x|, |b|) at every node.  A solve given
-sparse LU factors (of A itself, or of a nearby matrix such as an earlier
-Newton Jacobian) back-substitutes with them and refines against A, up to
+factors (of A itself, or of a nearby matrix such as an earlier Newton
+Jacobian) back-substitutes with them and refines against A, up to
 12 steps that each at least halve the worst scaled residual.  Without
 factors, or when they miss, A is factorized and refined by the same rule;
 if that misses too, SolverError reports the worst residual, so a singular
@@ -28,23 +28,38 @@ the cached Laplacian as absorption * x - lap @ x - b, and a matrix is
 assembled only inside a factorization.
 Every factorization goes through _factorize, which picks its method by
 the half-bandwidth of A; nodes are ordered iy * nx + ix, so that is nx.
-Up to nx = 45 (_BAND_MAX) A is factorized by LAPACK's banded LU with
-partial pivoting (dgbtrf; back-substitution by dgbtrs), which costs
-O(n nx^2) and needs no ordering; its band storage holds (3 nx + 1) n
-doubles, 2.2 MB at 45x45, and is zeroed, takes the entries of -lap from
-a cached scatter and adds the absorption to its diagonal.  Wider systems get one
-CSC matrix and one SuperLU call with the
-minimum degree ordering of A^T + A, panels of 2 columns and supernodes
-relaxed up to 4 columns: measured against SuperLU's defaults on grids from
-17x17 to 257x257, these factorize each of the module's matrices in 0.6 to
-0.86 of the time, with the same fill (BENCH_15.json).  The crossover was
-measured on the sweep matrix, a Newton Jacobian and the adjoint matrix
-(one thread, minimum of interleaved runs, BENCH_18.json): one banded
-factorization and 17 back-substitutions, the mass ascent's ratio, take
-0.39 to 0.4 of SuperLU's time at 17x17, 0.5 to 0.54 at 33x33, 0.7 at
-41x41 and 0.86 to 0.9 at 45x45; from 47x47 to 51x51 they take 0.89 to
-1.0 of it, and at 57x57 and 65x65 1.27 to 1.34 times as long.  On either
-path an exactly singular matrix raises SolverError.
+Up to nx = 101 (_BAND_MAX) it factorizes diag(tau) A by LAPACK's banded
+Cholesky (dpbtrf with kd = nx), and a solve back-substitutes tau * b
+(dpbtrs).  tau is 1, 1/2 or 1/4, so the scaling is exact and
+diag(tau)(-lap) is exactly symmetric.  The upper band storage holds
+(nx + 1) n doubles, 2.2 MB at 65x65 and 8.3 MB at 101x101; it is zeroed,
+takes the tau-scaled upper triangle of -lap from a cached scatter and
+adds tau * absorption to its diagonal.  A pivot that is not positive
+raises SolverError naming it, and no LU is tried instead.  The matrices
+a cold solve factorizes are positive definite: the sweep matrix has
+absorption a + sigma > 0, and Newton's Jacobians at supersolutions u on
+or above the maximal solution u* dominate J(u*), since f'(u) <= f'(u*)
+for concave f, and J(u*) is positive definite when u* > 0 (J(u*) u* =
+rate u*^2 / u_max > 0 makes it an M-matrix).  A kept warm state passes
+J u > 0, which makes its Jacobian a symmetric M-matrix, hence positive
+definite; a warm Newton step that meets an indefinite Jacobian falls
+back to the cold sweep, as on any SolverError.  Wider systems get one
+CSC matrix and one SuperLU call with the minimum degree ordering of
+A^T + A, panels of 2 columns and supernodes relaxed up to 4 columns:
+measured against SuperLU's defaults on grids from 17x17 to 257x257,
+these factorize each of the module's matrices in 0.6 to 0.86 of the
+time, with the same fill (BENCH_15.json).  The crossover was measured
+on the sweep matrix, two Newton Jacobians and the adjoint matrix (one
+thread, minimum of interleaved runs, BENCH_30.json).  One Cholesky
+factorization and 6 back-substitutions, a cold state solve with its
+adjoint, take 0.18 of SuperLU's time at 17x17, 0.3 at 33x33, 0.56 to
+0.58 at 65x65, 0.55 to 0.79 at 73x73, 0.71 to 0.79 at 89x89, 0.74 to
+0.88 at 101x101 and 0.81 to 0.97 at 105x105 to 113x113, and 0.94 to 1.12
+at 117x117 and 121x121.  With 17 back-substitutions, the mass ascent's
+ratio, they take 0.57 to 0.68 at 65x65, 0.8 to 0.91 at 89x89 and 0.9 to
+0.99 at 101x101, and 1.01 to 1.13 at 105x105 and 109x109.  So _BAND_MAX
+is the widest grid that beat SuperLU at both ratios.  On either path an
+exactly singular matrix raises SolverError.
 
 State equation
 --------------
@@ -143,9 +158,13 @@ _MAX_SWEEPS = 400
 # refinement steps allowed per set of factors, each of which must at least
 # halve the worst scaled residual
 _MAX_REFINE = 12
-# largest half-bandwidth (nx) factorized by LAPACK's banded LU; wider
-# systems go to SuperLU (see _factorize)
-_BAND_MAX = 45
+# largest half-bandwidth (nx) factorized by LAPACK's banded Cholesky; wider
+# systems go to SuperLU.  The widest grid on which one factorization beat
+# SuperLU's both with 6 back-substitutions (a cold state solve and its
+# adjoint; up to 113x113) and with 17 (the mass ascent; 0.9 to 0.99 of its
+# time at 101x101, 1.01 to 1.13 at 105x105 and 109x109); see the module
+# docstring and BENCH_30.json
+_BAND_MAX = 101
 # widest grid (nx) on which a warm state solve factorizes the Jacobian of
 # every Newton step; wider warm solves and every cold solve refine later
 # steps with the first step's factors.  Timed on 40-iteration spawn
@@ -177,7 +196,7 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
-    # LU factors of the Jacobian at a Newton iterate near these values, which
+    # factors of the Jacobian at a Newton iterate near these values, which
     # solve_state hands on to solve_adjoint; not part of the field's data
     _factors: object = field(default=None, init=False, repr=False)
 
@@ -254,19 +273,20 @@ def _operators(grid: Grid):
 
 @lru_cache(maxsize=16)
 def _band_scatter(grid: Grid):
-    """Where the entries of -lap go in LAPACK's band storage with kl = ku =
-    nx, flattened by columns, their values (-lap's data) and where its
-    diagonal sits there: entry (i, j) of the CSC Laplacian goes to row
-    2 nx + i - j of the 3 nx + 1 rows of column j.  Built only for the
-    narrow grids that the banded LU serves."""
-    lap, _, diagonal = _operators(grid)
-    nx = grid.nx
-    cols = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
-    positions = 2 * nx + lap.indices + 3 * nx * cols
-    values, diagonal = -lap.data, positions[diagonal]
-    for arr in (positions, values, diagonal):
+    """Where the upper triangle of diag(tau)(-lap) goes in LAPACK's upper
+    band storage with kd = nx, flattened by columns, and its values: entry
+    (i, j), i <= j, goes to row nx + i - j of the nx + 1 rows of column j.
+    tau is 1, 1/2 or 1/4, so the scaled entries are exact and
+    diag(tau)(-lap) is exactly symmetric.  Built only for the grids that
+    the banded Cholesky serves."""
+    lap, tau, _ = _operators(grid)
+    rows, cols = lap.indices, np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
+    upper = rows <= cols
+    positions = (grid.nx * (cols + 1) + rows)[upper]
+    values = (-lap.data * tau[rows])[upper]
+    for arr in (positions, values):
         arr.setflags(write=False)
-    return positions, values, diagonal
+    return positions, values
 
 
 def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
@@ -338,15 +358,16 @@ def _system(grid: Grid, absorption: np.ndarray) -> sp.csc_matrix:
 
 
 def _band_system(grid: Grid, absorption: np.ndarray) -> np.ndarray:
-    """-lap + diag(absorption) in band storage for dgbtrf, a (3 nx + 1) x n
-    array in Fortran order: zeroed storage that takes -lap's entries where
-    _band_scatter puts them, with absorption added to the diagonal, the
-    same bits as scattering _system's CSC."""
-    positions, values, diagonal = _band_scatter(grid)
-    band = np.zeros((3 * grid.nx + 1) * grid.n_nodes)
+    """diag(tau)(-lap + diag(absorption)) in upper band storage for dpbtrf,
+    an (nx + 1) x n array in Fortran order: zeroed storage that takes the
+    upper triangle of diag(tau)(-lap) where _band_scatter puts it, with
+    tau * absorption added to its last row, the diagonal: the same bits as
+    scattering the upper triangle of diag(tau) times _system's CSC."""
+    positions, values = _band_scatter(grid)
+    band = np.zeros((grid.nx + 1) * grid.n_nodes)
     band[positions] = values
-    band[diagonal] += absorption
-    return band.reshape((3 * grid.nx + 1, grid.n_nodes), order="F")
+    band[grid.nx::grid.nx + 1] += quadrature_weights(grid) * absorption
+    return band.reshape((grid.nx + 1, grid.n_nodes), order="F")
 
 
 def _linear_misfit(grid: Grid, absorption, x, rhs):
@@ -358,20 +379,20 @@ def _linear_misfit(grid: Grid, absorption, x, rhs):
     return res, float(np.max(np.abs(res) / scale))
 
 
-class _BandLU:
-    """LU factors with partial pivoting, from LAPACK's dgbtrf, of a matrix
-    of half-bandwidth nx in band storage (kl = ku = nx, 3 nx + 1 rows, as
-    _band_system fills it); solve back-substitutes with dgbtrs, as
-    SuperLU's factors do with their own solve."""
+class _BandCholesky:
+    """Cholesky factors, from LAPACK's dpbtrf, of diag(tau) A for a matrix
+    A of half-bandwidth nx, given as _band_system fills it; solve
+    back-substitutes tau * rhs with dpbtrs, as SuperLU's factors solve
+    A x = rhs with their own solve."""
 
-    def __init__(self, band: np.ndarray, nx: int):
-        self.lu, self.piv, info = lapack.dgbtrf(band, nx, nx, overwrite_ab=1)
-        if info > 0:  # exactly singular
-            raise SolverError(f"banded factorization failed: pivot {info} is exactly zero")
-        self.nx = nx
+    def __init__(self, band: np.ndarray, tau: np.ndarray):
+        self.c, info = lapack.dpbtrf(band, overwrite_ab=1)
+        if info > 0:  # not positive definite, or exactly singular
+            raise SolverError(f"Cholesky factorization failed: pivot {info} is not positive")
+        self.tau = tau
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lapack.dgbtrs(self.lu, self.nx, self.nx, rhs, self.piv)[0]
+        return lapack.dpbtrs(self.c, self.tau * rhs, overwrite_b=1)[0]
 
 
 def _superlu(mat: sp.csc_matrix):
@@ -390,15 +411,18 @@ def _superlu(mat: sp.csc_matrix):
 
 
 def _factorize(grid: Grid, absorption: np.ndarray):
-    """LU factors of -lap + diag(absorption), the one place a matrix is
-    assembled.  Nodes are ordered iy * nx + ix, so the half-bandwidth is
-    nx.  The banded LU costs O(n nx^2) and undercuts SuperLU's fixed cost
-    per call up to nx = _BAND_MAX (0.39 of its time at 17x17, 0.86 to 0.9
-    at 45x45, for a factorization and 17 back-substitutions); by 57x57
-    SuperLU is faster, and the band storage of (3 nx + 1) n doubles would
-    reach 6.6 MB at 65x65 (BENCH_18.json)."""
+    """Factors of A = -lap + diag(absorption), the one place a matrix is
+    assembled; their solve(b) returns A^-1 b.  Nodes are ordered
+    iy * nx + ix, so the half-bandwidth is nx.  Up to nx = _BAND_MAX the
+    banded Cholesky of diag(tau) A costs O(n nx^2) and undercuts
+    SuperLU's cost per call (0.56 to 0.58 of its time at 65x65, for a
+    factorization and 6 back-substitutions; see the module docstring for
+    the crossover); a pivot that is not positive raises SolverError.  From
+    105x105 SuperLU is faster at the mass ascent's 17 back-substitutions,
+    and at 129x129 the band storage of (nx + 1) n doubles would take 17 MB
+    (BENCH_30.json)."""
     if grid.nx <= _BAND_MAX:
-        return _BandLU(_band_system(grid, absorption), grid.nx)
+        return _BandCholesky(_band_system(grid, absorption), quadrature_weights(grid))
     return _superlu(_system(grid, absorption))
 
 

@@ -218,7 +218,7 @@ class TestFieldsPathBuildsNoAtoms:
         out = tmp_path / "run"
         assert main(["adjoint", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["verify", "--out", str(out)]) == 0
-        assert "all 6 checks passed" in capsys.readouterr().out
+        assert "all 7 checks passed" in capsys.readouterr().out
         assert built == []
         ro.Atom((1.0, 0.0), 1.0)
         assert len(built) == 1  # the counter counts
@@ -623,6 +623,24 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         assert self.rebuild_differs("support.json", line) in capsys.readouterr().out
 
+    @pytest.mark.parametrize("subcommand, name, change", [
+        ("irrigate", "cost.json", lambda c: c.update(cost=c["cost"] / 2)),
+        ("solve", "harvest.json", lambda h: h.update(u_max=h["u_max"] * (1 + 1e-12))),
+        ("adjoint", "adjoint.json", lambda a: (a.clear(), a.update(harvest=-1))),
+    ], ids=["cost", "harvest", "adjoint"])
+    def test_tampered_summary_is_caught(self, tmp_path, capsys, subcommand, name, change):
+        """Each command's summary is rebuilt from the stored measure, plan
+        and fields by its writer: a halved cost, a state maximum moved by
+        one part in 10^12 and an adjoint summary replaced whole all fail."""
+        out = self.run_pipeline(tmp_path, subcommand=subcommand)
+        assert main(["verify", "--out", str(out)]) == 0
+        assert f"ok: {name}" in capsys.readouterr().out
+        line = self.tamper_json(out, name, change)
+        assert main(["verify", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert self.rebuild_differs(name, line) in stdout
+        assert sum(ln.startswith("invariant violated") for ln in stdout.splitlines()) == 1
+
     def test_empty_dir_is_an_error(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path), "--config", "/dev/null"])
         assert rc == 1
@@ -659,6 +677,47 @@ class TestReport:
         assert json.loads(written)["rows"][0]["scale"] == 0.0625
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "support.json").read_bytes() == written
+
+
+class TestReportThenVerify:
+    """report tabulates the stored measure.json, or the configured measure
+    where there is none, and verify rebuilds support.json from that same
+    measure."""
+
+    def test_report_without_a_stored_measure_passes_verify(self, tmp_path, capsys):
+        cfg = write_setup(tmp_path, ["nx = 17", "ny = 17"],
+                          [(1.0, 0.0, 0.5), (1.25, 0.25, 0.25)])
+        out = tmp_path / "run"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "measure.json").exists()
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["ok: support.json",
+                                                        "all 1 checks passed"]
+
+    def test_verify_report_verify_on_a_run_directory(self, tmp_path, capsys):
+        """On a solve directory, whose measure.json report tabulates, verify
+        passes before report writes support.json and after."""
+        cfg = write_setup(tmp_path, ["nx = 17", "ny = 17"], [(1.0, 0.0, 0.5)])
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "support.json" not in capsys.readouterr().out
+        assert main(["report", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "ok: support.json" in capsys.readouterr().out
+
+    def test_tampered_support_without_a_stored_measure_is_caught(self, tmp_path, capsys):
+        cfg = write_setup(tmp_path, ["nx = 17", "ny = 17"],
+                          [(1.0, 0.0, 0.5), (1.25, 0.25, 0.25)])
+        out = tmp_path / "run"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        line = TestVerify.tamper_json(out, "support.json",
+                                      lambda s: s["rows"][0].update(occupied=999))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert TestVerify.rebuild_differs("support.json", line) in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -207,20 +207,37 @@ class TestLinearSolver:
     @pytest.mark.parametrize("n", [17, ell._BAND_MAX + 1], ids=["banded", "superlu"])
     def test_zero_pivot_raises(self, n):
         """A matrix with the stencil's pattern and every entry 0 is exactly
-        singular: dgbtrf reports a zero pivot and SuperLU raises, and both
-        become SolverError.  The matrix is assembled the way _factorize
-        assembles it on each path, in band storage or as a CSC matrix."""
+        singular: dpbtrf reports a pivot that is not positive and SuperLU
+        raises, and both become SolverError.  The matrix is assembled the
+        way _factorize assembles it on each path, in upper band storage or
+        as a CSC matrix."""
         grid = ro.Grid(ro.Domain(), n, n)
         zeros = np.zeros(grid.n_nodes)
         with pytest.raises(ro.SolverError, match="factorization failed"):
             if n <= ell._BAND_MAX:
                 band = ell._band_system(grid, zeros)
                 band[:] = 0.0
-                ell._BandLU(band, grid.nx)
+                ell._BandCholesky(band, ro.quadrature_weights(grid))
             else:
                 mat = ell._system(grid, zeros)
                 mat.data[:] = 0.0
                 ell._superlu(mat)
+
+    def test_indefinite_system_names_the_pivot(self, grid17):
+        """-lap - 1 has the negative eigenvalue -1 (its eigenvector is
+        constant), so the banded Cholesky meets a pivot that is not positive
+        and SolverError names it: pivot k, where the leading k x k block of
+        diag(tau)(-lap - 1) is the first that is not positive definite."""
+        assert grid17.nx <= ell._BAND_MAX
+        absorption = np.full(grid17.n_nodes, -1.0)
+        with pytest.raises(ro.SolverError,
+                           match=r"^Cholesky factorization failed: pivot \d+ is not positive$"
+                           ) as err:
+            ell._factorize(grid17, absorption)
+        k = int(str(err.value).split()[4])
+        dense = ro.quadrature_weights(grid17)[:, None] * ell._system(grid17, absorption).toarray()
+        assert np.linalg.eigvalsh(dense[:k - 1, :k - 1])[0] > 0.0
+        assert np.linalg.eigvalsh(dense[:k, :k])[0] <= 0.0
 
     @pytest.fixture()
     def back_substitutions(self, linalg_calls):
@@ -312,7 +329,7 @@ class TestLinearSolver:
         assert all(kw == fitted for kw in splu_kwargs)
 
     def test_narrow_band_never_calls_superlu(self, grid17, linalg_calls, splu_kwargs):
-        """At 17x17 the same solves factorize with the banded LU alone."""
+        """At 17x17 the same solves factorize with the banded Cholesky alone."""
         self.ascent_factorizations(grid17, linalg_calls)
         assert not splu_kwargs
 
@@ -392,9 +409,9 @@ class TestLinearSolver:
 
 class TestBandedAndSparseLU:
     """_factorize serves systems of half-bandwidth nx <= _BAND_MAX with
-    LAPACK's banded LU and wider ones with SuperLU.  On grids on both sides
-    of the constant, both paths solve the module's three kinds of matrix to
-    tol_linear and give the same solution."""
+    LAPACK's banded Cholesky and wider ones with SuperLU.  On grids on both
+    sides of the constant, both paths solve the module's three kinds of
+    matrix to tol_linear and give the same solution."""
 
     @staticmethod
     def systems(grid):
@@ -416,7 +433,7 @@ class TestBandedAndSparseLU:
 
     def test_docs_name_the_band_limit(self):
         """README and the module docstring state the half-bandwidth up to
-        which _factorize takes the banded LU."""
+        which _factorize takes the banded Cholesky."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         for text in (readme, ell.__doc__):
             flat = " ".join(text.replace("`", "").split())
@@ -430,7 +447,7 @@ class TestBandedAndSparseLU:
             if kind == "jacobian":
                 assert np.any(coeff < 0.0)
             solutions = []
-            for band_max in (n, n - 1):  # the banded LU, then SuperLU
+            for band_max in (n, n - 1):  # the banded Cholesky, then SuperLU
                 monkeypatch.setattr(ell, "_BAND_MAX", band_max)
                 x = ell._solve(grid, coeff, rhs, tol_linear)[0]
                 assert ell._linear_misfit(grid, coeff, x, rhs)[1] <= tol_linear, kind
@@ -496,15 +513,20 @@ class TestSystemFromGrid:
     @pytest.mark.parametrize("n", [9, 17, 33, ell._BAND_MAX])
     def test_band_storage_is_the_csc_scatter(self, n):
         """The band storage that _factorize fills from the cached stencil
-        equals, bit for bit, the CSC matrix of _system scattered entry by
-        entry into LAPACK's layout (entry (i, j) in row 2 nx + i - j of
-        column j), for absorptions of either sign."""
+        equals, bit for bit, the upper triangle of diag(tau) times the CSC
+        matrix of _system, scattered entry by entry into LAPACK's upper
+        layout (entry (i, j), i <= j, in row nx + i - j of column j), for
+        absorptions of either sign; diag(tau)(-lap) is exactly symmetric."""
         grid = ro.Grid(ro.Domain(), n, n)
+        tau = ro.quadrature_weights(grid)
+        scaled = (sp.diags(tau) @ -ro.laplacian_matrix(grid)).tocsc()
+        assert (scaled != scaled.T).nnz == 0
         absorption = np.random.default_rng(n).uniform(-5.0, 50.0, grid.n_nodes)
-        mat = ell._system(grid, absorption)
+        mat = (sp.diags(tau) @ ell._system(grid, absorption)).tocsc()
         cols = np.repeat(np.arange(grid.n_nodes), np.diff(mat.indptr))
-        scattered = np.zeros((3 * n + 1, grid.n_nodes))
-        scattered[2 * n + mat.indices - cols, cols] = mat.data
+        upper = mat.indices <= cols
+        scattered = np.zeros((n + 1, grid.n_nodes))
+        scattered[n + mat.indices[upper] - cols[upper], cols[upper]] = mat.data[upper]
         band = ell._band_system(grid, absorption)
         assert band.flags.f_contiguous and band.shape == scattered.shape
         assert band.tobytes() == scattered.tobytes()
@@ -796,6 +818,37 @@ class TestWarmStart:
             assert np.max(np.abs(warm.values - cold.values)) <= 10 * self.TOL * f.u_max
             assert np.max(np.abs(cold.values - max(0.0, 1.0 - m0 / f.rate))) < 1e-6
 
+    def test_indefinite_warm_jacobian_falls_back_to_the_cold_sweep(self, grid17,
+                                                                    monkeypatch):
+        """The second warm solve of test_across_the_extinction_threshold
+        starts Newton from u = 0.01 at density 1.98: its first Jacobian,
+        about -lap + 1.98 - f'(0.01) = -lap - 1.94, is not positive
+        definite, so the banded Cholesky raises SolverError, the sweep from
+        u_max runs instead, and the warm solve returns the cold answer bit
+        for bit."""
+        assert grid17.nx <= ell._BAND_MAX
+        f = ro.GrowthFunction(u_max=1.0, rate=4.0)
+        prev = ro.solve_state(grid17, uniform_measure(grid17, 3.96), f, tol=self.TOL)
+        mu = uniform_measure(grid17, 3.96 * 0.5)
+        cold = ro.solve_state(grid17, mu, f, tol=self.TOL)
+        failed, sweeps = [], []
+        factorize, sweep = ell._factorize, ell._sweep
+
+        def recording(grid, absorption):
+            try:
+                return factorize(grid, absorption)
+            except ro.SolverError as err:
+                failed.append(str(err))
+                raise
+
+        monkeypatch.setattr(ell, "_factorize", recording)
+        monkeypatch.setattr(ell, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        warm = ro.solve_state(grid17, mu, f, tol=self.TOL, init=prev)
+        assert len(failed) == 1
+        assert failed[0].startswith("Cholesky factorization failed: pivot")
+        assert len(sweeps) == 1
+        assert np.array_equal(warm.values, cold.values)
+
     def test_tiny_state_does_not_hide_a_positive_solution(self, grid17):
         """An init of 1e-10 everywhere (an extinct state) already meets tol
         for density 2.2, whose maximal solution is u = 0.45; only the
@@ -871,9 +924,9 @@ class TestFactorReuse:
 
     def test_spawn_ascent_factorizes_about_once_per_trial(self, monkeypatch, linalg_calls):
         """The 47x47 spawn ascent, wider than _EXACT_NEWTON_MAX (and on the
-        SuperLU path): 41 trials, each one state solve, and an adjoint for
-        every kept trial, with 42 factorizations."""
-        assert ell._EXACT_NEWTON_MAX < ell._BAND_MAX < 47
+        banded Cholesky path): 41 trials, each one state solve, and an
+        adjoint for every kept trial, with 42 factorizations."""
+        assert ell._EXACT_NEWTON_MAX < 47
         trace, trials, _ = self.counted_ascent(monkeypatch, linalg_calls, 47)
         assert len(trace.measure) > 10 and len(trials) > 30
         assert len(linalg_calls.factorize) <= 1.3 * len(trials)
