@@ -1,12 +1,13 @@
 """Mass-ascent demo: grow a root measure from a single seed atom with
 `rootopt optimize`, then print the payoff trajectory from its trace.jsonl.
 
-The seed measure goes into --out as seed.json, and the run leaves the
-usual artifacts there, config.txt included, so `rootopt verify --out DIR`
-re-checks it."""
+The seed measure goes into a temporary seed.json, which the run writes into
+--out as measure_initial.json; --out holds only the usual artifacts,
+config.txt included, so `rootopt verify --out DIR` checks every file."""
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -33,17 +34,16 @@ def main():
     args = parse_args()
     grid = ro.Grid(ro.Domain(), args.nx, args.nx)
     seed = grid.node_position(grid.nx // 2, grid.ny // 2)
-    args.out.mkdir(parents=True, exist_ok=True)
-    seed_path = (args.out / "seed.json").resolve()
-    save_measure(seed_path, ro.DiscreteMeasure((ro.Atom(seed, args.seed_mass),)))
-
-    settings = {"nx": args.nx, "ny": args.nx, "alpha": args.alpha, "c": args.c,
-                "max_outer_iters": args.iters, "step_size": 2.0, "spawn": args.spawn,
-                "spawn_mass": 0.05, "tol_residual": 1e-4, "measure_path": seed_path}
-    argv = ["optimize", "--out", str(args.out)]
-    for key, value in settings.items():
-        argv += ["--set", f"{key}={value}"]
-    status = cli.main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        seed_path = Path(tmp) / "seed.json"
+        save_measure(seed_path, ro.DiscreteMeasure((ro.Atom(seed, args.seed_mass),)))
+        settings = {"nx": args.nx, "ny": args.nx, "alpha": args.alpha, "c": args.c,
+                    "max_outer_iters": args.iters, "step_size": 2.0, "spawn": args.spawn,
+                    "spawn_mass": 0.05, "tol_residual": 1e-4, "measure_path": seed_path}
+        argv = ["optimize", "--out", str(args.out)]
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        status = cli.main(argv)
     if status:
         sys.exit(status)
 

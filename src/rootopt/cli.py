@@ -4,20 +4,21 @@ Subcommands:
 
 * ``irrigate``  plan a tree for the configured measure: tree.json, plan.svg,
   landscape.csv, cost.json
-* ``solve``     maximal state solution: state.csv, state.bin, harvest.json
-* ``adjoint``   state plus adjoint and marginal-harvest fields: psi.*, phi.*,
-  adjoint.json
+* ``solve``     maximal state solution: state.bin, harvest.json
+* ``adjoint``   state plus adjoint and marginal-harvest fields: psi.bin,
+  phi.bin, adjoint.json
 * ``optimize``  full mass ascent: trace.jsonl, report.json, initial measure,
   final measure and plan, fields, support.json
 * ``verify``    check the invariants of the stored measure, plan, fields
-  and trace, then rebuild each derived file present (tree.json,
+  and trace, and that the trace starts at the stored initial measure and
+  ends at the final one, then rebuild each derived file present (tree.json,
   landscape.csv, plan.svg, phi.bin, cost.json, harvest.json, adjoint.json,
   report.json, support.json) from them and the config by the writer its
   command used, and compare bytes (support.json from the configured
-  measure where no measure.json is stored, as report wrote it); field CSVs
-  are left out, since rebuilding their text costs about as much as writing
-  it.  Exit 1 naming each violated check, a file with the line (for phi.bin
-  the byte) where its bytes first differ
+  measure where no measure.json is stored, as report wrote it).  So every
+  file a command writes but config.txt, which verify reads as its config,
+  is checked.  Exit 1 naming each violated check, a file with the line
+  (for phi.bin the byte) where its bytes first differ
 * ``report``    support-density table from stored or configured measure
 
 Flags: --config PATH, --out DIR, --set K=V (repeatable).
@@ -55,10 +56,11 @@ from .render import render_tree_svg, save_svg
 from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
                             dumps_json, field_binary_bytes, landscape_csv_text,
                             load_field_binary, load_field_shape, load_measure,
-                            load_trace, load_tree, parse_config_entry,
-                            parse_config_text, report_to_dict, save_fields,
-                            save_json, save_landscape_csv, save_measure,
-                            save_report, save_trace, save_tree, tree_to_dict)
+                            load_trace, load_tree, measure_to_dict,
+                            parse_config_entry, parse_config_text, report_to_dict,
+                            save_field_binary, save_json, save_landscape_csv,
+                            save_measure, save_report, save_trace, save_tree,
+                            tree_to_dict)
 
 __all__ = ["main"]
 
@@ -191,7 +193,7 @@ def _cmd_solve(args, parsed: ParsedConfig, out: Path) -> int:
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     summary = _harvest_summary(u, mu)
-    save_fields(out, {"state": u})
+    save_field_binary(out / "state.bin", u)
     save_json(out / "harvest.json", summary)
     print(f"harvest {summary['harvest']!r} (state range [{u.min()!r}, {u.max()!r}])")
     return 0
@@ -204,8 +206,8 @@ def _cmd_adjoint(args, parsed: ParsedConfig, out: Path) -> int:
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     psi = solve_adjoint(cfg.grid, mu, u, cfg.growth, tol=cfg.tol_linear)
-    phi = phi_field(u, psi)
-    save_fields(out, {"state": u, "psi": psi, "phi": phi})
+    for name, field in (("state", u), ("psi", psi), ("phi", phi_field(u, psi))):
+        save_field_binary(out / f"{name}.bin", field)
     save_json(out / "adjoint.json", _adjoint_summary(cfg, mu, u, psi))
     print(f"adjoint range [{psi.min()!r}, {psi.max()!r}], "
           f"bound {_adjoint_bounds(cfg.growth, u.min())[0]!r}")
@@ -235,8 +237,9 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
                            landscape(trace.tree, trace.measure, cfg.alpha))
         path_check = _path_check(cfg, trace.state, trace.adjoint, trace.tree, trace.measure)
     if trace.state is not None:
-        save_fields(out, {"state": trace.state, "psi": trace.adjoint,
-                          "phi": phi_field(trace.state, trace.adjoint)})
+        u, psi = trace.state, trace.adjoint
+        for name, field in (("state", u), ("psi", psi), ("phi", phi_field(u, psi))):
+            save_field_binary(out / f"{name}.bin", field)
     if trace.report is not None:
         save_report(out / "report.json", trace.report, trace.converged,
                     len(trace.steps) - 1, path_check)
@@ -277,6 +280,21 @@ def _rebuild_mismatch(path: Path, fresh) -> str | None:
     k = len(os.path.commonprefix([stored, raw]))
     where = f"byte {k}" if binary else "line %d" % (stored.count(b"\n", 0, k) + 1)
     return f"stored bytes differ from the rebuild from {where}"
+
+
+def _atoms_mismatch(records, k, mu: DiscreteMeasure) -> str | None:
+    """None when trace record k holds exactly the atoms that measure_to_dict
+    gives for mu; else the first atom where they differ."""
+    if not records:
+        return "trace.jsonl holds no record"
+    k %= len(records)
+    held, want = records[k]["atoms"], measure_to_dict(mu)["atoms"]
+    if held == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(held, want)) if a != b), None)
+    if i is None:
+        return f"record {k} holds {len(held)} atoms, the measure {len(want)}"
+    return f"record {k} holds atom {i} as {held[i]}, the measure as {want[i]}"
 
 
 def _verify_checks(args, parsed: ParsedConfig, out: Path):
@@ -387,6 +405,13 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if bad is None else
                f"accepted payoff decreases at step {bad}: "
                f"{accepted[bad - 1]!r} -> {accepted[bad]!r}")
+        # the ascent drops the initial measure's zero-mass atoms before
+        # record 0, and stores the measure of its last record as measure.json
+        if (out / "measure_initial.json").exists():
+            mu0, _ = load_measure(out / "measure_initial.json").without_zero_mass()
+            yield ("trace starts at measure_initial.json", _atoms_mismatch(records, 0, mu0))
+        if mu is not None:
+            yield ("trace ends at measure.json", _atoms_mismatch(records, -1, mu))
 
     def report_text():
         fresh = optimality_residual(u, psi, z, mu, cfg.c, cfg.alpha)

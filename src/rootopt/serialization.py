@@ -4,11 +4,8 @@ Formats:
 
 * measures, trees, reports, misc summaries: JSON with sorted keys
 * optimizer traces: JSON lines, one record per iteration
-* grid fields: CSV (x, y, value) and a compact binary format with an
-  ``<ii4d`` header (nx, ny, xmin, xmax, ymin, ymax) followed by row-major
-  little-endian float64 values.  The CSV text of a grid is built once as a
-  %-template that holds every ``x,y,`` prefix and one ``%r`` slot per node,
-  and each field fills it with a single ``%`` over its values
+* grid fields: a compact binary format with an ``<ii4d`` header (nx, ny,
+  xmin, xmax, ymin, ymax) followed by row-major little-endian float64 values
 * run configuration: flat ``key = value`` text, unknown keys rejected by name
 
 All writers are deterministic: key order is sorted, floats go through repr,
@@ -24,7 +21,6 @@ import struct
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -48,10 +44,8 @@ __all__ = [
     "load_tree",
     "landscape_csv_text",
     "save_landscape_csv",
-    "save_field_csv",
     "field_binary_bytes",
     "save_field_binary",
-    "save_fields",
     "load_field_shape",
     "load_field_binary",
     "trace_step_dict",
@@ -273,30 +267,6 @@ def save_landscape_csv(path, z) -> None:
         fh.write(landscape_csv_text(z))
 
 
-def _csv_template(grid: Grid) -> str:
-    """The CSV text of a field on `grid` with a ``%r`` slot for each value.
-
-    Each grid row is one join of the x reprs whose separator ``,y,%r\\n``
-    carries the row's y repr, so the template is built from nx + ny reprs
-    and no per-node string."""
-    xs = [repr(x) for x in grid.xs.tolist()]
-    rows = (sep.join(xs) + sep for sep in (f",{y!r},%r\n" for y in grid.ys.tolist()))
-    return "x,y,value\n" + "".join(rows)
-
-
-def _write_csv(path, template: str, field: ScalarField) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(template % tuple(field.values.tolist()))
-
-
-def save_field_csv(path, field: ScalarField) -> None:
-    """Header ``x,y,value``, then one row per node in node order
-    ``iy * nx + ix``, every float through repr so it reads back bit for bit.
-    The rows come from the grid's %-template (see `save_fields`), filled by
-    one ``%`` over the field's values."""
-    _write_csv(path, _csv_template(field.grid), field)
-
-
 _FIELD_HEADER = struct.Struct("<ii4d")
 
 
@@ -312,30 +282,6 @@ def field_binary_bytes(field: ScalarField) -> bytes:
 def save_field_binary(path, field: ScalarField) -> None:
     with open(path, "wb") as fh:
         fh.write(field_binary_bytes(field))
-
-
-def save_fields(out, fields) -> None:
-    """Write ``<name>.csv`` and ``<name>.bin`` into directory `out` for every
-    ``name -> field`` of the mapping `fields`, with the bytes of
-    `save_field_csv` and `save_field_binary`.
-
-    All fields must lie on one grid: its CSV %-template is built once and
-    filled by each field in turn.  A field on another grid would take the
-    first grid's coordinates, so it raises ValidationError naming the field
-    before anything is written."""
-    out = Path(out)
-    first = next(iter(fields))
-    grid = fields[first].grid
-    for name, field in fields.items():
-        if field.grid != grid:
-            raise ValidationError(
-                f"field {name!r} lies on a {field.grid.nx}x{field.grid.ny} grid over "
-                f"{field.grid.domain}, not on the {grid.nx}x{grid.ny} grid over "
-                f"{grid.domain} of field {first!r}")
-    template = _csv_template(grid)
-    for name, field in fields.items():
-        _write_csv(out / f"{name}.csv", template, field)
-        save_field_binary(out / f"{name}.bin", field)
 
 
 def load_field_shape(path) -> tuple[int, int]:

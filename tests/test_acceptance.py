@@ -238,8 +238,8 @@ def test_criterion_09_ascent_contracts():
 
 
 def test_criterion_10_deterministic_artifacts(tmp_path):
-    """Two optimizer runs with the same config and seed write byte-identical
-    trace and report files (and every other artifact)."""
+    """Two optimizer runs of the same config write byte-identical trace and
+    report files (and every other artifact)."""
     cfg = tmp_path / "config.txt"
     cfg.write_text("measure_path = measure.json\n"
                    "nx = 9\nny = 9\nalpha = 0.75\nc = 0.1\n"

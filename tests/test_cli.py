@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 import subprocess
 import sys
 from itertools import zip_longest
@@ -245,7 +247,8 @@ class TestSolveAndAdjoint:
         h = json.loads((out / "harvest.json").read_text())
         assert 0.0 < h["harvest"] < 0.5  # mass 0.5, u below carrying capacity
         assert 0.0 <= h["u_min"] <= h["u_max"] <= 1.0
-        assert (out / "state.csv").exists() and (out / "state.bin").exists()
+        assert (out / "state.bin").exists()
+        assert not list(out.glob("*.csv"))
 
     def test_adjoint_artifacts(self, single_atom_setup):
         cfg, tmp = single_atom_setup
@@ -254,8 +257,9 @@ class TestSolveAndAdjoint:
         a = json.loads((out / "adjoint.json").read_text())
         assert a["psi_min"] >= -1e-9
         assert a["psi_max"] <= a["lambda_bound"] * 1.0 + 1.0 + 1e-9
-        for name in ("psi.csv", "psi.bin", "phi.csv", "phi.bin"):
+        for name in ("state.bin", "psi.bin", "phi.bin"):
             assert (out / name).exists()
+        assert not list(out.glob("*.csv"))
 
     def test_adjoint_refines_with_the_states_factors(self, tmp_path):
         """Newton finishes the cold state solve, so the state carries its
@@ -279,26 +283,6 @@ class TestSolveAndAdjoint:
         for name, field in (("state", u), ("psi", psi), ("phi", ro.phi_field(u, psi))):
             save_field_binary(tmp_path / f"{name}.bin", field)
             assert (out / f"{name}.bin").read_bytes() == (tmp_path / f"{name}.bin").read_bytes()
-
-
-class TestFieldCsvMatchesBinary:
-    @pytest.mark.parametrize("subcommand", ["adjoint", "optimize"])
-    def test_every_csv_reads_back_to_its_binary(self, tmp_path, subcommand):
-        """Each field's CSV holds the node coordinates and the values of its
-        .bin artifact, bit for bit."""
-        cfg = write_setup(tmp_path, ["nx = 9", "ny = 9", "c = 0.1", "max_outer_iters = 3"],
-                          [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
-        out = tmp_path / "run"
-        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
-        names = sorted(p.stem for p in out.glob("*.bin"))
-        assert names == ["phi", "psi", "state"]
-        grid = ro.Grid(ro.Domain(), 9, 9)
-        for name in names:
-            back = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1)
-            field = load_field_binary(out / f"{name}.bin", grid.domain)
-            assert back[:, :2].view(np.int64).tolist() == \
-                grid.node_coordinates().view(np.int64).tolist()
-            assert back[:, 2].view(np.int64).tolist() == field.values.view(np.int64).tolist()
 
 
 class TestOptimize:
@@ -370,8 +354,9 @@ class TestVerify:
             "landscape identity", "cost lower bound", "mass bound", "landscape Holder bound",
             "field resolution", "state box bounds", "state residual", "adjoint bounds",
             "adjoint residual", "trace iterations contiguous", "trace monotonicity",
+            "trace starts at measure_initial.json", "trace ends at measure.json",
             "tree.json", "landscape.csv", "plan.svg", "phi.bin", "report.json",
-            "support.json")] + ["all 19 checks passed"]
+            "support.json")] + ["all 21 checks passed"]
 
     @staticmethod
     def tamper_json(out, name, change):
@@ -652,6 +637,60 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "ok: tree.json" in stdout
         assert "ok: landscape identity" in stdout
+
+
+class TestEveryFileIsChecked:
+    """verify reads every file that irrigate, solve, adjoint and optimize
+    write but config.txt, its config: one stored number changed in any of
+    them makes verify fail and name a check."""
+
+    FILES = {
+        "irrigate": ["cost.json", "landscape.csv", "measure.json", "plan.svg", "tree.json"],
+        "solve": ["harvest.json", "measure.json", "state.bin"],
+        "adjoint": ["adjoint.json", "measure.json", "phi.bin", "psi.bin", "state.bin"],
+        "optimize": ["landscape.csv", "measure.json", "measure_initial.json", "phi.bin",
+                     "plan.svg", "psi.bin", "report.json", "state.bin", "support.json",
+                     "trace.jsonl", "tree.json"],
+    }
+
+    @staticmethod
+    def tampered(path, tmp_path, start=0):
+        """The copy of the run directory of path with one number of path
+        changed: the middle node's value of a field, else the first digit
+        after the point of the first decimal number from character `start`
+        on."""
+        out = tmp_path / "tampered"
+        shutil.rmtree(out, ignore_errors=True)
+        shutil.copytree(path.parent, out)
+        if path.suffix == ".bin":
+            field = load_field_binary(path, ro.Domain())
+            values = field.values.copy()
+            values[len(values) // 2] += 0.25
+            save_field_binary(out / path.name, ScalarField(field.grid, values))
+        else:
+            text = path.read_text()
+            k = re.compile(r"\d\.\d").search(text, start).end() - 1
+            (out / path.name).write_text(text[:k] + str((int(text[k]) + 1) % 10) + text[k + 1:])
+        return out
+
+    @pytest.mark.parametrize("subcommand", list(FILES))
+    def test_changing_any_stored_number_fails_verify(self, tmp_path, capsys, subcommand):
+        cfg = write_setup(tmp_path, ["nx = 9", "ny = 9", "c = 0.1", "max_outer_iters = 4"],
+                          [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
+        run = tmp_path / "run"
+        assert main([subcommand, "--config", str(cfg), "--out", str(run)]) == 0
+        assert sorted(p.name for p in run.iterdir()) == sorted(["config.txt",
+                                                                *self.FILES[subcommand]])
+        assert main(["verify", "--out", str(run)]) == 0
+        cases = [(name, 0) for name in self.FILES[subcommand]]
+        if subcommand == "optimize":  # the trace's last record as well as its first
+            trace = (run / "trace.jsonl").read_text()
+            cases.append(("trace.jsonl", trace.rstrip("\n").rfind("\n") + 1))
+        capsys.readouterr()
+        for name, start in cases:
+            out = self.tampered(run / name, tmp_path, start)
+            assert main(["verify", "--out", str(out)]) == 1, (name, start)
+            assert re.search(r"^invariant violated: [^:]+: ", capsys.readouterr().out, re.M), name
 
 
 class TestReport:

@@ -416,18 +416,20 @@ class TestBandedAndSparseLU:
     @staticmethod
     def systems(grid):
         """The sweep matrix with its first right-hand side, a Newton Jacobian
-        at u = 0.3 u_max (negative absorption at every node without an atom)
-        with the state residual there, and the adjoint matrix at the
-        converged state with the lumped density: (absorption, rhs) each."""
+        at the supersolution min(1.01 u*, u_max) of the converged state u*,
+        as the cold path factorizes it (negative absorption at some nodes,
+        yet definite), with the state residual there, and the adjoint matrix
+        at the converged state with the lumped density: (absorption, rhs)
+        each."""
         f = ro.GrowthFunction()
         mu = random_grid_measure(np.random.default_rng(5), grid, 6, mass_range=(0.2, 1.0))
         a = ro.lump_measure(mu, grid).density()
         top = np.full(grid.n_nodes, f.u_max)
-        low = np.full(grid.n_nodes, 0.3 * f.u_max)
         u = ro.solve_state(grid, mu, f, tol=1e-10)
+        sup = np.minimum(1.01 * u.values, f.u_max)
         return {
             "sweep": (a + f.monotone_shift, f(top) + f.monotone_shift * top),
-            "jacobian": (a - f.derivative(low), ell._state_misfit(grid, a, f, low)[0]),
+            "jacobian": (a - f.derivative(sup), ell._state_misfit(grid, a, f, sup)[0]),
             "adjoint": (a - f.derivative(u.values), a),
         }
 
@@ -439,7 +441,7 @@ class TestBandedAndSparseLU:
             flat = " ".join(text.replace("`", "").split())
             assert f"Up to nx = {ell._BAND_MAX} " in flat
 
-    @pytest.mark.parametrize("n", [17, 33, ell._BAND_MAX + 1])
+    @pytest.mark.parametrize("n", [17, 33, 45, ell._BAND_MAX + 1])
     def test_both_paths_meet_tol_and_agree(self, n, monkeypatch):
         grid = ro.Grid(ro.Domain(), n, n)
         tol_linear = 1e-10
