@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import shutil
@@ -283,6 +284,30 @@ class TestSolveAndAdjoint:
         for name, field in (("state", u), ("psi", psi), ("phi", ro.phi_field(u, psi))):
             save_field_binary(tmp_path / f"{name}.bin", field)
             assert (out / f"{name}.bin").read_bytes() == (tmp_path / f"{name}.bin").read_bytes()
+
+
+class TestFieldCsvMatchesBinary:
+    @pytest.mark.parametrize("subcommand", ["adjoint", "optimize"])
+    def test_every_csv_reads_back_to_its_binary(self, tmp_path, subcommand):
+        """scripts/field_csv.py prints each field of the run directory as the
+        node coordinates and the values of its .bin artifact, bit for bit."""
+        cfg = write_setup(tmp_path, ["nx = 9", "ny = 9", "c = 0.1", "max_outer_iters = 3"],
+                          [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
+        out = tmp_path / "run"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(p.stem for p in out.glob("*.bin"))
+        assert names == ["phi", "psi", "state"]
+        script = Path(__file__).resolve().parents[1] / "scripts" / "field_csv.py"
+        grid = ro.Grid(ro.Domain(), 9, 9)
+        for name in names:
+            proc = subprocess.run([sys.executable, str(script), str(out), name],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            back = np.loadtxt(io.StringIO(proc.stdout), delimiter=",", skiprows=1)
+            field = load_field_binary(out / f"{name}.bin", grid.domain)
+            assert back[:, :2].view(np.int64).tolist() == \
+                grid.node_coordinates().view(np.int64).tolist()
+            assert back[:, 2].view(np.int64).tolist() == field.values.view(np.int64).tolist()
 
 
 class TestOptimize:

@@ -196,6 +196,27 @@ class TestFieldFiles:
         rng = np.random.default_rng(72)
         return ScalarField(grid, rng.uniform(-1.0, 2.0, grid.n_nodes))
 
+    def field_csv(self, run_dir, field, monkeypatch, capsys):
+        """Store field as run_dir/phi.bin beside a config.txt for its grid and
+        return what scripts/field_csv.py prints for it."""
+        (run_dir / "config.txt").write_text(ser.config_to_text(ser.ParsedConfig(
+            ro.RunConfig(grid=field.grid))))
+        ser.save_field_binary(run_dir / "phi.bin", field)
+        script = Path(__file__).resolve().parents[1] / "scripts" / "field_csv.py"
+        monkeypatch.setattr(sys, "argv", [str(script), str(run_dir), "phi"])
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        runpy.run_path(str(script), run_name="__main__")
+        return capsys.readouterr().out
+
+    def test_csv_round_trip_exact(self, tmp_path, monkeypatch, capsys):
+        """Every row reads back as the node's coordinates and value, bit for
+        bit, in node order."""
+        field = self.make_field()
+        text = self.field_csv(tmp_path, field, monkeypatch, capsys)
+        back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, :2], field.grid.node_coordinates())
+        assert np.array_equal(back[:, 2], field.values)
+
     # repr's other forms: signed zeros, integral floats, exponents of both
     # signs, subnormals and the largest double
     REPR_FORMS = [0.0, -0.0, 2.0, 1e-05, 1.5e-300, 5e-324, 1e16, 1.7976931348623157e308,
@@ -216,14 +237,7 @@ class TestFieldFiles:
         rng = np.random.default_rng(73)
         values = np.concatenate([self.REPR_FORMS, rng.uniform(-1.0, 2.0, g.n_nodes)])
         field = ScalarField(g, values[:g.n_nodes])
-        (tmp_path / "config.txt").write_text(ser.config_to_text(ser.ParsedConfig(
-            ro.RunConfig(grid=g))))
-        ser.save_field_binary(tmp_path / "phi.bin", field)
-        script = Path(__file__).resolve().parents[1] / "scripts" / "field_csv.py"
-        monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path), "phi"])
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        runpy.run_path(str(script), run_name="__main__")
-        text = capsys.readouterr().out
+        text = self.field_csv(tmp_path, field, monkeypatch, capsys)
         rows = ["x,y,value"]
         for (x, y), v in zip(g.node_coordinates().tolist(), field.values.tolist()):
             rows.append(f"{x!r},{y!r},{v!r}")
