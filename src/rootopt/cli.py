@@ -5,21 +5,27 @@ Subcommands:
 * ``irrigate``  plan a tree for the configured measure: tree.json, plan.svg,
   landscape.csv, cost.json
 * ``solve``     maximal state solution: state.bin, harvest.json
-* ``adjoint``   state plus adjoint and marginal-harvest fields: psi.bin,
-  phi.bin, adjoint.json
+* ``adjoint``   state plus adjoint and marginal-harvest fields: state.bin,
+  psi.bin, phi.bin, adjoint.json
 * ``optimize``  full mass ascent: trace.jsonl, report.json, initial measure,
   final measure and plan, fields, support.json
 * ``verify``    check the invariants of the stored measure, plan, fields
   and trace, and that the trace starts at the stored initial measure and
-  ends at the final one, then rebuild each derived file present (tree.json,
-  landscape.csv, plan.svg, phi.bin, cost.json, harvest.json, adjoint.json,
-  report.json, support.json) from them and the config by the writer its
-  command used, and compare bytes (support.json from the configured
-  measure where no measure.json is stored, as report wrote it).  So every
-  file a command writes but config.txt, which verify reads as its config,
-  is checked.  Exit 1 naming each violated check, a file with the line
-  (for phi.bin the byte) where its bytes first differ
-* ``report``    support-density table from stored or configured measure
+  ends at the final one, then rebuild each derived file present from them
+  and the config by its writer in `_FILES`, and compare bytes
+  (support.json from the configured measure where no measure.json is
+  stored, as report wrote it).  So every file a command writes but
+  config.txt, which verify reads as its config, is checked.  Exit 1 naming
+  each violated check, a file with the line (for phi.bin the byte) where
+  its bytes first differ
+* ``report``    support-density table from stored or configured measure:
+  support.json
+
+`_FILES` is the one table of derived files: each file's name, the
+commands that write it, the run values it is written from and its writer.
+A command writes each of its files, and verify rebuilds each file present,
+exactly when the run has that file's values.  Every file is written by
+`serialization.save_file`.
 
 Flags: --config PATH, --out DIR, --set K=V (repeatable).
 Exit status: 0 success, 1 validation failure, 2 solver failure.
@@ -39,28 +45,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteMeasure, SolverError, ValidationError, mass_bound_check
-from .elliptic import (_adjoint_bounds, adjoint_residual, growth_bound_lambda,
-                       harvest, phi_field, solve_adjoint, solve_state,
-                       state_residual)
-from .irrigation import (_plan_cost, check_landscape_holder, cost_lower_bound,
-                         irrigation_cost, landscape, optimize_plan)
-from .optimality import (_converged, ascend_measure, optimality_residual,
-                         path_inequality_check, support_density_report)
-from .render import render_tree_svg, save_svg
+from .core import (DiscreteMeasure, RunConfig, SolverError, ValidationError,
+                   mass_bound_check)
+from .elliptic import (ScalarField, _adjoint_bounds, adjoint_residual,
+                       growth_bound_lambda, harvest, phi_field, solve_adjoint,
+                       solve_state, state_residual)
+from .irrigation import (IrrigationTree, _plan_cost, check_landscape_holder,
+                         cost_lower_bound, irrigation_cost, landscape, optimize_plan)
+from .optimality import (OptimalityReport, _converged, ascend_measure,
+                         optimality_residual, path_inequality_check,
+                         support_density_report)
+from .render import render_tree_svg
 from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
                             dumps_json, field_binary_bytes, landscape_csv_text,
                             load_field_binary, load_field_shape, load_measure,
-                            load_trace, load_tree, measure_to_dict,
+                            load_text, load_trace, load_tree, measure_to_dict,
                             parse_config_entry, parse_config_text, report_to_dict,
-                            save_field_binary, save_json, save_landscape_csv,
-                            save_measure, save_report, save_trace, save_tree,
-                            tree_to_dict)
+                            save_file, save_measure, save_trace, tree_to_dict)
 
 __all__ = ["main"]
 
@@ -93,13 +100,11 @@ def _parser() -> argparse.ArgumentParser:
 def _load_setup(args) -> ParsedConfig:
     values = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values = parse_config_text(fh.read())
+        values = parse_config_text(load_text(args.config))
     for item in args.set:
         if "=" not in item:
             raise ValidationError(f"--set expects K=V, got {item!r}")
-        key, raw = item.split("=", 1)
-        key, value = parse_config_entry(key, raw)
+        key, value = parse_config_entry(*item.split("=", 1))
         values[key] = value
     return config_from_mapping(values)
 
@@ -124,127 +129,154 @@ def _snap_to_grid(mu: DiscreteMeasure, grid) -> DiscreteMeasure:
 
 
 def _default_measure(parsed: ParsedConfig) -> DiscreteMeasure:
-    grid = parsed.run.grid
     raw = DiscreteMeasure.from_arrays([(0.80, -0.22), (1.15, 0.02), (0.95, 0.30)],
                                       [0.35, 0.40, 0.25])
-    return _snap_to_grid(raw, grid)
+    return _snap_to_grid(raw, parsed.run.grid)
 
 
 def _resolve_measure(args, parsed: ParsedConfig) -> DiscreteMeasure:
     if parsed.measure_path is None:
         return _default_measure(parsed)
+    # a relative measure_path is read from the config's directory
     base = args.config.parent if args.config is not None else Path.cwd()
-    path = Path(parsed.measure_path)
-    if not path.is_absolute():
-        path = base / path
-    mu = load_measure(path)
-    if parsed.snap_measure:
-        mu = _snap_to_grid(mu, parsed.run.grid)
+    mu = load_measure(base / parsed.measure_path)
+    return _snap_to_grid(mu, parsed.run.grid) if parsed.snap_measure else mu
+
+
+def _write_common(args, parsed: ParsedConfig, out: Path,
+                  name: str = "measure.json") -> DiscreteMeasure:
+    """The input measure, written into out as `name` with the resolved config
+    as config.txt, pointing at it, so the directory reruns its command."""
+    mu = _resolve_measure(args, parsed)
+    save_file(out / "config.txt", config_to_text(ParsedConfig(parsed.run, measure_path=name)))
+    save_measure(out / name, mu)
     return mu
 
 
-def _write_common(out: Path, parsed: ParsedConfig, mu: DiscreteMeasure,
-                  name: str = "measure.json") -> None:
-    """Write the input measure mu into out as `name` and the resolved config
-    as config.txt, pointing at it, so the directory reruns its command."""
-    stamped = ParsedConfig(parsed.run, measure_path=name, snap_measure=False)
-    with open(out / "config.txt", "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(stamped))
-    save_measure(out / name, mu)
+@dataclass
+class _Run:
+    """The values that the files of a run directory are written from, each
+    None where the run has none: the measure, its plan, the state and
+    adjoint fields, the first-order report with the ascent's `converged`
+    and `iterations`, and `support`, the measure that support.json
+    tabulates.  The properties below derive from them once, on first use."""
+
+    cfg: RunConfig
+    measure: DiscreteMeasure | None = None
+    plan: IrrigationTree | None = None
+    state: ScalarField | None = None
+    adjoint: ScalarField | None = None
+    report: OptimalityReport | None = None
+    converged: bool = False
+    iterations: int = 0
+    support: DiscreteMeasure | None = None
+
+    def has(self, values) -> bool:
+        return all(getattr(self, name) is not None for name in values)
+
+    @cached_property
+    def landscape(self):
+        return landscape(self.plan, self.measure, self.cfg.alpha)
+
+    @cached_property
+    def cost(self):
+        return irrigation_cost(self.plan, self.measure, self.cfg.alpha)
+
+    @cached_property
+    def lower_bound(self):
+        return cost_lower_bound(self.measure, self.cfg.alpha)
+
+    @cached_property
+    def harvest(self):
+        return harvest(self.state, self.measure)
+
+    @cached_property
+    def support_table(self):
+        return support_density_report(self.support, self.cfg.grid)
 
 
-def _cost_summary(cfg, mu, cost, lb) -> dict:
-    """cost.json of irrigate, which verify rebuilds from the stored plan."""
-    return {"alpha": cfg.alpha, "cost": cost, "lower_bound": lb, "n_atoms": len(mu),
-            "total_mass": mu.total_mass}
+_PLAN = ("measure", "plan")
+
+# every derived file of a run directory, in the order verify checks them:
+# (name, the commands that write it, the run values it is written from, the
+# writer that returns its text or bytes)
+_FILES = (
+    ("tree.json", ("irrigate", "optimize"), _PLAN,
+     lambda r: dumps_json(tree_to_dict(r.plan, r.measure))),
+    ("landscape.csv", ("irrigate", "optimize"), _PLAN, lambda r: landscape_csv_text(r.landscape)),
+    ("plan.svg", ("irrigate", "optimize"), _PLAN,
+     lambda r: render_tree_svg(r.plan, r.measure, r.cfg.alpha, r.cfg.domain)),
+    ("phi.bin", ("adjoint", "optimize"), ("state", "adjoint"),
+     lambda r: field_binary_bytes(phi_field(r.state, r.adjoint))),
+    ("cost.json", ("irrigate",), _PLAN, lambda r: dumps_json(
+        {"alpha": r.cfg.alpha, "cost": r.cost, "lower_bound": r.lower_bound,
+         "n_atoms": len(r.measure), "total_mass": r.measure.total_mass})),
+    ("harvest.json", ("solve",), ("measure", "state"), lambda r: dumps_json(
+        {"harvest": r.harvest, "u_min": r.state.min(), "u_max": r.state.max()})),
+    ("adjoint.json", ("adjoint",), ("measure", "state", "adjoint"), lambda r: dumps_json(
+        {"harvest": r.harvest, "lambda_bound": growth_bound_lambda(r.cfg.growth, r.state.min()),
+         "psi_min": r.adjoint.min(), "psi_max": r.adjoint.max()})),
+    # the path check runs at tol path_tol * u_max
+    ("report.json", ("optimize",), (*_PLAN, "state", "adjoint", "report"),
+     lambda r: dumps_json(report_to_dict(r.report, r.converged, r.iterations, path_inequality_check(
+         r.state, r.adjoint, r.plan, r.measure, r.cfg.c, r.cfg.alpha,
+         tol=r.cfg.path_tol * r.cfg.growth.u_max)))),
+    ("support.json", ("optimize", "report"), ("support",),
+     lambda r: dumps_json({"rows": r.support_table.as_dicts()})),
+)
 
 
-def _harvest_summary(u, mu) -> dict:
-    """harvest.json of solve, which verify rebuilds from the stored state."""
-    return {"harvest": harvest(u, mu), "u_min": u.min(), "u_max": u.max()}
-
-
-def _adjoint_summary(cfg, mu, u, psi) -> dict:
-    """adjoint.json of adjoint, which verify rebuilds from the stored fields."""
-    return {"harvest": harvest(u, mu), "lambda_bound": growth_bound_lambda(cfg.growth, u.min()),
-            "psi_min": psi.min(), "psi_max": psi.max()}
+def _save_run(out: Path, command: str, run: _Run) -> None:
+    """Write the run's state.bin and psi.bin, then each file of _FILES that
+    `command` writes, when the run has its values."""
+    for name, field in (("state.bin", run.state), ("psi.bin", run.adjoint)):
+        if field is not None:
+            save_file(out / name, field_binary_bytes(field))
+    for name, commands, values, writer in _FILES:
+        if command in commands and run.has(values):
+            save_file(out / name, writer(run))
 
 
 def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
-    mu = _resolve_measure(args, parsed)
-    _write_common(out, parsed, mu)
-    tree = optimize_plan(mu, cfg.alpha, budget=cfg.max_plan_moves)
-    cost = irrigation_cost(tree, mu, cfg.alpha)
-    lb = cost_lower_bound(mu, cfg.alpha)
-    z = landscape(tree, mu, cfg.alpha)
-    save_tree(out / "tree.json", tree, mu)
-    save_landscape_csv(out / "landscape.csv", z)
-    save_svg(out / "plan.svg", render_tree_svg(tree, mu, cfg.alpha, cfg.domain))
-    save_json(out / "cost.json", _cost_summary(cfg, mu, cost, lb))
-    print(f"cost {cost!r} (lower bound {lb!r}) over {len(mu)} atoms")
+    mu = _write_common(args, parsed, out)
+    run = _Run(cfg, mu, optimize_plan(mu, cfg.alpha, budget=cfg.max_plan_moves))
+    _save_run(out, args.command, run)
+    print(f"cost {run.cost!r} (lower bound {run.lower_bound!r}) over {len(mu)} atoms")
     return 0
 
 
 def _cmd_solve(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
-    mu = _resolve_measure(args, parsed)
-    _write_common(out, parsed, mu)
+    mu = _write_common(args, parsed, out)
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
-    summary = _harvest_summary(u, mu)
-    save_field_binary(out / "state.bin", u)
-    save_json(out / "harvest.json", summary)
-    print(f"harvest {summary['harvest']!r} (state range [{u.min()!r}, {u.max()!r}])")
+    run = _Run(cfg, mu, state=u)
+    _save_run(out, args.command, run)
+    print(f"harvest {run.harvest!r} (state range [{u.min()!r}, {u.max()!r}])")
     return 0
 
 
 def _cmd_adjoint(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
-    mu = _resolve_measure(args, parsed)
-    _write_common(out, parsed, mu)
+    mu = _write_common(args, parsed, out)
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     psi = solve_adjoint(cfg.grid, mu, u, cfg.growth, tol=cfg.tol_linear)
-    for name, field in (("state", u), ("psi", psi), ("phi", phi_field(u, psi))):
-        save_field_binary(out / f"{name}.bin", field)
-    save_json(out / "adjoint.json", _adjoint_summary(cfg, mu, u, psi))
+    _save_run(out, args.command, _Run(cfg, mu, state=u, adjoint=psi))
     print(f"adjoint range [{psi.min()!r}, {psi.max()!r}], "
           f"bound {_adjoint_bounds(cfg.growth, u.min())[0]!r}")
     return 0
 
 
-def _path_check(cfg, u, psi, tree, mu):
-    """The path inequality check at tol path_tol * u_max, which optimize
-    stores in report.json and verify re-derives."""
-    return path_inequality_check(u, psi, tree, mu, cfg.c, cfg.alpha,
-                                 tol=cfg.path_tol * cfg.growth.u_max)
-
-
 def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
-    mu0 = _resolve_measure(args, parsed)
-    _write_common(out, parsed, mu0, "measure_initial.json")
-    trace = ascend_measure(cfg, mu0)
+    trace = ascend_measure(cfg, _write_common(args, parsed, out, "measure_initial.json"))
     save_trace(out / "trace.jsonl", trace)
     save_measure(out / "measure.json", trace.measure)
-    path_check = None
-    if trace.tree is not None:
-        save_tree(out / "tree.json", trace.tree, trace.measure)
-        save_svg(out / "plan.svg",
-                 render_tree_svg(trace.tree, trace.measure, cfg.alpha, cfg.domain))
-        save_landscape_csv(out / "landscape.csv",
-                           landscape(trace.tree, trace.measure, cfg.alpha))
-        path_check = _path_check(cfg, trace.state, trace.adjoint, trace.tree, trace.measure)
-    if trace.state is not None:
-        u, psi = trace.state, trace.adjoint
-        for name, field in (("state", u), ("psi", psi), ("phi", phi_field(u, psi))):
-            save_field_binary(out / f"{name}.bin", field)
-    if trace.report is not None:
-        save_report(out / "report.json", trace.report, trace.converged,
-                    len(trace.steps) - 1, path_check)
-    support = support_density_report(trace.measure, cfg.grid)
-    save_json(out / "support.json", {"rows": support.as_dicts()})
+    _save_run(out, args.command, _Run(cfg, trace.measure, trace.tree, trace.state, trace.adjoint,
+                                      trace.report, trace.converged, len(trace.steps) - 1,
+                                      trace.measure))
     status = "converged" if trace.converged else "not converged"
     print(f"{status} after {len(trace.steps) - 1} iterations, "
           f"payoff {trace.final_payoff!r}, sup residual "
@@ -253,14 +285,13 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
 
 
 def _cmd_report(args, parsed: ParsedConfig, out: Path) -> int:
-    cfg = parsed.run
     stored = out / "measure.json"
-    # verify rebuilds support.json from the same measure
+    # verify tabulates the same measure
     mu = load_measure(stored) if stored.exists() else _resolve_measure(args, parsed)
-    support = support_density_report(mu, cfg.grid)
-    save_json(out / "support.json", {"rows": support.as_dicts()})
+    run = _Run(parsed.run, support=mu)
+    _save_run(out, args.command, run)
     print("scale occupied total fraction")
-    for s, occ, tot, frac in support.rows:
+    for s, occ, tot, frac in run.support_table.rows:
         print(f"{s!r} {occ} {tot} {frac!r}")
     return 0
 
@@ -302,7 +333,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
     the invariants of the stored measure, plan, fields and trace, then one
     check per derived file present, named by the file."""
     cfg = parsed.run
-    mu = tree = stored_flux = z = u = psi = records = None
+    mu = tree = stored_flux = u = psi = records = None
     if (out / "measure.json").exists():
         mu = load_measure(out / "measure.json")
     if (out / "tree.json").exists() and mu is not None:
@@ -318,6 +349,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         if missing:
             tree = None  # every later tree check needs a terminal per atom
 
+    run = _Run(cfg, mu, tree)
     if tree is not None:
         nodes = np.flatnonzero(tree.atom_index >= 0)
         atom_pos = mu.positions()
@@ -329,15 +361,14 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                f"terminal node {int(nodes[worst])} sits {float(off[worst])!r} "
                f"away from atom {int(tree.atom_index[nodes[worst]])}")
 
-        cost = irrigation_cost(tree, mu, cfg.alpha)
-        z = landscape(tree, mu, cfg.alpha)
+        cost, z = run.cost, run.landscape
         paid = sum((mu.masses()[positive] * z.values[terminals[positive]]).tolist())
         gap = abs(paid - cost)
         yield ("landscape identity",
                None if gap <= 1e-10 * max(1.0, cost) else
                f"sum of mass*Z misses the cost by {gap!r}")
 
-        lb = cost_lower_bound(mu, cfg.alpha)
+        lb = run.lower_bound
         yield ("cost lower bound",
                None if cost >= lb - 1e-9 * max(1.0, cost) else
                f"cost {cost!r} sits below the lower bound {lb!r}")
@@ -367,7 +398,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
 
     # a field on another grid would sample the wrong nodes: skip its checks
     if not wrong and (out / "state.bin").exists():
-        u = load_field_binary(out / "state.bin", cfg.domain)
+        run.state = u = load_field_binary(out / "state.bin", cfg.domain)
         lo, hi = u.min(), u.max()
         ok = lo >= -1e-9 and hi <= cfg.growth.u_max + 1e-9
         yield ("state box bounds",
@@ -379,7 +410,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                    f"scaled residual of lap u + f(u) - a u reaches {worst!r}, "
                    f"above tol_nonlinear {cfg.tol_nonlinear!r}")
     if (out / "psi.bin").exists() and u is not None:
-        psi = load_field_binary(out / "psi.bin", cfg.domain)
+        run.adjoint = psi = load_field_binary(out / "psi.bin", cfg.domain)
         cap, slack = _adjoint_bounds(cfg.growth, u.min())
         ok = psi.min() >= -slack and psi.max() <= cap + slack
         yield ("adjoint bounds",
@@ -413,49 +444,29 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         if mu is not None:
             yield ("trace ends at measure.json", _atoms_mismatch(records, -1, mu))
 
-    def report_text():
-        fresh = optimality_residual(u, psi, z, mu, cfg.c, cfg.alpha)
-        converged = _converged(cfg, mu, fresh.sup_residual, records[-1]["spawned"])
-        return dumps_json(report_to_dict(fresh, converged, len(records) - 1,
-                                         _path_check(cfg, u, psi, tree, mu)))
-
-    # (file, whether its inputs were loaded and passed the checks that need
-    # them, its text or bytes from the writer that its command used)
-    derived = (
-        ("tree.json", tree is not None, lambda: dumps_json(tree_to_dict(tree, mu))),
-        ("landscape.csv", tree is not None, lambda: landscape_csv_text(z)),
-        ("plan.svg", tree is not None,
-         lambda: render_tree_svg(tree, mu, cfg.alpha, cfg.domain)),
-        ("phi.bin", psi is not None, lambda: field_binary_bytes(phi_field(u, psi))),
-        ("cost.json", tree is not None, lambda: dumps_json(_cost_summary(cfg, mu, cost, lb))),
-        ("harvest.json", u is not None and mu is not None,
-         lambda: dumps_json(_harvest_summary(u, mu))),
-        ("adjoint.json", psi is not None and mu is not None,
-         lambda: dumps_json(_adjoint_summary(cfg, mu, u, psi))),
-        ("report.json", tree is not None and psi is not None and bool(records), report_text),
-        # report tabulates measure.json, or the configured measure without one
-        ("support.json", True, lambda: dumps_json({"rows": support_density_report(
-            mu if mu is not None else _resolve_measure(args, parsed), cfg.grid).as_dicts()})),
-    )
-    for name, ready, rebuild in derived:
+    # report.json's first-order report, from the stored fields and plan, and
+    # its `converged` by the ascent's stop test on the last trace record
+    if records and run.has(("plan", "adjoint")):
+        run.report = optimality_residual(u, psi, run.landscape, mu, cfg.c, cfg.alpha)
+        run.converged = _converged(cfg, mu, run.report.sup_residual, records[-1]["spawned"])
+        run.iterations = len(records) - 1
+    # report tabulates measure.json, or the configured measure without one
+    run.support = mu if mu is not None else _resolve_measure(args, parsed)
+    for name, _, values, writer in _FILES:
         if (out / name).exists():
-            yield (name, _rebuild_mismatch(out / name, rebuild()) if ready else
+            yield (name, _rebuild_mismatch(out / name, writer(run)) if run.has(values) else
                    "cannot be rebuilt: an input is missing or failed its check")
 
 
 def _cmd_verify(args, parsed: ParsedConfig, out: Path) -> int:
-    ran = 0
-    failures = []
+    ran = failed = 0
     for name, detail in _verify_checks(args, parsed, out):
         ran += 1
-        if detail is None:
-            print(f"ok: {name}")
-        else:
-            failures.append((name, detail))
-            print(f"invariant violated: {name}: {detail}")
+        failed += detail is not None
+        print(f"ok: {name}" if detail is None else f"invariant violated: {name}: {detail}")
     if ran == 0:
         raise ValidationError(f"no artifacts found to verify in {out}")
-    if failures:
+    if failed:
         return 1
     print(f"all {ran} checks passed")
     return 0

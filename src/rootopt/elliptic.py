@@ -45,21 +45,13 @@ J u > 0, which makes its Jacobian a symmetric M-matrix, hence positive
 definite; a warm Newton step that meets an indefinite Jacobian falls
 back to the cold sweep, as on any SolverError.  Wider systems get one
 CSC matrix and one SuperLU call with the minimum degree ordering of
-A^T + A, panels of 2 columns and supernodes relaxed up to 4 columns:
-measured against SuperLU's defaults on grids from 17x17 to 257x257,
-these factorize each of the module's matrices in 0.6 to 0.86 of the
-time, with the same fill (BENCH_15.json).  The crossover was measured
-on the sweep matrix, two Newton Jacobians and the adjoint matrix (one
-thread, minimum of interleaved runs, BENCH_30.json).  One Cholesky
-factorization and 6 back-substitutions, a cold state solve with its
-adjoint, take 0.18 of SuperLU's time at 17x17, 0.3 at 33x33, 0.56 to
-0.58 at 65x65, 0.55 to 0.79 at 73x73, 0.71 to 0.79 at 89x89, 0.74 to
-0.88 at 101x101 and 0.81 to 0.97 at 105x105 to 113x113, and 0.94 to 1.12
-at 117x117 and 121x121.  With 17 back-substitutions, the mass ascent's
-ratio, they take 0.57 to 0.68 at 65x65, 0.8 to 0.91 at 89x89 and 0.9 to
-0.99 at 101x101, and 1.01 to 1.13 at 105x105 and 109x109.  So _BAND_MAX
-is the widest grid that beat SuperLU at both ratios.  On either path an
-exactly singular matrix raises SolverError.
+A^T + A, panels of 2 columns and supernodes relaxed up to 4 columns in
+place of SuperLU's defaults.  _BAND_MAX is the widest grid on which one
+Cholesky factorization beat SuperLU both with a cold state solve's and
+its adjoint's back-substitutions and with the mass ascent's; README's
+numerical notes give the measured ratios, and those of the SuperLU
+settings against its defaults.  On either path an exactly singular
+matrix raises SolverError.
 
 State equation
 --------------
@@ -109,10 +101,8 @@ contradicting F(v) >= 0.  So every
 point the sweep measures stays on or above the maximal solution, its limit
 is unchanged, and no fallback is needed.  Uncertified, the step does
 undershoot: on the first random measure of the fields workload (6 atoms
-at 65x65) it lands 4.5e-5 below the maximal solution.  On that workload
-(seed 1) every secant step was adopted, most at c / 2, and a cold state
-solve with its adjoint takes 11 to 13 back-substitutions instead of 19 to
-24: 60 per pass instead of 114, with 10 factorizations either way.
+at 65x65) it lands 4.5e-5 below the maximal solution.  README's numerical
+notes give the back-substitutions that the secant points save.
 
 The sweeps stop at the first adopted iterate whose scaled residual is
 within sqrt(tol), since one Newton step roughly squares the residual, at
@@ -159,18 +149,12 @@ _MAX_SWEEPS = 400
 # halve the worst scaled residual
 _MAX_REFINE = 12
 # largest half-bandwidth (nx) factorized by LAPACK's banded Cholesky; wider
-# systems go to SuperLU.  The widest grid on which one factorization beat
-# SuperLU's both with 6 back-substitutions (a cold state solve and its
-# adjoint; up to 113x113) and with 17 (the mass ascent; 0.9 to 0.99 of its
-# time at 101x101, 1.01 to 1.13 at 105x105 and 109x109); see the module
-# docstring and BENCH_30.json
+# systems go to SuperLU (see the module docstring)
 _BAND_MAX = 101
 # widest grid (nx) on which a warm state solve factorizes the Jacobian of
 # every Newton step; wider warm solves and every cold solve refine later
-# steps with the first step's factors.  Timed on 40-iteration spawn
-# ascents, exact against carried steps in alternating pairs, the state
-# and adjoint solves took 0.81 / 0.92 / 0.87 of the time at 17 / 21 / 23
-# and 1.05 to 1.18 of it at 25 / 27 / 29 / 33 / 41 (BENCH_22.json)
+# steps with the first step's factors: the widest grid on which that was
+# the faster choice in timed spawn ascents (README's numerical notes)
 _EXACT_NEWTON_MAX = 23
 
 __all__ = [
@@ -398,13 +382,10 @@ class _BandCholesky:
 def _superlu(mat: sp.csc_matrix):
     """SuperLU factors of a CSC matrix with the stencil's pattern."""
     try:
-        # the stencil's pattern is symmetric: ordering on A^T + A roughly
-        # halves the fill of the default column ordering.  Panels of 2
-        # columns and supernodes relaxed up to 4 columns, in place of
-        # SuperLU's defaults, leave the fill as it is and factorize faster on
-        # every grid from 17x17 to 257x257, for the sweep matrix, Newton's
-        # Jacobians and the adjoint alike (minimum of interleaved runs; the
-        # panel_size x relax sweep is in BENCH_15.json)
+        # the stencil's pattern is symmetric, so the ordering works on
+        # A^T + A; panels of 2 columns and supernodes relaxed up to 4
+        # columns, in place of SuperLU's defaults, leave the fill as it is
+        # and factorize faster (README's numerical notes)
         return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", panel_size=2, relax=4)
     except RuntimeError as e:  # exactly singular
         raise SolverError(f"sparse factorization failed: {e}") from None
@@ -415,12 +396,10 @@ def _factorize(grid: Grid, absorption: np.ndarray):
     assembled; their solve(b) returns A^-1 b.  Nodes are ordered
     iy * nx + ix, so the half-bandwidth is nx.  Up to nx = _BAND_MAX the
     banded Cholesky of diag(tau) A costs O(n nx^2) and undercuts
-    SuperLU's cost per call (0.56 to 0.58 of its time at 65x65, for a
-    factorization and 6 back-substitutions; see the module docstring for
-    the crossover); a pivot that is not positive raises SolverError.  From
-    105x105 SuperLU is faster at the mass ascent's 17 back-substitutions,
-    and at 129x129 the band storage of (nx + 1) n doubles would take 17 MB
-    (BENCH_30.json)."""
+    SuperLU's cost per call (see the module docstring for the crossover);
+    a pivot that is not positive raises SolverError.  Wider grids go to
+    SuperLU, where the band storage of (nx + 1) n doubles would also grow:
+    17 MB at 129x129."""
     if grid.nx <= _BAND_MAX:
         return _BandCholesky(_band_system(grid, absorption), quadrature_weights(grid))
     return _superlu(_system(grid, absorption))
@@ -605,12 +584,10 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     supersolution, and kept when its scaled residual is lower.  Since f is
     concave and f(u) / u strictly decreases, a certified point lies on or
     above the maximal solution, so the sweep keeps its monotone invariant
-    and its limit (see the module docstring).  On the seed-1 fields
-    benchmark workload (65x65 and 129x129) this takes a cold state solve
-    and its adjoint from 19 to 24 back-substitutions to 11 to 13, with
-    the same 2 factorizations.  The sweeps stop at the first adopted
-    iterate within sqrt(tol), at the first sweep that leaves more than 0.9
-    of the previous residual, or when they run out, and Newton finishes.
+    and its limit (see the module docstring).  The sweeps stop at the
+    first adopted iterate within sqrt(tol), at the first sweep that leaves
+    more than 0.9 of the previous residual, or when they run out, and
+    Newton finishes.
     Newton factorizes the Jacobian of its first step and solves later
     steps' own Jacobians with those factors.  Every linear
     solve meets the nodewise residual tol_linear against its true matrix by

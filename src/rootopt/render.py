@@ -12,7 +12,7 @@ import numpy as np
 from .core import DiscreteMeasure, Domain
 from .irrigation import ROOT, TERMINAL, IrrigationTree, compute_fluxes
 
-__all__ = ["render_tree_svg", "save_svg"]
+__all__ = ["render_tree_svg"]
 
 _EDGE_COLOR = "#2b6cb0"
 _ATOM_COLOR = "#c05621"
@@ -89,8 +89,3 @@ def render_tree_svg(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def save_svg(path, svg_text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg_text)

@@ -8,9 +8,12 @@ Formats:
   xmin, xmax, ymin, ymax) followed by row-major little-endian float64 values
 * run configuration: flat ``key = value`` text, unknown keys rejected by name
 
-All writers are deterministic: key order is sorted, floats go through repr,
-and nothing embeds timestamps or environment details.  Every format has a
-matching parser so artifacts round-trip.
+Each format function returns a file's text or bytes, and `save_file` writes
+them: it is the one place the package opens a file for writing.  The text is
+deterministic: key order is sorted, floats go through repr, and nothing
+embeds timestamps or environment details.  Every format has a matching
+parser so artifacts round-trip, and a text file that is not UTF-8 fails its
+parser with a ValidationError naming it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from .irrigation import ROOT, STEINER, TERMINAL, IrrigationTree, compute_fluxes
 from .optimality import OptimalityReport, OptimizationTrace, PathCheckReport
 
 __all__ = [
+    "save_file",
+    "load_text",
     "dumps_json",
-    "save_json",
     "load_json",
     "measure_to_dict",
     "measure_from_dict",
@@ -40,19 +44,15 @@ __all__ = [
     "load_measure",
     "tree_to_dict",
     "tree_from_dict",
-    "save_tree",
     "load_tree",
     "landscape_csv_text",
-    "save_landscape_csv",
     "field_binary_bytes",
-    "save_field_binary",
     "load_field_shape",
     "load_field_binary",
     "trace_step_dict",
     "save_trace",
     "load_trace",
     "report_to_dict",
-    "save_report",
     "load_report",
     "CONFIG_KEYS",
     "ParsedConfig",
@@ -64,24 +64,37 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# generic JSON
+# files and generic JSON
+
+
+def save_file(path, data) -> None:
+    """Write data to the file at path: text as UTF-8, bytes as they are."""
+    with open(path, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def load_text(path) -> str:
+    """The text of the UTF-8 file at path, read in text mode."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def save_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj))
+def _parse_json(where, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: not valid JSON: {exc}") from exc
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    return _parse_json(path, load_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +164,7 @@ def save_measure(path, mu: DiscreteMeasure) -> None:
         reprs = [repr(v) for v in bits.view(np.float64).tolist()]
         atoms = ",\n".join([_ATOM_JSON] * len(mu)) % itemgetter(*inverse.tolist())(reprs)
         text = '{\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    save_file(path, text)
 
 
 def load_measure(path) -> DiscreteMeasure:
@@ -241,10 +253,6 @@ def tree_from_dict(d):
     return tree, stored
 
 
-def save_tree(path, tree: IrrigationTree, mu: DiscreteMeasure) -> None:
-    save_json(path, tree_to_dict(tree, mu))
-
-
 def load_tree(path):
     return tree_from_dict(load_json(path))
 
@@ -262,11 +270,6 @@ def landscape_csv_text(z) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_landscape_csv(path, z) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(landscape_csv_text(z))
-
-
 _FIELD_HEADER = struct.Struct("<ii4d")
 
 
@@ -279,27 +282,23 @@ def field_binary_bytes(field: ScalarField) -> bytes:
     return header + np.ascontiguousarray(field.values, dtype="<f8").tobytes()
 
 
-def save_field_binary(path, field: ScalarField) -> None:
-    with open(path, "wb") as fh:
-        fh.write(field_binary_bytes(field))
+def _field_header(path, raw: bytes) -> tuple:
+    """(nx, ny, xmin, xmax, ymin, ymax) from the start of a binary field."""
+    if len(raw) < _FIELD_HEADER.size:
+        raise ValidationError(f"{path}: truncated field header")
+    return _FIELD_HEADER.unpack_from(raw)
 
 
 def load_field_shape(path) -> tuple[int, int]:
     """(nx, ny) from a binary field's header, without reading its values."""
     with open(path, "rb") as fh:
-        head = fh.read(_FIELD_HEADER.size)
-    if len(head) < _FIELD_HEADER.size:
-        raise ValidationError(f"{path}: truncated field header")
-    nx, ny = _FIELD_HEADER.unpack(head)[:2]
-    return nx, ny
+        return _field_header(path, fh.read(_FIELD_HEADER.size))[:2]
 
 
 def load_field_binary(path, domain: Domain) -> ScalarField:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _FIELD_HEADER.size:
-        raise ValidationError(f"{path}: truncated field header")
-    nx, ny, xmin, xmax, ymin, ymax = _FIELD_HEADER.unpack_from(raw)
+    nx, ny, xmin, xmax, ymin, ymax = _field_header(path, raw)
     bounds = (xmin, ymin, xmax, ymax)
     want = (domain.rect_min[0], domain.rect_min[1], domain.rect_max[0], domain.rect_max[1])
     if any(abs(a - b) > 1e-12 for a, b in zip(bounds, want)):
@@ -328,24 +327,31 @@ def trace_step_dict(step) -> dict:
 
 
 def save_trace(path, trace: OptimizationTrace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for step in trace.steps:
-            fh.write(json.dumps(trace_step_dict(step), sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    save_file(path, "".join(json.dumps(trace_step_dict(step), sort_keys=True,
+                                       separators=(",", ":")) + "\n" for step in trace.steps))
+
+
+# the types each key of a trace record may hold; a bool is not a number here
+_TRACE_TYPES = {"iteration": (int,), "payoff": (int, float), "sup_residual": (int, float),
+                "accepted": (bool,), "spawned": (bool,), "eta": (int, float),
+                "atoms": (list,), "solver_errors": (list,)}
+
+
+def _trace_record(where: str, line: str) -> dict:
+    """The record on one line of a trace, which must be a JSON object whose
+    keys hold the types of _TRACE_TYPES; errors name `where`, file:line."""
+    rec = _parse_json(where, line)
+    bad = next((key for key, types in _TRACE_TYPES.items()
+                if not isinstance(rec, dict) or type(rec.get(key)) not in types), None)
+    if bad is not None:
+        raise ValidationError(f"{where}: a trace record must be a JSON object whose {bad!r} "
+                              f"holds {' or '.join(t.__name__ for t in _TRACE_TYPES[bad])}")
+    return rec
 
 
 def load_trace(path):
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{ln}: not valid JSON: {exc}") from exc
-    return records
+    return [_trace_record(f"{path}:{ln}", line)
+            for ln, line in enumerate(load_text(path).split("\n"), 1) if line.strip()]
 
 
 def report_to_dict(report: OptimalityReport, converged: bool, iterations: int,
@@ -373,11 +379,6 @@ def report_to_dict(report: OptimalityReport, converged: bool, iterations: int,
         ],
         "path_check": None if path_check is None else asdict(path_check),
     }
-
-
-def save_report(path, report: OptimalityReport, converged: bool, iterations: int,
-                path_check: PathCheckReport | None = None) -> None:
-    save_json(path, report_to_dict(report, converged, iterations, path_check))
 
 
 def load_report(path) -> dict:

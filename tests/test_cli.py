@@ -13,9 +13,9 @@ import pytest
 import rootopt as ro
 from rootopt.cli import main
 from rootopt.elliptic import ScalarField
-from rootopt.serialization import (dumps_json, load_field_binary, load_measure,
-                                   load_report, load_trace, load_tree,
-                                   save_field_binary, save_measure)
+from rootopt.serialization import (dumps_json, field_binary_bytes, load_field_binary,
+                                   load_measure, load_report, load_trace, load_tree,
+                                   save_file, save_measure)
 
 
 def write_setup(dirpath, config_lines, atoms):
@@ -203,6 +203,57 @@ class TestBadMeasureFiles:
         assert err == f"error: {message}\n"
 
 
+class TestFilesThatAreNotUtf8:
+    """A measure, config or trace whose bytes are not UTF-8 ends the command
+    with an error naming the file, not a traceback."""
+
+    def test_measure(self, tmp_path, capsys):
+        cfg = write_setup(tmp_path, ["nx = 17", "ny = 17"], [(1.0, 0.0, 0.5)])
+        measure = tmp_path / "measure.json"
+        measure.write_bytes(b"\xff\xfe" + measure.read_bytes())
+        assert main(["irrigate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {measure}: not UTF-8 text: ")
+
+    def test_config(self, tmp_path, capsys):
+        cfg = write_setup(tmp_path, ["nx = 17", "ny = 17"], [(1.0, 0.0, 0.5)])
+        cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        assert main(["irrigate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text: ")
+
+    def test_trace(self, tmp_path, capsys):
+        out = TestVerify().run_pipeline(tmp_path)
+        trace = out / "trace.jsonl"
+        trace.write_bytes(trace.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {trace}: not UTF-8 text: ")
+
+
+class TestReadmeArtifacts:
+    """README's "Artifacts per subcommand" bullets name exactly the files
+    that irrigate, solve, adjoint and optimize write, besides config.txt and
+    the input measure."""
+
+    @staticmethod
+    def bullets():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        # the list is the paragraph after the one that introduces it
+        bullets = text.split("Artifacts per subcommand", 1)[1].split("\n\n")[1]
+        return {cmd: set(re.findall(r"`([^`]+)`", body)) for cmd, body in
+                re.findall(r"^\* `(\w+)`: (.*?)(?=^\* |\Z)", bullets, re.M | re.S)}
+
+    @pytest.mark.parametrize("subcommand, measure", [
+        ("irrigate", "measure.json"), ("solve", "measure.json"), ("adjoint", "measure.json"),
+        ("optimize", "measure_initial.json")])
+    def test_each_bullet_names_the_written_files(self, tmp_path, subcommand, measure):
+        cfg = write_setup(tmp_path, ["nx = 9", "ny = 9", "c = 0.1", "max_outer_iters = 2"],
+                          [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
+        out = tmp_path / "run"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+        written = {p.name for p in out.iterdir()} - {"config.txt", measure}
+        assert self.bullets()[subcommand] == written
+
+
 class TestFieldsPathBuildsNoAtoms:
     def test_adjoint_and_verify_on_65_squared(self, tmp_path, monkeypatch, capsys):
         from conftest import manufactured_problem
@@ -282,7 +333,7 @@ class TestSolveAndAdjoint:
         assert lu is u._factors  # refined, not refactorized
         psi = ScalarField(run.grid, psi)
         for name, field in (("state", u), ("psi", psi), ("phi", ro.phi_field(u, psi))):
-            save_field_binary(tmp_path / f"{name}.bin", field)
+            save_file(tmp_path / f"{name}.bin", field_binary_bytes(field))
             assert (out / f"{name}.bin").read_bytes() == (tmp_path / f"{name}.bin").read_bytes()
 
 
@@ -440,7 +491,8 @@ class TestVerify:
 
     def tamper_field(self, out, name, change):
         grid_field = load_field_binary(out / name, ro.Domain())
-        save_field_binary(out / name, ScalarField(grid_field.grid, change(grid_field.values)))
+        save_file(out / name, field_binary_bytes(
+            ScalarField(grid_field.grid, change(grid_field.values))))
 
     def test_halved_state_is_caught(self, tmp_path, capsys):
         out = self.run_pipeline(tmp_path, subcommand="solve")
@@ -470,7 +522,7 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 0
         assert "ok: field resolution" in capsys.readouterr().out
         grid = ro.Grid(ro.Domain(), n, n)
-        save_field_binary(out / name, ScalarField(grid, np.full(grid.n_nodes, 0.5)))
+        save_file(out / name, field_binary_bytes(ScalarField(grid, np.full(grid.n_nodes, 0.5))))
         assert main(["verify", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert (f"invariant violated: field resolution: {name} holds a {n}x{n} grid, "
@@ -651,6 +703,25 @@ class TestVerify:
         assert self.rebuild_differs(name, line) in stdout
         assert sum(ln.startswith("invariant violated") for ln in stdout.splitlines()) == 1
 
+    @pytest.mark.parametrize("last, message", [
+        ('{"iteration": 4}',
+         "a trace record must be a JSON object whose 'payoff' holds int or float"),
+        ("[1, 2]", "a trace record must be a JSON object whose 'iteration' holds int"),
+        ('{"iteration": 4, "payoff": 1.0, "sup_residual": 0.0, "accepted": 1, "spawned": false, '
+         '"eta": 0.0, "atoms": [], "solver_errors": []}',
+         "a trace record must be a JSON object whose 'accepted' holds bool"),
+    ], ids=["missing-keys", "not-an-object", "int-for-bool"])
+    def test_malformed_trace_record_is_named(self, tmp_path, capsys, last, message):
+        """A last trace record that lacks a key, holds a key of the wrong
+        type or is not an object ends verify with an error naming the file
+        and line, not a traceback."""
+        out = self.run_pipeline(tmp_path)
+        lines = (out / "trace.jsonl").read_text().splitlines()
+        (out / "trace.jsonl").write_text("\n".join(lines[:-1] + [last]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out / 'trace.jsonl'}:{len(lines)}: {message}\n"
+
     def test_empty_dir_is_an_error(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path), "--config", "/dev/null"])
         assert rc == 1
@@ -691,7 +762,7 @@ class TestEveryFileIsChecked:
             field = load_field_binary(path, ro.Domain())
             values = field.values.copy()
             values[len(values) // 2] += 0.25
-            save_field_binary(out / path.name, ScalarField(field.grid, values))
+            save_file(out / path.name, field_binary_bytes(ScalarField(field.grid, values)))
         else:
             text = path.read_text()
             k = re.compile(r"\d\.\d").search(text, start).end() - 1

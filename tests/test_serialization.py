@@ -120,7 +120,7 @@ class TestTreeFiles:
         rng = np.random.default_rng(71)
         tree = random_tree(rng, measure)
         p = tmp_path / "tree.json"
-        ser.save_tree(p, tree, measure)
+        ser.save_file(p, ser.dumps_json(ser.tree_to_dict(tree, measure)))
         back, stored = ser.load_tree(p)
         assert back.positions.tolist() == tree.positions.tolist()
         assert back.parents.tolist() == tree.parents.tolist()
@@ -157,7 +157,7 @@ class TestTreeFiles:
         d = self.branched_dict()
         ser.tree_from_dict(d)
         d["nodes"][node].update(kind=kind, atom=atom)
-        ser.save_json(tmp_path / "tree.json", d)
+        ser.save_file(tmp_path / "tree.json", ser.dumps_json(d))
         with pytest.raises(ro.ValidationError, match=message):
             ser.load_tree(tmp_path / "tree.json")
 
@@ -180,7 +180,7 @@ class TestLandscapeCsv:
         tree = ro.star_tree(measure)
         z = ro.landscape(tree, measure, 0.5)
         p = tmp_path / "landscape.csv"
-        ser.save_landscape_csv(p, z)
+        ser.save_file(p, ser.landscape_csv_text(z))
         lines = p.read_text().splitlines()
         assert lines[0] == "node,x,y,z"
         assert len(lines) == tree.n_nodes + 1
@@ -201,7 +201,7 @@ class TestFieldFiles:
         return what scripts/field_csv.py prints for it."""
         (run_dir / "config.txt").write_text(ser.config_to_text(ser.ParsedConfig(
             ro.RunConfig(grid=field.grid))))
-        ser.save_field_binary(run_dir / "phi.bin", field)
+        ser.save_file(run_dir / "phi.bin", ser.field_binary_bytes(field))
         script = Path(__file__).resolve().parents[1] / "scripts" / "field_csv.py"
         monkeypatch.setattr(sys, "argv", [str(script), str(run_dir), "phi"])
         monkeypatch.setattr(sys, "path", list(sys.path))
@@ -249,14 +249,14 @@ class TestFieldFiles:
     def test_binary_round_trip_exact(self, tmp_path):
         field = self.make_field()
         p = tmp_path / "field.bin"
-        ser.save_field_binary(p, field)
+        ser.save_file(p, ser.field_binary_bytes(field))
         back = ser.load_field_binary(p, field.grid.domain)
         assert np.array_equal(back.values, field.values)
 
     def test_binary_wrong_domain_rejected(self, tmp_path):
         field = self.make_field()
         p = tmp_path / "field.bin"
-        ser.save_field_binary(p, field)
+        ser.save_file(p, ser.field_binary_bytes(field))
         other = ro.Domain(rect_min=(0.75, -0.5), rect_max=(1.75, 0.5))
         with pytest.raises(ro.ValidationError, match="bounds"):
             ser.load_field_binary(p, other)
@@ -288,7 +288,8 @@ class TestTraceAndReport:
 
     def test_report_round_trip(self, tmp_path, trace):
         p = tmp_path / "report.json"
-        ser.save_report(p, trace.report, trace.converged, len(trace.steps) - 1)
+        ser.save_file(p, ser.dumps_json(ser.report_to_dict(trace.report, trace.converged,
+                                                         len(trace.steps) - 1)))
         back = ser.load_report(p)
         assert back == ser.report_to_dict(trace.report, trace.converged,
                                           len(trace.steps) - 1)
@@ -298,7 +299,8 @@ class TestTraceAndReport:
         check = ro.path_inequality_check(trace.state, trace.adjoint, trace.tree,
                                          trace.measure, 0.1, trace.report.alpha)
         p = tmp_path / "report.json"
-        ser.save_report(p, trace.report, True, 3, path_check=check)
+        ser.save_file(p, ser.dumps_json(ser.report_to_dict(trace.report, True, 3,
+                                                         path_check=check)))
         back = ser.load_report(p)
         assert back["path_check"]["n_samples"] == check.n_samples
 

@@ -80,6 +80,47 @@ def test_each_shared_rule_is_written_once():
     assert counts == dict.fromkeys(counts, 1)
 
 
+def write_opens(source: str):
+    """(function, mode) of every open( call in source's code tokens whose
+    mode string writes, holding w, a, x or +; the function is the nearest
+    def above the call."""
+    toks = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
+            if t.type in (tokenize.NAME, tokenize.OP, tokenize.STRING)]
+    found, func = [], None
+    for i, tok in enumerate(toks[:-1]):
+        if tok.string == "def":
+            func = toks[i + 1].string
+        if tok.string != "open" or toks[i + 1].string != "(":
+            continue
+        depth, j = 1, i + 2
+        while depth:
+            depth += {"(": 1, ")": -1}.get(toks[j].string, 0)
+            if depth == 1 and toks[j].type == tokenize.STRING:
+                mode = ast.literal_eval(toks[j].string)
+                if re.fullmatch(r"[rwxabt+]+", mode) and set(mode) & set("wax+"):
+                    found.append((func, mode))
+            j += 1
+    return found
+
+
+def test_the_write_check_finds_write_modes():
+    source = ('def a(p):\n    with open(p, "r", encoding="utf-8") as fh:\n        pass\n'
+              'def b(p):\n    open(p, mode="wb").write(b"")\n'
+              'def c(p):\n    return open(p, "rb"), open(str(p), "a")\n')
+    assert write_opens(source) == [("b", "wb"), ("c", "a")]
+
+
+def test_files_are_written_only_by_save_file():
+    """src/rootopt opens a file for writing in one place, serialization's
+    save_file, and never writes through pathlib."""
+    found = []
+    for path in sorted((ROOT / "src" / "rootopt").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        found += [(path.name, *site) for site in write_opens(source)]
+        assert not re.search(r"\.write_(text|bytes)\(", source), path.name
+    assert found == [("serialization.py", "save_file", "wb")]
+
+
 def declared_floor():
     """(major, minor) of the `requires-python = ">=X.Y"` floor in pyproject.toml."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
