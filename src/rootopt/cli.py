@@ -17,7 +17,9 @@ Subcommands:
   stored, as report wrote it).  So every file a command writes but
   config.txt, which verify reads as its config, is checked.  Exit 1 naming
   each violated check, a file with the line (for phi.bin the byte) where
-  its bytes first differ
+  its bytes first differ; a stored atom off the grid's nodes is the
+  residual checks' violation, and the files built from it and the fields
+  cannot be rebuilt
 * ``report``    support-density table from stored or configured measure:
   support.json
 
@@ -35,9 +37,12 @@ Configs are flat ``key = value`` text; every subcommand but ``verify`` and
 directory, so a run directory is self-describing: without --config,
 `verify` and `report` read the directory's config.txt.  Its measure_path
 names the input measure, measure.json, or measure_initial.json for
-``optimize``, whose measure.json is the final measure; so the subcommand
-rerun with --config DIR/config.txt into a new directory writes the same
-bytes.
+``optimize``, whose measure.json is the final measure.  The input measure
+is stored as the text it was read from, not re-encoded; a measure the
+command derives, the default one or a snapped one, is stored as
+`measure_text`'s canonical text, as is optimize's final measure.  So the
+subcommand rerun with --config DIR/config.txt into a new directory reads
+the stored text, stores it again and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -65,9 +70,10 @@ from .render import render_tree_svg
 from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
                             dumps_json, field_binary_bytes, landscape_csv_text,
                             load_field_binary, load_field_shape, load_measure,
-                            load_text, load_trace, load_tree, measure_to_dict,
-                            parse_config_entry, parse_config_text, report_to_dict,
-                            save_file, save_measure, save_trace, tree_to_dict)
+                            load_measure_text, load_text, load_trace, load_tree,
+                            measure_text, measure_to_dict, parse_config_entry,
+                            parse_config_text, report_to_dict, save_file, save_trace,
+                            tree_to_dict)
 
 __all__ = ["main"]
 
@@ -134,22 +140,28 @@ def _default_measure(parsed: ParsedConfig) -> DiscreteMeasure:
     return _snap_to_grid(raw, parsed.run.grid)
 
 
-def _resolve_measure(args, parsed: ParsedConfig) -> DiscreteMeasure:
+def _resolve_measure(args, parsed: ParsedConfig) -> tuple[DiscreteMeasure, str | None]:
+    """The input measure, with the measure file's text when the measure is
+    used as read, or None for a measure derived from it or the default."""
     if parsed.measure_path is None:
-        return _default_measure(parsed)
+        return _default_measure(parsed), None
     # a relative measure_path is read from the config's directory
     base = args.config.parent if args.config is not None else Path.cwd()
-    mu = load_measure(base / parsed.measure_path)
-    return _snap_to_grid(mu, parsed.run.grid) if parsed.snap_measure else mu
+    mu, text = load_measure_text(base / parsed.measure_path)
+    if parsed.snap_measure:
+        return _snap_to_grid(mu, parsed.run.grid), None
+    return mu, text
 
 
 def _write_common(args, parsed: ParsedConfig, out: Path,
                   name: str = "measure.json") -> DiscreteMeasure:
-    """The input measure, written into out as `name` with the resolved config
-    as config.txt, pointing at it, so the directory reruns its command."""
-    mu = _resolve_measure(args, parsed)
+    """The input measure, stored into out as `name` with the resolved config
+    as config.txt, pointing at it, so the directory reruns its command: as
+    the text it was read from, or measure_text's canonical text for a
+    derived measure."""
+    mu, text = _resolve_measure(args, parsed)
     save_file(out / "config.txt", config_to_text(ParsedConfig(parsed.run, measure_path=name)))
-    save_measure(out / name, mu)
+    save_file(out / name, measure_text(mu) if text is None else text)
     return mu
 
 
@@ -273,7 +285,7 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     trace = ascend_measure(cfg, _write_common(args, parsed, out, "measure_initial.json"))
     save_trace(out / "trace.jsonl", trace)
-    save_measure(out / "measure.json", trace.measure)
+    save_file(out / "measure.json", measure_text(trace.measure))
     _save_run(out, args.command, _Run(cfg, trace.measure, trace.tree, trace.state, trace.adjoint,
                                       trace.report, trace.converged, len(trace.steps) - 1,
                                       trace.measure))
@@ -287,7 +299,7 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
 def _cmd_report(args, parsed: ParsedConfig, out: Path) -> int:
     stored = out / "measure.json"
     # verify tabulates the same measure
-    mu = load_measure(stored) if stored.exists() else _resolve_measure(args, parsed)
+    mu = load_measure(stored) if stored.exists() else _resolve_measure(args, parsed)[0]
     run = _Run(parsed.run, support=mu)
     _save_run(out, args.command, run)
     print("scale occupied total fraction")
@@ -311,6 +323,28 @@ def _rebuild_mismatch(path: Path, fresh) -> str | None:
     k = len(os.path.commonprefix([stored, raw]))
     where = f"byte {k}" if binary else "line %d" % (stored.count(b"\n", 0, k) + 1)
     return f"stored bytes differ from the rebuild from {where}"
+
+
+def _rebuild_detail(path: Path, run: _Run, values, writer) -> str | None:
+    """_rebuild_mismatch of the file at path against its writer's output,
+    or why the run cannot rebuild it: a missing value, or a ValidationError
+    of the writer, such as an atom off the grid's nodes."""
+    if not run.has(values):
+        return "cannot be rebuilt: an input is missing or failed its check"
+    try:
+        return _rebuild_mismatch(path, writer(run))
+    except ValidationError as exc:
+        return f"cannot be rebuilt: {exc}"
+
+
+def _residual_detail(residual, tol: float, tol_name: str, what: str) -> str | None:
+    """None when residual() is at most tol; else how far it reaches, or the
+    ValidationError that names an atom off the grid's nodes."""
+    try:
+        worst = residual()
+    except ValidationError as exc:
+        return str(exc)
+    return None if worst <= tol else f"{what} reaches {worst!r}, above {tol_name} {tol!r}"
 
 
 def _atoms_mismatch(records, k, mu: DiscreteMeasure) -> str | None:
@@ -404,11 +438,9 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         yield ("state box bounds",
                None if ok else f"state range [{lo!r}, {hi!r}] leaves [0, u_max]")
         if mu is not None:
-            worst = state_residual(u, mu, cfg.growth)
-            yield ("state residual",
-                   None if worst <= cfg.tol_nonlinear else
-                   f"scaled residual of lap u + f(u) - a u reaches {worst!r}, "
-                   f"above tol_nonlinear {cfg.tol_nonlinear!r}")
+            yield ("state residual", _residual_detail(
+                lambda: state_residual(u, mu, cfg.growth), cfg.tol_nonlinear,
+                "tol_nonlinear", "scaled residual of lap u + f(u) - a u"))
     if (out / "psi.bin").exists() and u is not None:
         run.adjoint = psi = load_field_binary(out / "psi.bin", cfg.domain)
         cap, slack = _adjoint_bounds(cfg.growth, u.min())
@@ -416,11 +448,9 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         yield ("adjoint bounds",
                None if ok else f"adjoint range [{psi.min()!r}, {psi.max()!r}] leaves [0, {cap!r}]")
         if mu is not None:
-            worst = adjoint_residual(psi, u, mu, cfg.growth)
-            yield ("adjoint residual",
-                   None if worst <= cfg.tol_linear else
-                   f"scaled residual of the adjoint system reaches {worst!r}, "
-                   f"above tol_linear {cfg.tol_linear!r}")
+            yield ("adjoint residual", _residual_detail(
+                lambda: adjoint_residual(psi, u, mu, cfg.growth), cfg.tol_linear,
+                "tol_linear", "scaled residual of the adjoint system"))
 
     if (out / "trace.jsonl").exists():
         records = load_trace(out / "trace.jsonl")
@@ -445,17 +475,21 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
             yield ("trace ends at measure.json", _atoms_mismatch(records, -1, mu))
 
     # report.json's first-order report, from the stored fields and plan, and
-    # its `converged` by the ascent's stop test on the last trace record
+    # its `converged` by the ascent's stop test on the last trace record; an
+    # atom off the grid's nodes, which the residual checks name, leaves none
     if records and run.has(("plan", "adjoint")):
-        run.report = optimality_residual(u, psi, run.landscape, mu, cfg.c, cfg.alpha)
-        run.converged = _converged(cfg, mu, run.report.sup_residual, records[-1]["spawned"])
-        run.iterations = len(records) - 1
+        try:
+            run.report = optimality_residual(u, psi, run.landscape, mu, cfg.c, cfg.alpha)
+        except ValidationError:
+            pass
+        else:
+            run.converged = _converged(cfg, mu, run.report.sup_residual, records[-1]["spawned"])
+            run.iterations = len(records) - 1
     # report tabulates measure.json, or the configured measure without one
-    run.support = mu if mu is not None else _resolve_measure(args, parsed)
+    run.support = mu if mu is not None else _resolve_measure(args, parsed)[0]
     for name, _, values, writer in _FILES:
         if (out / name).exists():
-            yield (name, _rebuild_mismatch(out / name, writer(run)) if run.has(values) else
-                   "cannot be rebuilt: an input is missing or failed its check")
+            yield (name, _rebuild_detail(out / name, run, values, writer))
 
 
 def _cmd_verify(args, parsed: ParsedConfig, out: Path) -> int:

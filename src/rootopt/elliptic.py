@@ -76,8 +76,7 @@ one back-substitution unless the residual needs refining.  f is evaluated
 once per adopted iterate, for its residual and the next right-hand side.
 Since sigma = rate = -f'(u_max), that matrix is the negated Jacobian at
 u_max: the sweep is the chord iteration at u_max and contracts only
-linearly, by about 0.65 per sweep on the 65x65 and 129x129 measures of the
-benchmark's fields workload.
+linearly (README's numerical notes give the measured rate).
 
 Every sweep after the first therefore tries a secant point between its
 iterate g and the previous sweep's g_prev, the one-step Anderson mixing of
@@ -118,11 +117,11 @@ before Newton factorizes.  Each Newton step solves the negated Jacobian
 a nearby measure, the same Newton steps start from it instead (a warm
 solve) and the sweep runs only when they stall, touch 0 or end on an
 unstable state.  On grids up to nx = 23 (_EXACT_NEWTON_MAX) every step
-of a warm solve factorizes its own Jacobian, which costs about two
-refinement steps at 17x17 and then needs one or two back-substitutions,
-where the first step's factors needed 3 to 12.  In a cold solve, and in
-a warm one on a wider grid, the first step factorizes and later steps
-solve with those factors, which are replaced only when they miss.
+of a warm solve factorizes its own Jacobian, which README's numerical
+notes show is cheaper there than refining with the first step's factors.
+In a cold solve, and in a warm one on a wider grid, the first step
+factorizes and later steps solve with those factors, which are replaced
+only when they miss.
 The adjoint matrix is the Jacobian at the converged state, so a state that
 Newton finished carries Newton's last factors to solve_adjoint, which
 refines with them.  Only a state that a sweep brings within tol itself,
@@ -601,8 +600,7 @@ def solve_state(grid: Grid, mu: DiscreteMeasure, f: GrowthFunction,
     measure) the damped Newton steps start from init instead, clipped to
     [0, u_max].  On a grid of nx <= _EXACT_NEWTON_MAX (23) every one of
     these steps factorizes its own Jacobian instead of refining with the
-    first step's factors: there a factorization costs about two
-    refinement steps, fewer than the first step's factors need.  Every
+    first step's factors, which costs more there.  Every
     nonnegative solution is either 0 or positive at every node, and since
     f(u) / u strictly decreases, the positive solution
     is unique (Brezis and Oswald, Nonlinear Anal. 10, 1986).  A Newton limit

@@ -9,11 +9,14 @@ Formats:
 * run configuration: flat ``key = value`` text, unknown keys rejected by name
 
 Each format function returns a file's text or bytes, and `save_file` writes
-them: it is the one place the package opens a file for writing.  The text is
-deterministic: key order is sorted, floats go through repr, and nothing
-embeds timestamps or environment details.  Every format has a matching
-parser so artifacts round-trip, and a text file that is not UTF-8 fails its
-parser with a ValidationError naming it.
+them: it is the one place the package opens a file for writing.  The text
+the formats write is deterministic: key order is sorted, floats go through
+repr, and nothing embeds timestamps or environment details.  A command's
+input measure is the exception as a file of a run directory: it is stored as
+the text `load_measure_text` read it from, in the input's own key order and
+number forms.  Every format has a matching parser so artifacts round-trip,
+and a text file that is not UTF-8 fails its parser with a ValidationError
+naming it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ __all__ = [
     "load_json",
     "measure_to_dict",
     "measure_from_dict",
+    "measure_text",
     "save_measure",
+    "load_measure_text",
     "load_measure",
     "tree_to_dict",
     "tree_from_dict",
@@ -125,13 +130,21 @@ def _atom_values(i, rec) -> tuple:
         raise ValidationError(f"measure atom {i} needs numeric x, y, mass") from exc
 
 
+def _unknown_key(keys, known) -> str | None:
+    return next((key for key in keys if key not in known), None)
+
+
 def measure_from_dict(d) -> DiscreteMeasure:
     """The measure of a measure JSON object, parsed straight into arrays.
 
-    Every atom record needs numeric x, y and mass; positions must be finite
-    and distinct, masses finite and >= 0.  Errors name the atom."""
+    The object holds only 'atoms', and every atom record exactly numeric x,
+    y and mass; positions must be finite and distinct, masses finite and
+    >= 0.  Errors name the atom, and an unknown key by name."""
     if not isinstance(d, dict) or not isinstance(d.get("atoms"), list):
         raise ValidationError("measure JSON must be an object with an 'atoms' list")
+    key = _unknown_key(d, ("atoms",))
+    if key is not None:
+        raise ValidationError(f"unknown measure key: {key!r}")
     recs = d["atoms"]
     try:
         flat = list(chain.from_iterable(map(_ATOM_FIELDS, recs)))
@@ -141,6 +154,12 @@ def measure_from_dict(d) -> DiscreteMeasure:
     except (KeyError, TypeError, OverflowError):
         # find and name the first bad record
         arr = np.array([_atom_values(i, r) for i, r in enumerate(recs)]).reshape(len(recs), 3)
+    # each record is a dict holding x, y and mass, so one of any other length
+    # holds another key
+    if set(map(len, recs)) - {3}:
+        i = next(i for i, r in enumerate(recs) if len(r) != 3)
+        raise ValidationError(f"measure atom {i} has unknown key "
+                              f"{_unknown_key(recs[i], ('x', 'y', 'mass'))!r}")
     return DiscreteMeasure.from_arrays(arr[:, :2], arr[:, 2])
 
 
@@ -150,25 +169,34 @@ def measure_from_dict(d) -> DiscreteMeasure:
 _ATOM_JSON = '    {\n      "mass": %s,\n      "x": %s,\n      "y": %s\n    }'
 
 
-def save_measure(path, mu: DiscreteMeasure) -> None:
-    """Write exactly the bytes of dumps_json(measure_to_dict(mu)), through one
-    %-template per atom instead of json's pure-Python indenting encoder.  Each
-    distinct float of the flat (mass, x, y) array is formatted by repr once,
-    keyed by its bit pattern so -0.0 stays apart from 0.0, and all templates
-    are filled in one pass from those strings."""
+def measure_text(mu: DiscreteMeasure) -> str:
+    """Exactly dumps_json(measure_to_dict(mu)), through one %-template per
+    atom instead of json's pure-Python indenting encoder.  Each distinct
+    float of the flat (mass, x, y) array is formatted by repr once, keyed by
+    its bit pattern so -0.0 stays apart from 0.0, and all templates are
+    filled in one pass from those strings."""
     if not len(mu):
-        text = dumps_json({"atoms": []})
-    else:
-        flat = np.column_stack([mu.masses(), mu.positions()]).ravel()
-        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-        reprs = [repr(v) for v in bits.view(np.float64).tolist()]
-        atoms = ",\n".join([_ATOM_JSON] * len(mu)) % itemgetter(*inverse.tolist())(reprs)
-        text = '{\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
-    save_file(path, text)
+        return dumps_json({"atoms": []})
+    flat = np.column_stack([mu.masses(), mu.positions()]).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    reprs = [repr(v) for v in bits.view(np.float64).tolist()]
+    atoms = ",\n".join([_ATOM_JSON] * len(mu)) % itemgetter(*inverse.tolist())(reprs)
+    return '{\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
+
+
+def save_measure(path, mu: DiscreteMeasure) -> None:
+    save_file(path, measure_text(mu))
+
+
+def load_measure_text(path) -> tuple[DiscreteMeasure, str]:
+    """The measure of the file at path and the text it was parsed from, the
+    file read once in text mode, so CRLF line ends read as LF."""
+    text = load_text(path)
+    return measure_from_dict(_parse_json(path, text)), text
 
 
 def load_measure(path) -> DiscreteMeasure:
-    return measure_from_dict(load_json(path))
+    return load_measure_text(path)[0]
 
 
 # ---------------------------------------------------------------------------

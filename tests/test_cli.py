@@ -15,7 +15,7 @@ from rootopt.cli import main
 from rootopt.elliptic import ScalarField
 from rootopt.serialization import (dumps_json, field_binary_bytes, load_field_binary,
                                    load_measure, load_report, load_trace, load_tree,
-                                   save_file, save_measure)
+                                   measure_text, save_file, save_measure)
 
 
 def write_setup(dirpath, config_lines, atoms):
@@ -128,6 +128,8 @@ class TestIrrigate:
         assert main(["irrigate", "--out", str(out)]) == 0
         mu = load_measure(out / "measure.json")
         assert len(mu) == 3
+        # a measure the command derives is stored as the canonical text
+        assert (out / "measure.json").read_text() == measure_text(mu)
 
     def test_set_overrides_config(self, single_atom_setup):
         cfg, tmp = single_atom_setup
@@ -179,6 +181,7 @@ class TestIrrigate:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         mu = load_measure(out / "measure.json")
         assert mu.atoms[0].position == (1.0, 0.0)
+        assert (out / "measure.json").read_text() == measure_text(mu)
 
 
 class TestBadMeasureFiles:
@@ -193,7 +196,11 @@ class TestBadMeasureFiles:
          "measure atom 2 position must be finite, got (0.75, nan)"),
         (f'[{GOOD}, {{"x": 0.75, "y": 0.0, "mass": 0.5}}, {GOOD}]',
          "atoms 0 and 2 share position (1.0, 0.0)"),
-    ], ids=["string-x", "null-atoms", "boolean-x", "nan-y", "duplicate"])
+        (f'[{GOOD}, {{"x": 0.75, "y": 0.0, "mass": 0.5, "weight": 3.5}}]',
+         "measure atom 1 has unknown key 'weight'"),
+        (f'[{GOOD}], "weight": 3.5', "unknown measure key: 'weight'"),
+    ], ids=["string-x", "null-atoms", "boolean-x", "nan-y", "duplicate", "unknown-atom-key",
+            "unknown-top-level-key"])
     def test_named_error_and_no_traceback(self, tmp_path, capsys, atoms, message):
         (tmp_path / "measure.json").write_text('{"atoms": %s}\n' % atoms)
         cfg = tmp_path / "config.txt"
@@ -203,9 +210,40 @@ class TestBadMeasureFiles:
         assert err == f"error: {message}\n"
 
 
+class TestInputMeasureStoredAsRead:
+    @pytest.mark.parametrize("subcommand, stored", [
+        ("irrigate", "measure.json"), ("solve", "measure.json"), ("adjoint", "measure.json"),
+        ("optimize", "measure_initial.json")])
+    def test_stored_as_the_text_read_and_rerun_to_the_same_bytes(self, tmp_path, subcommand,
+                                                                 stored):
+        """irrigate, solve, adjoint and optimize store the input measure as
+        the text they read, not re-encoded: here not the canonical text (an
+        int coordinate, keys in another order) and with CRLF line ends, read
+        as LF.  The rerun from the directory's config.txt reads that text and
+        writes every file again byte for byte; optimize's final measure is
+        the canonical text."""
+        text = ('{"atoms": [\n{"mass": 0.3, "x": 1, "y": 0.0},\n'
+                '{"y": 0.25, "x": 1.25, "mass": 0.2}\n]}\n')
+        (tmp_path / "measure.json").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("measure_path = measure.json\nnx = 9\nny = 9\nc = 0.1\n"
+                       "max_outer_iters = 2\n")
+        run, rerun = tmp_path / "run", tmp_path / "rerun"
+        assert main([subcommand, "--config", str(cfg), "--out", str(run)]) == 0
+        assert (run / stored).read_bytes() == text.encode("utf-8")
+        if subcommand == "optimize":
+            assert (run / "measure.json").read_text() == measure_text(
+                load_measure(run / "measure.json"))
+        assert main([subcommand, "--config", str(run / "config.txt"), "--out", str(rerun)]) == 0
+        files = sorted(p.name for p in run.iterdir())
+        assert sorted(p.name for p in rerun.iterdir()) == files
+        for name in files:
+            assert (rerun / name).read_bytes() == (run / name).read_bytes(), name
+
+
 class TestFilesThatAreNotUtf8:
-    """A measure, config or trace whose bytes are not UTF-8 ends the command
-    with an error naming the file, not a traceback."""
+    """A measure, config or trace whose bytes are not UTF-8 ends the command,
+    or scripts/field_csv.py, with an error naming the file, not a traceback."""
 
     def test_measure(self, tmp_path, capsys):
         cfg = write_setup(tmp_path, ["nx = 17", "ny = 17"], [(1.0, 0.0, 0.5)])
@@ -227,6 +265,17 @@ class TestFilesThatAreNotUtf8:
         capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {trace}: not UTF-8 text: ")
+
+    def test_config_read_by_field_csv(self, tmp_path):
+        out = TestVerify().run_pipeline(tmp_path, subcommand="adjoint")
+        cfg = out / "config.txt"
+        cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        script = Path(__file__).resolve().parents[1] / "scripts" / "field_csv.py"
+        proc = subprocess.run([sys.executable, str(script), str(out), "phi"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {cfg}: not UTF-8 text: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestReadmeArtifacts:

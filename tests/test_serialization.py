@@ -95,6 +95,7 @@ class TestMeasureFiles:
         ({"mass": float("inf")}, "measure atom 1 mass must be finite and >= 0"),
         ({"mass": -0.5}, "measure atom 1 mass must be finite and >= 0"),
         ({"x": 1.0, "y": 0.0}, r"atoms 0 and 1 share position \(1.0, 0.0\)"),
+        ({"weight": 3.5}, "measure atom 1 has unknown key 'weight'"),
     ])
     def test_bad_atom_record_is_named(self, bad, message):
         recs = [{"x": 1.0, "y": 0.0, "mass": 1.0}, {"x": 0.5, "y": 0.25, "mass": 1.0},
