@@ -28,14 +28,29 @@ the cached Laplacian as absorption * x - lap @ x - b, and a matrix is
 assembled only inside a factorization.
 Every factorization goes through _factorize, which picks its method by
 the half-bandwidth of A; nodes are ordered iy * nx + ix, so that is nx.
-Up to nx = 101 (_BAND_MAX) it factorizes diag(tau) A by LAPACK's banded
-Cholesky (dpbtrf with kd = nx), and a solve back-substitutes tau * b
-(dpbtrs).  tau is 1, 1/2 or 1/4, so the scaling is exact and
-diag(tau)(-lap) is exactly symmetric.  The upper band storage holds
-(nx + 1) n doubles, 2.2 MB at 65x65 and 8.3 MB at 101x101; it is zeroed,
-takes the tau-scaled upper triangle of -lap from a cached scatter and
-adds tau * absorption to its diagonal.  A pivot that is not positive
-raises SolverError naming it, and no LU is tried instead.  The matrices
+Up to nx = 161 (_BAND_MAX) it factorizes diag(tau) A by LAPACK's banded
+Cholesky (dpbtrf with kd = nx, and dpbtrs to back-substitute).  tau is 1,
+1/2 or 1/4, so the scaling is exact and diag(tau)(-lap) is exactly
+symmetric.  Up to nx = 27 (_PLAIN_BAND_MAX) the band holds diag(tau) A
+itself, (nx + 1) n doubles: zeroed storage that takes the tau-scaled upper
+triangle of -lap from a cached scatter and tau * absorption on its
+diagonal, and a solve back-substitutes tau * b.  Wider grids first take
+one level of cyclic reduction (Buzbee, Golub and Nielson, SIAM J. Numer.
+Anal. 7, 1970).  The stencil couples every red node (ix + iy odd) only to
+black ones, so with the red nodes first diag(tau) A = [[D_r, B],
+[B^T, D_b]] with D_r diagonal, and eliminating the red nodes leaves the
+black Schur complement S = D_b - B^T D_r^-1 B on the ceil(n / 2) black
+nodes.  In node order S couples a black node to the black nodes at
+(ix +- 2, iy), (ix +- 1, iy +- 1) and (ix, iy +- 2); any two consecutive
+grid rows hold nx black nodes, so the last lie exactly nx black nodes away
+and kd stays nx while the rows halve: the band factorization, O(rows kd^2),
+does half the work, in (nx + 1) ceil(n / 2) doubles assembled from the
+stencil's couplings.  A solve takes one dpbtrs on the black half and a
+diagonal solve on the red half.  With D_r > 0, which is checked first,
+diag(tau) A is congruent to diag(D_r, S), so S is positive definite
+exactly when diag(tau) A is, and the argument below carries over.  A pivot
+that is not positive, of D_r or of S, raises SolverError naming it as a
+pivot of the reordered matrix, and no LU is tried instead.  The matrices
 a cold solve factorizes are positive definite: the sweep matrix has
 absorption a + sigma > 0, and Newton's Jacobians at supersolutions u on
 or above the maximal solution u* dominate J(u*), since f'(u) <= f'(u*)
@@ -46,11 +61,12 @@ definite; a warm Newton step that meets an indefinite Jacobian falls
 back to the cold sweep, as on any SolverError.  Wider systems get one
 CSC matrix and one SuperLU call with the minimum degree ordering of
 A^T + A, panels of 2 columns and supernodes relaxed up to 4 columns in
-place of SuperLU's defaults.  _BAND_MAX is the widest grid on which one
-Cholesky factorization beat SuperLU both with a cold state solve's and
+place of SuperLU's defaults.  _PLAIN_BAND_MAX is the widest grid on which
+one plain band factorization beat the reduction, and _BAND_MAX the widest
+on which the reduction beat SuperLU, both with a cold state solve's and
 its adjoint's back-substitutions and with the mass ascent's; README's
 numerical notes give the measured ratios, and those of the SuperLU
-settings against its defaults.  On either path an exactly singular
+settings against its defaults.  On every path an exactly singular
 matrix raises SolverError.
 
 State equation
@@ -149,7 +165,10 @@ _MAX_SWEEPS = 400
 _MAX_REFINE = 12
 # largest half-bandwidth (nx) factorized by LAPACK's banded Cholesky; wider
 # systems go to SuperLU (see the module docstring)
-_BAND_MAX = 101
+_BAND_MAX = 161
+# largest half-bandwidth whose band holds diag(tau) A itself; wider grids
+# up to _BAND_MAX factorize the red-black reduction's Schur complement
+_PLAIN_BAND_MAX = 27
 # widest grid (nx) on which a warm state solve factorizes the Jacobian of
 # every Newton step; wider warm solves and every cold solve refine later
 # steps with the first step's factors: the widest grid on which that was
@@ -378,6 +397,125 @@ class _BandCholesky:
         return lapack.dpbtrs(self.c, self.tau * rhs, overwrite_b=1)[0]
 
 
+@lru_cache(maxsize=16)
+def _red_black(grid: Grid):
+    """The black nodes (ix + iy even) and the red ones, each in node order,
+    as a slice when nx is odd and an index array when it is even, and the
+    couplings M[k, k + 1] and M[k, k + nx] of M = diag(tau)(-lap), zero
+    where no such neighbour exists, each padded with 2 nx zeros in front
+    and nx behind, so entry 2 nx + k + s holds the coupling at node k + s
+    for every shift s from -2 nx to nx that the reduction reads."""
+    nx, n = grid.nx, grid.n_nodes
+    lap, tau, _ = _operators(grid)
+    if nx % 2:  # node parity is colour: black nodes are the even ones
+        black, red = slice(0, n, 2), slice(1, n, 2)
+    else:
+        colour = (np.arange(n) // nx + np.arange(n)) % 2
+        black, red = np.flatnonzero(colour == 0), np.flatnonzero(colour)
+    east, north = (np.concatenate([np.zeros(2 * nx), -tau[:n - s] * lap.diagonal(s),
+                                   np.zeros(nx + s)])
+                   for s in (1, nx))
+    for arr in (black, red, east, north):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return black, red, east, north
+
+
+def _shift(nodes, offset: int):
+    """The nodes k + offset for the nodes k of a _red_black slice or index
+    array, in the same form."""
+    if isinstance(nodes, slice):
+        return slice(nodes.start + offset, nodes.stop + offset, nodes.step)
+    return nodes + offset
+
+
+def _reduced_system(grid: Grid, absorption: np.ndarray):
+    """One level of cyclic reduction of M = diag(tau)(-lap + diag(absorption)):
+    with the red nodes first, M = [[D_r, B], [B^T, D_b]] with D_r diagonal,
+    since red nodes couple only to black ones.  Returns the black Schur
+    complement S = D_b - B^T D_r^-1 B in upper band storage for dpbtrf
+    over the black nodes in node order, an (nx + 1) x ceil(n / 2) array in
+    Fortran order, and 1 / D_r at the red nodes, zero at the black ones.
+    S couples a black node to the black nodes at (ix +- 2, iy),
+    (ix, iy +- 2) and (ix +- 1, iy +- 1).  So its entries sit in band row
+    nx (the diagonal), row nx - 1 and row 0 (the black node two grid rows
+    earlier lies nx black nodes earlier), and, for the diagonal neighbours,
+    in rows nx - ceil(nx / 2) and nx - floor(nx / 2) for odd nx; for even nx
+    in rows nx/2 - 1 and nx/2 on even grid rows and nx/2 and nx/2 + 1 on
+    odd ones.  A red pivot that is not positive raises
+    SolverError naming it: pivot k of the reordered M, for the node's place
+    k among the red nodes."""
+    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    black, red, east, north = _red_black(grid)
+    lap, tau, diagonal = _operators(grid)
+    d = tau * (absorption - lap.data[diagonal])
+    dr = d[red]
+    bad = np.flatnonzero(~(dr > 0.0))
+    if len(bad):
+        raise SolverError(f"Cholesky factorization failed: pivot {bad[0] + 1} is not positive")
+    inv = np.zeros(n + 3 * nx)
+    inv[_shift(red, 2 * nx)] = 1.0 / dr
+
+    def at(values, s):  # values at node k + s for every black node k
+        return values[_shift(black, 2 * nx + s)]
+
+    # the couplings to the red neighbours east, west, north and south, and
+    # 1 / D_r there
+    e0, e1, n0, n1 = at(east, 0), at(east, -1), at(north, 0), at(north, -nx)
+    t0, t1, tn0, tn1 = at(inv, 1), at(inv, -1), at(inv, nx), at(inv, -nx)
+    band = np.zeros((nx + 1, (n + 1) // 2), order="F")
+    band[nx] = d[black] - e0 * e0 * t0 - e1 * e1 * t1 - n0 * n0 * tn0 - n1 * n1 * tn1
+    band[nx - 1] = -at(east, -2) * e1 * t1
+    band[0] = -at(north, -2 * nx) * n1 * tn1
+    # the black nodes at (ix - 1, iy - 1) and (ix + 1, iy - 1), each by
+    # way of the two red neighbours it shares with the node
+    sw = -(at(east, -nx - 1) * n1 * tn1 + at(north, -nx - 1) * e1 * t1)
+    se = -(at(east, -nx) * n1 * tn1 + at(north, -nx + 1) * e0 * t0)
+    # added, not stored: on the narrowest grids one of their rows is row
+    # nx - 1, where the other entry of each column is then zero
+    h = nx // 2
+    if nx % 2:
+        band[h] += sw
+        band[h + 1] += se
+    else:  # a black row holds h nodes; the offsets depend on its parity
+        rows = band.T.reshape(ny, h, nx + 1)
+        sw, se = sw.reshape(ny, h), se.reshape(ny, h)
+        rows[0::2, :, h - 1] += sw[0::2]
+        rows[1::2, :, h] += sw[1::2]
+        rows[0::2, :, h] += se[0::2]
+        rows[1::2, :, h + 1] += se[1::2]
+    return band, inv[2 * nx:2 * nx + n]
+
+
+class _RedBlackCholesky:
+    """Factors of diag(tau) A after one level of cyclic reduction
+    (_reduced_system): dpbtrf of the black Schur complement S.  solve
+    returns A^-1 rhs: with v = A_rr^-1 rhs on the red nodes and 0 on the
+    black ones, S x_b = tau_b (rhs_b - A_br v) by one dpbtrs, then
+    x_r = A_rr^-1 (rhs_r - A_rb x_b); both products come from the cached
+    Laplacian, whose diagonal they do not reach.  tau_r cancels from the
+    red rows, so A_rr^-1 = tau_r D_r^-1 exactly.  A Schur pivot that is not
+    positive raises SolverError numbered after the red pivots."""
+
+    def __init__(self, grid: Grid, absorption: np.ndarray):
+        band, inv = _reduced_system(grid, absorption)
+        self.c, info = lapack.dpbtrf(band, overwrite_ab=1)
+        if info > 0:  # S, and so diag(tau) A, is not positive definite
+            pivot = grid.n_nodes - band.shape[1] + info
+            raise SolverError(f"Cholesky factorization failed: pivot {pivot} is not positive")
+        lap, tau, _ = _operators(grid)
+        self.lap, self.black = lap, _red_black(grid)[0]
+        self.tau_black = tau[self.black]
+        self.inv = inv * tau  # A_rr^-1 on the red nodes, 0 on the black ones
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = (rhs + self.lap @ (rhs * self.inv))[self.black] * self.tau_black
+        x = np.zeros(len(rhs))
+        x[self.black] = lapack.dpbtrs(self.c, y, overwrite_b=1)[0]
+        x += (rhs + self.lap @ x) * self.inv
+        return x
+
+
 def _superlu(mat: sp.csc_matrix):
     """SuperLU factors of a CSC matrix with the stencil's pattern."""
     try:
@@ -393,14 +531,18 @@ def _superlu(mat: sp.csc_matrix):
 def _factorize(grid: Grid, absorption: np.ndarray):
     """Factors of A = -lap + diag(absorption), the one place a matrix is
     assembled; their solve(b) returns A^-1 b.  Nodes are ordered
-    iy * nx + ix, so the half-bandwidth is nx.  Up to nx = _BAND_MAX the
-    banded Cholesky of diag(tau) A costs O(n nx^2) and undercuts
-    SuperLU's cost per call (see the module docstring for the crossover);
-    a pivot that is not positive raises SolverError.  Wider grids go to
-    SuperLU, where the band storage of (nx + 1) n doubles would also grow:
-    17 MB at 129x129."""
-    if grid.nx <= _BAND_MAX:
+    iy * nx + ix, so the half-bandwidth is nx, and the method follows from
+    nx alone.  Up to nx = _PLAIN_BAND_MAX the banded Cholesky of
+    diag(tau) A costs O(n nx^2) in (nx + 1) n doubles; up to _BAND_MAX the
+    red-black reduction leaves the black Schur complement, with the same
+    kd = nx over half the rows, so its banded Cholesky costs half as much
+    in (nx + 1) ceil(n / 2) doubles; on either band path a pivot that is
+    not positive raises SolverError.  Wider grids go to SuperLU, which
+    undercuts the band there (see the module docstring)."""
+    if grid.nx <= _PLAIN_BAND_MAX:
         return _BandCholesky(_band_system(grid, absorption), quadrature_weights(grid))
+    if grid.nx <= _BAND_MAX:
+        return _RedBlackCholesky(grid, absorption)
     return _superlu(_system(grid, absorption))
 
 

@@ -195,29 +195,35 @@ class TestLinearSolver:
     def solve(grid, coeff, rhs, tol_linear, lu=None):
         return ell._solve(grid, coeff, rhs, tol_linear, lu)
 
-    @pytest.mark.parametrize("n", [17, ell._BAND_MAX + 1], ids=["banded", "superlu"])
+    @pytest.mark.parametrize("n", [17, 33, ell._BAND_MAX + 1],
+                             ids=["banded", "reduced", "superlu"])
     def test_singular_system_raises(self, n):
         """Zero absorption leaves the pure-Neumann Laplacian, which has no
-        solution for a right-hand side of non-zero mean; on either side of
-        _BAND_MAX the solve fails by name."""
+        solution for a right-hand side of non-zero mean; on each of the
+        three paths the solve fails by name."""
         grid = ro.Grid(ro.Domain(), n, n)
         with pytest.raises(ro.SolverError):
             self.solve(grid, np.zeros(grid.n_nodes), np.ones(grid.n_nodes), 1e-10)
 
-    @pytest.mark.parametrize("n", [17, ell._BAND_MAX + 1], ids=["banded", "superlu"])
+    @pytest.mark.parametrize("n", [17, 33, ell._BAND_MAX + 1],
+                             ids=["banded", "reduced", "superlu"])
     def test_zero_pivot_raises(self, n):
         """A matrix with the stencil's pattern and every entry 0 is exactly
         singular: dpbtrf reports a pivot that is not positive and SuperLU
         raises, and both become SolverError.  The matrix is assembled the
         way _factorize assembles it on each path, in upper band storage or
-        as a CSC matrix."""
+        as a CSC matrix.  The red-black reduction assembles from the
+        absorption alone, so there the absorption cancels the diagonal of
+        -lap and the first red pivot is 0."""
         grid = ro.Grid(ro.Domain(), n, n)
         zeros = np.zeros(grid.n_nodes)
         with pytest.raises(ro.SolverError, match="factorization failed"):
-            if n <= ell._BAND_MAX:
+            if n <= ell._PLAIN_BAND_MAX:
                 band = ell._band_system(grid, zeros)
                 band[:] = 0.0
                 ell._BandCholesky(band, ro.quadrature_weights(grid))
+            elif n <= ell._BAND_MAX:
+                ell._RedBlackCholesky(grid, ro.laplacian_matrix(grid).diagonal())
             else:
                 mat = ell._system(grid, zeros)
                 mat.data[:] = 0.0
@@ -238,6 +244,35 @@ class TestLinearSolver:
         dense = ro.quadrature_weights(grid17)[:, None] * ell._system(grid17, absorption).toarray()
         assert np.linalg.eigvalsh(dense[:k - 1, :k - 1])[0] > 0.0
         assert np.linalg.eigvalsh(dense[:k, :k])[0] <= 0.0
+
+    @pytest.mark.parametrize("n", [33, 34])
+    @pytest.mark.parametrize("pivot", ["red", "schur"])
+    def test_reduced_path_names_the_pivot(self, n, pivot):
+        """On the red-black path the pivots are those of diag(tau) A with
+        the red nodes first: D_r, then the Schur complement's.  -lap - 1
+        keeps every red pivot positive and fails in the Schur complement; a
+        red node whose absorption outweighs its diagonal fails at its place
+        among the red nodes.  Either way SolverError names pivot k, where
+        the leading k x k block of the reordered matrix is the first that is
+        not positive definite."""
+        grid = ro.Grid(ro.Domain(), n, n)
+        assert ell._PLAIN_BAND_MAX < n <= ell._BAND_MAX
+        black, red = (np.arange(grid.n_nodes)[nodes] for nodes in ell._red_black(grid)[:2])
+        absorption = np.full(grid.n_nodes, -1.0)
+        if pivot == "red":
+            absorption[red[100]] = -8.0 / grid.h ** 2  # the diagonal of -lap is 4 / h^2
+        with pytest.raises(ro.SolverError,
+                           match=r"^Cholesky factorization failed: pivot \d+ is not positive$"
+                           ) as err:
+            ell._factorize(grid, absorption)
+        k = int(str(err.value).split()[4])
+        assert k == 101 if pivot == "red" else k > len(red)
+        order = np.concatenate([red, black])
+        dense = ro.quadrature_weights(grid)[:, None] * ell._system(grid, absorption).toarray()
+        dense = dense[np.ix_(order, order)]
+        np.linalg.cholesky(dense[:k - 1, :k - 1])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(dense[:k, :k])
 
     @pytest.fixture()
     def back_substitutions(self, linalg_calls):
@@ -387,31 +422,37 @@ class TestLinearSolver:
         assert ell.state_residual(u, mu, f) <= 1e-8
         assert ell.adjoint_residual(psi, u, mu, f) <= 1e-10
 
-    @pytest.mark.parametrize("m0", [None, 3.96])
-    def test_sweep_factors_die_before_newton_factorizes(self, grid17, linalg_calls, m0):
+    @pytest.mark.parametrize("m0, n", [
+        pytest.param(None, 17, id="None"), pytest.param(3.96, 17, id="3.96"),
+        pytest.param(None, 33, id="None-reduced"), pytest.param(3.96, 33, id="3.96-reduced")])
+    def test_sweep_factors_die_before_newton_factorizes(self, linalg_calls, m0, n):
         """Cold solves that Newton finishes, after the sweeps reach sqrt(tol)
         (a random measure) or a sweep leaves more than 0.9 of the previous
-        residual (uniform density 3.96 with rate 4): no
+        residual (uniform density 3.96 with rate 4), on the plain band and
+        the red-black paths: no
         earlier factors are alive when the sweep's or Newton's first
         factorization starts, so the sweep's factors and work arrays are
         freed before Newton's.  (Newton may refactorize later, while its own
         earlier factors are alive.)"""
+        grid = ro.Grid(ro.Domain(), n, n)
+        assert (n <= ell._PLAIN_BAND_MAX) == (n == 17)
         if m0 is None:
             f = ro.GrowthFunction()
-            mu = random_grid_measure(np.random.default_rng(3), grid17, 6, mass_range=(0.2, 1.0))
+            mu = random_grid_measure(np.random.default_rng(3), grid, 6, mass_range=(0.2, 1.0))
         else:
             f = ro.GrowthFunction(u_max=1.0, rate=4.0)
-            mu = uniform_measure(grid17, m0)
-        u = ro.solve_state(grid17, mu, f, tol=1e-10)
+            mu = uniform_measure(grid, m0)
+        u = ro.solve_state(grid, mu, f, tol=1e-10)
         assert u._factors is not None
         assert linalg_calls.alive[:2] == [0, 0]
 
 
 class TestBandedAndSparseLU:
-    """_factorize serves systems of half-bandwidth nx <= _BAND_MAX with
-    LAPACK's banded Cholesky and wider ones with SuperLU.  On grids on both
-    sides of the constant, both paths solve the module's three kinds of
-    matrix to tol_linear and give the same solution."""
+    """_factorize serves systems of half-bandwidth nx <= _PLAIN_BAND_MAX
+    with LAPACK's banded Cholesky, those up to _BAND_MAX with the banded
+    Cholesky of the red-black reduction, and wider ones with SuperLU.  On
+    grids on both sides of each cutoff, all three paths solve the module's
+    three kinds of matrix to tol_linear and give the same solution."""
 
     @staticmethod
     def systems(grid):
@@ -434,14 +475,18 @@ class TestBandedAndSparseLU:
         }
 
     def test_docs_name_the_band_limit(self):
-        """README and the module docstring state the half-bandwidth up to
-        which _factorize takes the banded Cholesky."""
+        """README and the module docstring state the half-bandwidths up to
+        which _factorize takes the plain banded Cholesky and the banded
+        Cholesky of the red-black reduction."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         for text in (readme, ell.__doc__):
             flat = " ".join(text.replace("`", "").split())
+            assert f"Up to nx = {ell._PLAIN_BAND_MAX} " in flat
             assert f"Up to nx = {ell._BAND_MAX} " in flat
 
-    @pytest.mark.parametrize("n", [17, 33, 45, ell._BAND_MAX + 1])
+    @pytest.mark.parametrize("n", sorted({17, 33, 45, 102, ell._PLAIN_BAND_MAX,
+                                          ell._PLAIN_BAND_MAX + 1, ell._BAND_MAX,
+                                          ell._BAND_MAX + 1}))
     def test_both_paths_meet_tol_and_agree(self, n, monkeypatch):
         grid = ro.Grid(ro.Domain(), n, n)
         tol_linear = 1e-10
@@ -449,13 +494,16 @@ class TestBandedAndSparseLU:
             if kind == "jacobian":
                 assert np.any(coeff < 0.0)
             solutions = []
-            for band_max in (n, n - 1):  # the banded Cholesky, then SuperLU
+            # the plain banded Cholesky, the red-black reduction, SuperLU
+            for plain_max, band_max in ((n, n), (n - 1, n), (n - 1, n - 1)):
+                monkeypatch.setattr(ell, "_PLAIN_BAND_MAX", plain_max)
                 monkeypatch.setattr(ell, "_BAND_MAX", band_max)
                 x = ell._solve(grid, coeff, rhs, tol_linear)[0]
                 assert ell._linear_misfit(grid, coeff, x, rhs)[1] <= tol_linear, kind
                 solutions.append(x)
-            gap = np.abs(solutions[0] - solutions[1]) / np.maximum(1.0, np.abs(solutions[1]))
-            assert np.max(gap) <= 100 * tol_linear, kind
+            for x in solutions[:2]:
+                gap = np.abs(x - solutions[2]) / np.maximum(1.0, np.abs(solutions[2]))
+                assert np.max(gap) <= 100 * tol_linear, kind
 
 
 class TestSystemFromGrid:
@@ -512,7 +560,7 @@ class TestSystemFromGrid:
             errors[name] = np.max(np.abs(res - exact) / scale)
         assert errors["stencil"] <= 2.0 * errors["csc"]
 
-    @pytest.mark.parametrize("n", [9, 17, 33, ell._BAND_MAX])
+    @pytest.mark.parametrize("n", [9, 17, ell._PLAIN_BAND_MAX, 33, 101])
     def test_band_storage_is_the_csc_scatter(self, n):
         """The band storage that _factorize fills from the cached stencil
         equals, bit for bit, the upper triangle of diag(tau) times the CSC
@@ -532,6 +580,40 @@ class TestSystemFromGrid:
         band = ell._band_system(grid, absorption)
         assert band.flags.f_contiguous and band.shape == scattered.shape
         assert band.tobytes() == scattered.tobytes()
+
+    @pytest.mark.parametrize("nx, ny", [(9, 9), (10, 10), (33, 33), (34, 34), (10, 7), (7, 10)])
+    def test_reduced_band_is_the_dense_schur_complement(self, nx, ny):
+        """The band storage of the red-black reduction holds the Schur
+        complement S = D_b - B^T D_r^-1 B of diag(tau) times _system's CSC
+        matrix, [[D_r, B], [B^T, D_b]] with the red nodes (ix + iy odd)
+        first, computed densely and scattered into LAPACK's upper layout
+        over the black nodes in node order, within 4 ulps of the sum of the
+        magnitudes of its terms, for absorptions of either sign.  S has
+        half-bandwidth exactly nx; for even nx the black nodes at
+        (ix -+ 1, iy - 1) lie at offsets that depend on the row's parity,
+        which the dense reference places by construction."""
+        grid = ro.Grid(ro.Domain((0.5, -0.5), (1.5, -0.5 + (ny - 1) / (nx - 1))), nx, ny)
+        n = grid.n_nodes
+        absorption = np.random.default_rng(n).uniform(-5.0, 50.0, n)
+        assert np.any(absorption < 0.0)
+        mat = (ro.quadrature_weights(grid)[:, None] * ell._system(grid, absorption).toarray())
+        black, red = (np.arange(n)[nodes] for nodes in ell._red_black(grid)[:2])
+        assert np.all((black // nx + black % nx) % 2 == 0) and len(black) == (n + 1) // 2
+        assert np.array_equal(np.sort(np.concatenate([black, red])), np.arange(n))
+        assert np.all(np.diag(mat)[red] > 0.0)
+        elim = mat[np.ix_(black, red)] / np.diag(mat)[red]
+        schur = mat[np.ix_(black, black)] - elim @ mat[np.ix_(red, black)]
+        scale = np.abs(mat[np.ix_(black, black)]) + np.abs(elim) @ np.abs(mat[np.ix_(red, black)])
+        assert not np.any(np.triu(schur, nx + 1)) and np.any(np.diag(schur, nx))
+        nb = len(black)
+        i, j = np.triu_indices(nb)
+        keep = j - i <= nx
+        expected, bound = np.zeros((nx + 1, nb)), np.zeros((nx + 1, nb))
+        expected[nx + i[keep] - j[keep], j[keep]] = schur[i[keep], j[keep]]
+        bound[nx + i[keep] - j[keep], j[keep]] = 4 * np.finfo(float).eps * scale[i[keep], j[keep]]
+        band = ell._reduced_system(grid, absorption)[0]
+        assert band.flags.f_contiguous and band.shape == expected.shape
+        assert np.all(np.abs(band - expected) <= bound)
 
     def test_residuals_build_no_matrix(self, grid17, monkeypatch):
         """A cold and a warm state solve at 17x17, the adjoint and both
