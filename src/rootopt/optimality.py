@@ -36,11 +36,8 @@ from .elliptic import (ScalarField, _node_indices, bilinear_interpolate, harvest
 from .irrigation import (IrrigationTree, LandscapeValues, irrigation_cost,
                          landscape, optimize_plan)
 
-# relative margin within which spawn scores count as tied.  On the 17x17
-# spawn ascents of the benchmark (seeds 1 and 97) and the 33x33
-# 100-iteration demo, the best node and its mirror image under y -> -y
-# score within 3.3e-16 of each other while the measure is symmetric in y,
-# and the best node leads every node but its mirror by at least 1.5e-5
+# relative margin within which spawn scores count as tied: above the
+# rounding that tells mirror-image nodes apart, below any real score gap
 _SPAWN_TIE = 1e-12
 
 __all__ = [

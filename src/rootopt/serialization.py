@@ -16,7 +16,7 @@ input measure is the exception as a file of a run directory: it is stored as
 the text `load_measure_text` read it from, in the input's own key order and
 number forms.  Every format has a matching parser so artifacts round-trip,
 and a text file that is not UTF-8 fails its parser with a ValidationError
-naming it.
+naming it.  Every JSON parser decodes through `_parse_json`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from itertools import chain
 from operator import itemgetter
 
 import numpy as np
+import orjson
 
 from .core import (DiscreteMeasure, Domain, Grid, GrowthFunction,
                    RunConfig, ValidationError)
@@ -92,6 +93,21 @@ def dumps_json(obj) -> str:
 
 
 def _parse_json(where, text: str):
+    """The value of the JSON document `text`; an error names `where`.  The
+    one place the package decodes JSON.
+
+    orjson decodes the text.  What it refuses goes to the stdlib's
+    json.loads: the NaN, Infinity and overflowing literals (such as 1e400)
+    and lone surrogates that json accepts, and every malformed document,
+    whose error is json's.  On what orjson accepts both give the same value,
+    floats to the bit, with two exceptions.  An integer outside
+    [-2**63, 2**64) decodes as the nearest float, the double that
+    measure_from_dict makes of json's int.  A document nested deeper than
+    json's recursion limit decodes instead of raising RecursionError."""
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        pass
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -199,8 +199,15 @@ class TestBadMeasureFiles:
         (f'[{GOOD}, {{"x": 0.75, "y": 0.0, "mass": 0.5, "weight": 3.5}}]',
          "measure atom 1 has unknown key 'weight'"),
         (f'[{GOOD}], "weight": 3.5', "unknown measure key: 'weight'"),
+        # documents that orjson refuses and the stdlib's json decodes
+        ('[{"x": 1e400, "y": 0.0, "mass": 0.5}]',
+         "measure atom 0 position must be finite, got (inf, 0.0)"),
+        ('[{"x": 1.0, "y": 0.0, "mass": -Infinity}]',
+         "measure atom 0 mass must be finite and >= 0, got -inf"),
+        ('[{"x": 1.0, "y": 0.0, "mass": 0.5, "\\ud800": 1}]',
+         "measure atom 0 has unknown key '\\ud800'"),
     ], ids=["string-x", "null-atoms", "boolean-x", "nan-y", "duplicate", "unknown-atom-key",
-            "unknown-top-level-key"])
+            "unknown-top-level-key", "overflowing-x", "infinite-mass", "lone-surrogate-key"])
     def test_named_error_and_no_traceback(self, tmp_path, capsys, atoms, message):
         (tmp_path / "measure.json").write_text('{"atoms": %s}\n' % atoms)
         cfg = tmp_path / "config.txt"

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import runpy
 import sys
@@ -6,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rootopt as ro
 from rootopt import serialization as ser
 from rootopt.elliptic import ScalarField
 
-from conftest import manufactured_problem, random_measure, random_tree
+from conftest import manufactured_problem, random_measure, random_tree, spawn_ascent
 
 
 @pytest.fixture()
@@ -29,6 +32,67 @@ class TestJsonHelpers:
         p.write_text("{not json")
         with pytest.raises(ro.ValidationError):
             ser.load_json(p)
+
+
+# finite doubles, with the subnormals, signed zeros and extremes drawn often
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308])
+# what a hand-written measure may hold besides: integers of any size, those
+# beyond 64 bits among them, up to and past the largest double
+_NUMBERS = (_DOUBLES | st.integers(-2**70, 2**70) | st.integers(2**64, 2**1030)
+            | st.integers(-2**1030, -2**63))
+
+
+def _outcome(parse):
+    """The (positions, masses) bit patterns of the measure that parse()
+    gives, or the message of its ValidationError."""
+    try:
+        mu = parse()
+    except ro.ValidationError as exc:
+        return str(exc)
+    return mu.positions().view(np.int64).tolist(), mu.masses().view(np.int64).tolist()
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    """One file path that each example of a property test writes over."""
+    return tmp_path_factory.mktemp("decode") / "measure.json"
+
+
+class TestDecodeMatchesTheStdlib:
+    """The package's JSON reader gives what json.loads gives: the same
+    doubles to the bit, the same records, the same errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(atoms=st.lists(st.tuples(_DOUBLES, _DOUBLES, _DOUBLES), max_size=6))
+    def test_measure_text_decodes_to_the_same_bits(self, json_path, atoms):
+        try:
+            mu = ro.DiscreteMeasure.from_arrays([a[:2] for a in atoms],
+                                                [abs(a[2]) for a in atoms])
+        except ro.ValidationError:
+            assume(False)  # two atoms at one position
+        text = ser.measure_text(mu)
+        ser.save_file(json_path, text)
+        assert _outcome(lambda: ser.load_measure_text(json_path)[0]) == _outcome(
+            lambda: ser.measure_from_dict(json.loads(text)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(atoms=st.lists(st.tuples(_NUMBERS, _NUMBERS, _NUMBERS), max_size=6))
+    def test_compact_json_decodes_to_the_same_measure_or_error(self, json_path, atoms):
+        text = json.dumps({"atoms": [{"x": x, "y": y, "mass": m} for x, y, m in atoms]},
+                          separators=(",", ":"))
+        ser.save_file(json_path, text)
+        assert _outcome(lambda: ser.load_measure_text(json_path)[0]) == _outcome(
+            lambda: ser.measure_from_dict(json.loads(text)))
+
+    def test_ascent_trace_decodes_to_the_same_records(self, tmp_path):
+        p = tmp_path / "trace.jsonl"
+        ser.save_trace(p, spawn_ascent(ro.Grid(ro.Domain(), 17, 17)))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 21
+        # repr shows every float's digits and tells -0.0 from 0.0
+        assert repr(ser.load_trace(p)) == repr([json.loads(line) for line in lines])
 
 
 class TestMeasureFiles:

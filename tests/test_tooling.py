@@ -121,6 +121,37 @@ def test_files_are_written_only_by_save_file():
     assert found == [("serialization.py", "save_file", "wb")]
 
 
+def json_decodes(source: str):
+    """(function, call) of every json.loads, json.load or orjson.loads in
+    source's code tokens; the function is the nearest def above the call."""
+    toks = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+            if t.type in (tokenize.NAME, tokenize.OP)]
+    found, func = [], None
+    for i, tok in enumerate(toks):
+        if tok == "def":
+            func = toks[i + 1]
+        call = "".join(toks[i:i + 3])
+        if call in ("json.loads", "json.load", "orjson.loads"):
+            found.append((func, call))
+    return found
+
+
+def test_the_decode_check_finds_json_decodes():
+    source = ('import json\nimport orjson\n'
+              'def a(text):\n    """json.loads(text), in a docstring"""\n'
+              '    return orjson.loads(text)  # json.load(fh), in a comment\n'
+              'def b(fh):\n    return json.load(fh), json.dumps({})\n')
+    assert json_decodes(source) == [("a", "orjson.loads"), ("b", "json.load")]
+
+
+def test_json_is_decoded_only_by_parse_json():
+    """src/rootopt decodes JSON in one place, serialization's _parse_json."""
+    found = [(path.name, *site) for path in sorted((ROOT / "src" / "rootopt").glob("*.py"))
+             for site in json_decodes(path.read_text(encoding="utf-8"))]
+    assert found == [("serialization.py", "_parse_json", "orjson.loads"),
+                     ("serialization.py", "_parse_json", "json.loads")]
+
+
 def declared_floor():
     """(major, minor) of the `requires-python = ">=X.Y"` floor in pyproject.toml."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
