@@ -374,12 +374,11 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         tree, stored_flux = load_tree(out / "tree.json")
 
     if tree is not None:
-        positive = np.flatnonzero(mu.masses() > 0.0)
         terminals = tree.atom_terminals(len(mu))
-        missing = positive[terminals[positive] < 0].tolist()
+        missing = np.flatnonzero(terminals < 0).tolist()
         yield ("atoms have terminals",
                None if not missing else
-               f"{len(missing)} positive-mass atoms have no terminal, first atom {missing[0]}")
+               f"{len(missing)} atoms have no terminal, first atom {missing[0]}")
         if missing:
             tree = None  # every later tree check needs a terminal per atom
 
@@ -396,7 +395,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                f"away from atom {int(tree.atom_index[nodes[worst]])}")
 
         cost, z = run.cost, run.landscape
-        paid = sum((mu.masses()[positive] * z.values[terminals[positive]]).tolist())
+        paid = sum((mu.masses() * z.values[terminals]).tolist())
         gap = abs(paid - cost)
         yield ("landscape identity",
                None if gap <= 1e-10 * max(1.0, cost) else
@@ -466,10 +465,10 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                None if bad is None else
                f"accepted payoff decreases at step {bad}: "
                f"{accepted[bad - 1]!r} -> {accepted[bad]!r}")
-        # the ascent drops the initial measure's zero-mass atoms before
-        # record 0, and stores the measure of its last record as measure.json
+        # the ascent starts from measure_initial.json at record 0 and stores
+        # the measure of its last record as measure.json
         if (out / "measure_initial.json").exists():
-            mu0, _ = load_measure(out / "measure_initial.json").without_zero_mass()
+            mu0 = load_measure(out / "measure_initial.json")
             yield ("trace starts at measure_initial.json", _atoms_mismatch(records, 0, mu0))
         if mu is not None:
             yield ("trace ends at measure.json", _atoms_mismatch(records, -1, mu))

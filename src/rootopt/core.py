@@ -168,7 +168,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class Atom:
-    """Point mass of the absorbing measure."""
+    """Point mass of the absorbing measure: a finite position and a finite
+    mass > 0."""
 
     position: tuple
     mass: float
@@ -179,19 +180,20 @@ class Atom:
             raise ValidationError("atom position must be a finite 2-vector")
         object.__setattr__(self, "position", (float(p[0]), float(p[1])))
         m = float(self.mass)
-        if not math.isfinite(m) or m < 0.0:
-            raise ValidationError(f"atom mass must be finite and >= 0, got {self.mass!r}")
+        if not _positive(m):
+            raise _mass_error("atom", m)
         object.__setattr__(self, "mass", m)
 
 
 class DiscreteMeasure:
-    """Finite nonnegative atomic measure with pairwise distinct atom positions.
+    """Finite positive atomic measure with pairwise distinct atom positions.
 
     The measure is two read-only, C-contiguous float arrays: `positions()`
     (n x 2) and `masses()` (n), validated once in numpy when the measure is
-    built.  Every position is finite, every mass finite and >= 0, and no two
-    atoms share a position; an error names the offending atom.  Build one
-    with `DiscreteMeasure(atoms)` from `Atom`s or with
+    built.  Every position is finite, every mass finite and > 0, and no two
+    atoms share a position; an error names the offending atom.  So every
+    atom lies in the support, where the first-order conditions apply.
+    Build one with `DiscreteMeasure(atoms)` from `Atom`s or with
     `DiscreteMeasure.from_arrays(positions, masses)`.  `atoms` is the tuple
     of `Atom`s, built on first access only.  Measures with equal arrays are
     equal.
@@ -301,19 +303,22 @@ class DiscreteMeasure:
         _check_masses(m)
         return DiscreteMeasure._trusted(self._positions, m)
 
-    def without_zero_mass(self) -> tuple:
-        """(filtered measure, original indices kept)."""
-        keep = self._masses > 0.0
-        return (DiscreteMeasure._trusted(self._positions[keep], self._masses[keep]),
-                np.flatnonzero(keep).tolist())
+
+def _positive(m):
+    """Whether the mass m, or each mass of the array m, is finite and > 0: the
+    one mass rule of `Atom` and `DiscreteMeasure`.  An atom of mass 0 lies
+    off the support, where no condition applies, so no measure holds one."""
+    return (m > 0.0) & (m < math.inf)
+
+
+def _mass_error(atom: str, m: float) -> ValidationError:
+    return ValidationError(f"{atom} mass must be finite and > 0, got {m!r}")
 
 
 def _check_masses(m: np.ndarray) -> None:
-    bad = np.flatnonzero(~(np.isfinite(m) & (m >= 0.0)))
+    bad = np.flatnonzero(~_positive(m))
     if len(bad):
-        i = int(bad[0])
-        raise ValidationError(
-            f"measure atom {i} mass must be finite and >= 0, got {float(m[i])!r}")
+        raise _mass_error(f"measure atom {bad[0]}", float(m[bad[0]]))
 
 
 def _check_distinct(pos: np.ndarray) -> None:
@@ -339,15 +344,17 @@ def mass_bound_check(mu: DiscreteMeasure, irrigation_cost: float, domain: Domain
     """Whether total mass respects the transport budget (cost / r0) ** (1 / alpha).
 
     A measure reachable from the source at the given cost cannot weigh more
-    than this bound, since every unit of mass travels at least r0.
+    than this bound, since every unit of mass travels at least r0 (> 0, as
+    `Domain` holds it).  A bound past the largest double exceeds every
+    finite total mass, so the check passes.
     """
     _check_alpha(alpha)
     if irrigation_cost < 0.0 or not math.isfinite(irrigation_cost):
         raise ValidationError(f"irrigation cost must be finite and >= 0, got {irrigation_cost!r}")
-    r0 = domain.source_distance()
-    if r0 <= 0.0:
-        raise ValidationError("source distance r0 must be positive")
-    bound = (irrigation_cost / r0) ** (1.0 / alpha)
+    try:
+        bound = (irrigation_cost / domain.source_distance()) ** (1.0 / alpha)
+    except OverflowError:
+        return True
     return mu.total_mass <= bound + 1e-9 * max(1.0, abs(bound))
 
 

@@ -212,17 +212,16 @@ class LandscapeValues:
 
 def _node_masses(tree: IrrigationTree, mu: DiscreteMeasure) -> np.ndarray:
     """Mass of the atom each node carries, once every terminal's atom is
-    found in mu and every positive-mass atom of mu has a terminal."""
+    found in mu and every atom of mu has a terminal."""
     masses = mu.masses()
     ai = tree.atom_index
     missing = ai >= len(masses)
     if np.any(missing):
         i = int(np.argmax(missing))
         raise ValidationError(f"terminal node {i} refers to missing atom {int(ai[i])}")
-    uncovered = (masses > 0.0) & (tree.atom_terminals(len(masses)) < 0)
+    uncovered = tree.atom_terminals(len(masses)) < 0
     if np.any(uncovered):
-        raise ValidationError(f"atom {int(np.argmax(uncovered))} has positive mass "
-                              "but no terminal in the tree")
+        raise ValidationError(f"atom {int(np.argmax(uncovered))} has no terminal in the tree")
     return np.where(ai >= 0, masses[ai], 0.0)
 
 
@@ -276,12 +275,10 @@ def irrigation_cost(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> 
 
 
 def landscape(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float) -> LandscapeValues:
-    """Landscape values along the tree; requires strictly positive edge fluxes."""
+    """Landscape values along the tree.  Every edge carries a positive flux:
+    every leaf is a terminal, and every atom has positive mass."""
     _check_alpha(alpha)
     flux = compute_fluxes(tree, mu).values
-    if np.any(flux[1:] <= 0.0):
-        bad = 1 + int(np.argmin(flux[1:]))
-        raise ValidationError(f"zero-flux edge into node {bad}; landscape is undefined there")
     lengths = tree.edge_lengths()
     z = np.zeros(tree.n_nodes)
     for i in tree.depth_order()[1:]:  # the root comes first
@@ -368,10 +365,7 @@ def check_arc_chord(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
     if not delta0 > 0.0:
         raise ValidationError("delta0 must be positive")
     flux = compute_fluxes(tree, mu).values
-    total = flux[0]
-    if total <= 0.0:
-        raise ValidationError("measure carries no mass")
-    constant = (1.0 / alpha) * (delta0 / total) ** (alpha - 1.0)
+    constant = (1.0 / alpha) * (delta0 / flux[0]) ** (alpha - 1.0)  # flux[0] = M > 0
     lengths, pos, parents = tree.edge_lengths(), tree.positions, tree.parents.tolist()
     violations, checked = [], 0
     for b in range(1, tree.n_nodes):  # every ancestor a of b, walking up
@@ -390,14 +384,13 @@ def check_arc_chord(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
 
 
 def star_tree(mu: DiscreteMeasure) -> IrrigationTree:
-    """Direct root-to-atom segments; atoms with zero mass are dropped."""
-    filtered, kept = mu.without_zero_mass()
-    if not len(filtered):
-        raise ValidationError("cannot plan for a measure with no positive mass")
-    n = len(kept)
-    pos = np.vstack([np.zeros((1, 2)), filtered.positions()])
+    """Direct root-to-atom segments, node i + 1 carrying atom i."""
+    n = len(mu)
+    if not n:
+        raise ValidationError("cannot plan for an empty measure")
+    pos = np.vstack([np.zeros((1, 2)), mu.positions()])
     parents = np.concatenate([[-1], np.zeros(n, dtype=np.int64)])
-    atom_index = np.concatenate([[-1], np.array(kept, dtype=np.int64)])
+    atom_index = np.arange(-1, n)
     return IrrigationTree(pos, parents, atom_index)
 
 
@@ -876,9 +869,9 @@ def _improve(pos, parents, atom_index, masses, alpha, budget, scale):
     return pos, parents, atom_index
 
 
-def _warm_plan(pos, parents, atom_index, mu: DiscreteMeasure, kept, alpha, scale):
-    """The plan (pos, parents, atom_index) carried over to the positive atoms
-    `kept` of mu, in the same form.
+def _warm_plan(pos, parents, atom_index, mu: DiscreteMeasure, alpha, scale):
+    """The plan (pos, parents, atom_index) carried over to the atoms of mu, in
+    the same form.
 
     Terminals and atoms are matched one to one by exact position, in atom
     order, each atom taking the first free terminal in node order.  A
@@ -893,15 +886,13 @@ def _warm_plan(pos, parents, atom_index, mu: DiscreteMeasure, kept, alpha, scale
         free.setdefault(pos[i], []).append(i)
     parents = [int(p) for p in parents]
     atom_index = [-1] * len(parents)
-    atom_pos = mu.positions().tolist()
-    for j in kept:
-        p = tuple(atom_pos[j])
+    for j, p in enumerate(map(tuple, mu.positions().tolist())):
         if free.get(p):
-            atom_index[free[p].pop(0)] = int(j)
+            atom_index[free[p].pop(0)] = j
         else:
             pos.append(p)
             parents.append(0)
-            atom_index.append(int(j))
+            atom_index.append(j)
     return _refit(pos, parents, atom_index, mu.masses(), alpha, scale)
 
 
@@ -935,34 +926,32 @@ def optimize_plan(mu: DiscreteMeasure, alpha: float, budget: int | None = None,
     The start, the star or `init`, is carried over to mu in one way.
     `init` is typically the plan of a measure with the same atoms under
     other masses, some pruned and a few added (a step of the mass ascent).
-    Its terminals are matched to the positive atoms of mu by exact
-    position; a terminal whose atom is gone turns into a branch point and
-    is contracted away where it no longer branches, and a new atom hangs
+    Its terminals are matched to the atoms of mu by exact position; a
+    terminal whose atom is gone turns into a branch point and is
+    contracted away where it no longer branches, and a new atom hangs
     straight off the root.  One exact refit of the branch points to the
     new fluxes precedes the move loop.  If init was planned for a measure
     nu with masses m_a and landscape Z_a, and mu gives the same atoms the
-    masses m'_a (0 for a pruned atom), then since t ** alpha is concave
-    the carried-over tree already costs at most
+    masses m'_a (0 for an atom that mu lacks), then since t ** alpha is
+    concave the carried-over tree already costs at most
     cost(init, nu) + alpha * sum((m'_a - m_a) Z_a), and every later step
     only lowers the cost, so the warm plan keeps that bound.
 
     For alpha = 1 the star is returned immediately: with a linear cost in the
     flux there is no reward for shared trunks and straight segments are
     optimal.  The star is built only then or without `init`; a warm start
-    reads the positive atoms and the length scale off
-    `mu.without_zero_mass()` directly.
+    reads the atoms and the length scale off mu directly.
     """
     _check_alpha(alpha)
     if alpha == 1.0:
         return star_tree(mu)
     start = star_tree(mu) if init is None else init
-    filtered, kept = mu.without_zero_mass()
-    if not kept:
-        raise ValidationError("cannot plan for a measure with no positive mass")
-    scale = float(np.max(np.linalg.norm(filtered.positions(), axis=1)))
+    if not len(mu):
+        raise ValidationError("cannot plan for an empty measure")
+    scale = float(np.max(np.linalg.norm(mu.positions(), axis=1)))
     if budget is None:
-        budget = 40 + 12 * len(kept)
-    plan = _warm_plan(start.positions, start.parents, start.atom_index, mu, kept, alpha, scale)
+        budget = 40 + 12 * len(mu)
+    plan = _warm_plan(start.positions, start.parents, start.atom_index, mu, alpha, scale)
     return IrrigationTree(*_improve(*plan, mu.masses(), alpha, budget, scale))
 
 
@@ -1008,13 +997,12 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
     plans emerge from the enumeration.
     """
     _check_alpha(alpha)
-    filtered, kept = mu.without_zero_mass()
-    n = len(kept)
+    n = len(mu)
     if n == 0:
-        raise ValidationError("cannot plan for a measure with no positive mass")
+        raise ValidationError("cannot plan for an empty measure")
     if n > 5:
         raise ValidationError(f"exhaustive search supports at most 5 atoms, got {n}")
-    term_pos = filtered.positions()
+    term_pos = mu.positions()
     scale = float(np.max(np.hypot(term_pos[:, 0], term_pos[:, 1])))
 
     if n == 1:
@@ -1024,7 +1012,7 @@ def brute_force_plan(mu: DiscreteMeasure, alpha: float) -> IrrigationTree:
     # numbered as `_full_topologies` labels them
     n_leaves = n + 1
     n_nodes = 2 * n_leaves - 2
-    atom_index = np.array([-1] + list(kept) + [-1] * (n_nodes - n_leaves), dtype=np.int64)
+    atom_index = np.array([-1, *range(n)] + [-1] * (n_nodes - n_leaves), dtype=np.int64)
     start = np.zeros((n_nodes, 2))
     start[1:n_leaves] = term_pos
     start[n_leaves:] = start[:n_leaves].mean(0)

@@ -84,28 +84,27 @@ class OptimalityReport:
 
 def payoff(u: ScalarField | None, mu: DiscreteMeasure, tree: IrrigationTree | None,
            c: float, alpha: float) -> float:
-    """harvest - c * plan cost; zero for a measure without positive mass."""
+    """harvest - c * plan cost; zero for the empty measure."""
     if not c > 0.0:
         raise ValidationError(f"c must be positive, got {c!r}")
-    if not (mu.masses() > 0.0).any():
+    if not len(mu):
         return 0.0
     if u is None or tree is None:
-        raise ValidationError("a state field and a plan are required when mass is present")
+        raise ValidationError("a state field and a plan are required when atoms are present")
     return harvest(u, mu) - c * irrigation_cost(tree, mu, alpha)
 
 
 def optimality_residual(u_star: ScalarField, psi: ScalarField, z: LandscapeValues,
                         mu: DiscreteMeasure, c: float, alpha: float,
                         iteration: int = -1) -> OptimalityReport:
-    """Residuals phi - c * alpha * Z at every atom with positive mass."""
+    """Residuals phi - c * alpha * Z at every atom."""
     if not c > 0.0:
         raise ValidationError(f"c must be positive, got {c!r}")
-    atoms = np.flatnonzero(mu.masses() > 0.0)
-    phi_a = phi_field(u_star, psi).values[_node_indices(mu, u_star.grid)[atoms]]
-    z_a = z.at_atoms(atoms)
-    records = [AtomRecord(i, tuple(xy), m, p, za, r) for i, xy, m, p, za, r in zip(
-        atoms.tolist(), mu.positions()[atoms].tolist(), mu.masses()[atoms].tolist(),
-        phi_a.tolist(), z_a.tolist(), (phi_a - c * alpha * z_a).tolist())]
+    phi_a = phi_field(u_star, psi).values[_node_indices(mu, u_star.grid)]
+    z_a = z.at_atoms(range(len(mu)))
+    records = [AtomRecord(i, tuple(xy), m, p, za, r) for i, (xy, m, p, za, r) in enumerate(zip(
+        mu.positions().tolist(), mu.masses().tolist(),
+        phi_a.tolist(), z_a.tolist(), (phi_a - c * alpha * z_a).tolist()))]
     sup = max((abs(r.residual) for r in records), default=0.0)
     return OptimalityReport(
         records=tuple(records),
@@ -233,8 +232,8 @@ class _Bundle:
 
     @property
     def sup_residual(self) -> float:
-        """The report's sup residual; 0.0 for a measure without positive
-        mass, which has no atom to report on."""
+        """The report's sup residual; 0.0 for the empty measure, which has
+        no atom to report on."""
         if self.tree is None:
             return 0.0
         if self.report is None:
@@ -245,8 +244,8 @@ class _Bundle:
 def _trial(config: RunConfig, mu: DiscreteMeasure, base: _Bundle | None) -> _Bundle:
     """Plan, state and payoff of mu.  Given the accepted bundle `base`, the
     planner starts from its tree and the state solve from its state."""
-    if not (mu.masses() > 0.0).any():
-        return _Bundle(DiscreteMeasure(), None, None, 0.0)
+    if not len(mu):
+        return _Bundle(mu, None, None, 0.0)
     init_tree, init_u = (None, None) if base is None else (base.tree, base.u)
     tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves, init=init_tree)
     u = solve_state(config.grid, mu, config.growth, tol=config.tol_nonlinear,
@@ -355,8 +354,9 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
         mass_a <- max(0, mass_a * (1 + eta * residual_a)),
 
     halving eta (at most 20 times) until the payoff of the updated measure is
-    no worse than the current one.  Atoms below 1e-12 of the total mass are
-    pruned.  With spawning enabled, a trial atom is placed at the grid node
+    no worse than the current one.  Atoms below 1e-12 of the total mass,
+    zeros among them, are pruned: the measure keeps only atoms of positive
+    mass.  With spawning enabled, a trial atom is placed at the grid node
     with the best estimated marginal payoff and kept only if the payoff
     improves.  Accepted steps never decrease the payoff.  The loop ends
 
@@ -381,14 +381,13 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     iteration keeps: an accepted spawn supersedes the mass step's bundle
     before anything reads its residuals.
     """
-    mu, _ = mu0.without_zero_mass()
-    if not len(mu):
-        raise ValidationError("initial measure needs positive mass somewhere")
+    if not len(mu0):
+        raise ValidationError("initial measure holds no atom")
     tol_eff = config.tol_residual * config.growth.u_max
     prune_rel = 1e-12
 
-    cur = _reported(config, _complete(config, _trial(config, mu, None)), iteration=0)
-    steps = [TraceStep(0, mu, cur.payoff, cur.sup_residual, True, False, 0.0)]
+    cur = _reported(config, _complete(config, _trial(config, mu0, None)), iteration=0)
+    steps = [TraceStep(0, mu0, cur.payoff, cur.sup_residual, True, False, 0.0)]
     converged = False
 
     for it in range(1, config.max_outer_iters + 1):
@@ -404,8 +403,9 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
             for _ in range(21):
                 cand_m = np.maximum(0.0, masses * (1.0 + eta * residuals))
                 total = float(cand_m.sum())
-                cand_m[cand_m < prune_rel * max(total, 1e-300)] = 0.0
-                cand_mu, _ = cur.mu.with_masses(cand_m).without_zero_mass()
+                # a NaN mass is kept, for from_arrays to name it
+                keep = ~(cand_m < prune_rel * max(total, 1e-300))
+                cand_mu = DiscreteMeasure.from_arrays(cur.mu.positions()[keep], cand_m[keep])
                 cand = _attempt(config, cand_mu, cur, operator.ge, errors,
                                 f"mass step (eta {eta!r})")
                 if cand is not None:
@@ -457,16 +457,13 @@ def support_density_report(mu: DiscreteMeasure, grid: Grid,
     if scales is None:
         scales = tuple(grid.h * 2 ** k for k in range(5))
     rows = []
-    pos = mu.positions()
-    masses = mu.masses()
-    live = pos[masses > 0.0] if len(pos) else pos
     for s in scales:
         if not s > 0.0:
             raise ValidationError("cell sizes must be positive")
         ncx = max(1, int(math.ceil(d.width / s)))
         ncy = max(1, int(math.ceil(d.height / s)))
         cells = set()
-        for x, y in live:
+        for x, y in mu.positions():
             cx = min(int((x - d.rect_min[0]) / s), ncx - 1)
             cy = min(int((y - d.rect_min[1]) / s), ncy - 1)
             cells.add((cx, cy))

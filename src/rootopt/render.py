@@ -61,9 +61,10 @@ def render_tree_svg(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
             f'width="{_fmt(domain.width * scale)}" height="{_fmt(domain.height * scale)}" '
             f'fill="none" stroke="{_DOMAIN_COLOR}" stroke-width="1"/>'
         )
-    powers = np.power(np.maximum(flux.values, 0.0), alpha)
-    top = float(powers[1:].max()) if tree.n_nodes > 1 else 1.0
-    stroke_scale = 4.5 / top if top > 0 else 0.0
+    # every edge carries positive flux and every atom positive mass, so the
+    # widest edge and the largest atom scale the strokes and the dots
+    powers = flux.values ** alpha
+    stroke_scale = 4.5 / float(powers[1:].max())
     for p, q in tree.edges():
         sw = powers[q] * stroke_scale
         parts.append(
@@ -72,7 +73,7 @@ def render_tree_svg(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
             f'stroke="{_EDGE_COLOR}" stroke-width="{_fmt(sw)}" stroke-linecap="round"/>'
         )
     masses = mu.masses()
-    top_mass = float(masses.max()) if len(masses) else 1.0
+    top_mass = float(masses.max())
     for i in range(tree.n_nodes):
         x, y = tree.positions[i]
         if tree.kinds[i] == ROOT:
@@ -82,7 +83,7 @@ def render_tree_svg(tree: IrrigationTree, mu: DiscreteMeasure, alpha: float,
             )
         elif tree.kinds[i] == TERMINAL:
             m = masses[tree.atom_index[i]]
-            r = 1.5 + 3.0 * np.sqrt(m / top_mass) if top_mass > 0 else 1.5
+            r = 1.5 + 3.0 * np.sqrt(m / top_mass)
             parts.append(
                 f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{_fmt(r)}" '
                 f'fill="{_ATOM_COLOR}"/>'

@@ -103,14 +103,16 @@ def _parse_json(where, text: str):
     floats to the bit, with two exceptions.  An integer outside
     [-2**63, 2**64) decodes as the nearest float, the double that
     measure_from_dict makes of json's int.  A document nested deeper than
-    json's recursion limit decodes instead of raising RecursionError."""
+    json's recursion limit decodes instead of raising RecursionError.  A
+    document that orjson refuses and json cannot decode within its
+    recursion limit is an error naming `where`, as a malformed one is."""
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError:
         pass
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{where}: not valid JSON: {exc}") from exc
 
 
@@ -155,7 +157,7 @@ def measure_from_dict(d) -> DiscreteMeasure:
 
     The object holds only 'atoms', and every atom record exactly numeric x,
     y and mass; positions must be finite and distinct, masses finite and
-    >= 0.  Errors name the atom, and an unknown key by name."""
+    > 0.  Errors name the atom, and an unknown key by name."""
     if not isinstance(d, dict) or not isinstance(d.get("atoms"), list):
         raise ValidationError("measure JSON must be an object with an 'atoms' list")
     key = _unknown_key(d, ("atoms",))

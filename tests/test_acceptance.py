@@ -167,7 +167,8 @@ def test_criterion_08_reweighting_cost_bound(oracle_instances):
         z = ro.landscape(tree, mu, alpha).at_atoms(range(n))
         bound = (ro.irrigation_cost(tree, mu, alpha)
                  + alpha * float(np.sum(mu.masses() * g * z)) + 1e-8)
-        nu, _ = mu.with_masses(mu.masses() * (1.0 + g)).without_zero_mass()
+        assert np.all(g > -1.0)
+        nu = mu.with_masses(mu.masses() * (1.0 + g))
         cost_nu = (ro.irrigation_cost(ro.brute_force_plan(nu, alpha), nu, alpha)
                    if nu.atoms else 0.0)
         assert cost_nu <= bound

@@ -203,18 +203,28 @@ class TestBadMeasureFiles:
         ('[{"x": 1e400, "y": 0.0, "mass": 0.5}]',
          "measure atom 0 position must be finite, got (inf, 0.0)"),
         ('[{"x": 1.0, "y": 0.0, "mass": -Infinity}]',
-         "measure atom 0 mass must be finite and >= 0, got -inf"),
+         "measure atom 0 mass must be finite and > 0, got -inf"),
         ('[{"x": 1.0, "y": 0.0, "mass": 0.5, "\\ud800": 1}]',
          "measure atom 0 has unknown key '\\ud800'"),
+        # nested deeper than json's recursion limit, which orjson refuses too
+        ("[" * 100_000 + "NaN" + "]" * 100_000,
+         "{path}: not valid JSON: maximum recursion depth exceeded while decoding a JSON "
+         "array from a unicode string"),
+        # an atom of mass 0 lies off the support, so no measure holds one
+        (f'[{GOOD}, {{"x": 0.75, "y": 0.0, "mass": 0.0}}]',
+         "measure atom 1 mass must be finite and > 0, got 0.0"),
+        (f'[{GOOD}, {{"x": 0.75, "y": 0.0, "mass": -0.0}}]',
+         "measure atom 1 mass must be finite and > 0, got -0.0"),
     ], ids=["string-x", "null-atoms", "boolean-x", "nan-y", "duplicate", "unknown-atom-key",
-            "unknown-top-level-key", "overflowing-x", "infinite-mass", "lone-surrogate-key"])
+            "unknown-top-level-key", "overflowing-x", "infinite-mass", "lone-surrogate-key",
+            "deep-nesting", "zero-mass", "negative-zero-mass"])
     def test_named_error_and_no_traceback(self, tmp_path, capsys, atoms, message):
         (tmp_path / "measure.json").write_text('{"atoms": %s}\n' % atoms)
         cfg = tmp_path / "config.txt"
         cfg.write_text("measure_path = measure.json\nnx = 17\nny = 17\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert err == f"error: {message.format(path=tmp_path / 'measure.json')}\n"
 
 
 class TestInputMeasureStoredAsRead:
@@ -789,6 +799,37 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "ok: tree.json" in stdout
         assert "ok: landscape identity" in stdout
+
+    def test_irrigate_at_alpha_near_zero_passes_verify(self, tmp_path, capsys):
+        """At alpha = 0.001 the mass bound (cost / r0)^(1/alpha) overflows a
+        double, so it exceeds every finite total mass: the check passes."""
+        cfg = write_setup(tmp_path, ["nx = 17", "ny = 17", "c = 0.1", "alpha = 0.001"],
+                          [(1.0, 0.0, 0.3), (1.25, 0.25, 0.2)])
+        out = tmp_path / "run"
+        assert main(["irrigate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "ok: mass bound" in stdout and stdout.endswith("all 10 checks passed\n")
+
+    @pytest.mark.parametrize("name, atom", [
+        ("measure.json", 1), ("measure_initial.json", 1), ("measure_initial.json", 2)])
+    def test_zero_mass_in_a_stored_measure_is_named(self, tmp_path, capsys, name, atom):
+        """An atom's mass edited to 0 in either stored measure of an optimize
+        directory, or an atom of mass 0 appended far outside the rectangle,
+        ends verify with an error naming the atom: an atom of mass 0 lies
+        off the support, where no check would read it."""
+        out = self.run_pipeline(tmp_path)
+        measure = json.loads((out / name).read_text())
+        if atom < len(measure["atoms"]):
+            measure["atoms"][atom]["mass"] = 0.0
+        else:
+            measure["atoms"].append({"x": 9.5, "y": 9.5, "mass": 0.0})
+        (out / name).write_text(json.dumps(measure))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: measure atom {atom} mass must be finite and > 0, got 0.0\n")
 
 
 class TestEveryFileIsChecked:

@@ -116,8 +116,11 @@ class TestGrid:
 
 class TestMeasure:
     def test_atom_validation(self):
-        with pytest.raises(ro.ValidationError):
-            ro.Atom((1.0, 0.0), -0.5)
+        for mass in (-0.5, 0.0, -0.0, math.inf, math.nan):
+            with pytest.raises(ro.ValidationError,
+                               match=rf"^atom mass must be finite and > 0, got {mass!r}$"):
+                ro.Atom((1.0, 0.0), mass)
+        assert ro.Atom((1.0, 0.0), 5e-324).mass == 5e-324
         with pytest.raises(ro.ValidationError):
             ro.Atom((math.inf, 0.0), 1.0)
 
@@ -138,11 +141,15 @@ class TestMeasure:
         assert mu.positions().shape == (0, 2)
 
     def test_with_masses_and_filter(self):
+        """with_masses keeps the positions and holds its masses to the rule
+        of the constructors: finite and > 0, a zero named by its atom."""
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.5), ro.Atom((1.0, 0.25), 0.25)))
-        mu2 = mu.with_masses([0.0, 1.0])
-        kept_mu, kept = mu2.without_zero_mass()
-        assert kept == [1]
-        assert kept_mu.atoms[0].position == (1.0, 0.25)
+        mu2 = mu.with_masses([0.125, 1.0])
+        assert mu2.atoms == (ro.Atom((1.0, 0.0), 0.125), ro.Atom((1.0, 0.25), 1.0))
+        for zero in (0.0, -0.0):
+            with pytest.raises(ro.ValidationError,
+                               match=f"measure atom 1 mass must be finite and > 0, got {zero!r}"):
+                mu.with_masses([1.0, zero])
         with pytest.raises(ro.ValidationError):
             mu.with_masses([1.0])
 
@@ -173,7 +180,8 @@ class TestMeasure:
         assert got == expected
 
     def test_from_arrays_matches_atoms(self):
-        atoms = (ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.75, -0.25), 0.0), ro.Atom((0.6, 0.3), 2.0))
+        atoms = (ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.75, -0.25), 5e-324),
+                 ro.Atom((0.6, 0.3), 2.0))
         mu = ro.DiscreteMeasure.from_arrays([a.position for a in atoms], [a.mass for a in atoms])
         assert mu == ro.DiscreteMeasure(atoms)
         assert hash(mu) == hash(ro.DiscreteMeasure(atoms))
@@ -184,8 +192,8 @@ class TestMeasure:
     @pytest.mark.parametrize("positions, masses, message", [
         ([(1.0, 0.0), (math.nan, 0.5)], [0.5, 0.5], r"measure atom 1 position must be finite"),
         ([(1.0, 0.0), (0.5, -math.inf)], [0.5, 0.5], r"measure atom 1 position must be finite"),
-        ([(1.0, 0.0), (0.5, 0.5)], [0.5, -1e-300], r"measure atom 1 mass must be finite and >= 0"),
-        ([(1.0, 0.0), (0.5, 0.5)], [math.inf, 0.5], r"measure atom 0 mass must be finite and >= 0"),
+        ([(1.0, 0.0), (0.5, 0.5)], [0.5, -1e-300], r"measure atom 1 mass must be finite and > 0"),
+        ([(1.0, 0.0), (0.5, 0.5)], [math.inf, 0.5], r"measure atom 0 mass must be finite and > 0"),
         ([(1.0, 0.0), (0.5, 0.5)], [0.5], r"\(n, 2\) position array and n masses"),
         ([1.0, 0.0, 0.5], [0.5, 0.5, 0.5], r"\(n, 2\) position array and n masses"),
     ])
@@ -195,7 +203,7 @@ class TestMeasure:
 
     def test_arrays_are_read_only_and_contiguous(self, tmp_path):
         from rootopt.serialization import load_measure, save_measure
-        raw = np.array([[1.0, 0.0, 0.5], [0.75, 0.25, 0.0], [0.5, -0.5, 0.25]])
+        raw = np.array([[1.0, 0.0, 0.5], [0.75, 0.25, 0.125], [0.5, -0.5, 0.25]])
         mu = ro.DiscreteMeasure.from_arrays(np.asfortranarray(raw[:, :2]), raw[:, 2])
         save_measure(tmp_path / "m.json", mu)
         measures = [
@@ -203,7 +211,7 @@ class TestMeasure:
             ro.DiscreteMeasure(mu.atoms),
             ro.DiscreteMeasure(),
             mu.with_masses(raw[::-1, 0]),  # a strided view
-            mu.without_zero_mass()[0],
+            ro.DiscreteMeasure.from_arrays(raw[::2, :2], raw[::2, 2]),  # strided views
             load_measure(tmp_path / "m.json"),
         ]
         for m in measures:
@@ -231,8 +239,8 @@ class TestMeasure:
 
         monkeypatch.setattr(ro.Atom, "__post_init__", counting)
         mu = ro.DiscreteMeasure.from_arrays([(1.0, 0.0), (0.75, 0.25)], [0.5, 0.25])
-        kept, _ = mu.with_masses([0.0, 1.0]).without_zero_mass()
-        assert (len(mu), mu.total_mass, len(kept)) == (2, 0.75, 1)
+        heavier = mu.with_masses([1.0, 1.0])
+        assert (len(mu), mu.total_mass, heavier.total_mass) == (2, 0.75, 2.0)
         assert built == []
         assert mu.atoms == (ro.Atom((1.0, 0.0), 0.5), ro.Atom((0.75, 0.25), 0.25))
         assert mu.atoms is mu.atoms
@@ -270,6 +278,12 @@ class TestMeasure:
             ro.mass_bound_check(mu, -1.0, d, 0.5)
         with pytest.raises(ro.ValidationError):
             ro.mass_bound_check(mu, 1.0, d, 1.5)
+        # at alpha = 0.001 the bound 4 ** 1000 overflows a double: it exceeds
+        # every finite total mass, the largest double's included; at 0.002
+        # it is 4 ** 500, about 1e301
+        huge = mu.with_masses([1.7976931348623157e308])
+        assert ro.mass_bound_check(huge, 2.0, d, 0.001)
+        assert not ro.mass_bound_check(huge, 2.0, d, 0.002)
 
 
 class TestGrowth:

@@ -67,21 +67,19 @@ class TestOptimalityResidual:
     def test_records_equal_a_per_atom_loop(self, evaluated_instance):
         """The records, gathered in one pass, equal a loop that looks every
         atom's node up with grid.index_of and its Z up with at_atom, down to
-        the last bit, with one atom at zero mass left out."""
+        the last bit, the lightest atom of mass 5e-324 included."""
         cfg, mu, tree, u, psi, z = evaluated_instance
-        mu = mu.with_masses(np.append(mu.masses()[:-1], 0.0))
+        mu = mu.with_masses(np.append(mu.masses()[:-1], 5e-324))
         phi = phi_field(u, psi).values
         for c in (0.1, 0.3, 0.7, 1.3, 2.9):
             want = []
             for i, ((x, y), m) in enumerate(zip(mu.positions().tolist(), mu.masses().tolist())):
-                if m > 0.0:
-                    phi_a = float(phi[cfg.grid.index_of(x, y)])
-                    z_a = z.at_atom(i)
-                    want.append(AtomRecord(i, (x, y), m, phi_a, z_a,
-                                           phi_a - c * cfg.alpha * z_a))
+                phi_a = float(phi[cfg.grid.index_of(x, y)])
+                z_a = z.at_atom(i)
+                want.append(AtomRecord(i, (x, y), m, phi_a, z_a, phi_a - c * cfg.alpha * z_a))
             report = ro.optimality_residual(u, psi, z, mu, c, cfg.alpha)
             assert report.records == tuple(want)
-            assert len(want) == len(mu) - 1
+            assert len(want) == len(mu)
 
     def test_off_node_atom_is_named(self, evaluated_instance):
         cfg, mu, tree, u, psi, z = evaluated_instance
@@ -91,15 +89,18 @@ class TestOptimalityResidual:
         with pytest.raises(ro.ValidationError, match="atom 1 is not on a grid node"):
             ro.optimality_residual(u, psi, z, moved, cfg.c, cfg.alpha)
 
-    def test_zero_mass_atoms_skipped(self, evaluated_instance):
+    def test_every_atom_is_read(self, evaluated_instance):
         cfg, mu, tree, u, psi, z = evaluated_instance
         free = next(
             cfg.grid.node_position(ix, iy)
             for ix in range(cfg.grid.nx) for iy in range(cfg.grid.ny)
             if all(cfg.grid.node_position(ix, iy) != a.position for a in mu.atoms))
-        extra = ro.DiscreteMeasure(mu.atoms + (ro.Atom(free, 0.0),))
-        report = ro.optimality_residual(u, psi, z, extra, cfg.c, cfg.alpha)
-        assert len(report.records) == len(mu)
+        with pytest.raises(ro.ValidationError, match="atom mass must be finite and > 0"):
+            ro.Atom(free, 0.0)
+        # every atom is read: one the plan does not carry is named
+        extra = ro.DiscreteMeasure(mu.atoms + (ro.Atom(free, 1e-12),))
+        with pytest.raises(ro.ValidationError, match=f"atom {len(mu)} has no terminal"):
+            ro.optimality_residual(u, psi, z, extra, cfg.c, cfg.alpha)
 
 
 class TestPathInequality:
@@ -447,10 +448,14 @@ class TestSupportDensity:
         scale, occupied, total, fraction = rep.rows[0]
         assert fraction == 1.0
 
-    def test_zero_mass_atoms_ignored(self, small_grid):
-        mu = ro.DiscreteMeasure((ro.Atom(small_grid.node_position(8, 8), 0.0),))
+    def test_zero_mass_atoms_refused(self, small_grid):
+        """No atom of mass 0 reaches the report, which counts every atom
+        it is given, the lightest included."""
+        with pytest.raises(ro.ValidationError, match="atom mass must be finite and > 0"):
+            ro.Atom(small_grid.node_position(8, 8), 0.0)
+        mu = ro.DiscreteMeasure((ro.Atom(small_grid.node_position(8, 8), 5e-324),))
         rep = ro.support_density_report(mu, small_grid)
-        assert all(row[1] == 0 for row in rep.rows)
+        assert all(row[1] == 1 for row in rep.rows)
 
     def test_as_dicts_round_trip(self, small_grid):
         mu = ro.DiscreteMeasure((ro.Atom(small_grid.node_position(2, 3), 0.5),))

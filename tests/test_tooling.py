@@ -65,7 +65,7 @@ SHARED_RULES = {
 def test_each_shared_rule_is_written_once():
     """A search of src/rootopt's code tokens (names, numbers, operators;
     no comments or docstrings) finds each shared rule once, and the text
-    finds the alpha-range error once."""
+    finds the alpha-range error and the mass-rule error once each."""
     counts = dict.fromkeys(SHARED_RULES, 0)
     text = ""
     for path in sorted((ROOT / "src" / "rootopt").glob("*.py")):
@@ -77,6 +77,7 @@ def test_each_shared_rule_is_written_once():
             counts[rule] += sum(toks[i:i + len(seq)] == list(seq)
                                 for seq in spellings for i in range(len(toks)))
     counts["alpha range error"] = text.count("alpha must be in (0, 1], got")
+    counts["mass rule error"] = text.count("mass must be finite and > 0, got")
     assert counts == dict.fromkeys(counts, 1)
 
 
