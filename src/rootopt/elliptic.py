@@ -28,13 +28,16 @@ the cached Laplacian as absorption * x - lap @ x - b, and a matrix is
 assembled only inside a factorization.
 Every factorization goes through _factorize, which picks its method by
 the half-bandwidth of A; nodes are ordered iy * nx + ix, so that is nx.
-Up to nx = 161 (_BAND_MAX) it factorizes diag(tau) A by LAPACK's banded
-Cholesky (dpbtrf with kd = nx, and dpbtrs to back-substitute).  tau is 1,
-1/2 or 1/4, so the scaling is exact and diag(tau)(-lap) is exactly
-symmetric.  Up to nx = 27 (_PLAIN_BAND_MAX) the band holds diag(tau) A
-itself, (nx + 1) n doubles: zeroed storage that takes the tau-scaled upper
-triangle of -lap from a cached scatter and tau * absorption on its
-diagonal, and a solve back-substitutes tau * b.  Wider grids first take
+One table (_operators) writes the stencil down as the couplings across
+cell faces of M = diag(tau)(-lap): M[k, k + 1] = -ty / h^2 and
+M[k, k + nx] = -tx / h^2, the face's length over h^2, and 0 at a wall.
+tau is 1, 1/2 or 1/4, so M is exactly symmetric; the Laplacian and both
+band paths read these couplings.  Up to nx = 161 (_BAND_MAX) _factorize
+takes LAPACK's banded Cholesky of diag(tau) A (dpbtrf with kd = nx, and
+dpbtrs to back-substitute).  Up to nx = 27 (_PLAIN_BAND_MAX) the band
+holds diag(tau) A itself, (nx + 1) n doubles: the couplings in rows
+nx - 1 and 0, tau times A's diagonal in row nx, and a solve
+back-substitutes tau * b.  Wider grids first take
 one level of cyclic reduction (Buzbee, Golub and Nielson, SIAM J. Numer.
 Anal. 7, 1970).  The stencil couples every red node (ix + iy odd) only to
 black ones, so with the red nodes first diag(tau) A = [[D_r, B],
@@ -243,52 +246,31 @@ class NodalMeasure:
         return self.weights / (quadrature_weights(self.grid) * self.grid.h ** 2)
 
 
-def _second_difference(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    d = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    d[0, 1] = 2.0
-    d[n - 1, n - 2] = 2.0
-    return (d.tocsr() / h ** 2).tocsr()
-
-
-def _laplacian(nx: int, ny: int, h: float) -> sp.csc_matrix:
-    lap = (sp.kron(sp.identity(ny, format="csr"), _second_difference(nx, h))
-           + sp.kron(_second_difference(ny, h), sp.identity(nx, format="csr"))).tocsc()
-    lap.sort_indices()
-    return lap
-
-
 @lru_cache(maxsize=16)
 def _operators(grid: Grid):
-    lap = _laplacian(grid.nx, grid.ny, grid.h)
-    tx = np.ones(grid.nx)
+    """The stencil table: the Laplacian lap (CSC, no stored zeros), the
+    weights tau, the positions of lap's diagonal in lap.data, and the
+    couplings east[k] = M[k, k + 1] and north[k] = M[k, k + nx] of the
+    module docstring, +0.0 where there is no neighbour.  lap is -M / tau
+    off the diagonal and -4 / h^2 on it: powers of 2 times 1 / h^2."""
+    nx, ny, h2 = grid.nx, grid.ny, grid.h ** 2
+    tx = np.ones(nx)
     tx[0] = tx[-1] = 0.5
-    ty = np.ones(grid.ny)
+    ty = np.ones(ny)
     ty[0] = ty[-1] = 0.5
     tau = np.kron(ty, tx)
-    tau.setflags(write=False)
+    east, north = np.zeros((ny, nx)), np.zeros((ny, nx))
+    east[:, :-1] = -ty[:, None] / h2
+    north[:-1] = -tx / h2
+    east, north = east.ravel(), north.ravel()
+    lap = sp.diags([-north[:-nx] / tau[nx:], -east[:-1] / tau[1:],
+                    np.full(grid.n_nodes, -4.0 / h2), -east[:-1] / tau[:-1],
+                    -north[:-nx] / tau[:-nx]], [-nx, -1, 0, 1, nx], format="csc")
     cols = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
     diagonal = np.flatnonzero(lap.indices == cols)  # positions in lap.data
-    return lap, tau, diagonal
-
-
-@lru_cache(maxsize=16)
-def _band_scatter(grid: Grid):
-    """Where the upper triangle of diag(tau)(-lap) goes in LAPACK's upper
-    band storage with kd = nx, flattened by columns, and its values: entry
-    (i, j), i <= j, goes to row nx + i - j of the nx + 1 rows of column j.
-    tau is 1, 1/2 or 1/4, so the scaled entries are exact and
-    diag(tau)(-lap) is exactly symmetric.  Built only for the grids that
-    the banded Cholesky serves."""
-    lap, tau, _ = _operators(grid)
-    rows, cols = lap.indices, np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
-    upper = rows <= cols
-    positions = (grid.nx * (cols + 1) + rows)[upper]
-    values = (-lap.data * tau[rows])[upper]
-    for arr in (positions, values):
+    for arr in (tau, east, north):
         arr.setflags(write=False)
-    return positions, values
+    return lap, tau, diagonal, east, north
 
 
 def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
@@ -353,7 +335,7 @@ def _density(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
 def _system(grid: Grid, absorption: np.ndarray) -> sp.csc_matrix:
     """-lap + diag(absorption) as a CSC matrix, for SuperLU: a negated copy
     of the cached Laplacian with absorption added to its diagonal entries."""
-    lap, _, diagonal = _operators(grid)
+    lap, _, diagonal = _operators(grid)[:3]
     mat = -lap
     mat.data[diagonal] += absorption
     return mat
@@ -361,15 +343,16 @@ def _system(grid: Grid, absorption: np.ndarray) -> sp.csc_matrix:
 
 def _band_system(grid: Grid, absorption: np.ndarray) -> np.ndarray:
     """diag(tau)(-lap + diag(absorption)) in upper band storage for dpbtrf,
-    an (nx + 1) x n array in Fortran order: zeroed storage that takes the
-    upper triangle of diag(tau)(-lap) where _band_scatter puts it, with
-    tau * absorption added to its last row, the diagonal: the same bits as
-    scattering the upper triangle of diag(tau) times _system's CSC."""
-    positions, values = _band_scatter(grid)
-    band = np.zeros((grid.nx + 1) * grid.n_nodes)
-    band[positions] = values
-    band[grid.nx::grid.nx + 1] += quadrature_weights(grid) * absorption
-    return band.reshape((grid.nx + 1, grid.n_nodes), order="F")
+    an (nx + 1) x n array in Fortran order whose column j holds entry
+    (i, j), i <= j, in row nx + i - j: the diagonal in row nx, the
+    couplings east[j - 1] in row nx - 1 and north[j - nx] in row 0."""
+    nx = grid.nx
+    lap, tau, diagonal, east, north = _operators(grid)
+    band = np.zeros((nx + 1, grid.n_nodes), order="F")
+    band[nx] = tau * (absorption - lap.data[diagonal])
+    band[nx - 1, 1:] = east[:-1]
+    band[0, nx:] = north[:-nx]
+    return band
 
 
 def _linear_misfit(grid: Grid, absorption, x, rhs):
@@ -401,20 +384,17 @@ class _BandCholesky:
 def _red_black(grid: Grid):
     """The black nodes (ix + iy even) and the red ones, each in node order,
     as a slice when nx is odd and an index array when it is even, and the
-    couplings M[k, k + 1] and M[k, k + nx] of M = diag(tau)(-lap), zero
-    where no such neighbour exists, each padded with 2 nx zeros in front
-    and nx behind, so entry 2 nx + k + s holds the coupling at node k + s
-    for every shift s from -2 nx to nx that the reduction reads."""
+    couplings east and north of _operators, each padded with 2 nx zeros in
+    front and nx behind, so entry 2 nx + k + s holds the coupling at node
+    k + s for every shift s from -2 nx to nx that the reduction reads."""
     nx, n = grid.nx, grid.n_nodes
-    lap, tau, _ = _operators(grid)
     if nx % 2:  # node parity is colour: black nodes are the even ones
         black, red = slice(0, n, 2), slice(1, n, 2)
     else:
         colour = (np.arange(n) // nx + np.arange(n)) % 2
         black, red = np.flatnonzero(colour == 0), np.flatnonzero(colour)
-    east, north = (np.concatenate([np.zeros(2 * nx), -tau[:n - s] * lap.diagonal(s),
-                                   np.zeros(nx + s)])
-                   for s in (1, nx))
+    east, north = (np.concatenate([np.zeros(2 * nx), c, np.zeros(nx)])
+                   for c in _operators(grid)[3:])
     for arr in (black, red, east, north):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
@@ -447,7 +427,7 @@ def _reduced_system(grid: Grid, absorption: np.ndarray):
     k among the red nodes."""
     nx, ny, n = grid.nx, grid.ny, grid.n_nodes
     black, red, east, north = _red_black(grid)
-    lap, tau, diagonal = _operators(grid)
+    lap, tau, diagonal = _operators(grid)[:3]
     d = tau * (absorption - lap.data[diagonal])
     dr = d[red]
     bad = np.flatnonzero(~(dr > 0.0))
@@ -503,7 +483,7 @@ class _RedBlackCholesky:
         if info > 0:  # S, and so diag(tau) A, is not positive definite
             pivot = grid.n_nodes - band.shape[1] + info
             raise SolverError(f"Cholesky factorization failed: pivot {pivot} is not positive")
-        lap, tau, _ = _operators(grid)
+        lap, tau = _operators(grid)[:2]
         self.lap, self.black = lap, _red_black(grid)[0]
         self.tau_black = tau[self.black]
         self.inv = inv * tau  # A_rr^-1 on the red nodes, 0 on the black ones

@@ -344,6 +344,27 @@ class TestFieldsPathBuildsNoAtoms:
         assert len(built) == 1  # the counter counts
 
 
+class TestNarrowGrids:
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (4, 4), (5, 5), (5, 9)],
+                             ids=["3x3", "4x4", "5x5", "5x9"])
+    def test_every_command_passes_verify(self, tmp_path, capsys, nx, ny):
+        """On grids down to the narrowest that Grid accepts (nx = 3),
+        irrigate, solve, adjoint and a 5-iteration spawn ascent each exit 0,
+        and verify passes every check of each directory."""
+        grid = ro.Grid(ro.Domain((0.5, -0.5), (1.5, -0.5 + (ny - 1) / (nx - 1))), nx, ny)
+        cfg = write_setup(tmp_path, [f"nx = {nx}", f"ny = {ny}",
+                                     f"rect_max_y = {grid.domain.rect_max[1]!r}", "c = 0.1",
+                                     "max_outer_iters = 5", "spawn = true", "spawn_mass = 0.05"],
+                          [(*grid.node_position(nx - 1, 0), 0.3),
+                           (*grid.node_position(nx // 2, ny - 1), 0.2)])
+        for cmd in ("irrigate", "solve", "adjoint", "optimize"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
+            capsys.readouterr()
+            assert main(["verify", "--out", str(out)]) == 0, cmd
+            assert re.search(r"all \d+ checks passed\n$", capsys.readouterr().out), cmd
+
+
 class TestParser:
     def test_built_once_and_left_unchanged_by_parsing(self, single_atom_setup):
         from rootopt.cli import _parser

@@ -112,6 +112,12 @@ def fields_random0():
         for i in nodes))
 
 
+def rect_grid(nx, ny):
+    """The nx x ny grid of spacing 1 / (nx - 1) on the default rectangle's
+    width, for grids that are not square."""
+    return ro.Grid(ro.Domain((0.5, -0.5), (1.5, -0.5 + (ny - 1) / (nx - 1))), nx, ny)
+
+
 def uniform_measure(grid, m0):
     """One atom per node with mass m0 times its cell area: density m0 everywhere."""
     coords = grid.node_coordinates()
@@ -144,6 +150,43 @@ class TestOperators:
         lap = ro.laplacian_matrix(grid17) @ vals
         inner = lap.reshape(grid17.ny, grid17.nx)[1:-1, 1:-1]
         assert np.max(np.abs(inner - 2.0)) < 1e-9
+
+    @staticmethod
+    def kron_laplacian(grid):
+        """The reference Laplacian, built apart from the stencil table: the
+        Kronecker sum of the 1-D second differences whose end rows read
+        the mirrored neighbour twice, with its stored zeros eliminated."""
+        def second_difference(n):
+            d = sp.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1],
+                         format="lil")
+            d[0, 1] = d[n - 1, n - 2] = 2.0
+            return d.tocsr() / grid.h ** 2
+
+        lap = (sp.kron(sp.identity(grid.ny), second_difference(grid.nx))
+               + sp.kron(second_difference(grid.ny), sp.identity(grid.nx))).tocsc()
+        lap.eliminate_zeros()
+        lap.sort_indices()
+        return lap
+
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (4, 4), (6, 6), (17, 17), (34, 34), (5, 9)])
+    def test_laplacian_is_the_kron_sum_without_stored_zeros(self, nx, ny):
+        """The Laplacian that _operators assembles from the cell-face
+        couplings is the Kronecker-sum construction bit for bit, stores
+        nothing but the n + 2 (nx - 1) ny + 2 nx (ny - 1) stencil entries,
+        has rows whose entries, summed exactly, are zero, and
+        diag(tau)(-lap) is exactly symmetric."""
+        grid = rect_grid(nx, ny)
+        n = grid.n_nodes
+        lap, ref = ro.laplacian_matrix(grid), self.kron_laplacian(grid)
+        assert lap.format == "csc" and lap.has_sorted_indices
+        assert np.array_equal(lap.indptr, ref.indptr) and np.array_equal(lap.indices, ref.indices)
+        assert lap.data.tobytes() == ref.data.tobytes()
+        assert lap.nnz == 5 * n - 2 * (nx + ny) and np.all(lap.data != 0.0)
+        rows = lap.tocsr()
+        assert all(math.fsum(rows.data[rows.indptr[k]:rows.indptr[k + 1]]) == 0.0
+                   for k in range(n))
+        sym = sp.diags(ro.quadrature_weights(grid)) @ -lap
+        assert (sym != sym.T).nnz == 0
 
 
 class TestLumping:
@@ -484,7 +527,7 @@ class TestBandedAndSparseLU:
             assert f"Up to nx = {ell._PLAIN_BAND_MAX} " in flat
             assert f"Up to nx = {ell._BAND_MAX} " in flat
 
-    @pytest.mark.parametrize("n", sorted({17, 33, 45, 102, ell._PLAIN_BAND_MAX,
+    @pytest.mark.parametrize("n", sorted({3, 4, 5, 17, 33, 45, 102, ell._PLAIN_BAND_MAX,
                                           ell._PLAIN_BAND_MAX + 1, ell._BAND_MAX,
                                           ell._BAND_MAX + 1}))
     def test_both_paths_meet_tol_and_agree(self, n, monkeypatch):
@@ -560,28 +603,33 @@ class TestSystemFromGrid:
             errors[name] = np.max(np.abs(res - exact) / scale)
         assert errors["stencil"] <= 2.0 * errors["csc"]
 
-    @pytest.mark.parametrize("n", [9, 17, ell._PLAIN_BAND_MAX, 33, 101])
-    def test_band_storage_is_the_csc_scatter(self, n):
-        """The band storage that _factorize fills from the cached stencil
-        equals, bit for bit, the upper triangle of diag(tau) times the CSC
-        matrix of _system, scattered entry by entry into LAPACK's upper
-        layout (entry (i, j), i <= j, in row nx + i - j of column j), for
-        absorptions of either sign; diag(tau)(-lap) is exactly symmetric."""
-        grid = ro.Grid(ro.Domain(), n, n)
+    @pytest.mark.parametrize("nx, ny", [
+        pytest.param(nx, ny, id=str(nx) if nx == ny else f"{nx}-{ny}")
+        for nx, ny in [(3, 3), (4, 4), (5, 5), (5, 9), (9, 5), (9, 9), (17, 17),
+                       (ell._PLAIN_BAND_MAX, ell._PLAIN_BAND_MAX), (33, 33), (101, 101)]])
+    def test_band_storage_is_the_csc_scatter(self, nx, ny):
+        """The band storage that _factorize fills from the stencil's
+        couplings equals, bit for bit, the upper triangle of diag(tau) times
+        the CSC matrix of _system, scattered entry by entry into LAPACK's
+        upper layout (entry (i, j), i <= j, in row nx + i - j of column j),
+        for absorptions of either sign, on grids down to nx = 3;
+        diag(tau)(-lap) is exactly symmetric."""
+        grid = rect_grid(nx, ny)
         tau = ro.quadrature_weights(grid)
         scaled = (sp.diags(tau) @ -ro.laplacian_matrix(grid)).tocsc()
         assert (scaled != scaled.T).nnz == 0
-        absorption = np.random.default_rng(n).uniform(-5.0, 50.0, grid.n_nodes)
+        absorption = np.random.default_rng(grid.n_nodes).uniform(-5.0, 50.0, grid.n_nodes)
         mat = (sp.diags(tau) @ ell._system(grid, absorption)).tocsc()
         cols = np.repeat(np.arange(grid.n_nodes), np.diff(mat.indptr))
         upper = mat.indices <= cols
-        scattered = np.zeros((n + 1, grid.n_nodes))
-        scattered[n + mat.indices[upper] - cols[upper], cols[upper]] = mat.data[upper]
+        scattered = np.zeros((nx + 1, grid.n_nodes))
+        scattered[nx + mat.indices[upper] - cols[upper], cols[upper]] = mat.data[upper]
         band = ell._band_system(grid, absorption)
         assert band.flags.f_contiguous and band.shape == scattered.shape
         assert band.tobytes() == scattered.tobytes()
 
-    @pytest.mark.parametrize("nx, ny", [(9, 9), (10, 10), (33, 33), (34, 34), (10, 7), (7, 10)])
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (4, 4), (5, 5), (5, 9), (9, 5), (9, 9), (10, 10),
+                                        (33, 33), (34, 34), (10, 7), (7, 10)])
     def test_reduced_band_is_the_dense_schur_complement(self, nx, ny):
         """The band storage of the red-black reduction holds the Schur
         complement S = D_b - B^T D_r^-1 B of diag(tau) times _system's CSC
@@ -592,7 +640,7 @@ class TestSystemFromGrid:
         half-bandwidth exactly nx; for even nx the black nodes at
         (ix -+ 1, iy - 1) lie at offsets that depend on the row's parity,
         which the dense reference places by construction."""
-        grid = ro.Grid(ro.Domain((0.5, -0.5), (1.5, -0.5 + (ny - 1) / (nx - 1))), nx, ny)
+        grid = rect_grid(nx, ny)
         n = grid.n_nodes
         absorption = np.random.default_rng(n).uniform(-5.0, 50.0, n)
         assert np.any(absorption < 0.0)

@@ -153,6 +153,53 @@ def test_json_is_decoded_only_by_parse_json():
                      ("serialization.py", "_parse_json", "json.loads")]
 
 
+def sparse_constructions(source: str):
+    """(function, call) of every call in source's code tokens of a name
+    that the module imports from scipy.sparse, or of an attribute of the
+    name it imports scipy.sparse itself as (scipy.sparse.linalg, a separate
+    import, is not scipy.sparse); the function is the nearest def above
+    the call."""
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "scipy.sparse"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules |= {a.asname or a.name for a in node.names if a.name == "sparse"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse":
+            names |= {a.asname or a.name for a in node.names}
+    toks = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+            if t.type in (tokenize.NAME, tokenize.OP)]
+    found, func = [], None
+    for i, tok in enumerate(toks[:-1]):
+        if tok == "def":
+            func = toks[i + 1]
+        elif i and toks[i - 1] == ".":
+            continue
+        elif tok in modules and toks[i + 1] == "." and toks[i + 3:i + 4] == ["("]:
+            found.append((func, "".join(toks[i:i + 3])))
+        elif tok in names and toks[i + 1] == "(":
+            found.append((func, tok))
+    return found
+
+
+def test_the_sparse_check_finds_constructions():
+    source = ('import scipy.sparse as sp\nimport scipy.sparse.linalg as spla\n'
+              'from scipy.sparse import kron\n'
+              'def a(n) -> sp.csc_matrix:\n    """sp.eye(n), in a docstring"""\n'
+              '    return sp.diags([1.0], [0], shape=(n, n)).tocsc()  # sp.kron(), a comment\n'
+              'def b(m):\n    return spla.splu(m), kron(m, m), -m\n')
+    assert sparse_constructions(source) == [("a", "sp.diags"), ("b", "kron")]
+
+
+def test_sparse_matrices_are_built_only_by_the_stencil_table():
+    """src/rootopt constructs a scipy.sparse matrix in one place,
+    elliptic's _operators, which assembles the Laplacian from the
+    stencil's couplings; every other matrix is derived from it."""
+    found = [(path.name, *site) for path in sorted((ROOT / "src" / "rootopt").glob("*.py"))
+             for site in sparse_constructions(path.read_text(encoding="utf-8"))]
+    assert found == [("elliptic.py", "_operators", "sp.diags")]
+
+
 def declared_floor():
     """(major, minor) of the `requires-python = ">=X.Y"` floor in pyproject.toml."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
