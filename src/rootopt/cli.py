@@ -56,16 +56,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DiscreteMeasure, RunConfig, SolverError, ValidationError,
-                   mass_bound_check)
-from .elliptic import (ScalarField, _adjoint_bounds, adjoint_residual,
-                       growth_bound_lambda, harvest, phi_field, solve_adjoint,
-                       solve_state, state_residual)
-from .irrigation import (IrrigationTree, _plan_cost, check_landscape_holder,
-                         cost_lower_bound, irrigation_cost, landscape, optimize_plan)
-from .optimality import (OptimalityReport, _converged, ascend_measure,
-                         optimality_residual, path_inequality_check,
-                         support_density_report)
+from .core import DiscreteMeasure, SolverError, ValidationError, mass_bound_check
+from .elliptic import (_adjoint_bounds, adjoint_residual, growth_bound_lambda,
+                       phi_field, solve_adjoint, solve_state, state_residual)
+from .irrigation import (_plan_cost, check_landscape_holder, cost_lower_bound,
+                         optimize_plan)
+from .optimality import (Evaluation, _converged, ascend_measure,
+                         path_inequality_check, support_density_report)
 from .render import render_tree_svg
 from .serialization import (ParsedConfig, config_from_mapping, config_to_text,
                             dumps_json, field_binary_bytes, landscape_csv_text,
@@ -167,44 +164,31 @@ def _write_common(args, parsed: ParsedConfig, out: Path,
 
 @dataclass
 class _Run:
-    """The values that the files of a run directory are written from, each
-    None where the run has none: the measure, its plan, the state and
-    adjoint fields, the first-order report with the ascent's `converged`
-    and `iterations`, and `support`, the measure that support.json
+    """The values that the files of a run directory are written from: `ev`,
+    the `Evaluation` of the measure, whose plan and fields are None where
+    the run has none and whose fields and derived values the writers read
+    through the run; the ascent's `converged` and `iterations`, None
+    without a trace; and `support`, the measure that support.json
     tabulates.  The properties below derive from them once, on first use."""
 
-    cfg: RunConfig
-    measure: DiscreteMeasure | None = None
-    plan: IrrigationTree | None = None
-    state: ScalarField | None = None
-    adjoint: ScalarField | None = None
-    report: OptimalityReport | None = None
+    ev: Evaluation
     converged: bool = False
-    iterations: int = 0
+    iterations: int | None = None
     support: DiscreteMeasure | None = None
+
+    def __getattr__(self, name):
+        return getattr(self.ev, name)
 
     def has(self, values) -> bool:
         return all(getattr(self, name) is not None for name in values)
 
     @cached_property
-    def landscape(self):
-        return landscape(self.plan, self.measure, self.cfg.alpha)
-
-    @cached_property
-    def cost(self):
-        return irrigation_cost(self.plan, self.measure, self.cfg.alpha)
-
-    @cached_property
     def lower_bound(self):
-        return cost_lower_bound(self.measure, self.cfg.alpha)
-
-    @cached_property
-    def harvest(self):
-        return harvest(self.state, self.measure)
+        return cost_lower_bound(self.measure, self.config.alpha)
 
     @cached_property
     def support_table(self):
-        return support_density_report(self.support, self.cfg.grid)
+        return support_density_report(self.support, self.config.grid)
 
 
 _PLAN = ("measure", "plan")
@@ -217,22 +201,22 @@ _FILES = (
      lambda r: dumps_json(tree_to_dict(r.plan, r.measure))),
     ("landscape.csv", ("irrigate", "optimize"), _PLAN, lambda r: landscape_csv_text(r.landscape)),
     ("plan.svg", ("irrigate", "optimize"), _PLAN,
-     lambda r: render_tree_svg(r.plan, r.measure, r.cfg.alpha, r.cfg.domain)),
+     lambda r: render_tree_svg(r.plan, r.measure, r.config.alpha, r.config.domain)),
     ("phi.bin", ("adjoint", "optimize"), ("state", "adjoint"),
      lambda r: field_binary_bytes(phi_field(r.state, r.adjoint))),
     ("cost.json", ("irrigate",), _PLAN, lambda r: dumps_json(
-        {"alpha": r.cfg.alpha, "cost": r.cost, "lower_bound": r.lower_bound,
+        {"alpha": r.config.alpha, "cost": r.cost, "lower_bound": r.lower_bound,
          "n_atoms": len(r.measure), "total_mass": r.measure.total_mass})),
     ("harvest.json", ("solve",), ("measure", "state"), lambda r: dumps_json(
         {"harvest": r.harvest, "u_min": r.state.min(), "u_max": r.state.max()})),
     ("adjoint.json", ("adjoint",), ("measure", "state", "adjoint"), lambda r: dumps_json(
-        {"harvest": r.harvest, "lambda_bound": growth_bound_lambda(r.cfg.growth, r.state.min()),
+        {"harvest": r.harvest, "lambda_bound": growth_bound_lambda(r.config.growth, r.state.min()),
          "psi_min": r.adjoint.min(), "psi_max": r.adjoint.max()})),
     # the path check runs at tol path_tol * u_max
-    ("report.json", ("optimize",), (*_PLAN, "state", "adjoint", "report"),
+    ("report.json", ("optimize",), (*_PLAN, "state", "adjoint", "iterations"),
      lambda r: dumps_json(report_to_dict(r.report, r.converged, r.iterations, path_inequality_check(
-         r.state, r.adjoint, r.plan, r.measure, r.cfg.c, r.cfg.alpha,
-         tol=r.cfg.path_tol * r.cfg.growth.u_max)))),
+         r.state, r.adjoint, r.landscape, r.config.c, r.config.alpha,
+         tol=r.config.path_tol * r.config.growth.u_max)))),
     ("support.json", ("optimize", "report"), ("support",),
      lambda r: dumps_json({"rows": r.support_table.as_dicts()})),
 )
@@ -252,7 +236,7 @@ def _save_run(out: Path, command: str, run: _Run) -> None:
 def _cmd_irrigate(args, parsed: ParsedConfig, out: Path) -> int:
     cfg = parsed.run
     mu = _write_common(args, parsed, out)
-    run = _Run(cfg, mu, optimize_plan(mu, cfg.alpha, budget=cfg.max_plan_moves))
+    run = _Run(Evaluation(cfg, mu, optimize_plan(mu, cfg.alpha, budget=cfg.max_plan_moves)))
     _save_run(out, args.command, run)
     print(f"cost {run.cost!r} (lower bound {run.lower_bound!r}) over {len(mu)} atoms")
     return 0
@@ -263,7 +247,7 @@ def _cmd_solve(args, parsed: ParsedConfig, out: Path) -> int:
     mu = _write_common(args, parsed, out)
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
-    run = _Run(cfg, mu, state=u)
+    run = _Run(Evaluation(cfg, mu, state=u))
     _save_run(out, args.command, run)
     print(f"harvest {run.harvest!r} (state range [{u.min()!r}, {u.max()!r}])")
     return 0
@@ -275,7 +259,7 @@ def _cmd_adjoint(args, parsed: ParsedConfig, out: Path) -> int:
     u = solve_state(cfg.grid, mu, cfg.growth,
                     tol=cfg.tol_nonlinear, tol_linear=cfg.tol_linear)
     psi = solve_adjoint(cfg.grid, mu, u, cfg.growth, tol=cfg.tol_linear)
-    _save_run(out, args.command, _Run(cfg, mu, state=u, adjoint=psi))
+    _save_run(out, args.command, _Run(Evaluation(cfg, mu, state=u, adjoint=psi)))
     print(f"adjoint range [{psi.min()!r}, {psi.max()!r}], "
           f"bound {_adjoint_bounds(cfg.growth, u.min())[0]!r}")
     return 0
@@ -286,9 +270,8 @@ def _cmd_optimize(args, parsed: ParsedConfig, out: Path) -> int:
     trace = ascend_measure(cfg, _write_common(args, parsed, out, "measure_initial.json"))
     save_trace(out / "trace.jsonl", trace)
     save_file(out / "measure.json", measure_text(trace.measure))
-    _save_run(out, args.command, _Run(cfg, trace.measure, trace.tree, trace.state, trace.adjoint,
-                                      trace.report, trace.converged, len(trace.steps) - 1,
-                                      trace.measure))
+    _save_run(out, args.command,
+              _Run(trace.final, trace.converged, len(trace.steps) - 1, trace.measure))
     status = "converged" if trace.converged else "not converged"
     print(f"{status} after {len(trace.steps) - 1} iterations, "
           f"payoff {trace.final_payoff!r}, sup residual "
@@ -300,7 +283,7 @@ def _cmd_report(args, parsed: ParsedConfig, out: Path) -> int:
     stored = out / "measure.json"
     # verify tabulates the same measure
     mu = load_measure(stored) if stored.exists() else _resolve_measure(args, parsed)[0]
-    run = _Run(parsed.run, support=mu)
+    run = _Run(Evaluation(parsed.run), support=mu)
     _save_run(out, args.command, run)
     print("scale occupied total fraction")
     for s, occ, tot, frac in run.support_table.rows:
@@ -382,7 +365,8 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         if missing:
             tree = None  # every later tree check needs a terminal per atom
 
-    run = _Run(cfg, mu, tree)
+    ev = Evaluation(cfg, mu, tree)
+    run = _Run(ev)
     if tree is not None:
         nodes = np.flatnonzero(tree.atom_index >= 0)
         atom_pos = mu.positions()
@@ -431,7 +415,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
 
     # a field on another grid would sample the wrong nodes: skip its checks
     if not wrong and (out / "state.bin").exists():
-        run.state = u = load_field_binary(out / "state.bin", cfg.domain)
+        ev.state = u = load_field_binary(out / "state.bin", cfg.domain)
         lo, hi = u.min(), u.max()
         ok = lo >= -1e-9 and hi <= cfg.growth.u_max + 1e-9
         yield ("state box bounds",
@@ -441,7 +425,7 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
                 lambda: state_residual(u, mu, cfg.growth), cfg.tol_nonlinear,
                 "tol_nonlinear", "scaled residual of lap u + f(u) - a u"))
     if (out / "psi.bin").exists() and u is not None:
-        run.adjoint = psi = load_field_binary(out / "psi.bin", cfg.domain)
+        ev.adjoint = psi = load_field_binary(out / "psi.bin", cfg.domain)
         cap, slack = _adjoint_bounds(cfg.growth, u.min())
         ok = psi.min() >= -slack and psi.max() <= cap + slack
         yield ("adjoint bounds",
@@ -473,16 +457,16 @@ def _verify_checks(args, parsed: ParsedConfig, out: Path):
         if mu is not None:
             yield ("trace ends at measure.json", _atoms_mismatch(records, -1, mu))
 
-    # report.json's first-order report, from the stored fields and plan, and
-    # its `converged` by the ascent's stop test on the last trace record; an
-    # atom off the grid's nodes, which the residual checks name, leaves none
+    # report.json's `converged`, by the ascent's stop test on the last trace
+    # record and the report of the stored plan and fields, and `iterations`;
+    # an atom off the grid's nodes, which the residual checks name, leaves
+    # neither, so report.json cannot be rebuilt
     if records and run.has(("plan", "adjoint")):
         try:
-            run.report = optimality_residual(u, psi, run.landscape, mu, cfg.c, cfg.alpha)
+            run.converged = _converged(cfg, mu, ev.sup_residual, records[-1]["spawned"])
         except ValidationError:
             pass
         else:
-            run.converged = _converged(cfg, mu, run.report.sup_residual, records[-1]["spawned"])
             run.iterations = len(records) - 1
     # report tabulates measure.json, or the configured measure without one
     run.support = mu if mu is not None else _resolve_measure(args, parsed)[0]

@@ -339,6 +339,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
 
 
+def _check_c(c: float) -> None:
+    """Reject a transport price c that is not positive, as every run config,
+    payoff and report does."""
+    if not c > 0.0:
+        raise ValidationError(f"c must be positive, got {c!r}")
+
+
 def mass_bound_check(mu: DiscreteMeasure, irrigation_cost: float, domain: Domain,
                      alpha: float) -> bool:
     """Whether total mass respects the transport budget (cost / r0) ** (1 / alpha).
@@ -415,8 +422,7 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        if not self.c > 0.0:
-            raise ValidationError(f"c must be positive, got {self.c!r}")
+        _check_c(self.c)
         for name in ("tol_nonlinear", "tol_linear", "tol_residual", "step_size", "path_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")

@@ -364,6 +364,12 @@ def _linear_misfit(grid: Grid, absorption, x, rhs):
     return res, float(np.max(np.abs(res) / scale))
 
 
+def _pivot_error(k) -> SolverError:
+    """The error of a band factorization whose pivot k (from 1) of diag(tau)
+    A, in the order factorized, is not positive."""
+    return SolverError(f"Cholesky factorization failed: pivot {k} is not positive")
+
+
 class _BandCholesky:
     """Cholesky factors, from LAPACK's dpbtrf, of diag(tau) A for a matrix
     A of half-bandwidth nx, given as _band_system fills it; solve
@@ -373,7 +379,7 @@ class _BandCholesky:
     def __init__(self, band: np.ndarray, tau: np.ndarray):
         self.c, info = lapack.dpbtrf(band, overwrite_ab=1)
         if info > 0:  # not positive definite, or exactly singular
-            raise SolverError(f"Cholesky factorization failed: pivot {info} is not positive")
+            raise _pivot_error(info)
         self.tau = tau
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -432,7 +438,7 @@ def _reduced_system(grid: Grid, absorption: np.ndarray):
     dr = d[red]
     bad = np.flatnonzero(~(dr > 0.0))
     if len(bad):
-        raise SolverError(f"Cholesky factorization failed: pivot {bad[0] + 1} is not positive")
+        raise _pivot_error(bad[0] + 1)
     inv = np.zeros(n + 3 * nx)
     inv[_shift(red, 2 * nx)] = 1.0 / dr
 
@@ -481,8 +487,7 @@ class _RedBlackCholesky:
         band, inv = _reduced_system(grid, absorption)
         self.c, info = lapack.dpbtrf(band, overwrite_ab=1)
         if info > 0:  # S, and so diag(tau) A, is not positive definite
-            pivot = grid.n_nodes - band.shape[1] + info
-            raise SolverError(f"Cholesky factorization failed: pivot {pivot} is not positive")
+            raise _pivot_error(grid.n_nodes - band.shape[1] + info)
         lap, tau = _operators(grid)[:2]
         self.lap, self.black = lap, _red_black(grid)[0]
         self.tau_black = tau[self.black]

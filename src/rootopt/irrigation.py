@@ -655,7 +655,10 @@ def _optimize_positions(pos, parents, atom_index, weights, scale):
     terminal or the root) stays.
     """
     steiner = [a < 0 and i > 0 for i, a in enumerate(np.asarray(atom_index).tolist())]
-    par, weights = np.asarray(parents).tolist(), np.asarray(weights, dtype=float).tolist()
+    # scaled by a power of two, which is exact and leaves the minimizer as it
+    # is, so the products of weights in `_y_junction` stay in range at any mass
+    w = np.asarray(weights, dtype=float)
+    par, weights = np.asarray(parents).tolist(), np.ldexp(w, -np.frexp(w.max())[1]).tolist()
     edges = [(i, par[i], weights[i], steiner[i], steiner[par[i]])
              for i in _depth_order(par)[1:] if steiner[i] or steiner[par[i]]]
     tiny = _gradient_cutoff(weights)
@@ -799,7 +802,10 @@ def _candidate_moves(pos, parents, flux, alpha):
     weights = np.stack([(f0_q + flux[u]) ** alpha, f0_q ** alpha, fa[u]], 1)
     corners = np.stack([par[q], q, u], 1)
     ax, ay = pos[corners, 0], pos[corners, 1]
-    sx, sy = _y_junctions(ax, ay, weights)
+    # each triple's weights scaled by a power of two, which is exact and
+    # leaves its point as it is, so their products stay in range at any
+    # mass; column 0, the flux through the branch point, weighs the most
+    sx, sy = _y_junctions(ax, ay, np.ldexp(weights, -np.frexp(weights[:, :1])[1]))
     dx, dy = sx[:, None] - ax, sy[:, None] - ay
     y_cost = (weights * np.sqrt(dx * dx + dy * dy)).sum(1)
     gains = (fa[q] * elen[q] + fa[u] * elen[u] - y_cost

@@ -14,6 +14,14 @@ its marginal transport cost.  Away from the atoms the same quantity can only
 favor the transport side, which is what the path inequality check samples
 along tree edges.
 
+`Evaluation` is the one record of an evaluated measure: the config, the
+measure, its plan, the state and the adjoint.  Its landscape, harvest, cost,
+payoff and first-order report are derived from them on first use and kept,
+so the ascent, the commands and `verify` read each value off one record.
+Both certificates come from it: the report holds phi - c alpha Z on the
+support, and `path_inequality_check` samples phi <= c alpha Z along the plan
+from the same landscape.
+
 `ascend_measure` runs projected gradient ascent on the atom masses with
 backtracking on the true payoff, optional spawning of trial atoms at the most
 promising grid node, and pruning of atoms whose mass underflows.  Its trials
@@ -25,12 +33,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (DiscreteMeasure, Grid, RunConfig, SolverError,
-                   ValidationError)
+                   ValidationError, _check_c)
 from .elliptic import (ScalarField, _node_indices, bilinear_interpolate, harvest,
                        phi_field, solve_adjoint, solve_state)
 from .irrigation import (IrrigationTree, LandscapeValues, irrigation_cost,
@@ -44,6 +53,7 @@ __all__ = [
     "AtomRecord",
     "OptimalityReport",
     "PathCheckReport",
+    "Evaluation",
     "TraceStep",
     "OptimizationTrace",
     "SupportDensityReport",
@@ -75,7 +85,6 @@ class OptimalityReport:
     irrigation_cost: float
     c: float
     alpha: float
-    iteration: int = -1
 
     @property
     def payoff(self) -> float:
@@ -85,8 +94,7 @@ class OptimalityReport:
 def payoff(u: ScalarField | None, mu: DiscreteMeasure, tree: IrrigationTree | None,
            c: float, alpha: float) -> float:
     """harvest - c * plan cost; zero for the empty measure."""
-    if not c > 0.0:
-        raise ValidationError(f"c must be positive, got {c!r}")
+    _check_c(c)
     if not len(mu):
         return 0.0
     if u is None or tree is None:
@@ -95,11 +103,9 @@ def payoff(u: ScalarField | None, mu: DiscreteMeasure, tree: IrrigationTree | No
 
 
 def optimality_residual(u_star: ScalarField, psi: ScalarField, z: LandscapeValues,
-                        mu: DiscreteMeasure, c: float, alpha: float,
-                        iteration: int = -1) -> OptimalityReport:
+                        mu: DiscreteMeasure, c: float, alpha: float) -> OptimalityReport:
     """Residuals phi - c * alpha * Z at every atom."""
-    if not c > 0.0:
-        raise ValidationError(f"c must be positive, got {c!r}")
+    _check_c(c)
     phi_a = phi_field(u_star, psi).values[_node_indices(mu, u_star.grid)]
     z_a = z.at_atoms(range(len(mu)))
     records = [AtomRecord(i, tuple(xy), m, p, za, r) for i, (xy, m, p, za, r) in enumerate(zip(
@@ -113,7 +119,6 @@ def optimality_residual(u_star: ScalarField, psi: ScalarField, z: LandscapeValue
         irrigation_cost=irrigation_cost(z.tree, mu, alpha),
         c=float(c),
         alpha=float(alpha),
-        iteration=iteration,
     )
 
 
@@ -137,21 +142,21 @@ class PathCheckReport:
         return self.n_violations == 0
 
 
-def path_inequality_check(u_star: ScalarField, psi: ScalarField, tree: IrrigationTree,
-                          mu: DiscreteMeasure, c: float, alpha: float,
-                          tol: float = 1e-3, spacing: float | None = None) -> PathCheckReport:
-    """Sample every edge at the given spacing (default: one grid cell) and
-    count points where bilinear phi exceeds c * alpha * (linear Z) by more
-    than tol.  Samples outside the open domain rectangle are skipped, since
-    the fields only live on the rectangle."""
+def path_inequality_check(u_star: ScalarField, psi: ScalarField, z: LandscapeValues,
+                          c: float, alpha: float, tol: float = 1e-3,
+                          spacing: float | None = None) -> PathCheckReport:
+    """Sample every edge of the plan z.tree at the given spacing (default:
+    one grid cell) and count points where bilinear phi exceeds c * alpha *
+    (linear Z) by more than tol, Z the plan's landscape z.  Samples outside
+    the open domain rectangle are skipped, since the fields only live on the
+    rectangle."""
     if not tol > 0.0:
         raise ValidationError("tol must be positive")
     grid = u_star.grid
     spacing = grid.h if spacing is None else float(spacing)
     if not spacing > 0.0:
         raise ValidationError("spacing must be positive")
-    z = landscape(tree, mu, alpha)
-    phi = phi_field(u_star, psi)
+    tree, phi = z.tree, phi_field(u_star, psi)
     d = grid.domain
     pts_all = []
     zs_all = []
@@ -176,6 +181,54 @@ def path_inequality_check(u_star: ScalarField, psi: ScalarField, tree: Irrigatio
     return PathCheckReport(len(pts), n_bad, float(np.max(excess)), float(tol))
 
 
+@dataclass(eq=False)
+class Evaluation:
+    """One evaluated measure: the config, the measure, its plan, the state
+    and the adjoint, each None where the evaluation has none (the empty
+    measure has no plan and no fields).
+
+    The values read off them are cached properties, each derived on first
+    use and kept: the landscape, the harvest, the plan cost, the payoff and
+    the first-order report.  So an evaluation that nothing reports on builds
+    no report, and the report and the path check share one landscape.  A
+    field is set before anything derived from it is read: the ascent adds
+    the adjoint to a trial that it keeps, and `verify` adds the fields that
+    it loads."""
+
+    config: RunConfig
+    measure: DiscreteMeasure | None = None
+    plan: IrrigationTree | None = None
+    state: ScalarField | None = None
+    adjoint: ScalarField | None = None
+
+    @cached_property
+    def landscape(self) -> LandscapeValues:
+        return landscape(self.plan, self.measure, self.config.alpha)
+
+    @cached_property
+    def harvest(self) -> float:
+        return harvest(self.state, self.measure)
+
+    @cached_property
+    def cost(self) -> float:
+        return irrigation_cost(self.plan, self.measure, self.config.alpha)
+
+    @cached_property
+    def payoff(self) -> float:
+        return payoff(self.state, self.measure, self.plan, self.config.c, self.config.alpha)
+
+    @cached_property
+    def report(self) -> OptimalityReport:
+        return optimality_residual(self.state, self.adjoint, self.landscape, self.measure,
+                                   self.config.c, self.config.alpha)
+
+    @property
+    def sup_residual(self) -> float:
+        """The report's sup residual; 0.0 for the empty measure, which has
+        no atom to report on, and so no report."""
+        return self.report.sup_residual if len(self.measure) else 0.0
+
+
 # ---------------------------------------------------------------------------
 # mass ascent
 
@@ -197,15 +250,19 @@ class TraceStep:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationTrace:
-    """Iteration history plus the final evaluation artifacts."""
+    """Iteration history plus the final evaluation, whose measure, plan,
+    fields and report the trace reads out; the report is None for the empty
+    measure."""
 
     steps: tuple
     converged: bool
-    measure: DiscreteMeasure
-    tree: IrrigationTree | None
-    state: ScalarField | None
-    adjoint: ScalarField | None
-    report: OptimalityReport | None
+    final: Evaluation
+
+    measure = property(lambda self: self.final.measure)
+    tree = property(lambda self: self.final.plan)
+    state = property(lambda self: self.final.state)
+    adjoint = property(lambda self: self.final.adjoint)
+    report = property(lambda self: self.final.report if len(self.final.measure) else None)
 
     @property
     def final_payoff(self) -> float:
@@ -216,62 +273,30 @@ class OptimizationTrace:
         return [s.payoff for s in self.steps if s.accepted]
 
 
-@dataclass(frozen=True, eq=False)
-class _Bundle:
-    """One evaluated measure.  A trial carries the plan, the state and the
-    payoff; `_complete` adds the adjoint and the landscape, and `_reported`
-    the first-order report."""
-
-    mu: DiscreteMeasure
-    tree: IrrigationTree | None
-    u: ScalarField | None
-    payoff: float
-    psi: ScalarField | None = None
-    z: LandscapeValues | None = None
-    report: OptimalityReport | None = None
-
-    @property
-    def sup_residual(self) -> float:
-        """The report's sup residual; 0.0 for the empty measure, which has
-        no atom to report on."""
-        if self.tree is None:
-            return 0.0
-        if self.report is None:
-            raise RuntimeError("the sup residual of a bundle whose report was not built")
-        return self.report.sup_residual
-
-
-def _trial(config: RunConfig, mu: DiscreteMeasure, base: _Bundle | None) -> _Bundle:
-    """Plan, state and payoff of mu.  Given the accepted bundle `base`, the
-    planner starts from its tree and the state solve from its state."""
+def _trial(config: RunConfig, mu: DiscreteMeasure, base: Evaluation | None) -> Evaluation:
+    """The plan and state of mu, which its payoff is read from.  Given the
+    accepted evaluation `base`, the planner starts from its plan and the
+    state solve from its state."""
     if not len(mu):
-        return _Bundle(mu, None, None, 0.0)
-    init_tree, init_u = (None, None) if base is None else (base.tree, base.u)
+        return Evaluation(config, mu)
+    init_tree, init_u = (None, None) if base is None else (base.plan, base.state)
     tree = optimize_plan(mu, config.alpha, budget=config.max_plan_moves, init=init_tree)
     u = solve_state(config.grid, mu, config.growth, tol=config.tol_nonlinear,
                     tol_linear=config.tol_linear, init=init_u)
-    return _Bundle(mu, tree, u, payoff(u, mu, tree, config.c, config.alpha))
+    return Evaluation(config, mu, tree, u)
 
 
-def _complete(config: RunConfig, trial: _Bundle) -> _Bundle:
-    """The trial with its adjoint and landscape, which spawn scoring reads."""
-    if trial.tree is None:
-        return trial
-    psi = solve_adjoint(config.grid, trial.mu, trial.u, config.growth, tol=config.tol_linear)
-    return replace(trial, psi=psi, z=landscape(trial.tree, trial.mu, config.alpha))
+def _adjoint(config: RunConfig, ev: Evaluation) -> ScalarField | None:
+    """The adjoint of an evaluation that the ascent keeps, which spawn
+    scoring and the report read; None for the empty measure."""
+    if not len(ev.measure):
+        return None
+    return solve_adjoint(config.grid, ev.measure, ev.state, config.growth, tol=config.tol_linear)
 
 
-def _reported(config: RunConfig, bundle: _Bundle, iteration: int) -> _Bundle:
-    """The completed bundle with its first-order report."""
-    if bundle.tree is None:
-        return bundle
-    return replace(bundle, report=optimality_residual(bundle.u, bundle.psi, bundle.z, bundle.mu,
-                                                      config.c, config.alpha, iteration))
-
-
-def _spawn_scores(config: RunConfig, bundle: _Bundle, trial_mass: float) -> np.ndarray:
+def _spawn_scores(config: RunConfig, ev: Evaluation, trial_mass: float) -> np.ndarray:
     """Score of every grid node as the site of an extra atom of mass
-    trial_mass, -inf at the nodes of the atoms of the bundle's measure.
+    trial_mass, -inf at the nodes of the atoms of the evaluated measure.
 
     A node's score is phi minus c alpha Z_ext, where Z_ext continues the
     landscape from the nearest point of the plan (projections onto edge
@@ -281,7 +306,7 @@ def _spawn_scores(config: RunConfig, bundle: _Bundle, trial_mass: float) -> np.n
     nodes meet each block of edges in one (edges, nodes) broadcast of at
     most 2^14 pairs, whose temporaries stay in cache (56 edges at 17x17).
     """
-    coords, tree, z = config.grid.node_coordinates(), bundle.tree, bundle.z.values
+    coords, tree, z = config.grid.node_coordinates(), ev.plan, ev.landscape.values
     z_ext, spur = np.full(len(coords), np.inf), trial_mass ** (config.alpha - 1.0)
     width = max(1, (1 << 14) // len(coords))  # edges per block; wider blocks spill the cache
     for lo in range(1, tree.n_nodes, width):
@@ -294,12 +319,12 @@ def _spawn_scores(config: RunConfig, bundle: _Bundle, trial_mass: float) -> np.n
         gap = coords - (a + t * ab)
         z_line = z[p][:, None] + t[..., 0] * (z[q] - z[p])[:, None]
         np.minimum(z_ext, (z_line + spur * np.sqrt((gap * gap).sum(-1))).min(0), out=z_ext)
-    score = phi_field(bundle.u, bundle.psi).values - config.c * config.alpha * z_ext
-    score[_node_indices(bundle.mu, config.grid)] = -np.inf
+    score = phi_field(ev.state, ev.adjoint).values - config.c * config.alpha * z_ext
+    score[_node_indices(ev.measure, config.grid)] = -np.inf
     return score
 
 
-def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | None:
+def _spawn_candidate(config: RunConfig, ev: Evaluation) -> DiscreteMeasure | None:
     """Trial measure with one extra atom at the best node of `_spawn_scores`, or None.
 
     The best node is the lowest node index among the scores within
@@ -307,11 +332,11 @@ def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | No
     arithmetic, such as the mirror images y -> -y of a measure symmetric
     about the domain's axis, are told apart by their index and not by the
     last bits of the solves."""
-    mu, masses = bundle.mu, bundle.mu.masses()
+    mu, masses = ev.measure, ev.measure.masses()
     trial_mass = config.spawn_mass if config.spawn_mass > 0.0 else 0.05 * float(masses.mean())
     if trial_mass <= 0.0:
         return None
-    score = _spawn_scores(config, bundle, trial_mass)
+    score = _spawn_scores(config, ev, trial_mass)
     top = float(score.max())
     if not np.isfinite(top):
         return None
@@ -321,15 +346,16 @@ def _spawn_candidate(config: RunConfig, bundle: _Bundle) -> DiscreteMeasure | No
                                        np.append(masses, trial_mass))
 
 
-def _attempt(config: RunConfig, mu: DiscreteMeasure, cur: _Bundle,
-             keep, errors: list, what: str) -> _Bundle | None:
-    """The completed trial of mu if keep(its payoff, cur.payoff) holds, else
-    None.  A SolverError from the trial or its completion rejects it too,
-    and its message goes into `errors` as "<what>: <message>"."""
+def _attempt(config: RunConfig, mu: DiscreteMeasure, cur: Evaluation,
+             keep, errors: list, what: str) -> Evaluation | None:
+    """The trial of mu with its adjoint if keep(its payoff, cur.payoff)
+    holds, else None.  A SolverError from the trial or its adjoint rejects
+    it too, and its message goes into `errors` as "<what>: <message>"."""
     try:
         cand = _trial(config, mu, cur)
         if keep(cand.payoff, cur.payoff):
-            return _complete(config, cand)
+            cand.adjoint = _adjoint(config, cand)
+            return cand
     except SolverError as exc:
         errors.append(f"{what}: {exc}")
     return None
@@ -374,11 +400,13 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     its Newton steps stall, touch 0 or end on an unstable state).  A
     backtrack restarts from the accepted evaluation, never from the rejected
     trial, so runs stay deterministic.  A trial needs only its plan, state
-    and payoff; the adjoint and landscape are built for the trial that is
-    kept.  A SolverError in any of these rejects the trial, as a lower
-    payoff would, and its message goes into the step's `solver_errors`.
-    The first-order report is built once per iteration, for the bundle the
-    iteration keeps: an accepted spawn supersedes the mass step's bundle
+    and payoff; the adjoint is solved for the trial that is kept.  A
+    SolverError in any of these rejects the trial, as a lower payoff
+    would, and its message goes into the step's `solver_errors`.  Each
+    trial is an `Evaluation`, whose landscape and first-order report are
+    built when first read: the landscape by spawn scoring or the report,
+    and the report once per iteration, for the evaluation the iteration
+    keeps, since an accepted spawn supersedes the mass step's evaluation
     before anything reads its residuals.
     """
     if not len(mu0):
@@ -386,7 +414,8 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
     tol_eff = config.tol_residual * config.growth.u_max
     prune_rel = 1e-12
 
-    cur = _reported(config, _complete(config, _trial(config, mu0, None)), iteration=0)
+    cur = _trial(config, mu0, None)
+    cur.adjoint = _adjoint(config, cur)
     steps = [TraceStep(0, mu0, cur.payoff, cur.sup_residual, True, False, 0.0)]
     converged = False
 
@@ -398,14 +427,14 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
 
         if cur.sup_residual >= tol_eff:
             residuals = np.array([r.residual for r in cur.report.records])
-            masses = cur.mu.masses()
+            masses = cur.measure.masses()
             eta = config.step_size
             for _ in range(21):
                 cand_m = np.maximum(0.0, masses * (1.0 + eta * residuals))
                 total = float(cand_m.sum())
                 # a NaN mass is kept, for from_arrays to name it
                 keep = ~(cand_m < prune_rel * max(total, 1e-300))
-                cand_mu = DiscreteMeasure.from_arrays(cur.mu.positions()[keep], cand_m[keep])
+                cand_mu = DiscreteMeasure.from_arrays(cur.measure.positions()[keep], cand_m[keep])
                 cand = _attempt(config, cand_mu, cur, operator.ge, errors,
                                 f"mass step (eta {eta!r})")
                 if cand is not None:
@@ -413,26 +442,23 @@ def ascend_measure(config: RunConfig, mu0: DiscreteMeasure) -> OptimizationTrace
                     break
                 eta *= 0.5
 
-        if config.spawn and len(cur.mu):
+        if config.spawn and len(cur.measure):
             cand_mu = _spawn_candidate(config, cur)
             if cand_mu is not None:
                 cand = _attempt(config, cand_mu, cur, operator.gt, errors, "spawn")
                 if cand is not None:
                     cur, spawned = cand, True
 
-        if cur is not prev:
-            cur = _reported(config, cur, it)
-        steps.append(TraceStep(it, cur.mu, cur.payoff, cur.sup_residual,
+        steps.append(TraceStep(it, cur.measure, cur.payoff, cur.sup_residual,
                                accepted or spawned, spawned, eta_used, tuple(errors)))
 
-        if _converged(config, cur.mu, cur.sup_residual, spawned):
+        if _converged(config, cur.measure, cur.sup_residual, spawned):
             converged = True
             break
-        if cur.mu == prev.mu:
+        if cur.measure == prev.measure:
             break
 
-    return OptimizationTrace(tuple(steps), converged, cur.mu, cur.tree,
-                             cur.u, cur.psi, cur.report)
+    return OptimizationTrace(tuple(steps), converged, cur)
 
 
 @dataclass(frozen=True)

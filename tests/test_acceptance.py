@@ -233,7 +233,8 @@ def test_criterion_09_ascent_contracts():
     assert tr9.report.sup_residual <= 1e-3 * f.u_max
     pays9 = tr9.accepted_payoffs
     assert all(q >= p for p, q in zip(pays9, pays9[1:]))
-    pc = ro.path_inequality_check(tr9.state, tr9.adjoint, tr9.tree, tr9.measure,
+    pc = ro.path_inequality_check(tr9.state, tr9.adjoint,
+                                  ro.landscape(tr9.tree, tr9.measure, alpha),
                                   cfg9.c, alpha, tol=1e-3 * f.u_max)
     assert pc.fraction_ok >= 0.99
 

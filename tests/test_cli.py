@@ -495,23 +495,36 @@ class TestVerify:
         assert "all" in stdout and "checks passed" in stdout
         assert "invariant violated" not in stdout
 
-    def test_landscape_is_derived_once(self, tmp_path, capsys, monkeypatch):
-        """The tree checks and the rebuilds of landscape.csv and report.json
-        share one landscape; every check still runs, in order."""
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        """{name: 0} for the functions named, each replaced wherever
+        rootopt.cli or rootopt.optimality binds it by a wrapper that counts
+        its calls there."""
         import rootopt.cli as cli
+        import rootopt.optimality as optimality
 
+        calls = dict.fromkeys(names, 0)
+        for module in (cli, optimality):
+            for name in names:
+                if not hasattr(module, name):
+                    continue
+
+                def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_landscape_is_derived_once(self, tmp_path, capsys, monkeypatch):
+        """The tree checks and the rebuilds of landscape.csv and report.json,
+        its path check included, share one landscape; every check still
+        runs, in order."""
         out = self.run_pipeline(tmp_path)
         capsys.readouterr()
-        calls = []
-        landscape = cli.landscape
-
-        def counting(*args):
-            calls.append(args)
-            return landscape(*args)
-
-        monkeypatch.setattr(cli, "landscape", counting)
+        calls = self.count_calls(monkeypatch, ["landscape"])
         assert main(["verify", "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert calls == {"landscape": 1}
         assert capsys.readouterr().out.splitlines() == [f"ok: {name}" for name in (
             "atoms have terminals", "terminals on atoms",
             "landscape identity", "cost lower bound", "mass bound", "landscape Holder bound",
@@ -520,6 +533,17 @@ class TestVerify:
             "trace starts at measure_initial.json", "trace ends at measure.json",
             "tree.json", "landscape.csv", "plan.svg", "phi.bin", "report.json",
             "support.json")] + ["all 21 checks passed"]
+
+    def test_optimize_derives_one_landscape_and_report_per_iteration(self, tmp_path,
+                                                                      monkeypatch):
+        """Without spawning, an optimize run derives one landscape and one
+        first-order report per iteration, iteration 0 included, for the
+        evaluation the iteration keeps; landscape.csv and report.json, its
+        path check included, are written from the final evaluation's."""
+        calls = self.count_calls(monkeypatch, ["landscape", "optimality_residual"])
+        out = self.run_pipeline(tmp_path)
+        assert len(load_trace(out / "trace.jsonl")) == 5
+        assert calls == {"landscape": 5, "optimality_residual": 5}
 
     @staticmethod
     def tamper_json(out, name, change):

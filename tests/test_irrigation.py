@@ -467,6 +467,22 @@ class TestPlanners:
             cost = ro.irrigation_cost(ro.optimize_plan(mu, alpha), mu, alpha)
             assert ro.mass_bound_check(mu, cost, domain, alpha)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [400, 1000])
+    def test_huge_masses_plan_as_their_rescaled_copies(self, k):
+        """Two atoms of equal mass 2^k: the plan of the unit-mass copy, a
+        branch point and all, with the same parents and positions within
+        1e-12 relative.  Unscaled, the weight products of the Y-junctions
+        overflow from about 1e77 on, every gain reads NaN and the planner
+        keeps the star."""
+        pos = [(1.0, 0.0), (1.25, 0.25)]
+        unit = ro.optimize_plan(ro.DiscreteMeasure.from_arrays(pos, [1.0, 1.0]), 0.75)
+        huge = ro.optimize_plan(ro.DiscreteMeasure.from_arrays(pos, [2.0 ** k] * 2), 0.75)
+        assert "steiner" in unit.kinds
+        assert huge.parents.tolist() == unit.parents.tolist()
+        assert huge.atom_index.tolist() == unit.atom_index.tolist()
+        np.testing.assert_allclose(huge.positions, unit.positions, rtol=1e-12, atol=0.0)
+
 
 
 def check_terminals(tree, mu):

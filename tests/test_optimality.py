@@ -105,15 +105,17 @@ class TestOptimalityResidual:
 
 class TestPathInequality:
     def make_single_edge(self, grid):
+        """The landscape of the star plan of one atom at alpha 0.5, and u and
+        psi with phi = u_max everywhere."""
         mu = ro.DiscreteMeasure((ro.Atom((1.0, 0.0), 0.25),))
-        tree = ro.star_tree(mu)
+        z = ro.landscape(ro.star_tree(mu), mu, 0.5)
         u = constant_field(grid, 1.0)   # phi = u_max everywhere
         psi = constant_field(grid, 0.0)
-        return mu, tree, u, psi
+        return z, u, psi
 
     def test_small_c_violates_everywhere(self, small_grid):
-        mu, tree, u, psi = self.make_single_edge(small_grid)
-        rep = ro.path_inequality_check(u, psi, tree, mu, c=1e-9, alpha=0.5)
+        z, u, psi = self.make_single_edge(small_grid)
+        rep = ro.path_inequality_check(u, psi, z, c=1e-9, alpha=0.5)
         assert rep.n_samples > 0
         assert rep.n_violations == rep.n_samples
         assert rep.fraction_ok == 0.0
@@ -121,30 +123,27 @@ class TestPathInequality:
 
     def test_large_c_passes_everywhere(self, small_grid):
         # inside the rectangle Z >= 0.5 * m^(alpha-1), so a big enough c wins
-        mu, tree, u, psi = self.make_single_edge(small_grid)
-        rep = ro.path_inequality_check(u, psi, tree, mu, c=100.0, alpha=0.5)
+        z, u, psi = self.make_single_edge(small_grid)
+        rep = ro.path_inequality_check(u, psi, z, c=100.0, alpha=0.5)
         assert rep.ok and rep.fraction_ok == 1.0
         assert rep.max_excess < 0.0
 
     def test_spacing_controls_sample_count(self, small_grid):
-        mu, tree, u, psi = self.make_single_edge(small_grid)
-        coarse = ro.path_inequality_check(u, psi, tree, mu, 1.0, 0.5,
-                                          spacing=small_grid.h)
-        fine = ro.path_inequality_check(u, psi, tree, mu, 1.0, 0.5,
-                                        spacing=small_grid.h / 4)
+        z, u, psi = self.make_single_edge(small_grid)
+        coarse = ro.path_inequality_check(u, psi, z, 1.0, 0.5, spacing=small_grid.h)
+        fine = ro.path_inequality_check(u, psi, z, 1.0, 0.5, spacing=small_grid.h / 4)
         assert fine.n_samples > 2 * coarse.n_samples
 
     def test_samples_outside_rectangle_skipped(self, small_grid):
         # the root half of the segment x < 0.5 never produces samples
-        mu, tree, u, psi = self.make_single_edge(small_grid)
-        rep = ro.path_inequality_check(u, psi, tree, mu, 1.0, 0.5,
-                                       spacing=small_grid.h)
+        z, u, psi = self.make_single_edge(small_grid)
+        rep = ro.path_inequality_check(u, psi, z, 1.0, 0.5, spacing=small_grid.h)
         assert rep.n_samples < 1.0 / small_grid.h
 
     def test_tol_validation(self, small_grid):
-        mu, tree, u, psi = self.make_single_edge(small_grid)
+        z, u, psi = self.make_single_edge(small_grid)
         with pytest.raises(ro.ValidationError):
-            ro.path_inequality_check(u, psi, tree, mu, 1.0, 0.5, tol=0.0)
+            ro.path_inequality_check(u, psi, z, 1.0, 0.5, tol=0.0)
 
 
 class TestAscent:
@@ -293,7 +292,7 @@ class TestAscent:
 class TestReports:
     def test_one_report_per_iteration(self, small_grid, monkeypatch):
         """The 17x17 spawn ascent builds the first-order report once for
-        iteration 0 and once per later iteration, for the bundle the
+        iteration 0 and once per later iteration, for the evaluation the
         iteration keeps, and every step's sup residual is its report's."""
         reports = []
         real = optimality.optimality_residual
@@ -305,25 +304,40 @@ class TestReports:
         monkeypatch.setattr(optimality, "optimality_residual", recording)
         trace = spawn_ascent(small_grid)
         assert len(trace.steps) == 21 and all(s.accepted for s in trace.steps)
-        assert [r.iteration for r in reports] == list(range(21))
+        assert len(reports) == 21
         assert [s.sup_residual for s in trace.steps] == [r.sup_residual for r in reports]
         assert trace.report is reports[-1]
 
-    def test_sup_residual_needs_a_report(self, small_grid):
-        """Only a bundle without positive mass reads 0.0 without a report."""
-        assert optimality._Bundle(ro.DiscreteMeasure(), None, None, 0.0).sup_residual == 0.0
+    def test_sup_residual_needs_a_report(self, small_grid, monkeypatch):
+        """The evaluation of the empty measure reads payoff 0.0 and sup
+        residual 0.0 without building a report; any other evaluation reads
+        its sup residual off the one report it builds on first use."""
+        cfg = ro.RunConfig(grid=small_grid)
+        reports = []
+        real = optimality.optimality_residual
+
+        def recording(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(optimality, "optimality_residual", recording)
+        empty = optimality.Evaluation(cfg, ro.DiscreteMeasure())
+        assert empty.payoff == 0.0 and empty.sup_residual == 0.0
+        assert reports == [] and "report" not in vars(empty)
         mu = ro.DiscreteMeasure((ro.Atom(small_grid.node_position(8, 8), 0.3),))
-        bundle = optimality._Bundle(mu, ro.star_tree(mu), constant_field(small_grid, 0.8), 0.0)
-        with pytest.raises(RuntimeError, match="report was not built"):
-            bundle.sup_residual
+        ev = optimality.Evaluation(cfg, mu, ro.star_tree(mu), constant_field(small_grid, 0.8),
+                                   constant_field(small_grid, 0.1))
+        assert reports == []
+        assert ev.sup_residual == ev.sup_residual == reports[0].sup_residual
+        assert len(reports) == 1 and ev.report is reports[0]
 
 
-def loop_spawn_scores(config, bundle, trial_mass):
+def loop_spawn_scores(config, ev, trial_mass):
     """The per-edge scorer that the broadcast of `_spawn_scores` replaced:
     every node projected onto one plan edge at a time, folded in with
     np.minimum."""
     coords = config.grid.node_coordinates()
-    tree, z = bundle.tree, bundle.z.values
+    tree, z = ev.plan, ev.landscape.values
     spur = trial_mass ** (config.alpha - 1.0)
     z_ext = np.full(len(coords), np.inf)
     for p, q in tree.edges():
@@ -333,20 +347,20 @@ def loop_spawn_scores(config, bundle, trial_mass):
         gap = coords - (a + t[:, None] * ab)
         z_line = z[p] + t * (z[q] - z[p])
         np.minimum(z_ext, z_line + spur * np.sqrt((gap * gap).sum(axis=1)), out=z_ext)
-    score = phi_field(bundle.u, bundle.psi).values - config.c * config.alpha * z_ext
-    score[_node_indices(bundle.mu, config.grid)] = -np.inf
+    score = phi_field(ev.state, ev.adjoint).values - config.c * config.alpha * z_ext
+    score[_node_indices(ev.measure, config.grid)] = -np.inf
     return score
 
 
 @pytest.fixture(scope="module")
 def spawn_calls():
-    """(config, bundle, trial mass, scores) of every spawn of the 17x17
+    """(config, evaluation, trial mass, scores) of every spawn of the 17x17
     spawn ascent of `conftest.spawn_ascent`."""
     calls = []
     real = optimality._spawn_scores
 
-    def recording(config, bundle, trial_mass):
-        calls.append((config, bundle, trial_mass, real(config, bundle, trial_mass)))
+    def recording(config, ev, trial_mass):
+        calls.append((config, ev, trial_mass, real(config, ev, trial_mass)))
         return calls[-1][3]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -358,8 +372,8 @@ def spawn_calls():
 class TestSpawnScores:
     def test_broadcast_equals_the_per_edge_loop(self, spawn_calls):
         assert len(spawn_calls) == 20
-        for config, bundle, trial_mass, score in spawn_calls:
-            ref = loop_spawn_scores(config, bundle, trial_mass)
+        for config, ev, trial_mass, score in spawn_calls:
+            ref = loop_spawn_scores(config, ev, trial_mass)
             assert np.array_equal(score, ref)
             assert np.argmax(score) == np.argmax(ref)
 
@@ -372,20 +386,20 @@ class TestSpawnScores:
         tree = ro.optimize_plan(mu, 0.75)
         assert tree.n_nodes - 1 > 2 * ((1 << 14) // grid.n_nodes)
         cfg = ro.RunConfig(grid=grid, alpha=0.75, c=0.1)
-        bundle = optimality._Bundle(mu, tree, constant_field(grid, 0.8), 0.0,
-                                    constant_field(grid, 0.1), ro.landscape(tree, mu, 0.75))
-        score = optimality._spawn_scores(cfg, bundle, 0.05)
-        assert np.array_equal(score, loop_spawn_scores(cfg, bundle, 0.05))
+        ev = optimality.Evaluation(cfg, mu, tree, constant_field(grid, 0.8),
+                                   constant_field(grid, 0.1))
+        score = optimality._spawn_scores(cfg, ev, 0.05)
+        assert np.array_equal(score, loop_spawn_scores(cfg, ev, 0.05))
 
     def test_a_node_on_an_edge_scores_the_path_excess(self, spawn_calls):
         """At a free node x on the plan edge from p to q, Z_ext is the
         landscape Z(x) = Z(p) + flux_q^(alpha - 1) |x - p|, so the score is
         phi - c alpha Z(x)."""
         checked = 0
-        for config, bundle, _, score in spawn_calls:
-            coords, tree = config.grid.node_coordinates(), bundle.tree
-            flux = ro.compute_fluxes(tree, bundle.mu).values
-            phi = phi_field(bundle.u, bundle.psi).values
+        for config, ev, _, score in spawn_calls:
+            coords, tree = config.grid.node_coordinates(), ev.plan
+            flux = ro.compute_fluxes(tree, ev.measure).values
+            phi = phi_field(ev.state, ev.adjoint).values
             for p, q in tree.edges():
                 ab = tree.positions[q] - tree.positions[p]
                 rel = coords - tree.positions[p]
@@ -393,7 +407,7 @@ class TestSpawnScores:
                 on = ((np.abs(ab[0] * rel[:, 1] - ab[1] * rel[:, 0]) <= 1e-14 * (ab @ ab))
                       & (along >= 0.0) & (along <= ab @ ab) & np.isfinite(score))
                 for i in np.flatnonzero(on):
-                    z = bundle.z.values[p] + flux[q] ** (config.alpha - 1.0) * np.hypot(*rel[i])
+                    z = ev.landscape.values[p] + flux[q] ** (config.alpha - 1.0) * np.hypot(*rel[i])
                     assert abs(score[i] - (phi[i] - config.c * config.alpha * z)) <= 1e-12
                     checked += 1
         assert checked > 50, checked
@@ -406,7 +420,7 @@ class TestSpawnTieBreak:
         y -> -y both set to the top score: whichever of the two is then
         ahead by a few ulps, the spawn goes to the lower node index; a lead
         of 1e-9 decides."""
-        for config, bundle, _, score in spawn_calls:
+        for config, ev, _, score in spawn_calls:
             grid = config.grid
             best = int(np.argmax(score))
             iy, ix = divmod(best, grid.nx)
@@ -423,7 +437,7 @@ class TestSpawnTieBreak:
             perturbed[[low, high]] = top
             perturbed[node] += lead
             monkeypatch.setattr(optimality, "_spawn_scores", lambda *args: perturbed)
-            trial = optimality._spawn_candidate(config, bundle)
+            trial = optimality._spawn_candidate(config, ev)
             return grid.index_of(*trial.atoms[-1].position)
 
         for node in (low, high):

@@ -361,8 +361,8 @@ class TestTraceAndReport:
         assert back["payoff"] == trace.report.payoff
 
     def test_report_with_path_check(self, tmp_path, trace):
-        check = ro.path_inequality_check(trace.state, trace.adjoint, trace.tree,
-                                         trace.measure, 0.1, trace.report.alpha)
+        check = ro.path_inequality_check(trace.state, trace.adjoint, trace.final.landscape,
+                                         0.1, trace.report.alpha)
         p = tmp_path / "report.json"
         ser.save_file(p, ser.dumps_json(ser.report_to_dict(trace.report, True, 3,
                                                          path_check=check)))

@@ -65,7 +65,8 @@ SHARED_RULES = {
 def test_each_shared_rule_is_written_once():
     """A search of src/rootopt's code tokens (names, numbers, operators;
     no comments or docstrings) finds each shared rule once, and the text
-    finds the alpha-range error and the mass-rule error once each."""
+    finds the alpha-range error, the mass-rule error, the c-rule error and
+    the Cholesky pivot error once each."""
     counts = dict.fromkeys(SHARED_RULES, 0)
     text = ""
     for path in sorted((ROOT / "src" / "rootopt").glob("*.py")):
@@ -78,6 +79,8 @@ def test_each_shared_rule_is_written_once():
                                 for seq in spellings for i in range(len(toks)))
     counts["alpha range error"] = text.count("alpha must be in (0, 1], got")
     counts["mass rule error"] = text.count("mass must be finite and > 0, got")
+    counts["c rule error"] = text.count("c must be positive, got")
+    counts["pivot error"] = text.count("Cholesky factorization failed: pivot")
     assert counts == dict.fromkeys(counts, 1)
 
 
